@@ -50,9 +50,7 @@ usage(const char *prog)
         "                    execution width: results are bit-identical\n"
         "                    for any N\n"
         "  --out DIR         artifact/manifest directory (default .)\n"
-        "  --seed N          base seed (default %llu; the default "
-        "reproduces\n"
-        "                    the legacy single-experiment binaries)\n"
+        "  --seed N          base seed (default %llu)\n"
         "  --param K=V       integer scenario parameter (e.g. "
         "ops=100000);\n"
         "                    repeatable\n"

@@ -130,7 +130,7 @@ main()
         std::printf("%-14s %12.1f %12llu %12llu\n", policy.c_str(),
                     result.throughputOpsPerSec() / 1000.0,
                     static_cast<unsigned long long>(
-                        sim.metrics().totalPromotions()),
+                        sim.vmstat().global(stats::VmItem::PgpromoteSuccess)),
                     static_cast<unsigned long long>(
                         sim.metrics().totalReaccessed()));
     }

@@ -52,7 +52,7 @@ main(int argc, char **argv)
         std::printf("%-12s %14.3f %14llu %10llu  (%.2fx static)\n",
                     policy.c_str(), result.avgTrialSeconds(),
                     static_cast<unsigned long long>(
-                        sim.metrics().totalPromotions()),
+                        sim.vmstat().global(stats::VmItem::PgpromoteSuccess)),
                     static_cast<unsigned long long>(result.checksum),
                     staticSeconds / result.avgTrialSeconds());
     }

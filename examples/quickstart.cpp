@@ -69,8 +69,8 @@ main()
                 second);
     std::printf("promotions=%llu demotions=%llu\n",
                 static_cast<unsigned long long>(
-                    sim.metrics().totalPromotions()),
+                    sim.vmstat().global(stats::VmItem::PgpromoteSuccess)),
                 static_cast<unsigned long long>(
-                    sim.metrics().totalDemotions()));
+                    sim.vmstat().global(stats::VmItem::Pgdemote)));
     return sim.pageTier(victim) == TierKind::Dram ? 0 : 1;
 }

@@ -121,36 +121,4 @@ Histogram::quantile(double q) const
     return hi_;
 }
 
-void
-StatRegistry::inc(const std::string &name, std::uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-void
-StatRegistry::set(const std::string &name, std::uint64_t value)
-{
-    counters_[name] = value;
-}
-
-std::uint64_t
-StatRegistry::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-void
-StatRegistry::reset()
-{
-    counters_.clear();
-}
-
-void
-StatRegistry::dump(std::ostream &os, const std::string &prefix) const
-{
-    for (const auto &[name, value] : counters_)
-        os << prefix << name << " " << value << "\n";
-}
-
 }  // namespace mclock

@@ -1,16 +1,14 @@
 /**
  * @file
- * Lightweight statistics: counters, scalar summaries, histograms, and a
- * registry for dumping everything at the end of a run.
+ * Lightweight statistics: scalar summaries and histograms. Event
+ * counters live in stats::VmStat (stats/vmstat.hh).
  */
 
 #ifndef MCLOCK_BASE_STATS_HH_
 #define MCLOCK_BASE_STATS_HH_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace mclock {
@@ -70,31 +68,6 @@ class Histogram
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
     std::uint64_t count_ = 0;
-};
-
-/**
- * A named bag of counters. Subsystems register counters by name; dump()
- * prints them sorted, which the benches use for machine-readable output.
- */
-class StatRegistry
-{
-  public:
-    /** Add delta to the named counter (creating it at zero). */
-    void inc(const std::string &name, std::uint64_t delta = 1);
-    void set(const std::string &name, std::uint64_t value);
-    std::uint64_t get(const std::string &name) const;
-    void reset();
-
-    /** Print "name value" lines, sorted by name. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
-
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return counters_;
-    }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
 };
 
 }  // namespace mclock

@@ -52,10 +52,6 @@ Kpromoted::run(SimTime now)
         promotedNow += shrinkPromoteList(node, anon, budget,
                                          /*underPressure=*/false, cap);
     }
-    promoted_ += promotedNow;
-    ++runs_;
-    sim_.stats().inc("kpromoted_runs");
-    sim_.stats().inc("kpromoted_promoted", promotedNow);
 }
 
 std::uint64_t

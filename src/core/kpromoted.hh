@@ -40,9 +40,6 @@ class Kpromoted
     /** One wake-up of the daemon. */
     void run(SimTime now);
 
-    std::uint64_t runs() const { return runs_; }
-    std::uint64_t promoted() const { return promoted_; }
-
     // Scan passes are public so the pressure handler (and tests) can
     // reuse them; each returns the number of pages examined.
 
@@ -72,8 +69,6 @@ class Kpromoted
     MultiClockPolicy &policy_;
     sim::Simulator &sim_;
     NodeId nodeId_;
-    std::uint64_t runs_ = 0;
-    std::uint64_t promoted_ = 0;
 };
 
 }  // namespace core

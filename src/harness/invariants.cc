@@ -157,21 +157,10 @@ collectViolations(sim::Simulator &sim)
                   "resident",
                   onLists, resident);
     }
+    for (auto &v : collectCounterViolations(sim))
+        out.push_back(std::move(v));
     return out;
 }
-
-namespace {
-
-void
-counterMismatch(std::vector<std::string> &out, const char *what,
-                std::uint64_t counter, std::uint64_t truth)
-{
-    violation(out, "counter mismatch: %s = %llu but ground truth %llu",
-              what, static_cast<unsigned long long>(counter),
-              static_cast<unsigned long long>(truth));
-}
-
-}  // namespace
 
 std::vector<std::string>
 collectCounterViolations(sim::Simulator &sim)
@@ -179,101 +168,62 @@ collectCounterViolations(sim::Simulator &sim)
     using stats::VmItem;
     std::vector<std::string> out;
     const auto &vm = sim.vmstat();
-    auto &st = sim.stats();
+    const auto count = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    std::size_t resident = 0;
+    std::size_t swappedAnon = 0;
+    sim.space().forEachPage([&](Page *pg) {
+        if (pg->resident())
+            ++resident;
+        else if (pg->isAnon())
+            ++swappedAnon;
+    });
 
-    // Migration accounting: three observers (vmstat, Metrics, the
-    // migration engine) counted the same events independently.
-    if (vm.global(VmItem::PgpromoteSuccess) !=
-        sim.metrics().totalPromotions()) {
-        counterMismatch(out, "pgpromote_success",
-                        vm.global(VmItem::PgpromoteSuccess),
-                        sim.metrics().totalPromotions());
-    }
-    if (vm.global(VmItem::Pgdemote) != sim.metrics().totalDemotions()) {
-        counterMismatch(out, "pgdemote", vm.global(VmItem::Pgdemote),
-                        sim.metrics().totalDemotions());
-    }
-    // A pgexchange implies the two nodes sat on different tiers; the
-    // engine's same-tier exchanges are deliberately not counted.
-    if (vm.global(VmItem::Pgexchange) !=
-        sim.migrationEngine().tieredExchanges()) {
-        counterMismatch(out, "pgexchange", vm.global(VmItem::Pgexchange),
-                        sim.migrationEngine().tieredExchanges());
-    }
-
-    // Transactional migration: every injected abort (and every
-    // post-copy rollback) the engine saw reached vmstat.
-    if (vm.global(VmItem::PgmigrateAbort) != sim.migrationEngine().aborts())
-        counterMismatch(out, "pgmigrate_abort",
-                        vm.global(VmItem::PgmigrateAbort),
-                        sim.migrationEngine().aborts());
-    if (vm.global(VmItem::PgmigrateRollback) !=
-        sim.migrationEngine().rollbacks()) {
-        counterMismatch(out, "pgmigrate_rollback",
-                        vm.global(VmItem::PgmigrateRollback),
-                        sim.migrationEngine().rollbacks());
-    }
-
-    // Swap traffic and reclaim: pswpin/pswpout shadow the legacy stats.
-    // pswpout is charged only for anonymous pages entering the swap
-    // area; file-backed evictions surface as pgwriteback instead, and
-    // every evicted page of either kind was stolen from its node.
-    if (vm.global(VmItem::Pswpin) != st.get("swap_ins"))
-        counterMismatch(out, "pswpin", vm.global(VmItem::Pswpin),
-                        st.get("swap_ins"));
-    if (vm.global(VmItem::Pswpout) != st.get("swap_outs"))
-        counterMismatch(out, "pswpout", vm.global(VmItem::Pswpout),
-                        st.get("swap_outs"));
-    if (vm.global(VmItem::Pswpout) != sim.swap().swapOuts())
-        counterMismatch(out, "pswpout(swap)", vm.global(VmItem::Pswpout),
-                        sim.swap().swapOuts());
-    if (vm.global(VmItem::Pgwriteback) != sim.swap().writebacks())
-        counterMismatch(out, "pgwriteback",
-                        vm.global(VmItem::Pgwriteback),
-                        sim.swap().writebacks());
-    if (vm.global(VmItem::Pgsteal) !=
-        vm.global(VmItem::Pswpout) + vm.global(VmItem::Pgwriteback)) {
-        counterMismatch(out, "pgsteal", vm.global(VmItem::Pgsteal),
-                        vm.global(VmItem::Pswpout) +
-                            vm.global(VmItem::Pgwriteback));
-    }
-
-    // Fault attribution: every frame allocation (minor fault or swap-in)
-    // landed on exactly one tier.
+    // Frames: every frame a page holds came from a counted fault
+    // (minor or swap-in) and was not since stolen; unmap frees the
+    // rest, so the walk can only fall short of the counters.
     const std::uint64_t faults = vm.global(VmItem::PgfaultDram) +
                                  vm.global(VmItem::PgfaultPm);
-    const std::uint64_t allocs =
-        st.get("minor_faults") + st.get("swap_ins");
-    if (faults != allocs)
-        counterMismatch(out, "pgfault_dram+pgfault_pm", faults, allocs);
-    if (vm.global(VmItem::PghintFault) != st.get("hint_faults"))
-        counterMismatch(out, "pghint_fault",
-                        vm.global(VmItem::PghintFault),
-                        st.get("hint_faults"));
+    const std::uint64_t steals = vm.global(VmItem::Pgsteal);
+    if (steals > faults || resident > faults - steals) {
+        violation(out,
+                  "fault accounting: %zu resident pages but pgfault %llu "
+                  "- pgsteal %llu",
+                  resident, count(faults), count(steals));
+    }
 
-    // LRU scan classification never exceeds the charged scan volume
-    // (page-table profiling passes are charged but not list scans).
+    // The Fig. 8 window series must add up to the run totals.
+    std::uint64_t windowPromotions = 0;
+    std::uint64_t windowDemotions = 0;
+    for (const auto &w : sim.metrics().windows()) {
+        windowPromotions += w.promotions;
+        windowDemotions += w.demotions;
+    }
+    if (windowPromotions != vm.global(VmItem::PgpromoteSuccess) ||
+        windowDemotions != vm.global(VmItem::Pgdemote)) {
+        violation(out,
+                  "metrics windows sum to %llu promotions / %llu "
+                  "demotions but pgpromote_success %llu / pgdemote %llu",
+                  count(windowPromotions), count(windowDemotions),
+                  count(vm.global(VmItem::PgpromoteSuccess)),
+                  count(vm.global(VmItem::Pgdemote)));
+    }
+
+    // LRU scans are charged: page-table profiling passes (AMP's full
+    // scan, AutoTiering's poison cursor) are charged without being
+    // list scans, so the list counts can only fall short.
     const std::uint64_t pgscan = vm.global(VmItem::PgscanActive) +
                                  vm.global(VmItem::PgscanInactive) +
                                  vm.global(VmItem::PgscanPromote);
-    if (pgscan > st.get("scanned_pages")) {
-        counterMismatch(out, "pgscan_active+inactive+promote", pgscan,
-                        st.get("scanned_pages"));
+    if (pgscan > vm.global(VmItem::PgscanCharged)) {
+        violation(out,
+                  "pgscan_active+inactive+promote %llu over "
+                  "pgscan_charged %llu",
+                  count(pgscan), count(vm.global(VmItem::PgscanCharged)));
     }
 
-    // Per-node attribution: node counts can never exceed the global
-    // count, and the node-attributed items must account for every event.
-    for (std::size_t i = 0; i < stats::kNumVmItems; ++i) {
-        const auto item = static_cast<VmItem>(i);
-        if (vm.nodeSum(item) > vm.global(item)) {
-            violation(out,
-                      "counter mismatch: per-node %s sums to %llu, over "
-                      "the global %llu",
-                      stats::vmItemName(item),
-                      static_cast<unsigned long long>(vm.nodeSum(item)),
-                      static_cast<unsigned long long>(vm.global(item)));
-        }
-    }
+    // Node attribution: these items always name the node involved.
     for (VmItem item : {VmItem::PgscanActive, VmItem::PgscanInactive,
                         VmItem::PgscanPromote, VmItem::PgpromoteSuccess,
                         VmItem::Pgdemote, VmItem::Pgsteal,
@@ -284,11 +234,9 @@ collectCounterViolations(sim::Simulator &sim)
                         VmItem::PgpromoteThrottled, VmItem::KswapdWake}) {
         if (vm.nodeSum(item) != vm.global(item)) {
             violation(out,
-                      "counter mismatch: per-node %s sums to %llu, not "
-                      "the global %llu",
-                      stats::vmItemName(item),
-                      static_cast<unsigned long long>(vm.nodeSum(item)),
-                      static_cast<unsigned long long>(vm.global(item)));
+                      "per-node %s sums to %llu, not the global %llu",
+                      stats::vmItemName(item), count(vm.nodeSum(item)),
+                      count(vm.global(item)));
         }
     }
 
@@ -343,27 +291,24 @@ collectCounterViolations(sim::Simulator &sim)
                   bucketUsed, bucketTotal, machineUsed, machineTotal);
     }
 
-    // Swap-slot conservation: every slot a swap-out ever took is still
-    // occupied, was freed by a page-in, or was released at unmap —
-    // exactly once each. A double-release or a leaked slot (e.g. an
-    // unmap racing a rollback) breaks the identity.
+    // Swap slots: every swapped-out anonymous page in the walk holds
+    // exactly one slot, and every slot a pswpout took is still held,
+    // was freed by a page-in, or was released at unmap — exactly once
+    // each. A double-release or a leaked slot breaks the identity.
     const auto &swap = sim.swap();
-    if (!swap.slotsConserved()) {
+    if (swappedAnon != swap.usedSlots()) {
         violation(out,
-                  "swap slot conservation: %llu swap-outs != %zu held + "
-                  "%llu freed by page-in + %llu released at unmap",
-                  static_cast<unsigned long long>(swap.swapOuts()),
-                  swap.usedSlots(),
-                  static_cast<unsigned long long>(swap.slotFrees()),
-                  static_cast<unsigned long long>(swap.slotReleases()));
+                  "swap slots: %zu swapped-out anonymous pages but %zu "
+                  "slots held",
+                  swappedAnon, swap.usedSlots());
     }
-
-    // Tenant demotions are a subset of all demotions, and a tenant page
-    // deferred at the promotion gate was never also counted promoted.
-    if (vm.global(VmItem::PgtenantDemote) > vm.global(VmItem::Pgdemote)) {
-        counterMismatch(out, "pgtenant_demote <= pgdemote",
-                        vm.global(VmItem::PgtenantDemote),
-                        vm.global(VmItem::Pgdemote));
+    if (vm.global(VmItem::Pswpout) !=
+        swap.usedSlots() + swap.slotFrees() + swap.slotReleases()) {
+        violation(out,
+                  "swap slot conservation: pswpout %llu != %zu held + "
+                  "%llu freed by page-in + %llu released at unmap",
+                  count(vm.global(VmItem::Pswpout)), swap.usedSlots(),
+                  count(swap.slotFrees()), count(swap.slotReleases()));
     }
 
     // Memcg charge conservation: each tenant's per-tier charge equals

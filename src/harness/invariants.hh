@@ -14,7 +14,16 @@
  *  - promote-list discipline: pages on a promote list carry the
  *    PagePromote flag (MULTI-CLOCK's PG_referenced-equivalent selection
  *    evidence), and promote lists only ever hold pages whose anonymity
- *    matches the list family.
+ *    matches the list family;
+ *  - tier topology: the rank buckets partition the machine's nodes and
+ *    frames;
+ *  - vmstat against state: resident pages <= pgfault - pgsteal; each
+ *    swapped-out anonymous page holds one swap slot and pswpout ==
+ *    slots held + freed by page-in + released at unmap; the Fig. 8
+ *    window series sums to pgpromote_success / pgdemote; LRU scans
+ *    never exceed the charged scan volume (pgscan_charged); node-
+ *    attributed items sum over nodes to their global count;
+ *  - memcg charges equal the resident pages tagged with each group.
  */
 
 #ifndef MCLOCK_HARNESS_INVARIANTS_HH_
@@ -32,29 +41,16 @@ class Simulator;
 namespace harness {
 
 /**
- * Check all invariants on @p sim.
+ * Check all invariants on @p sim (the host must be quiescent: no page
+ * isolated off its LRU list).
  * @return one human-readable message per violation; empty when clean
  */
 std::vector<std::string> collectViolations(sim::Simulator &sim);
 
 /**
- * Cross-check the vmstat counter subsystem against the simulator's
- * independent ground truth:
- *
- *  - pgpromote_success == Metrics::totalPromotions() and pgdemote ==
- *    totalDemotions() (the counters and the legacy accounting observe
- *    the same migrations);
- *  - pswpin / pswpout match the legacy swap_ins / swap_outs stats, and
- *    every swap-out is also a pgsteal;
- *  - pgfault_dram + pgfault_pm == minor_faults + swap_ins (every frame
- *    allocation is attributed to exactly one tier);
- *  - pghint_fault == hint_faults;
- *  - pgexchange == MigrationEngine::exchanges();
- *  - LRU scan counters never exceed the charged scan volume:
- *    pgscan_active + pgscan_inactive + pgscan_promote <= scanned_pages
- *    (page-table profiling passes charge but are not LRU scans);
- *  - per-node counts sum to at most the global count for every item,
- *    with equality for the node-attributed items above.
+ * The subset of collectViolations() that also holds while pages sit
+ * isolated mid-migration: tier topology, vmstat against state, and
+ * memcg charges.
  */
 std::vector<std::string> collectCounterViolations(sim::Simulator &sim);
 

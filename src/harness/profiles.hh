@@ -1,9 +1,8 @@
 /**
  * @file
  * Shared machine/workload profiles for the figure-reproduction
- * experiments (previously bench/bench_common.hh; moved into the
- * library so the harness, the thin legacy bench mains, and the golden
- * regression tests all draw from one definition).
+ * experiments, in the library so the harness, the golden regression
+ * tests and the repository benchmark all draw from one definition.
  *
  * Scaling discipline (documented in DESIGN.md / EXPERIMENTS.md):
  *  - capacities are scaled ~1000x below the paper's testbed, keeping

@@ -70,16 +70,14 @@ batchedAccessPath(const RunContext &ctx)
 }
 
 /**
- * Run the shared invariant suite (structural + counter consistency),
- * file violations on the record, and export the vmstat snapshot (plus
- * trace/sampler artifacts in stats mode).
+ * Run the shared invariant suite, file violations on the record, and
+ * export the vmstat snapshot (plus trace/sampler artifacts in stats
+ * mode).
  */
 inline void
 checkRunInvariants(sim::Simulator &sim, RunRecord &rec)
 {
     for (auto &v : collectViolations(sim))
-        rec.violations.push_back(std::move(v));
-    for (auto &v : collectCounterViolations(sim))
         rec.violations.push_back(std::move(v));
     rec.vmstat = sim.vmstat().snapshot();
     rec.perfAppOps += sim.appOps();

@@ -80,9 +80,9 @@ addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
     using stats::VmItem;
     const auto &vm = sim.vmstat();
     rec.metrics["promotions"] =
-        static_cast<double>(sim.metrics().totalPromotions());
+        static_cast<double>(vm.global(VmItem::PgpromoteSuccess));
     rec.metrics["demotions"] =
-        static_cast<double>(sim.metrics().totalDemotions());
+        static_cast<double>(vm.global(VmItem::Pgdemote));
     rec.metrics["aborts"] =
         static_cast<double>(vm.global(VmItem::PgmigrateAbort));
     rec.metrics["retries"] =

@@ -37,6 +37,8 @@ namespace harness {
 
 namespace {
 
+using stats::VmItem;
+
 /** Fixed semantic partition count (see file comment). */
 constexpr unsigned kShardCount = 8;
 
@@ -173,9 +175,9 @@ runShardUnit(const std::string &policy, const RunContext &ctx,
             : static_cast<double>(merged.totalTierAccesses(0)) /
                   accesses;
     rec.metrics["promotions"] =
-        static_cast<double>(merged.totalPromotions());
+        static_cast<double>(vmstat.global(VmItem::PgpromoteSuccess));
     rec.metrics["demotions"] =
-        static_cast<double>(merged.totalDemotions());
+        static_cast<double>(vmstat.global(VmItem::Pgdemote));
     rec.metrics["epochs"] = static_cast<double>(host.epochs());
     rec.metrics["merged_events"] =
         static_cast<double>(host.events().size());
@@ -198,9 +200,6 @@ runShardUnit(const std::string &policy, const RunContext &ctx,
     for (unsigned s = 0; s < host.shards(); ++s) {
         sim::Simulator &sim = host.shard(s);
         for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-        for (auto &v : collectCounterViolations(sim))
             rec.violations.push_back("shard" + std::to_string(s) +
                                      ": " + std::move(v));
     }

@@ -44,6 +44,8 @@ namespace harness {
 
 namespace {
 
+using stats::VmItem;
+
 /** Fixed semantic partition count (see file comment). */
 constexpr unsigned kTenantShards = 4;
 
@@ -302,9 +304,9 @@ runNoisyUnit(TenantMix mix, const RunContext &ctx)
     rec.metrics["thrasher_accesses"] =
         static_cast<double>(thrasherAccesses);
     rec.metrics["promotions"] =
-        static_cast<double>(merged.totalPromotions());
+        static_cast<double>(vmstat.global(VmItem::PgpromoteSuccess));
     rec.metrics["demotions"] =
-        static_cast<double>(merged.totalDemotions());
+        static_cast<double>(vmstat.global(VmItem::Pgdemote));
     rec.metrics["tenant_demotions"] = static_cast<double>(
         vmstat.global(stats::VmItem::PgtenantDemote));
     rec.metrics["promote_deferred"] = static_cast<double>(
@@ -329,9 +331,6 @@ runNoisyUnit(TenantMix mix, const RunContext &ctx)
     for (unsigned s = 0; s < host.shards(); ++s) {
         sim::Simulator &sim = host.shard(s);
         for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-        for (auto &v : collectCounterViolations(sim))
             rec.violations.push_back("shard" + std::to_string(s) +
                                      ": " + std::move(v));
     }
@@ -569,9 +568,9 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
     rec.metrics["leaked_charges"] = leaked;
     rec.metrics["slot_releases"] = static_cast<double>(slotReleases);
     rec.metrics["promotions"] =
-        static_cast<double>(merged.totalPromotions());
+        static_cast<double>(vmstat.global(VmItem::PgpromoteSuccess));
     rec.metrics["demotions"] =
-        static_cast<double>(merged.totalDemotions());
+        static_cast<double>(vmstat.global(VmItem::Pgdemote));
     rec.metrics["swap_outs"] = static_cast<double>(
         vmstat.global(stats::VmItem::Pswpout));
     rec.metrics["alloc_fallbacks"] = static_cast<double>(
@@ -585,9 +584,6 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
     for (unsigned s = 0; s < host.shards(); ++s) {
         sim::Simulator &sim = host.shard(s);
         for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-        for (auto &v : collectCounterViolations(sim))
             rec.violations.push_back("shard" + std::to_string(s) +
                                      ": " + std::move(v));
     }

@@ -24,6 +24,8 @@ namespace harness {
 
 namespace {
 
+using stats::VmItem;
+
 /** Every factory policy that runs on a multi-tier machine. */
 const std::vector<std::string> &
 tier3Policies()
@@ -94,11 +96,11 @@ runTier3Ycsb(const std::string &policy, const Tier3YcsbProfile &p,
     const auto r = driver.run(workload);
     rec.metrics["kops"] = r.throughputOpsPerSec() / 1e3;
     rec.metrics["promotions"] =
-        static_cast<double>(sim.metrics().totalPromotions());
+        static_cast<double>(sim.vmstat().global(VmItem::PgpromoteSuccess));
     rec.metrics["demotions"] =
-        static_cast<double>(sim.metrics().totalDemotions());
+        static_cast<double>(sim.vmstat().global(VmItem::Pgdemote));
     rec.metrics["swap_outs"] =
-        static_cast<double>(sim.stats().get("swap_outs"));
+        static_cast<double>(sim.vmstat().global(VmItem::Pswpout));
     addTierMetrics(sim, rec);
     checkRunInvariants(sim, rec);
     return rec;
@@ -230,9 +232,9 @@ tier3PagerankScenario()
                     driver.run(workloads::gapbs::Kernel::PR);
                 rec.metrics["seconds"] = r.avgTrialSeconds();
                 rec.metrics["promotions"] = static_cast<double>(
-                    sim.metrics().totalPromotions());
-                rec.metrics["demotions"] = static_cast<double>(
-                    sim.metrics().totalDemotions());
+                    sim.vmstat().global(VmItem::PgpromoteSuccess));
+                rec.metrics["demotions"] =
+                    static_cast<double>(sim.vmstat().global(VmItem::Pgdemote));
                 addTierMetrics(sim, rec);
                 checkRunInvariants(sim, rec);
                 return rec;

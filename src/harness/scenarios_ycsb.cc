@@ -19,6 +19,8 @@ namespace harness {
 
 namespace {
 
+using stats::VmItem;
+
 /** Machine + workload + options for one YCSB experiment run. */
 struct YcsbProfile
 {
@@ -58,21 +60,21 @@ runSingleWorkload(const std::string &policy, const YcsbProfile &p,
     const auto r = driver.run(workload);
     rec.metrics["kops"] = r.throughputOpsPerSec() / 1e3;
     rec.metrics["promotions"] =
-        static_cast<double>(sim.metrics().totalPromotions());
+        static_cast<double>(sim.vmstat().global(VmItem::PgpromoteSuccess));
     rec.metrics["demotions"] =
-        static_cast<double>(sim.metrics().totalDemotions());
+        static_cast<double>(sim.vmstat().global(VmItem::Pgdemote));
     rec.metrics["reaccessed"] =
         static_cast<double>(sim.metrics().totalReaccessed());
     rec.metrics["hint_faults"] =
-        static_cast<double>(sim.stats().get("hint_faults"));
+        static_cast<double>(sim.vmstat().global(VmItem::PghintFault));
     rec.metrics["scanned_pages"] =
-        static_cast<double>(sim.stats().get("scanned_pages"));
+        static_cast<double>(sim.vmstat().global(VmItem::PgscanCharged));
     rec.metrics["inline_overhead_ns"] =
-        static_cast<double>(sim.stats().get("inline_overhead_ns"));
+        static_cast<double>(sim.vmstat().global(VmItem::InlineOverheadNs));
     rec.metrics["background_work_ns"] =
-        static_cast<double>(sim.stats().get("background_work_ns"));
+        static_cast<double>(sim.vmstat().global(VmItem::BackgroundWorkNs));
     rec.metrics["swap_outs"] =
-        static_cast<double>(sim.stats().get("swap_outs"));
+        static_cast<double>(sim.vmstat().global(VmItem::Pswpout));
     const auto &windows = sim.metrics().windows();
     rec.metrics["windows"] = static_cast<double>(windows.size());
     char key[48];
@@ -115,9 +117,9 @@ fig05Scenario()
                         result.throughputOpsPerSec();
                 }
                 rec.metrics["promotions"] = static_cast<double>(
-                    sim.metrics().totalPromotions());
-                rec.metrics["demotions"] = static_cast<double>(
-                    sim.metrics().totalDemotions());
+                    sim.vmstat().global(VmItem::PgpromoteSuccess));
+                rec.metrics["demotions"] =
+                    static_cast<double>(sim.vmstat().global(VmItem::Pgdemote));
                 checkRunInvariants(sim, rec);
                 return rec;
             }});

@@ -114,7 +114,6 @@ AmpPolicy::tick(SimTime now)
             lists.add(pg, pfra::NodeLists::activeKind(pg->isAnon()));
         }
     }
-    sim_->stats().inc("amp_promoted", promoted);
 
     if (cfg_.decayCounts) {
         space.forEachPage([](Page *pg) {

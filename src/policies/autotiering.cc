@@ -96,9 +96,8 @@ AutoTieringPolicy::scanTick(SimTime now)
     }
     // PTE manipulation cost for the pass (change_prot_numa).
     sim_->chargeScan(visited);
-    sim_->stats().inc("at_scan_passes");
-    sim_->stats().inc("at_poisoned", poisoned);
-    sim_->stats().inc("at_opm_demoted", demoted);
+    sim_->vmstat().add(stats::VmItem::NumaPteUpdates, kInvalidNode,
+                       poisoned);
     (void)now;
 }
 
@@ -131,7 +130,7 @@ AutoTieringPolicy::onHintFault(Page *page)
             page->setReferenced(false);
             mem.node(page->node()).lists().add(
                 page, pfra::NodeLists::activeKind(page->isAnon()));
-            sim_->stats().inc("at_fault_promotions");
+            sim_->vmstat().add(stats::VmItem::NumaPagesMigrated, dst);
             return;
         }
         srcLists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
@@ -160,7 +159,6 @@ AutoTieringPolicy::onHintFault(Page *page)
         victim->setReferenced(false);
         mem.node(victim->node()).lists().add(
             victim, pfra::NodeLists::inactiveKind(victim->isAnon()));
-        sim_->stats().inc("at_fault_exchanges");
     } else {
         srcLists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
         victimLists.add(victim,

@@ -60,8 +60,6 @@ NimblePolicy::tick(sim::Node &node, SimTime now)
                                   cfg_.nrScan, promoted);
     }
     sim_->chargeScan(scanned);
-    sim_->stats().inc("nimble_runs");
-    sim_->stats().inc("nimble_promoted", promoted);
 }
 
 std::uint64_t

@@ -9,8 +9,6 @@ void
 Metrics::presizeTiers(std::size_t numTiers)
 {
     numTiers_ = numTiers;
-    if (tierAccessTotals_.size() < numTiers)
-        tierAccessTotals_.resize(numTiers);
     if (tierLatencyTotals_.size() < numTiers)
         tierLatencyTotals_.resize(numTiers);
 }
@@ -35,10 +33,30 @@ Metrics::windowSlow(SimTime now)
 }
 
 std::uint64_t
+Metrics::totalAccesses() const
+{
+    std::uint64_t sum = 0;
+    for (const auto &w : windows_)
+        sum += w.accesses;
+    return sum;
+}
+
+std::uint64_t
+Metrics::totalReaccessed() const
+{
+    std::uint64_t sum = 0;
+    for (const auto &w : windows_)
+        sum += w.promotedReaccessed;
+    return sum;
+}
+
+std::uint64_t
 Metrics::totalTierAccesses(TierRank rank) const
 {
-    const auto idx = static_cast<std::size_t>(rank);
-    return idx < tierAccessTotals_.size() ? tierAccessTotals_[idx] : 0;
+    std::uint64_t sum = 0;
+    for (const auto &w : windows_)
+        sum += w.tierAccessCount(rank);
+    return sum;
 }
 
 SimTime
@@ -52,15 +70,7 @@ void
 Metrics::recordPromotion(SimTime now, Page *page)
 {
     ++windowAt(now).promotions;
-    ++totalPromotions_;
     page->setPromotedEpoch(round_);
-}
-
-void
-Metrics::recordDemotion(SimTime now)
-{
-    ++windowAt(now).demotions;
-    ++totalDemotions_;
 }
 
 void
@@ -69,10 +79,8 @@ Metrics::maybeRecordReaccess(SimTime now, Page *page)
     const std::uint64_t epoch = page->promotedEpoch();
     if (epoch == 0)
         return;
-    if (round_ - epoch <= 1) {
+    if (round_ - epoch <= 1)
         ++windowAt(now).promotedReaccessed;
-        ++totalReaccessed_;
-    }
     page->setPromotedEpoch(0);
 }
 
@@ -88,7 +96,6 @@ Metrics::mergeFrom(const Metrics &other)
         auto &dst = windows_[i];
         const auto &src = other.windows_[i];
         dst.accesses += src.accesses;
-        dst.llcHits += src.llcHits;
         dst.promotions += src.promotions;
         dst.demotions += src.demotions;
         dst.promotedReaccessed += src.promotedReaccessed;
@@ -97,20 +104,11 @@ Metrics::mergeFrom(const Metrics &other)
         for (std::size_t t = 0; t < src.tierAccesses.size(); ++t)
             dst.tierAccesses[t] += src.tierAccesses[t];
     }
-    totalAccesses_ += other.totalAccesses_;
-    totalPromotions_ += other.totalPromotions_;
-    totalDemotions_ += other.totalDemotions_;
-    totalReaccessed_ += other.totalReaccessed_;
-    if (tierAccessTotals_.size() < other.tierAccessTotals_.size())
-        tierAccessTotals_.resize(other.tierAccessTotals_.size());
-    for (std::size_t t = 0; t < other.tierAccessTotals_.size(); ++t)
-        tierAccessTotals_[t] += other.tierAccessTotals_[t];
     if (tierLatencyTotals_.size() < other.tierLatencyTotals_.size())
         tierLatencyTotals_.resize(other.tierLatencyTotals_.size());
     for (std::size_t t = 0; t < other.tierLatencyTotals_.size(); ++t)
         tierLatencyTotals_[t] += other.tierLatencyTotals_[t];
-    for (const auto &[name, value] : other.stats_.all())
-        stats_.inc(name, value);
+    stats_.mergeFrom(other.stats_);
 }
 
 }  // namespace sim

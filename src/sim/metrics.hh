@@ -1,6 +1,13 @@
 /**
  * @file
- * Run metrics with the paper's 20-second windowed accounting.
+ * Run metrics: the host's vmstat counters plus the paper's 20-second
+ * windowed accounting.
+ *
+ * Event totals (promotions, demotions, faults, swap traffic, charged
+ * overhead) live only in the stats::VmStat this class owns; Metrics
+ * itself adds what a monotonic counter cannot express: the
+ * per-window series (whose sums are the run's access and re-access
+ * totals), memory service time per tier, and re-access tracking.
  *
  * Figures 8 and 9 report, per 20 s window, the number of pages promoted
  * and the percentage of recently promoted pages that were re-accessed
@@ -15,9 +22,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "base/units.hh"
+#include "stats/vmstat.hh"
 #include "vm/page.hh"
 
 namespace mclock {
@@ -29,7 +36,6 @@ struct MetricsWindow
     std::uint64_t accesses = 0;
     /** Memory-visible accesses served by each tier, indexed by rank. */
     std::vector<std::uint64_t> tierAccesses;
-    std::uint64_t llcHits = 0;
     std::uint64_t promotions = 0;
     std::uint64_t demotions = 0;
     std::uint64_t promotedReaccessed = 0;
@@ -56,11 +62,15 @@ struct MetricsWindow
 class Metrics
 {
   public:
-    explicit Metrics(SimTime windowLen = 20_s) : windowLen_(windowLen) {}
+    /** @param numNodes NUMA nodes the vmstat counters attribute to. */
+    explicit Metrics(SimTime windowLen = 20_s, std::size_t numNodes = 0)
+        : windowLen_(windowLen), stats_(numNodes)
+    {
+    }
 
     /**
-     * Declare the machine's tier count so the per-tier counter vectors
-     * can be sized once up front instead of growing on first touch.
+     * Declare the machine's tier count so the per-tier vectors can be
+     * sized once up front instead of growing on first touch.
      * Purely an allocation hint: counter values are unaffected, and the
      * accessors treat missing and zero entries identically.
      */
@@ -73,13 +83,8 @@ class Metrics
     {
         auto &w = windowAt(now);
         ++w.accesses;
-        ++totalAccesses_;
-        if (llcHit) {
-            ++w.llcHits;
-            return;
-        }
-        bumpAt(w.tierAccesses, tier, 1);
-        bumpAt(tierAccessTotals_, tier, 1);
+        if (!llcHit)
+            bumpAt(w.tierAccesses, tier, 1);
     }
 
     /** Charge @p lat ns of memory service time to the tier at @p tier. */
@@ -90,12 +95,14 @@ class Metrics
     }
 
     /**
-     * A page was migrated upward. Stamps the page with the current
-     * promotion round for re-access tracking.
+     * A page was migrated upward: counts it in the current window and
+     * stamps it with the promotion round for re-access tracking. The
+     * run total is vmstat's pgpromote_success.
      */
     void recordPromotion(SimTime now, Page *page);
 
-    void recordDemotion(SimTime now);
+    /** A page was migrated downward (run total: vmstat's pgdemote). */
+    void recordDemotion(SimTime now) { ++windowAt(now).demotions; }
 
     /** kpromoted (or equivalent) starts a new scan round. */
     void beginPromotionRound() { ++round_; }
@@ -111,25 +118,25 @@ class Metrics
     SimTime windowLength() const { return windowLen_; }
     std::uint64_t currentRound() const { return round_; }
 
-    std::uint64_t totalAccesses() const { return totalAccesses_; }
-    std::uint64_t totalPromotions() const { return totalPromotions_; }
-    std::uint64_t totalDemotions() const { return totalDemotions_; }
-    std::uint64_t totalReaccessed() const { return totalReaccessed_; }
+    /** Accesses of the run (the sum over the windows). */
+    std::uint64_t totalAccesses() const;
+    /** Re-accessed promotions of the run (the sum over the windows). */
+    std::uint64_t totalReaccessed() const;
 
-    /** Total memory-visible accesses served by the tier at @p rank. */
+    /** Memory-visible accesses served by the tier at @p rank. */
     std::uint64_t totalTierAccesses(TierRank rank) const;
     /** Total ns of memory service time spent in the tier at @p rank. */
     SimTime totalTierLatency(TierRank rank) const;
 
-    /** Free-form named counters for policy-specific events. */
-    StatRegistry &stats() { return stats_; }
-    const StatRegistry &stats() const { return stats_; }
+    /** The host's vmstat counters: every event total of the run. */
+    stats::VmStat &stats() { return stats_; }
+    const stats::VmStat &stats() const { return stats_; }
 
     /**
      * Accumulate @p other into this instance: windows add index-wise
      * (both sides bucket simulated time with the same window length),
-     * totals and per-tier counters add element-wise, named stats add by
-     * key. The reduction is commutative, so the sharded runtime's
+     * per-tier latency adds element-wise, vmstat counters add item- and
+     * node-wise. The reduction is commutative, so the sharded runtime's
      * merged view is identical for any worker count. Panics if the
      * window lengths differ.
      */
@@ -170,13 +177,8 @@ class Metrics
     std::size_t curWinIdx_ = 0;
     std::vector<MetricsWindow> windows_;
     std::uint64_t round_ = 1;
-    std::uint64_t totalAccesses_ = 0;
-    std::uint64_t totalPromotions_ = 0;
-    std::uint64_t totalDemotions_ = 0;
-    std::uint64_t totalReaccessed_ = 0;
-    std::vector<std::uint64_t> tierAccessTotals_;  ///< indexed by rank
-    std::vector<SimTime> tierLatencyTotals_;       ///< indexed by rank
-    StatRegistry stats_;
+    std::vector<SimTime> tierLatencyTotals_;  ///< indexed by rank
+    stats::VmStat stats_;
 };
 
 }  // namespace sim

@@ -59,19 +59,15 @@ MigrationEngine::migrate(Page *page, NodeId dst, SimTime &cost)
     // the busy check: a locked page headed nowhere is not a failure.
     if (dst == page->node())
         return {MigrateOutcome::SameNode, FaultPhase::None, false};
-    if (page->locked() || page->unevictable()) {
-        ++failed_;
+    if (page->locked() || page->unevictable())
         return {MigrateOutcome::Busy, FaultPhase::None, false};
-    }
     Node &src = mem_.node(page->node());
     Node &dstNode = mem_.node(dst);
 
     // Begin: reserve the destination frame.
     Paddr newPaddr;
-    if (!dstNode.allocFrame(newPaddr)) {
-        ++failed_;
+    if (!dstNode.allocFrame(newPaddr))
         return {MigrateOutcome::NoFrame, FaultPhase::None, false};
-    }
 
     const SimTime fullCost =
         cfg_.pageMigrationCost(src.tier(), dstNode.tier());
@@ -82,10 +78,6 @@ MigrationEngine::migrate(Page *page, NodeId dst, SimTime &cost)
         // aborts additionally discard the copied contents (rollback).
         dstNode.freeFrame(newPaddr);
         cost = abortCost(fd.failPhase, fullCost);
-        ++failed_;
-        ++aborts_;
-        if (fd.failPhase != FaultPhase::Copy)
-            ++rollbacks_;
         return {MigrateOutcome::Aborted, fd.failPhase, fd.persistent};
     }
 
@@ -103,12 +95,6 @@ MigrationEngine::migrate(Page *page, NodeId dst, SimTime &cost)
     // Migration transfers contents; the new frame starts clean wrt the
     // PTE dirty bit but the page remains logically dirty if it was.
     page->setPteDirty(false);
-
-    ++migrations_;
-    if (dstNode.tier() < src.tier())
-        ++promotions_;
-    else if (dstNode.tier() > src.tier())
-        ++demotions_;
     return {MigrateOutcome::Success, FaultPhase::None, false};
 }
 
@@ -118,10 +104,8 @@ MigrationEngine::exchange(Page *a, Page *b, SimTime &cost)
     MCLOCK_ASSERT(a->resident() && b->resident());
     cost = 0;
     if (a->locked() || b->locked() || a->unevictable() ||
-        b->unevictable()) {
-        ++failed_;
+        b->unevictable())
         return {MigrateOutcome::Busy, FaultPhase::None, false};
-    }
     if (a->node() == b->node())
         return {MigrateOutcome::SameNode, FaultPhase::None, false};
 
@@ -140,10 +124,6 @@ MigrationEngine::exchange(Page *a, Page *b, SimTime &cost)
     const FaultDecision fd = decideFault(a, nb.tier());
     if (fd.injected()) {
         cost = abortCost(fd.failPhase, fullCost);
-        ++failed_;
-        ++aborts_;
-        if (fd.failPhase != FaultPhase::Copy)
-            ++rollbacks_;
         return {MigrateOutcome::Aborted, fd.failPhase, fd.persistent};
     }
 
@@ -165,17 +145,6 @@ MigrationEngine::exchange(Page *a, Page *b, SimTime &cost)
     a->setPteDirty(false);
     b->setPteDirty(false);
     cost = fullCost;
-
-    ++exchanges_;
-    ++migrations_;
-    // One page went up and the other down only when the two nodes sit
-    // on different tiers; a same-tier node-to-node exchange is neither
-    // a promotion nor a demotion.
-    if (na.tier() != nb.tier()) {
-        ++tieredExchanges_;
-        ++promotions_;
-        ++demotions_;
-    }
     return {MigrateOutcome::Success, FaultPhase::None, false};
 }
 

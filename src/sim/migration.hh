@@ -67,7 +67,10 @@ struct [[nodiscard]] MigrateResult
     bool ok() const { return outcome == MigrateOutcome::Success; }
 };
 
-/** Executes page migrations and accounts for their cost. */
+/**
+ * Executes page migrations and accounts for their cost. It keeps no
+ * event counts: the Simulator wrappers count every outcome in vmstat.
+ */
 class MigrationEngine
 {
   public:
@@ -98,24 +101,6 @@ class MigrationEngine
      */
     MigrateResult exchange(Page *a, Page *b, SimTime &cost);
 
-    std::uint64_t migrations() const { return migrations_; }
-    std::uint64_t promotions() const { return promotions_; }
-    std::uint64_t demotions() const { return demotions_; }
-
-    /** Completed exchanges (same-tier ones included). */
-    std::uint64_t exchanges() const { return exchanges_; }
-
-    /** Completed exchanges whose two nodes sat on different tiers. */
-    std::uint64_t tieredExchanges() const { return tieredExchanges_; }
-
-    std::uint64_t failed() const { return failed_; }
-
-    /** Transactions aborted by an injected phase failure. */
-    std::uint64_t aborts() const { return aborts_; }
-
-    /** Aborts after the copy completed (state had to be rolled back). */
-    std::uint64_t rollbacks() const { return rollbacks_; }
-
 #ifdef MCLOCK_DEBUG_VM
     /**
      * Attach the DEBUG_VM checker: each committing transaction then
@@ -130,7 +115,7 @@ class MigrationEngine
     /** Injector verdict for the next transaction (None when absent). */
     FaultDecision decideFault(const Page *keyPage, TierRank dstTier);
 
-    /** Account an abort and compute the partial cost burned. */
+    /** The partial cost an abort in @p phase burned. */
     SimTime abortCost(FaultPhase phase, SimTime copyCost) const;
 
     MemorySystem &mem_;
@@ -140,14 +125,6 @@ class MigrationEngine
 #ifdef MCLOCK_DEBUG_VM
     debug::VmChecker *checker_ = nullptr;
 #endif
-    std::uint64_t migrations_ = 0;
-    std::uint64_t promotions_ = 0;
-    std::uint64_t demotions_ = 0;
-    std::uint64_t exchanges_ = 0;
-    std::uint64_t tieredExchanges_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t aborts_ = 0;
-    std::uint64_t rollbacks_ = 0;
 };
 
 }  // namespace sim

@@ -260,17 +260,14 @@ ShardedSimulator::totalAppOps() const
 stats::VmStat
 ShardedSimulator::mergedVmstat() const
 {
-    stats::VmStat out(coordVmstat_.numNodes());
-    out.mergeFrom(coordVmstat_);
-    for (const auto &sim : sims_)
-        out.mergeFrom(sim->vmstat());
-    return out;
+    return mergedMetrics().stats();
 }
 
 Metrics
 ShardedSimulator::mergedMetrics() const
 {
     Metrics out(sims_.front()->config().metricsWindow);
+    out.stats().mergeFrom(coordVmstat_);
     for (const auto &sim : sims_) {
         out.presizeTiers(sim->config().mem.numTiers());
         out.mergeFrom(sim->metrics());

@@ -166,7 +166,10 @@ class ShardedSimulator
      */
     stats::VmStat mergedVmstat() const;
 
-    /** Shard-local metrics reduced the same way. */
+    /**
+     * Shard-local metrics reduced the same way; their stats() is
+     * mergedVmstat().
+     */
     Metrics mergedMetrics() const;
 
   private:

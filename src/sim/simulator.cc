@@ -16,10 +16,9 @@ Simulator::Simulator(MachineConfig cfg)
                               : nullptr),
       faults_(cfg_.faults, cfg_.seed),
       migration_(mem_, cfg_.mem, llc_.get(), &faults_),
-      metrics_(cfg_.metricsWindow),
+      metrics_(cfg_.metricsWindow, mem_.numNodes()),
       swap_(cfg_.swapPages),
       rng_(cfg_.seed),
-      vmstat_(mem_.numNodes()),
       trace_(cfg_.stats.traceCapacity),
       belowLow_(mem_.numNodes(), false),
       promoteFailStreak_(mem_.numNodes(), 0),
@@ -45,7 +44,7 @@ Simulator::Simulator(MachineConfig cfg)
     // Low-level subsystems (LRU lists) record through raw sinks so
     // pfra/ needs no dependency on the simulator.
     mem_.forEachNode([this](Node &node) {
-        node.lists().attachStats(&vmstat_, &trace_, node.id());
+        node.lists().attachStats(&vmstat(), &trace_, node.id());
     });
 #ifdef MCLOCK_DEBUG_VM
     vmChecker_ = std::make_unique<debug::VmChecker>();
@@ -57,7 +56,7 @@ Simulator::Simulator(MachineConfig cfg)
     migration_.setChecker(vmChecker_.get());
 #endif
     if (cfg_.stats.sampler) {
-        sampler_ = std::make_unique<stats::VmstatSampler>(vmstat_);
+        sampler_ = std::make_unique<stats::VmstatSampler>(vmstat());
         // The sampler body charges no time and mutates no simulator
         // state, so registering it cannot change simulation results.
         daemons_.add("vmstat_sampler", cfg_.stats.samplerInterval,
@@ -192,7 +191,7 @@ void
 Simulator::chargeInline(SimTime t)
 {
     now_ += t;
-    metrics_.stats().inc("inline_overhead_ns", t);
+    vmstat().add(stats::VmItem::InlineOverheadNs, kInvalidNode, t);
 }
 
 void
@@ -201,8 +200,7 @@ Simulator::chargeBackground(SimTime t)
     const auto charged = static_cast<SimTime>(
         static_cast<double>(t) * cfg_.mem.backgroundInterference);
     now_ += charged;
-    metrics_.stats().inc("background_work_ns", t);
-    metrics_.stats().inc("background_charged_ns", charged);
+    vmstat().add(stats::VmItem::BackgroundWorkNs, kInvalidNode, t);
 }
 
 void
@@ -210,7 +208,7 @@ Simulator::chargeScan(std::uint64_t pages)
 {
     if (pages == 0)
         return;
-    metrics_.stats().inc("scanned_pages", pages);
+    vmstat().add(stats::VmItem::PgscanCharged, kInvalidNode, pages);
     chargeBackground(pages * cfg_.mem.scanPerPageCost);
 }
 
@@ -258,17 +256,17 @@ Simulator::migrateOnce(Page *page, NodeId dst, ChargeMode mode)
                     ? 0
                     : cfg_.mem.migrationFixedCost / 2;
             chargeMigration(cost, mode, inlinePart);
-            vmstat_.add(stats::VmItem::PgmigrateAbort, srcNode);
+            vmstat().add(stats::VmItem::PgmigrateAbort, srcNode);
             if (r.phase != FaultPhase::Copy)
-                vmstat_.add(stats::VmItem::PgmigrateRollback, srcNode);
+                vmstat().add(stats::VmItem::PgmigrateRollback, srcNode);
             trace_.record(stats::TraceEventType::MigrationAbort, srcNode,
                           page->vpn(),
                           static_cast<std::uint64_t>(r.phase));
         }
         if (dir < 0)
-            vmstat_.add(stats::VmItem::PgpromoteFail, srcNode);
+            vmstat().add(stats::VmItem::PgpromoteFail, srcNode);
         else if (dir > 0)
-            vmstat_.add(stats::VmItem::PgdemoteFail, srcNode);
+            vmstat().add(stats::VmItem::PgdemoteFail, srcNode);
         return r;
     }
     const TierRank dstTier = mem_.node(dst).tier();
@@ -281,16 +279,16 @@ Simulator::migrateOnce(Page *page, NodeId dst, ChargeMode mode)
     if (dstTier < srcTier) {
         metrics_.recordPromotion(now_, page);
         // Kernel convention: pgpromote_success lands on the target node.
-        vmstat_.add(stats::VmItem::PgpromoteSuccess, dst);
+        vmstat().add(stats::VmItem::PgpromoteSuccess, dst);
         if (shardLog_) {
             shardLog_->append(ShardEventKind::Promote, now_, page->vpn(),
                               static_cast<std::uint64_t>(dst));
         }
     } else if (dstTier > srcTier) {
         metrics_.recordDemotion(now_);
-        vmstat_.add(stats::VmItem::Pgdemote, srcNode);
+        vmstat().add(stats::VmItem::Pgdemote, srcNode);
         if (page->memcg() != kRootMemcg)
-            vmstat_.add(stats::VmItem::PgtenantDemote, srcNode);
+            vmstat().add(stats::VmItem::PgtenantDemote, srcNode);
         if (shardLog_) {
             shardLog_->append(ShardEventKind::Demote, now_, page->vpn(),
                               static_cast<std::uint64_t>(dst));
@@ -315,7 +313,7 @@ Simulator::beginShardEpoch(std::uint64_t epoch, std::uint64_t grant)
     // deficit state is per-shard-local, so any worker width replays
     // the identical grant sequence.
     memcg_.beginEpoch();
-    vmstat_.add(stats::VmItem::ShardEpoch);
+    vmstat().add(stats::VmItem::ShardEpoch);
     trace_.record(stats::TraceEventType::ShardEpoch, kInvalidNode, epoch,
                   grant == kUnlimitedPromoteBudget ? 0 : grant);
 }
@@ -349,7 +347,7 @@ Simulator::notePromoteAbort(NodeId node)
     streak = 0;
     const SimTime until = now_ + cfg_.faults.throttleCooldownNs;
     promoteThrottleUntil_[static_cast<std::size_t>(node)] = until;
-    vmstat_.add(stats::VmItem::PgpromoteThrottled, node);
+    vmstat().add(stats::VmItem::PgpromoteThrottled, node);
     trace_.record(stats::TraceEventType::PromoteThrottle, node,
                   cfg_.faults.throttleThreshold, until);
 }
@@ -362,7 +360,7 @@ Simulator::tenantPromoteAllowed(const Page *page, TierRank dstTier)
         return true;
     if (memcg_.withinMax(cg, dstTier) && memcg_.hasPromoteCredit(cg))
         return true;
-    vmstat_.add(stats::VmItem::PgtenantPromoteDeferred, page->node());
+    vmstat().add(stats::VmItem::PgtenantPromoteDeferred, page->node());
     return false;
 }
 
@@ -378,7 +376,7 @@ Simulator::promotePage(Page *page, ChargeMode mode)
     if (promoteBudget_ == 0) {
         // Epoch promotion budget exhausted: defer until the next grant
         // (sharded coordination; see setEpochPromoteBudget).
-        vmstat_.add(stats::VmItem::PgpromoteDeferred, srcNode);
+        vmstat().add(stats::VmItem::PgpromoteDeferred, srcNode);
         return false;
     }
     // Tenant QoS gate, layered under the shard seniority budget: a
@@ -395,7 +393,7 @@ Simulator::promotePage(Page *page, ChargeMode mode)
         if (dst == kInvalidNode) {
             // No free frame anywhere in the upper tier: the promotion
             // failed before a migration could start.
-            vmstat_.add(stats::VmItem::PgpromoteFail, srcNode);
+            vmstat().add(stats::VmItem::PgpromoteFail, srcNode);
             return false;
         }
         const MigrateResult r = migrateOnce(page, dst, mode);
@@ -418,7 +416,7 @@ Simulator::promotePage(Page *page, ChargeMode mode)
                 notePromoteAbort(srcNode);
             return false;
         }
-        vmstat_.add(stats::VmItem::PgmigrateRetry, srcNode);
+        vmstat().add(stats::VmItem::PgmigrateRetry, srcNode);
         chargeBackground(cfg_.faults.retryBackoffNs << attempt);
     }
     return false;
@@ -437,7 +435,7 @@ Simulator::demotePage(Page *page, ChargeMode mode)
         const NodeId dst =
             mem_.pickNodeWithSpace(down, /*respectMin=*/true);
         if (dst == kInvalidNode) {
-            vmstat_.add(stats::VmItem::PgdemoteFail, srcNode);
+            vmstat().add(stats::VmItem::PgdemoteFail, srcNode);
             return false;
         }
         const MigrateResult r = migrateOnce(page, dst, mode);
@@ -447,7 +445,7 @@ Simulator::demotePage(Page *page, ChargeMode mode)
             r.outcome == MigrateOutcome::Aborted && !r.persistent;
         if (!retryable || attempt + 1 == maxAttempts)
             return false;
-        vmstat_.add(stats::VmItem::PgmigrateRetry, srcNode);
+        vmstat().add(stats::VmItem::PgmigrateRetry, srcNode);
         chargeBackground(cfg_.faults.retryBackoffNs << attempt);
     }
     return false;
@@ -472,9 +470,9 @@ Simulator::exchangePages(Page *hot, Page *cold, ChargeMode mode)
                     ? 0
                     : cfg_.mem.migrationFixedCost * 17 / 20;
             chargeMigration(cost, mode, inlinePart);
-            vmstat_.add(stats::VmItem::PgmigrateAbort, hotNode);
+            vmstat().add(stats::VmItem::PgmigrateAbort, hotNode);
             if (r.phase != FaultPhase::Copy)
-                vmstat_.add(stats::VmItem::PgmigrateRollback, hotNode);
+                vmstat().add(stats::VmItem::PgmigrateRollback, hotNode);
             trace_.record(stats::TraceEventType::MigrationAbort, hotNode,
                           hot->vpn(),
                           static_cast<std::uint64_t>(r.phase));
@@ -502,13 +500,13 @@ Simulator::exchangePages(Page *hot, Page *cold, ChargeMode mode)
         // pgpromote_success (kernel convention: the target node) and
         // the pgdemote (the demoted page's source).
         const NodeId upperNode = hotSrc > coldSrc ? coldNode : hotNode;
-        vmstat_.add(stats::VmItem::Pgexchange, hotNode);
+        vmstat().add(stats::VmItem::Pgexchange, hotNode);
         metrics_.recordPromotion(now_, upPage);
-        vmstat_.add(stats::VmItem::PgpromoteSuccess, upperNode);
+        vmstat().add(stats::VmItem::PgpromoteSuccess, upperNode);
         metrics_.recordDemotion(now_);
-        vmstat_.add(stats::VmItem::Pgdemote, upperNode);
+        vmstat().add(stats::VmItem::Pgdemote, upperNode);
         if (downPage->memcg() != kRootMemcg)
-            vmstat_.add(stats::VmItem::PgtenantDemote, upperNode);
+            vmstat().add(stats::VmItem::PgtenantDemote, upperNode);
         if (shardLog_) {
             shardLog_->append(ShardEventKind::Exchange, now_,
                               upPage->vpn(), downPage->vpn());
@@ -532,10 +530,10 @@ Simulator::evictPage(Page *page)
         // anonymous pages only; a file-backed page is written back to
         // its file and shows up as a writeback instead.
         if (page->isAnon())
-            vmstat_.add(stats::VmItem::Pswpout, page->node());
+            vmstat().add(stats::VmItem::Pswpout, page->node());
         else
-            vmstat_.add(stats::VmItem::Pgwriteback, page->node());
-        vmstat_.add(stats::VmItem::Pgsteal, page->node());
+            vmstat().add(stats::VmItem::Pgwriteback, page->node());
+        vmstat().add(stats::VmItem::Pgsteal, page->node());
         swap_.pageOut(page);
         chargeBackground(cfg_.mem.swapLatency);
         if (llc_)
@@ -548,8 +546,6 @@ Simulator::evictPage(Page *page)
         page->setActive(false);
         page->setPromoteFlag(false);
         page->setPteReferenced(false);
-        metrics_.stats().inc(page->isAnon() ? "swap_outs"
-                                            : "writebacks");
     } else {
         // No swap space: in the kernel this path ends with the OOM
         // killer. We surface it as a fatal config error instead.
@@ -562,7 +558,7 @@ Simulator::maybeReclaim(Node &node)
 {
     if (inPressure_ || !policy_)
         return;
-    vmstat_.add(stats::VmItem::KswapdWake, node.id());
+    vmstat().add(stats::VmItem::KswapdWake, node.id());
     trace_.record(stats::TraceEventType::KswapdWake, node.id(),
                   node.freeFrames());
     inPressure_ = true;
@@ -625,7 +621,7 @@ Simulator::memcgReclaimTier(MemCgroup &cg, TierRank tier,
     }
     chargeScan(scanned);
     if (demoted) {
-        vmstat_.add(stats::VmItem::MemcgLimitReclaim, kInvalidNode,
+        vmstat().add(stats::VmItem::MemcgLimitReclaim, kInvalidNode,
                     demoted);
         trace_.record(stats::TraceEventType::MemcgReclaim, kInvalidNode,
                       cg.id(), demoted);
@@ -650,8 +646,7 @@ Simulator::accessOnePage(Vaddr va, bool write, bool supervised)
     if (pg->hintPoisoned()) [[unlikely]] {
         pg->setHintPoisoned(false);
         chargeInline(cfg_.mem.hintFaultLatency);
-        metrics_.stats().inc("hint_faults");
-        vmstat_.add(stats::VmItem::PghintFault, pg->node());
+        vmstat().add(stats::VmItem::PghintFault, pg->node());
         policy_->onHintFault(pg);
     }
 
@@ -707,7 +702,6 @@ Simulator::handleMinorFault(PageNum vpn)
     const SimTime zeroFill = cfg_.mem.copyLatency(
         pageTier(pg), pageTier(pg), kPageSize);
     chargeInline(cfg_.mem.minorFaultLatency + zeroFill);
-    metrics_.stats().inc("minor_faults");
     return pg;
 }
 
@@ -718,8 +712,7 @@ Simulator::handleSwapIn(Page *page)
     swap_.pageIn(page);
     policy_->onPageAllocated(page);
     chargeInline(cfg_.mem.minorFaultLatency + cfg_.mem.swapLatency);
-    metrics_.stats().inc("swap_ins");
-    vmstat_.add(stats::VmItem::Pswpin, page->node());
+    vmstat().add(stats::VmItem::Pswpin, page->node());
 }
 
 void
@@ -745,7 +738,7 @@ Simulator::allocateFrameFor(Page *page)
                     const NodeId alt =
                         mem_.pickNodeWithSpace(down, /*respectMin=*/true);
                     if (alt != kInvalidNode) {
-                        vmstat_.add(stats::VmItem::PgtenantAllocFallback,
+                        vmstat().add(stats::VmItem::PgtenantAllocFallback,
                                     alt);
                         nid = alt;
                         break;
@@ -761,7 +754,7 @@ Simulator::allocateFrameFor(Page *page)
                 memcg_.charge(cg, node.tier());
                 // pgfault_dram counts faults placed on the rank-0
                 // tier; pgfault_pm covers every lower tier.
-                vmstat_.add(node.tier() == 0
+                vmstat().add(node.tier() == 0
                                 ? stats::VmItem::PgfaultDram
                                 : stats::VmItem::PgfaultPm,
                             nid);
@@ -772,7 +765,7 @@ Simulator::allocateFrameFor(Page *page)
                     if (n.belowLow()) {
                         if (!belowLow_[id]) {
                             belowLow_[id] = true;
-                            vmstat_.add(
+                            vmstat().add(
                                 stats::VmItem::WatermarkLowCross, n.id());
                             trace_.record(
                                 stats::TraceEventType::WatermarkCross,

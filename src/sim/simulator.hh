@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "base/rng.hh"
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "mem/cache.hh"
 #include "mem/memory_config.hh"
@@ -156,11 +155,13 @@ class Simulator
     const MachineConfig &config() const { return cfg_; }
     const MemoryConfig &memConfig() const { return cfg_.mem; }
     Metrics &metrics() { return metrics_; }
-    StatRegistry &stats() { return metrics_.stats(); }
 
-    /** Kernel-style vmstat counters (per-node + global, monotonic). */
-    stats::VmStat &vmstat() { return vmstat_; }
-    const stats::VmStat &vmstat() const { return vmstat_; }
+    /**
+     * Kernel-style vmstat counters (per-node + global, monotonic): the
+     * host's only event counters, held by metrics().
+     */
+    stats::VmStat &vmstat() { return metrics_.stats(); }
+    const stats::VmStat &vmstat() const { return metrics_.stats(); }
 
     /** Tracepoint ring buffer (simulated-time-stamped typed events). */
     stats::TraceBuffer &trace() { return trace_; }
@@ -372,7 +373,6 @@ class Simulator
     MemCgroupManager memcg_;
     SwapDevice swap_;
     Rng rng_;
-    stats::VmStat vmstat_;
     stats::TraceBuffer trace_;
     std::unique_ptr<stats::VmstatSampler> sampler_;
     // --- Cached hot-path state -------------------------------------------

@@ -42,9 +42,25 @@ vmItemName(VmItem item)
       case VmItem::PgtenantDemote:    return "pgtenant_demote";
       case VmItem::PgtenantAllocFallback:
                                       return "pgtenant_alloc_fallback";
+      case VmItem::PgscanCharged:     return "pgscan_charged";
+      case VmItem::NumaPteUpdates:    return "numa_pte_updates";
+      case VmItem::NumaPagesMigrated: return "numa_pages_migrated";
+      case VmItem::InlineOverheadNs:  return "inline_overhead_ns";
+      case VmItem::BackgroundWorkNs:  return "background_work_ns";
       case VmItem::NumItems:          break;
     }
     return "unknown";
+}
+
+std::uint64_t
+VmStat::get(std::string_view name) const
+{
+    owner_.assertHeld();
+    for (std::size_t i = 0; i < kNumVmItems; ++i) {
+        if (name == vmItemName(static_cast<VmItem>(i)))
+            return global_[i];
+    }
+    return 0;
 }
 
 void

@@ -9,6 +9,12 @@
  * /sys/devices/system/node/nodeN/vmstat files the paper's evaluation
  * (Figs. 5-10) is built on.
  *
+ * This is the simulator's only event counter: policy-specific events
+ * and the ns totals of charged overhead are items here too, and every
+ * reader (scenario reducers, tests, the invariant sweep) reads them
+ * from here. sim::Metrics adds only what a counter cannot express —
+ * the per-window series and re-access tracking.
+ *
  * Counters are plain uint64 adds on a per-Simulator instance: no
  * locking, no global state, so harness run units stay embarrassingly
  * parallel and jobs-count independent. Counters never charge simulated
@@ -27,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/sync.hh"
@@ -74,6 +81,12 @@ enum class VmItem : std::uint8_t {
     PgtenantPromoteDeferred, ///< tenant promotions denied (quota/cap)
     PgtenantDemote,    ///< demotions of tenant-charged (non-root) pages
     PgtenantAllocFallback, ///< tenant faults placed on a lower tier (cap)
+    PgscanCharged,     ///< pages whose scan cost was charged (LRU walks
+                       ///< plus page-table profiling passes)
+    NumaPteUpdates,    ///< PTEs poisoned for NUMA-hint sampling
+    NumaPagesMigrated, ///< one-sided promotions inside a hint fault
+    InlineOverheadNs,  ///< ns charged on the application's critical path
+    BackgroundWorkNs,  ///< ns of daemon-core work (before interference)
     NumItems,
 };
 
@@ -123,6 +136,12 @@ class VmStat
         owner_.assertHeld();
         return global_[static_cast<std::size_t>(item)];
     }
+
+    /**
+     * Global count of the item named @p name ("pswpout", ...), as a
+     * /proc/vmstat reader looks it up; 0 for an unknown name.
+     */
+    std::uint64_t get(std::string_view name) const;
 
     std::uint64_t
     node(NodeId node, VmItem item) const

@@ -7,12 +7,8 @@ namespace mclock {
 void
 SwapDevice::pageOut(Page *page)
 {
-    ++pageOuts_;
-    if (!page->isAnon()) {
-        ++writebacks_;  // file-backed pages write back to their file
-        return;
-    }
-    ++swapOuts_;
+    if (!page->isAnon())
+        return;  // file-backed pages write back to their file
     MCLOCK_ASSERT(hasSpace());
     const bool fresh = slots_.insert(page).second;
     // A page swapped out twice without an intervening page-in would
@@ -25,12 +21,11 @@ SwapDevice::pageOut(Page *page)
 void
 SwapDevice::pageIn(Page *page)
 {
-    ++pageIns_;
     if (!page->isAnon())
         return;
     // erase() returns how many slots were actually freed (0 or 1); a
     // page-in of a page that held no slot must not count as one, or
-    // the conservation identity below drifts.
+    // the slot-conservation identity (harness/invariants.cc) drifts.
     slotFrees_ += slots_.erase(page);
 }
 
@@ -40,8 +35,8 @@ SwapDevice::releaseSlot(Page *page)
     if (!page->isAnon())
         return;
     // Counting erased slots (not calls) makes double-release visible:
-    // usedSlots() == swapOuts() - slotFrees() - slotReleases() holds
-    // only if every slot is freed exactly once.
+    // usedSlots() == pswpout - slotFrees() - slotReleases() holds only
+    // if every slot is freed exactly once.
     releases_ += slots_.erase(page);
 }
 

@@ -5,7 +5,8 @@
  * When the lowest tier is under pressure and a page cannot be migrated
  * further down, the PFRA writes it back to block storage: file-backed
  * pages to their file, anonymous pages to the swap area. This model
- * tracks occupancy and charges the device latency.
+ * tracks slot occupancy; the simulator charges the device latency and
+ * counts the traffic (pswpout, pswpin, pgwriteback) in vmstat.
  */
 
 #ifndef MCLOCK_VM_SWAP_HH_
@@ -52,40 +53,21 @@ class SwapDevice
     void releaseSlot(Page *page);
 
     std::size_t usedSlots() const { return slots_.size(); }
-    std::uint64_t pageOuts() const { return pageOuts_; }
-    std::uint64_t pageIns() const { return pageIns_; }
 
-    /** Anonymous page-outs only (swap-area writes). */
-    std::uint64_t swapOuts() const { return swapOuts_; }
-
-    /** File-backed page-outs only (writebacks to the file). */
-    std::uint64_t writebacks() const { return writebacks_; }
-
-    /** Slots freed by anonymous page-ins (slots actually erased). */
+    /**
+     * Slots freed by anonymous page-ins (slots actually erased). With
+     * slotReleases() this closes the slot-conservation identity the
+     * invariant sweep checks: every swap-out (pswpout) still holds its
+     * slot, was paged back in, or was released — exactly once.
+     */
     std::uint64_t slotFrees() const { return slotFrees_; }
 
     /** Slots freed by releaseSlot (unmap/teardown, no device read). */
     std::uint64_t slotReleases() const { return releases_; }
 
-    /**
-     * Swap-slot conservation: every slot ever taken by a swap-out is
-     * either still occupied, freed by a page-in, or released at
-     * teardown — exactly once each. A double-release or a leaked slot
-     * breaks the identity.
-     */
-    bool
-    slotsConserved() const
-    {
-        return swapOuts_ == usedSlots() + slotFrees_ + releases_;
-    }
-
   private:
     std::size_t capacity_;
     std::unordered_set<const Page *> slots_;
-    std::uint64_t pageOuts_ = 0;
-    std::uint64_t pageIns_ = 0;
-    std::uint64_t swapOuts_ = 0;
-    std::uint64_t writebacks_ = 0;
     std::uint64_t slotFrees_ = 0;
     std::uint64_t releases_ = 0;
 };

@@ -302,29 +302,6 @@ TEST(HistogramTest, QuantileApproximation)
     EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
 }
 
-// --- StatRegistry -------------------------------------------------------------
-
-TEST(StatRegistryTest, IncrementAndGet)
-{
-    StatRegistry reg;
-    EXPECT_EQ(reg.get("x"), 0u);
-    reg.inc("x");
-    reg.inc("x", 4);
-    EXPECT_EQ(reg.get("x"), 5u);
-    reg.set("x", 2);
-    EXPECT_EQ(reg.get("x"), 2u);
-}
-
-TEST(StatRegistryTest, DumpSortedWithPrefix)
-{
-    StatRegistry reg;
-    reg.inc("beta", 2);
-    reg.inc("alpha", 1);
-    std::ostringstream os;
-    reg.dump(os, "p.");
-    EXPECT_EQ(os.str(), "p.alpha 1\np.beta 2\n");
-}
-
 // --- CsvWriter ----------------------------------------------------------------
 
 TEST(CsvWriterTest, PlainRow)

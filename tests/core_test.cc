@@ -191,7 +191,7 @@ TEST_F(MultiClockTest, Transition13PromoteMigratesToDram)
     EXPECT_EQ(sim_->pageTier(pg), TierKind::Dram);
     EXPECT_EQ(pg->list(), LruListKind::ActiveAnon);
     EXPECT_FALSE(pg->promoteFlag());
-    EXPECT_EQ(sim_->metrics().totalPromotions(), 1u);
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::PgpromoteSuccess), 1u);
 }
 
 TEST_F(MultiClockTest, PromoteOnTopTierRecyclesToActive)
@@ -276,7 +276,7 @@ TEST_F(MultiClockTest, HotPmemPageGetsPromotedByDaemon)
             break;
     }
     EXPECT_EQ(sim_->pageTier(pg), TierKind::Dram);
-    EXPECT_GE(sim_->stats().get("kpromoted_promoted"), 1u);
+    EXPECT_GE(sim_->vmstat().global(stats::VmItem::PgpromoteSuccess), 1u);
 }
 
 TEST_F(MultiClockTest, ColdPmemPageStaysInPmem)
@@ -285,7 +285,7 @@ TEST_F(MultiClockTest, ColdPmemPageStaysInPmem)
     moveToPmem(pg);
     sim_->compute(5_s);  // daemon runs, page never accessed
     EXPECT_EQ(sim_->pageTier(pg), TierKind::Pmem);
-    EXPECT_EQ(sim_->metrics().totalPromotions(), 0u);
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::PgpromoteSuccess), 0u);
 }
 
 // --- Pressure / demotion (paper III-C) --------------------------------------------
@@ -307,8 +307,9 @@ TEST_F(MultiClockTest, PressureDemotesColdInactivePages)
         ASSERT_TRUE(dram().allocFrame(p));
     policy_->handlePressure(dram());
     EXPECT_TRUE(dram().aboveHigh());
-    EXPECT_GT(sim_->metrics().totalDemotions(), 0u);
-    EXPECT_EQ(sim_->stats().get("swap_outs"), 0u);  // PM had space
+    EXPECT_GT(sim_->vmstat().global(stats::VmItem::Pgdemote), 0u);
+    // PM had space.
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::Pswpout), 0u);
 }
 
 TEST_F(MultiClockTest, AllocatorWakesKswapdUnderPressure)
@@ -320,7 +321,7 @@ TEST_F(MultiClockTest, AllocatorWakesKswapdUnderPressure)
     const Vaddr a = sim_->mmap(2 * frames * kPageSize);
     for (std::size_t i = 0; i < 2 * frames; ++i)
         sim_->write(a + i * kPageSize);
-    EXPECT_GT(sim_->metrics().totalDemotions(), 0u);
+    EXPECT_GT(sim_->vmstat().global(stats::VmItem::Pgdemote), 0u);
     EXPECT_FALSE(dram().belowMin());
 }
 
@@ -343,7 +344,7 @@ TEST_F(MultiClockTest, LowestTierPressureEvictsToStorage)
     const Vaddr a = sim_->mmap((total + 64) * kPageSize, true, "big");
     for (std::size_t i = 0; i < total + 64; ++i)
         sim_->write(a + i * kPageSize);
-    EXPECT_GT(sim_->stats().get("swap_outs"), 0u);
+    EXPECT_GT(sim_->vmstat().global(stats::VmItem::Pswpout), 0u);
 }
 
 // --- Config ------------------------------------------------------------------------
@@ -352,11 +353,11 @@ TEST_F(MultiClockTest, ScanIntervalAdjustable)
 {
     policy_->setScanInterval(250_ms);
     EXPECT_EQ(policy_->config().scanInterval, 250_ms);
-    int before = static_cast<int>(sim_->stats().get("kpromoted_runs"));
+    const auto &vm = sim_->vmstat();
+    const auto before = vm.global(stats::VmItem::KpromotedWake);
     sim_->compute(1_s);
-    const int runs =
-        static_cast<int>(sim_->stats().get("kpromoted_runs")) - before;
-    EXPECT_EQ(runs, 4);
+    const auto runs = vm.global(stats::VmItem::KpromotedWake) - before;
+    EXPECT_EQ(runs, 4u);
 }
 
 TEST_F(MultiClockTest, FeatureRowMatchesPaper)
@@ -402,10 +403,11 @@ TEST_F(MultiClockTest, PromoteBudgetCapsMigrationsPerWake)
         pmem.lists().moveTo(pg, pfra::NodeLists::promoteKind(true));
     });
     ASSERT_EQ(pmem.lists().promoteSize(true), 16u);
-    const auto before = sim.metrics().totalPromotions();
+    const auto before = sim.vmstat().global(stats::VmItem::PgpromoteSuccess);
     Kpromoted kp(*policy, sim, 1);
     kp.run(sim.now());
-    EXPECT_EQ(sim.metrics().totalPromotions() - before, 4u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PgpromoteSuccess) - before,
+              4u);
     // The remainder stays selected on the promote list.
     EXPECT_EQ(pmem.lists().promoteSize(true), 12u);
 }
@@ -434,7 +436,7 @@ TEST_F(MultiClockTest, DemoteForPromoteBackpressureOnWarmDram)
     moveToPromote(hot);
     hot->setReferenced(true);
 
-    const auto demotionsBefore = sim_->metrics().totalDemotions();
+    const auto demotionsBefore = sim_->vmstat().global(stats::VmItem::Pgdemote);
     auto kp = kpromotedFor(1);
     const auto promoted = kp.shrinkPromoteList(
         pmem(), true, pmem().lists().promoteSize(true),
@@ -443,7 +445,9 @@ TEST_F(MultiClockTest, DemoteForPromoteBackpressureOnWarmDram)
     // demoteFromTier scanned but found only warm pages; at most the
     // second-chance machinery moved state around, never wholesale
     // demotion of the warm set.
-    EXPECT_LE(sim_->metrics().totalDemotions() - demotionsBefore, 2u);
+    EXPECT_LE(sim_->vmstat().global(stats::VmItem::Pgdemote) -
+                  demotionsBefore,
+              2u);
     EXPECT_EQ(sim_->pageTier(hot), TierKind::Pmem);
     EXPECT_EQ(hot->list(), LruListKind::ActiveAnon);  // fell back
 }
@@ -462,7 +466,7 @@ TEST_F(MultiClockTest, DemoteFromTierDemotesColdPages)
     const std::size_t demoted =
         policy_->demoteFromTier(TierKind::Dram, 10);
     EXPECT_EQ(demoted, 10u);
-    EXPECT_EQ(sim_->metrics().totalDemotions(), 10u);
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::Pgdemote), 10u);
 }
 
 }  // namespace

@@ -238,9 +238,7 @@ TEST(TransactionalMigration, AbortRollsBackCleanly)
     EXPECT_EQ(pg->node(), 0);
     EXPECT_EQ(pg->paddr(), paddrBefore);
     EXPECT_EQ(sim->memory().node(1).freeFrames(), pmFreeBefore);
-    EXPECT_EQ(sim->migrationEngine().aborts(), 1u);
-    EXPECT_EQ(sim->migrationEngine().rollbacks(), 1u);
-    EXPECT_EQ(sim->migrationEngine().migrations(), 0u);
+    EXPECT_EQ(sim->vmstat().global(VmItem::Pgdemote), 0u);
     EXPECT_EQ(sim->vmstat().global(VmItem::PgmigrateAbort), 1u);
     EXPECT_EQ(sim->vmstat().global(VmItem::PgmigrateRollback), 1u);
     // The abort surfaced as a tracepoint with the failing phase.
@@ -266,8 +264,7 @@ TEST(TransactionalMigration, CopyAbortIsNotARollback)
     ASSERT_FALSE(pages.empty());
     EXPECT_FALSE(sim->promotePage(
         pages[0], sim::Simulator::ChargeMode::Background));
-    EXPECT_EQ(sim->migrationEngine().aborts(), 1u);
-    EXPECT_EQ(sim->migrationEngine().rollbacks(), 0u);
+    EXPECT_EQ(sim->vmstat().global(VmItem::PgmigrateAbort), 1u);
     EXPECT_EQ(sim->vmstat().global(VmItem::PgmigrateRollback), 0u);
     EXPECT_EQ(sim->vmstat().global(VmItem::PgpromoteFail), 1u);
 }
@@ -295,7 +292,7 @@ TEST(TransactionalMigration, RetryRecoversTransientAborts)
     EXPECT_GT(promoted, pages.size() / 2);
     EXPECT_GT(sim->vmstat().global(VmItem::PgmigrateRetry), 0u);
     EXPECT_GT(sim->vmstat().global(VmItem::PgmigrateAbort), 0u);
-    EXPECT_EQ(sim->metrics().totalPromotions(), promoted);
+    EXPECT_EQ(sim->vmstat().global(stats::VmItem::PgpromoteSuccess), promoted);
 }
 
 TEST(TransactionalMigration, PersistentFaultIsNotRetried)
@@ -394,7 +391,8 @@ TEST(TransactionalMigration, PromotionSuccessMonotoneInFailureRate)
                                  sim::Simulator::ChargeMode::Background))
                 enqueuePromoted(*sim, pg);
         }
-        successes.push_back(sim->metrics().totalPromotions());
+        successes.push_back(
+            sim->vmstat().global(stats::VmItem::PgpromoteSuccess));
     }
     for (std::size_t i = 1; i < successes.size(); ++i)
         EXPECT_LE(successes[i], successes[i - 1]) << "rate index " << i;

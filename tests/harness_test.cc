@@ -280,11 +280,12 @@ TEST_P(PolicyDeterminism, SameSeedSameMetrics)
         const auto violations = collectViolations(sim);
         EXPECT_TRUE(violations.empty())
             << policy << ": " << violations.front();
+        const auto &vm = sim.vmstat();
         return std::make_tuple(r.throughputOpsPerSec(),
-                               sim.metrics().totalPromotions(),
-                               sim.metrics().totalDemotions(),
-                               sim.stats().get("hint_faults"),
-                               sim.stats().get("scanned_pages"));
+                               vm.global(stats::VmItem::PgpromoteSuccess),
+                               vm.global(stats::VmItem::Pgdemote),
+                               vm.global(stats::VmItem::PghintFault),
+                               vm.global(stats::VmItem::PgscanCharged));
     };
     EXPECT_EQ(runOnce(), runOnce()) << policy;
 }

@@ -68,7 +68,7 @@ runYcsbA(const std::string &policy, std::uint64_t *promotions = nullptr,
     driver.load();
     const auto result = driver.run(workloads::YcsbWorkload::A);
     if (promotions)
-        *promotions = sim.metrics().totalPromotions();
+        *promotions = sim.vmstat().global(stats::VmItem::PgpromoteSuccess);
     if (reaccessed)
         *reaccessed = sim.metrics().totalReaccessed();
     return result.throughputOpsPerSec();
@@ -186,7 +186,8 @@ TEST(IntegrationSensitivity, ShorterIntervalPromotesSooner)
         workloads::YcsbDriver driver(sim, smallYcsb());
         driver.load();
         driver.run(workloads::YcsbWorkload::A);
-        promoted[interval] = sim.metrics().totalPromotions();
+        promoted[interval] =
+            sim.vmstat().global(stats::VmItem::PgpromoteSuccess);
     }
     EXPECT_GT(promoted[4_ms], promoted[200_ms]);
 }

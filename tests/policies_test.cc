@@ -61,14 +61,14 @@ TEST(StaticTieringTest, NeverMigrates)
     sim.setPolicy(std::make_unique<StaticTieringPolicy>());
     Page *pg = touchPage(sim);
     moveToPmem(sim, pg);
-    const auto before = sim.metrics().totalPromotions();
+    const auto before = sim.vmstat().global(stats::VmItem::PgpromoteSuccess);
     // Hammer the PM page for several simulated seconds.
     for (int i = 0; i < 50; ++i) {
         sim.read(pg->vaddr());
         sim.compute(100_ms);
     }
     EXPECT_EQ(sim.pageTier(pg), TierKind::Pmem);
-    EXPECT_EQ(sim.metrics().totalPromotions(), before);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PgpromoteSuccess), before);
 }
 
 TEST(StaticTieringTest, FeatureRow)
@@ -91,7 +91,7 @@ TEST(NimbleTest, PromotesOnSingleReference)
     sim.read(pg->vaddr());
     sim.compute(1100_ms);
     EXPECT_EQ(sim.pageTier(pg), TierKind::Dram);
-    EXPECT_GE(sim.stats().get("nimble_promoted"), 1u);
+    EXPECT_GE(sim.vmstat().global(stats::VmItem::PgpromoteSuccess), 1u);
 }
 
 TEST(NimbleTest, ExchangesWhenDramFull)
@@ -126,7 +126,7 @@ TEST(NimbleTest, ExchangesWhenDramFull)
             break;
     }
     EXPECT_EQ(sim.pageTier(hot), TierKind::Dram);
-    EXPECT_GE(sim.migrationEngine().exchanges(), 1u);
+    EXPECT_GE(sim.vmstat().global(stats::VmItem::Pgexchange), 1u);
 }
 
 TEST(NimbleTest, ScanIntervalAdjustable)
@@ -137,7 +137,7 @@ TEST(NimbleTest, ScanIntervalAdjustable)
     sim.setPolicy(std::move(policy));
     nimble->setScanInterval(100_ms);
     sim.compute(1_s);
-    EXPECT_EQ(sim.stats().get("nimble_runs"), 10u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::KpromotedWake), 10u);
 }
 
 TEST(NimbleTest, FeatureRow)
@@ -157,7 +157,7 @@ TEST(AutoTieringTest, ScanPoisonsPages)
     for (int i = 0; i < 64; ++i)
         sim.write(a + static_cast<Vaddr>(i) * kPageSize);
     sim.compute(1100_ms);  // one profiling pass
-    EXPECT_GT(sim.stats().get("at_poisoned"), 0u);
+    EXPECT_GT(sim.vmstat().global(stats::VmItem::NumaPteUpdates), 0u);
     std::size_t poisoned = 0;
     sim.space().forEachPage([&](Page *pg) {
         if (pg->hintPoisoned())
@@ -175,7 +175,7 @@ TEST(AutoTieringTest, HintFaultChargedAndCleared)
     const SimTime before = sim.now();
     sim.read(pg->vaddr());
     EXPECT_FALSE(pg->hintPoisoned());
-    EXPECT_EQ(sim.stats().get("hint_faults"), 1u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PghintFault), 1u);
     EXPECT_GE(sim.now() - before, sim.memConfig().hintFaultLatency);
 }
 
@@ -188,7 +188,7 @@ TEST(AutoTieringTest, CpmPromotesOnFaultWhenDramHasSpace)
     pg->setHintPoisoned(true);
     sim.read(pg->vaddr());  // hint fault -> synchronous promotion
     EXPECT_EQ(sim.pageTier(pg), TierKind::Dram);
-    EXPECT_EQ(sim.stats().get("at_fault_promotions"), 1u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::NumaPagesMigrated), 1u);
 }
 
 TEST(AutoTieringTest, CpmFaultPathChargesMultiplier)
@@ -233,7 +233,7 @@ TEST(AutoTieringTest, CpmExchangesWithColdVictimWhenFull)
     hot->setHintPoisoned(true);  // re-arm in case a pass consumed it
     sim.read(hot->vaddr());
     EXPECT_EQ(sim.pageTier(hot), TierKind::Dram);
-    EXPECT_EQ(sim.stats().get("at_fault_exchanges"), 1u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::Pgexchange), 1u);
 }
 
 TEST(AutoTieringTest, OpmDemotesZeroHistoryPagesUnderPressure)
@@ -249,7 +249,7 @@ TEST(AutoTieringTest, OpmDemotesZeroHistoryPagesUnderPressure)
     while (!dram.belowLow())
         ASSERT_TRUE(dram.allocFrame(p));
     sim.policy().handlePressure(dram);
-    EXPECT_GT(sim.metrics().totalDemotions(), 0u);
+    EXPECT_GT(sim.vmstat().global(stats::VmItem::Pgdemote), 0u);
 }
 
 TEST(AutoTieringTest, OpmHistoryMaintainedByScan)
@@ -348,7 +348,7 @@ TEST_P(AmpTest, PromotesHotPmemPages)
     // LRU and LFU must promote it; Random promotes *something*
     // eventually (it is the only PM page, so it gets picked too).
     EXPECT_EQ(sim.pageTier(pg), TierKind::Dram);
-    EXPECT_GE(sim.stats().get("amp_promoted"), 1u);
+    EXPECT_GE(sim.vmstat().global(stats::VmItem::PgpromoteSuccess), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, AmpTest,
@@ -379,7 +379,7 @@ TEST(NimbleTest, PromoteBudgetBoundsMigrationsPerWake)
         pg->setPteReferenced(true);
     });
     sim.compute(1100_ms);  // one wake
-    EXPECT_EQ(sim.metrics().totalPromotions(), 2u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PgpromoteSuccess), 2u);
 }
 
 TEST(AutoTieringTest, PoisonChunkCappedByFootprint)
@@ -394,9 +394,9 @@ TEST(AutoTieringTest, PoisonChunkCappedByFootprint)
     sim.compute(1100_ms);  // one profiling pass
     // At most ~1/16th of the vpn space is poisoned per pass.
     const auto limit = sim.space().vpnLimit();
-    EXPECT_LE(sim.stats().get("at_poisoned"),
+    EXPECT_LE(sim.vmstat().global(stats::VmItem::NumaPteUpdates),
               std::max<std::uint64_t>(64, limit / 16));
-    EXPECT_GT(sim.stats().get("at_poisoned"), 0u);
+    EXPECT_GT(sim.vmstat().global(stats::VmItem::NumaPteUpdates), 0u);
 }
 
 TEST(AutoTieringTest, WarmVictimsAreProtected)
@@ -425,9 +425,9 @@ TEST(AutoTieringTest, WarmVictimsAreProtected)
     });
     ASSERT_NE(hot, nullptr);
     hot->setHintPoisoned(true);
-    const auto before = sim.stats().get("at_fault_exchanges");
+    const auto before = sim.vmstat().global(stats::VmItem::Pgexchange);
     sim.read(hot->vaddr());
-    EXPECT_EQ(sim.stats().get("at_fault_exchanges"), before);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::Pgexchange), before);
     EXPECT_EQ(sim.pageTier(hot), TierKind::Pmem);
 }
 
@@ -466,7 +466,7 @@ TEST(AutoNumaTieringTest, NeverExchangesWhenFull)
     hot->setHintPoisoned(true);
     sim.read(hot->vaddr());
     EXPECT_EQ(sim.pageTier(hot), TierKind::Pmem);  // stays put
-    EXPECT_EQ(sim.stats().get("at_fault_exchanges"), 0u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::Pgexchange), 0u);
     EXPECT_STREQ(
         AutoTieringPolicy(AutoTieringMode::AutoNuma).name(),
         "autonuma");

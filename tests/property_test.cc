@@ -224,7 +224,7 @@ TEST_P(PolicyInvariantTest, SurvivesOvercommitWithSwap)
         sim.write(base + i * kPageSize);
     for (int i = 0; i < 5000; ++i)
         sim.read(base + rng.nextRange(pages) * kPageSize, 8);
-    EXPECT_GT(sim.stats().get("swap_outs"), 0u);
+    EXPECT_GT(sim.vmstat().global(stats::VmItem::Pswpout), 0u);
     checkFrameConservation(sim);
     checkListMembership(sim);
     checkSharedInvariants(sim);
@@ -300,8 +300,6 @@ TEST(TierTopologyProperty, AllocationFallbackWalksRanksInOrder)
     EXPECT_GT(residentOnTier(sim, 2), 0u);
     for (const auto &v : harness::collectViolations(sim))
         ADD_FAILURE() << "harness invariant: " << v;
-    for (const auto &v : harness::collectCounterViolations(sim))
-        ADD_FAILURE() << "counter invariant: " << v;
 }
 
 /** Overcommit beyond all tiers: the cascade must end in swap. */
@@ -340,14 +338,12 @@ TEST_P(DemotionCascadeTest, CascadeTerminatesInSwap)
         sim.read(base + rng.nextRange(pages) * kPageSize, 8);
     // The books balance, pressure reached block storage, and on
     // multi-tier machines pages flowed down the rank chain.
-    EXPECT_GT(sim.stats().get("swap_outs"), 0u);
+    EXPECT_GT(sim.vmstat().global(stats::VmItem::Pswpout), 0u);
     if (sim.memory().numTiers() > 1) {
-        EXPECT_GT(sim.metrics().totalDemotions(), 0u);
+        EXPECT_GT(sim.vmstat().global(stats::VmItem::Pgdemote), 0u);
     }
     for (const auto &v : harness::collectViolations(sim))
         ADD_FAILURE() << "harness invariant: " << v;
-    for (const auto &v : harness::collectCounterViolations(sim))
-        ADD_FAILURE() << "counter invariant: " << v;
 }
 
 INSTANTIATE_TEST_SUITE_P(TierCounts, DemotionCascadeTest,

@@ -254,8 +254,6 @@ runFingerprint(unsigned workers, std::uint64_t budget)
         fp += "\n" + key + "=" + std::to_string(value);
     const Metrics merged = host.mergedMetrics();
     fp += "\naccesses=" + std::to_string(merged.totalAccesses());
-    fp += " promotions=" + std::to_string(merged.totalPromotions());
-    fp += " demotions=" + std::to_string(merged.totalDemotions());
     return fp;
 }
 

@@ -173,7 +173,9 @@ TEST(InstrumentedArrayTest, AccessesFlowThroughSimulator)
     EXPECT_EQ(sim->metrics().totalAccesses(), before + 2);
     // Elements land at the right vaddrs (dense page usage).
     arr.get(1024);  // different page -> new fault
-    EXPECT_GE(sim->stats().get("minor_faults"), 2u);
+    EXPECT_GE(sim->vmstat().global(stats::VmItem::PgfaultDram) +
+                  sim->vmstat().global(stats::VmItem::PgfaultPm),
+              2u);
 }
 
 TEST(InstrumentedArrayTest, UpdateDoesReadAndWrite)

@@ -33,11 +33,10 @@ audited exceptions:
       hasPromoteCredit) on their declarations. A dropped result is a
       skipped rollback or an unenforced quota.
 
-  R4-taxonomy  The observability taxonomy cross-check (formerly
-      tools/lint_counters.py): VmItem / TraceEventType /
-      ViolationCode enums, their name tables, the DESIGN.md 6a/6c
-      tables, and the violation-injection test suite must agree
-      exactly.
+  R4-taxonomy  The observability taxonomy cross-check: VmItem /
+      TraceEventType / ViolationCode enums, their name tables, the
+      DESIGN.md 6a/6c tables, and the violation-injection test suite
+      must agree exactly.
 
 Every allowlist annotation must carry a non-empty reason inside the
 parentheses; a bare annotation is itself an error.
@@ -261,7 +260,7 @@ def check_annotation(src, kind, lineno, findings, rule):
     return True
 
 
-# --- R4: observability taxonomy (ported from lint_counters.py) ---------
+# --- R4: observability taxonomy ----------------------------------------
 
 
 def parse_enum(text, enum_name, path):
@@ -368,7 +367,8 @@ def rule_r4(root, findings):
                          "pghint_", "pswp", "pgwriteback", "pgexchange",
                          "kswapd_wake", "kpromoted_wake", "watermark_",
                          "migration_", "promote_throttle",
-                         "list_rotation")
+                         "list_rotation", "numa_", "inline_overhead",
+                         "background_work")
     for name in sorted(doc6a):
         if name.startswith(taxonomy_prefixes) and name not in known:
             err("DESIGN.md", f"6a: {name!r} is not a known vmstat item "
@@ -421,11 +421,8 @@ def main():
     ap.add_argument("--files", nargs="*", default=None,
                     help="explicit files for the text rules "
                          "(fixture mode; paths relative to --root)")
-    # Positional root kept for lint_counters.py back-compat.
-    ap.add_argument("root_pos", nargs="?", default=None,
-                    help=argparse.SUPPRESS)
     args = ap.parse_args()
-    root = pathlib.Path(args.root_pos) if args.root_pos else args.root
+    root = args.root
 
     if args.rules == "all":
         selected = {"R1", "R2", "R3", "R4"}
