@@ -13,6 +13,11 @@
  *   mclock_bench --bench --repeat 3       # wall-clock benchmark mode
  */
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -108,18 +113,33 @@ listScenarios()
     std::printf("\n%zu scenarios registered\n", count);
 }
 
+/**
+ * Parse all of @p text as a decimal integer no larger than @p max.
+ * Empty input, signs, whitespace, trailing characters and overflow are
+ * all rejected (bare strtoull would read "abc" as 0 and "12x" as 12).
+ */
+bool
+parseUnsigned(const char *text, std::uint64_t max, std::uint64_t &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || value > max)
+        return false;
+    out = value;
+    return true;
+}
+
 bool
 parseParam(const char *text, RunContext &ctx)
 {
     const char *eq = std::strchr(text, '=');
-    if (!eq || eq == text)
+    std::uint64_t value = 0;
+    if (!eq || eq == text || !parseUnsigned(eq + 1, UINT64_MAX, value))
         return false;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(eq + 1, &end, 10);
-    if (end == eq + 1 || *end != '\0')
-        return false;
-    ctx.params[std::string(text, eq)] =
-        static_cast<std::uint64_t>(value);
+    ctx.params[std::string(text, eq)] = value;
     return true;
 }
 
@@ -220,22 +240,34 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](const char *flag,
+                          std::uint64_t max) -> std::uint64_t {
+            const char *text = operand(flag);
+            std::uint64_t value = 0;
+            if (!parseUnsigned(text, max, value)) {
+                std::fprintf(stderr,
+                             "bad %s operand '%s' (want an integer in "
+                             "[0, %llu])\n", flag, text,
+                             static_cast<unsigned long long>(max));
+                std::exit(2);
+            }
+            return value;
+        };
+        auto count = [&](const char *flag) {
+            return static_cast<unsigned>(number(flag, UINT_MAX));
+        };
         if (arg == "--list") {
             list = true;
         } else if (arg == "--filter") {
             filter = operand("--filter");
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(operand("--jobs"), nullptr, 10));
+            jobs = count("--jobs");
         } else if (arg == "--shards") {
-            ctx.shards = static_cast<unsigned>(
-                std::strtoul(operand("--shards"), nullptr, 10));
-            if (ctx.shards == 0)
-                ctx.shards = 1;
+            ctx.shards = std::max(count("--shards"), 1u);
         } else if (arg == "--out") {
             outDir = operand("--out");
         } else if (arg == "--seed") {
-            ctx.seed = std::strtoull(operand("--seed"), nullptr, 10);
+            ctx.seed = number("--seed", UINT64_MAX);
         } else if (arg == "--param") {
             const char *p = operand("--param");
             if (!parseParam(p, ctx)) {
@@ -262,15 +294,13 @@ main(int argc, char **argv)
         } else if (arg == "--bench") {
             bench = true;
         } else if (arg == "--repeat") {
-            repeat = static_cast<unsigned>(
-                std::strtoul(operand("--repeat"), nullptr, 10));
+            repeat = count("--repeat");
             if (repeat == 0) {
                 std::fprintf(stderr, "--repeat must be >= 1\n");
                 return 2;
             }
         } else if (arg == "--warmup") {
-            warmup = static_cast<unsigned>(
-                std::strtoul(operand("--warmup"), nullptr, 10));
+            warmup = count("--warmup");
         } else if (arg == "--bench-out") {
             benchOut = operand("--bench-out");
         } else if (arg == "--bench-baseline") {

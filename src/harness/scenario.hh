@@ -33,14 +33,15 @@ namespace harness {
 /** Flat named metrics produced by one run unit (or one scenario). */
 using MetricMap = std::map<std::string, double>;
 
-/** The default context seed; scenarios keep their legacy-identical
- *  sub-seeds (workload/heatmap defaults) when it is unchanged. */
+/** The default context seed; while it is unchanged, scenarios use the
+ *  sub-seeds (workload/heatmap defaults) the checked-in golden
+ *  fixtures were generated with. */
 constexpr std::uint64_t kDefaultSeed = 42;
 
 /** Options applied to one scenario execution. */
 struct RunContext
 {
-    /** Base seed; kDefaultSeed reproduces the legacy binaries. */
+    /** Base seed; kDefaultSeed reproduces the golden fixtures' seeds. */
     std::uint64_t seed = kDefaultSeed;
 
     /** Golden profile: reduced-scale parameters for regression runs. */
@@ -74,15 +75,15 @@ struct RunContext
 
     /**
      * Seed for a scenario sub-stream. At the default base seed this is
-     * exactly @p legacyDefault, so default runs are bit-identical to
-     * the pre-harness binaries; any other base seed derives an
+     * exactly @p fixtureSeed, the sub-seed the checked-in golden
+     * fixtures were generated with; any other base seed derives an
      * independent stream per @p slot (splitmix64 finalizer).
      */
     std::uint64_t
-    derivedSeed(std::uint64_t slot, std::uint64_t legacyDefault) const
+    derivedSeed(std::uint64_t slot, std::uint64_t fixtureSeed) const
     {
         if (seed == kDefaultSeed)
-            return legacyDefault;
+            return fixtureSeed;
         std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (slot + 1);
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;

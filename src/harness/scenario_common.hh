@@ -58,18 +58,6 @@ applyStatsContext(sim::MachineConfig &machine, const RunContext &ctx)
 }
 
 /**
- * Whether workloads should use the batched (streamed) access path.
- * Default on; the perf equivalence suite sets the "legacy_access"
- * context param to force the original one-call-per-access path and
- * pin both paths byte-identical.
- */
-inline bool
-batchedAccessPath(const RunContext &ctx)
-{
-    return ctx.param("legacy_access", 0) == 0;
-}
-
-/**
  * Run the shared invariant suite, file violations on the record, and
  * export the vmstat snapshot (plus trace/sampler artifacts in stats
  * mode).

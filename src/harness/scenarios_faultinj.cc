@@ -176,7 +176,6 @@ faultinjYcsbScenario()
                     workloads::YcsbConfig ycsb = ctx.golden
                         ? goldenYcsbConfig(ops) : ycsbBenchConfig(ops);
                     ycsb.seed = ctx.derivedSeed(3, ycsb.seed);
-                    ycsb.batchAccesses = batchedAccessPath(ctx);
 
                     RunRecord rec;
                     sim::Simulator sim(machine);

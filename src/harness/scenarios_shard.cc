@@ -98,12 +98,10 @@ shardOpsPerEpoch(const RunContext &ctx)
 struct ShardWorkload
 {
     ShardWorkload(sim::Simulator &sim, std::uint64_t records,
-                  std::uint64_t seed, bool batch)
-        : rng(seed), zipf(records), records(records)
+                  std::uint64_t seed)
+        : rng(seed), zipf(records), records(records),
+          store(std::make_unique<workloads::KvStore>(sim))
     {
-        workloads::KvStoreConfig kv;
-        kv.batchAccesses = batch;
-        store = std::make_unique<workloads::KvStore>(sim, kv);
     }
 
     Rng rng;
@@ -138,8 +136,7 @@ runShardUnit(const std::string &policy, const RunContext &ctx,
             policies::makePolicy(policy, benchPolicyOptions()));
         shards.push_back(std::make_unique<ShardWorkload>(
             host.shard(s), records,
-            ctx.derivedSeed(16 + s, 0xbead5eed00ull + s),
-            batchedAccessPath(ctx)));
+            ctx.derivedSeed(16 + s, 0xbead5eed00ull + s)));
     }
 
     host.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {

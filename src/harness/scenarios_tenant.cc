@@ -175,7 +175,6 @@ makeTenantShard(sim::Simulator &sim, TenantMix mix, const RunContext &ctx,
 
     workloads::KvStoreConfig kv;
     kv.hashBuckets = 1u << 12;
-    kv.batchAccesses = batchedAccessPath(ctx);
     kv.memcg = t.victimId;
     t.victim = std::make_unique<workloads::KvStore>(sim, kv);
     t.victimRng = Rng(ctx.derivedSeed(32 + s, 0xfeed5eed00ull + s));

@@ -79,7 +79,6 @@ tier3YcsbProfile(const RunContext &ctx)
     applyStatsContext(p.machine, ctx);
     p.ycsb = ctx.golden ? goldenYcsbConfig(ops) : ycsbBenchConfig(ops);
     p.ycsb.seed = ctx.derivedSeed(1, p.ycsb.seed);
-    p.ycsb.batchAccesses = batchedAccessPath(ctx);
     p.opts = benchPolicyOptions();
     return p;
 }

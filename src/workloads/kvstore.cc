@@ -23,16 +23,6 @@ KvStore::bucketAddr(std::uint64_t key) const
     return buckets_ + h * sizeof(std::uint64_t);
 }
 
-void
-KvStore::touchBucket(std::uint64_t key, bool write)
-{
-    const Vaddr addr = bucketAddr(key);
-    if (write)
-        sim_.write(addr, sizeof(std::uint64_t));
-    else
-        sim_.read(addr, sizeof(std::uint64_t));
-}
-
 Vaddr
 KvStore::allocItem(std::size_t bytes)
 {
@@ -57,33 +47,13 @@ KvStore::allocItem(std::size_t bytes)
     return addr;
 }
 
-// Each operation issues at most four simulated accesses. The batched
-// default queues them into one stream() call — the index_ lookup and
-// slab allocation (plain host work plus time-free mmaps) hoist ahead
-// of the stream without changing anything the simulator observes.
+// Each operation queues its CPU time and at most three simulated
+// accesses into one stream() call. The index_ lookup and slab
+// allocation (plain host work plus time-free mmaps) run before the
+// stream without changing anything the simulator observes.
 void
 KvStore::put(std::uint64_t key, std::size_t valueBytes)
 {
-    if (!cfg_.batchAccesses) {
-        sim_.compute(cfg_.cpuPerOp);
-        touchBucket(key, /*write=*/false);
-        const Item *it = index_.find(key);
-        if (it) {
-            // Overwrite in place: read header, write value.
-            sim_.read(it->addr, cfg_.itemHeaderBytes);
-            sim_.write(it->addr + cfg_.itemHeaderBytes,
-                       valueBytes);
-            return;
-        }
-        const std::size_t bytes = cfg_.itemHeaderBytes + valueBytes;
-        const Vaddr addr = allocItem(bytes);
-        freeSlotBytes_ = std::max(freeSlotBytes_, bytes);
-        touchBucket(key, /*write=*/true);  // link into the chain
-        sim_.write(addr, bytes);           // write header + value
-        index_.emplace(key, Item{addr, bytes});
-        return;
-    }
-
     using MemOp = sim::Simulator::MemOp;
     MemOp ops[4];
     std::size_t n = 0;
@@ -115,17 +85,6 @@ KvStore::put(std::uint64_t key, std::size_t valueBytes)
 bool
 KvStore::get(std::uint64_t key)
 {
-    if (!cfg_.batchAccesses) {
-        sim_.compute(cfg_.cpuPerOp);
-        touchBucket(key, /*write=*/false);
-        const Item *it = index_.find(key);
-        if (!it)
-            return false;
-        // Read header (key comparison) then the value.
-        sim_.read(it->addr, it->bytes);
-        return true;
-    }
-
     using MemOp = sim::Simulator::MemOp;
     MemOp ops[3];
     std::size_t n = 0;
@@ -146,18 +105,6 @@ KvStore::get(std::uint64_t key)
 bool
 KvStore::readModifyWrite(std::uint64_t key)
 {
-    if (!cfg_.batchAccesses) {
-        sim_.compute(cfg_.cpuPerOp);
-        touchBucket(key, /*write=*/false);
-        const Item *it = index_.find(key);
-        if (!it)
-            return false;
-        sim_.read(it->addr, it->bytes);
-        sim_.write(it->addr + cfg_.itemHeaderBytes,
-                   it->bytes - cfg_.itemHeaderBytes);
-        return true;
-    }
-
     using MemOp = sim::Simulator::MemOp;
     MemOp ops[4];
     std::size_t n = 0;
@@ -181,18 +128,6 @@ KvStore::readModifyWrite(std::uint64_t key)
 bool
 KvStore::remove(std::uint64_t key)
 {
-    if (!cfg_.batchAccesses) {
-        sim_.compute(cfg_.cpuPerOp);
-        touchBucket(key, /*write=*/true);
-        const Item *it = index_.find(key);
-        if (!it)
-            return false;
-        sim_.write(it->addr, cfg_.itemHeaderBytes);  // unlink
-        freeSlots_.push_back(it->addr);
-        index_.erase(key);
-        return true;
-    }
-
     using MemOp = sim::Simulator::MemOp;
     MemOp ops[3];
     std::size_t n = 0;

@@ -43,14 +43,6 @@ struct KvStoreConfig
     /** CPU time per operation (parsing, hashing, protocol handling). */
     SimTime cpuPerOp = 300_ns;
     /**
-     * Issue each operation's simulated accesses as one batched
-     * Simulator::stream() call instead of individual read()/write()
-     * calls. Semantically identical (the stream executes the same
-     * sequence in program order); the toggle exists so the perf suite
-     * can pin batched == legacy. Default on.
-     */
-    bool batchAccesses = true;
-    /**
      * Memory cgroup every region of this store (hash table and slabs)
      * is charged to. Default root: unaccounted, as before this knob.
      */
@@ -86,9 +78,6 @@ class KvStore
         Vaddr addr;
         std::size_t bytes;  ///< header + value
     };
-
-    /** Simulated bucket-array probe for @p key. */
-    void touchBucket(std::uint64_t key, bool write);
 
     /** Address of @p key's bucket slot in the hash-table array. */
     Vaddr bucketAddr(std::uint64_t key) const;

@@ -1,7 +1,5 @@
 #include "workloads/synthetic.hh"
 
-#include <vector>
-
 #include "base/logging.hh"
 #include "sim/simulator.hh"
 
@@ -51,7 +49,7 @@ SyntheticWorkload::SyntheticWorkload(sim::Simulator &sim,
 }
 
 void
-SyntheticWorkload::run(trace::AccessTrace *traceOut)
+SyntheticWorkload::run(trace::AccessTrace &traceOut)
 {
     const std::size_t n = cfg_.numPages;
     const auto dramFriendly =
@@ -68,35 +66,20 @@ SyntheticWorkload::run(trace::AccessTrace *traceOut)
     const SimTime start = sim_.now();
     const SimTime end = start + cfg_.duration;
 
-    // Tracing needs sim_.now() after each access, so it forces the
-    // legacy per-access path; otherwise a whole step's accesses go out
-    // as one stream (same sequence, same rng draws, same daemon
-    // interleaving — stream() replays them in program order).
-    const bool batch = cfg_.batchAccesses && traceOut == nullptr;
-    using MemOp = sim::Simulator::MemOp;
-    std::vector<MemOp> ops;
-
+    // Each access is traced with the simulated clock right after it,
+    // so accesses go out one call at a time.
     auto touch = [&](std::size_t pageIdx) {
         const Vaddr va = base_ + pageIdx * kPageSize +
                          (rng_.next64() & (kPageSize - 1) & ~7ull);
-        const bool isWrite = rng_.nextBool(0.3);
-        if (batch) {
-            ops.push_back(isWrite ? MemOp::store(va, 8)
-                                  : MemOp::load(va, 8));
-            return;
-        }
-        if (isWrite)
+        if (rng_.nextBool(0.3))
             sim_.write(va, 8);
         else
             sim_.read(va, 8);
-        if (traceOut) {
-            traceOut->record(static_cast<std::uint32_t>(pageIdx),
-                             sim_.now() - start);
-        }
+        traceOut.record(static_cast<std::uint32_t>(pageIdx),
+                        sim_.now() - start);
     };
 
     while (sim_.now() < end) {
-        ops.clear();
         const SimTime stepStart = sim_.now();
         const SimTime elapsed = sim_.now() - start;
         const unsigned activeGroup = static_cast<unsigned>(
@@ -122,8 +105,6 @@ SyntheticWorkload::run(trace::AccessTrace *traceOut)
             if (idx < n && rng_.nextBool(shape_.hotAccessProb))
                 touch(idx);
         }
-        if (batch && !ops.empty())
-            sim_.stream(ops.data(), ops.size());
         // Pad the step to its nominal length (think time), so the
         // per-step access probabilities define rates per cfg_.step.
         sim_.compute(cfg_.cpuPerStep);

@@ -64,17 +64,9 @@ struct SyntheticConfig
     SimTime step = 20_ms;      ///< generator time step
     SimTime cpuPerStep = 5_us; ///< think time per step
     std::uint64_t seed = 3;
-    /**
-     * Stream each generator step's accesses as one batched
-     * Simulator::stream() call (identical semantics; see
-     * KvStoreConfig::batchAccesses). Ignored — the legacy per-access
-     * path is used — when a trace is being recorded, because tracing
-     * needs the simulated clock after every access. Default on.
-     */
-    bool batchAccesses = true;
 };
 
-/** Drives a synthetic profile through a simulator, optionally tracing. */
+/** Drives a synthetic profile through a simulator, tracing each access. */
 class SyntheticWorkload
 {
   public:
@@ -83,10 +75,10 @@ class SyntheticWorkload
 
     /**
      * Execute the workload.
-     * @param traceOut when non-null, every access is recorded (page id =
-     *                 index within this workload's region)
+     * @param traceOut receives every access (page id = index within
+     *                 this workload's region)
      */
-    void run(trace::AccessTrace *traceOut = nullptr);
+    void run(trace::AccessTrace &traceOut);
 
     std::size_t numPages() const { return cfg_.numPages; }
 

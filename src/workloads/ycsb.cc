@@ -23,11 +23,7 @@ ycsbWorkloadName(YcsbWorkload w)
 
 YcsbDriver::YcsbDriver(sim::Simulator &sim, YcsbConfig cfg)
     : sim_(sim), cfg_(cfg), rng_(cfg.seed),
-      store_(std::make_unique<KvStore>(sim, [&cfg] {
-          KvStoreConfig kv;
-          kv.batchAccesses = cfg.batchAccesses;
-          return kv;
-      }()))
+      store_(std::make_unique<KvStore>(sim))
 {
 }
 

@@ -44,8 +44,6 @@ struct YcsbConfig
     std::uint64_t opsPerWorkload = 1500000;
     double zipfTheta = 0.99;
     std::uint64_t seed = 1;
-    /** Forwarded to KvStoreConfig::batchAccesses (perf suite toggle). */
-    bool batchAccesses = true;
 };
 
 /** Result of one workload execution phase. */

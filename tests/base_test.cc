@@ -504,8 +504,9 @@ TEST(FlatMap64Test, ChurnPropertyAgainstUnorderedMap)
             const auto *got = map.find(key);
             const auto it = ref.find(key);
             ASSERT_EQ(got != nullptr, it != ref.end());
-            if (got)
+            if (got) {
                 ASSERT_EQ(*got, it->second);
+            }
         }
         ASSERT_EQ(map.size(), ref.size());
     }

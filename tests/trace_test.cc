@@ -238,7 +238,7 @@ TEST(MotivationPipelineTest, TierFriendlyGroupsAlternateInHeatmap)
     workloads::SyntheticWorkload workload(
         sim, workloads::SyntheticProfile::Rubis, cfg);
     AccessTrace trace;
-    workload.run(&trace);
+    workload.run(trace);
 
     // Rubis shape: 15% DRAM-friendly ([0,30)), 45% infrequent
     // ([30,120)), tier-friendly groups from 120, 4 groups x 20 s

@@ -366,7 +366,7 @@ TEST(SyntheticTest, RunProducesTraceAndAdvancesTime)
     cfg.step = 50_ms;
     SyntheticWorkload workload(*sim, SyntheticProfile::Rubis, cfg);
     trace::AccessTrace trace;
-    workload.run(&trace);
+    workload.run(trace);
     EXPECT_GE(sim->now(), 2_s);
     EXPECT_GT(trace.size(), 0u);
     for (const auto &ev : trace.events())
@@ -382,7 +382,7 @@ TEST(SyntheticTest, DramFriendlyPagesHotterThanInfrequent)
     cfg.step = 20_ms;
     SyntheticWorkload workload(*sim, SyntheticProfile::Rubis, cfg);
     trace::AccessTrace trace;
-    workload.run(&trace);
+    workload.run(trace);
     // Profile rubis: pages [0,15) always hot, [15,60) infrequent.
     std::uint64_t hot = 0, cold = 0;
     for (const auto &ev : trace.events()) {
