@@ -16,12 +16,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -29,20 +23,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -57,18 +37,6 @@ Rng::nextRange(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 Rng

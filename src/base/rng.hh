@@ -11,6 +11,7 @@
 #ifndef MCLOCK_BASE_RNG_HH_
 #define MCLOCK_BASE_RNG_HH_
 
+#include <bit>
 #include <cstdint>
 
 namespace mclock {
@@ -22,17 +23,37 @@ class Rng
     /** Construct from a 64-bit seed (expanded via splitmix64). */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next64();
+    /** Next raw 64-bit value (one xoshiro256** step). */
+    std::uint64_t
+    next64()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform value in [0, bound) without modulo bias (bound > 0). */
     std::uint64_t nextRange(std::uint64_t bound);
 
-    /** Uniform double in [0, 1). */
-    double nextDouble();
+    /**
+     * Uniform double in [0, 1): exactly (next64() >> 11) * 2^-53, so a
+     * caller may compare the raw 53-bit draw against integer thresholds
+     * instead (see makeKroneckerEdges).
+     */
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability p of returning true. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /**
      * Fork a statistically independent child generator. Used to give each

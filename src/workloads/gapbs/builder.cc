@@ -10,10 +10,37 @@ namespace mclock {
 namespace workloads {
 namespace gapbs {
 
+namespace {
+
+/**
+ * Visit every directed CSR entry (u, v, w) in the fixed order the CSR
+ * is laid out by: all edges as given, then, when @p symmetrize is set,
+ * all edges reversed. Walking the list twice gives each adjacency list
+ * the same contents and order as appending the reversed copy would,
+ * without the copy.
+ */
+template <typename Fn>
+void
+forEachEntry(const std::vector<Edge> &edges, bool symmetrize, Fn &&fn)
+{
+    for (const auto &e : edges)
+        fn(e.u, e.v, e.w);
+    if (symmetrize) {
+        for (const auto &e : edges)
+            fn(e.v, e.u, e.w);
+    }
+}
+
+}  // namespace
+
 std::unique_ptr<Graph>
 Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
                const BuildOptions &opts)
 {
+    // Deduplication reorders neighbours and would detach their weights.
+    MCLOCK_ASSERT(!(opts.sortAndDedupNeighbors && opts.keepWeights),
+                  "sortAndDedupNeighbors cannot keep weights");
+
     // Determine the vertex count from the edge list.
     GNode maxId = 0;
     for (const auto &e : edges)
@@ -25,19 +52,13 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
                                    [](const Edge &e) { return e.u == e.v; }),
                     edges.end());
     }
-    if (opts.symmetrize) {
-        const std::size_t orig = edges.size();
-        edges.reserve(orig * 2);
-        for (std::size_t i = 0; i < orig; ++i)
-            edges.push_back({edges[i].v, edges[i].u, edges[i].w});
-    }
 
     // Optional degree-descending relabel (GAPBS TC preprocessing).
     std::vector<GNode> relabel;
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
-        for (const auto &e : edges)
-            ++degree[e.u];
+        forEachEntry(edges, opts.symmetrize,
+                     [&degree](GNode u, GNode, Weight) { ++degree[u]; });
         std::vector<GNode> order(n);
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(),
@@ -55,21 +76,23 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
 
     // Counting sort by source vertex into CSR.
     std::vector<std::uint64_t> offsets(n + 1, 0);
-    for (const auto &e : edges)
-        ++offsets[e.u + 1];
+    forEachEntry(edges, opts.symmetrize,
+                 [&offsets](GNode u, GNode, Weight) { ++offsets[u + 1]; });
     for (std::size_t i = 1; i <= n; ++i)
         offsets[i] += offsets[i - 1];
-    std::vector<GNode> neighbors(edges.size());
-    std::vector<Weight> weights(opts.keepWeights ? edges.size() : 0);
+    const std::uint64_t entries = offsets[n];
+    std::vector<GNode> neighbors(entries);
+    std::vector<Weight> weights(opts.keepWeights ? entries : 0);
     {
         std::vector<std::uint64_t> cursor(offsets.begin(),
                                           offsets.end() - 1);
-        for (const auto &e : edges) {
-            const std::uint64_t pos = cursor[e.u]++;
-            neighbors[pos] = e.v;
-            if (opts.keepWeights)
-                weights[pos] = e.w;
-        }
+        forEachEntry(edges, opts.symmetrize,
+                     [&](GNode u, GNode v, Weight w) {
+                         const std::uint64_t pos = cursor[u]++;
+                         neighbors[pos] = v;
+                         if (opts.keepWeights)
+                             weights[pos] = w;
+                     });
     }
 
     if (opts.sortAndDedupNeighbors) {
@@ -89,7 +112,6 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
             }
             newOffsets[u + 1] = deduped.size();
         }
-        MCLOCK_ASSERT(!opts.keepWeights);  // unsupported combination
         offsets = std::move(newOffsets);
         neighbors = std::move(deduped);
     }

@@ -78,6 +78,11 @@ class Graph
     {
         return neighbors_.peek(static_cast<std::size_t>(e));
     }
+    Weight
+    peekWeight(std::uint64_t e) const
+    {
+        return weights_.peek(static_cast<std::size_t>(e));
+    }
 
   private:
     friend class Builder;

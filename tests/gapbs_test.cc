@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <queue>
+#include <set>
+#include <utility>
 
 #include "base/units.hh"
 #include "policies/static_tiering.hh"
@@ -63,6 +67,55 @@ TEST(GeneratorTest, KroneckerIsSkewed)
         maxDeg = std::max(maxDeg, d);
     // RMAT hubs: max degree far above the average (8).
     EXPECT_GT(maxDeg, 40);
+}
+
+/** The RMAT generator as a nextDouble() draw and an if-chain. */
+std::vector<Edge>
+ifChainKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
+{
+    const std::size_t m = (std::size_t{1} << scale) * degree;
+    std::vector<Edge> edges;
+    edges.reserve(m);
+    const double a = 0.57, b = 0.19, c = 0.19;
+    for (std::size_t i = 0; i < m; ++i) {
+        GNode u = 0, v = 0;
+        for (unsigned bit = 0; bit < scale; ++bit) {
+            const double r = rng.nextDouble();
+            if (r < a) {
+                // quadrant (0,0)
+            } else if (r < a + b) {
+                v |= 1u << bit;
+            } else if (r < a + b + c) {
+                u |= 1u << bit;
+            } else {
+                u |= 1u << bit;
+                v |= 1u << bit;
+            }
+        }
+        edges.push_back({u, v, 1});
+    }
+    return edges;
+}
+
+TEST(GeneratorTest, KroneckerMatchesIfChainReference)
+{
+    for (unsigned scale : {1u, 5u, 12u, 16u}) {
+        for (std::uint64_t seed : {7u, 11u, 0x5eedu}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "scale " << scale << " seed " << seed);
+            Rng fast(seed), ref(seed);
+            const auto got = makeKroneckerEdges(scale, 4, fast);
+            const auto want = ifChainKroneckerEdges(scale, 4, ref);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].u, want[i].u) << "edge " << i;
+                ASSERT_EQ(got[i].v, want[i].v) << "edge " << i;
+                ASSERT_EQ(got[i].w, want[i].w) << "edge " << i;
+            }
+            // Both consumed the same number of draws.
+            EXPECT_EQ(fast.next64(), ref.next64());
+        }
+    }
 }
 
 TEST(GeneratorTest, UniformIsNotSkewed)
@@ -149,6 +202,148 @@ TEST(BuilderTest, RelabelByDegreePutsHubsFirst)
     auto g = Builder::build(*sim, edges, opts);
     // The hub (old vertex 3, degree 3) becomes vertex 0.
     EXPECT_EQ(g->peekDegree(0), 3u);
+}
+
+/** Host-side CSR as Builder lays it out. */
+struct ReferenceCsr
+{
+    std::size_t n = 0;
+    std::vector<std::uint64_t> offsets;
+    std::vector<GNode> neighbors;
+    std::vector<Weight> weights;
+};
+
+/**
+ * The builder with the symmetrised edge list materialised: reversed
+ * edges are appended to the list before relabelling and the counting
+ * sort.
+ */
+ReferenceCsr
+materialisedCsr(std::vector<Edge> edges, const BuildOptions &opts)
+{
+    GNode maxId = 0;
+    for (const auto &e : edges)
+        maxId = std::max({maxId, e.u, e.v});
+    const std::size_t n = static_cast<std::size_t>(maxId) + 1;
+    if (opts.removeSelfLoops) {
+        edges.erase(std::remove_if(edges.begin(), edges.end(),
+                                   [](const Edge &e) { return e.u == e.v; }),
+                    edges.end());
+    }
+    if (opts.symmetrize) {
+        const std::size_t orig = edges.size();
+        for (std::size_t i = 0; i < orig; ++i)
+            edges.push_back({edges[i].v, edges[i].u, edges[i].w});
+    }
+    if (opts.relabelByDegree) {
+        std::vector<std::uint64_t> degree(n, 0);
+        for (const auto &e : edges)
+            ++degree[e.u];
+        std::vector<GNode> order(n);
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(),
+                  [&degree](GNode a, GNode b) {
+                      return degree[a] > degree[b];
+                  });
+        std::vector<GNode> relabel(n, 0);
+        for (std::size_t rank = 0; rank < n; ++rank)
+            relabel[order[rank]] = static_cast<GNode>(rank);
+        for (auto &e : edges) {
+            e.u = relabel[e.u];
+            e.v = relabel[e.v];
+        }
+    }
+    ReferenceCsr csr;
+    csr.n = n;
+    csr.offsets.assign(n + 1, 0);
+    for (const auto &e : edges)
+        ++csr.offsets[e.u + 1];
+    for (std::size_t i = 1; i <= n; ++i)
+        csr.offsets[i] += csr.offsets[i - 1];
+    csr.neighbors.resize(edges.size());
+    csr.weights.resize(opts.keepWeights ? edges.size() : 0);
+    std::vector<std::uint64_t> cursor(csr.offsets.begin(),
+                                      csr.offsets.end() - 1);
+    for (const auto &e : edges) {
+        const std::uint64_t pos = cursor[e.u]++;
+        csr.neighbors[pos] = e.v;
+        if (opts.keepWeights)
+            csr.weights[pos] = e.w;
+    }
+    if (opts.sortAndDedupNeighbors) {
+        std::vector<GNode> deduped;
+        std::vector<std::uint64_t> newOffsets(n + 1, 0);
+        for (std::size_t u = 0; u < n; ++u) {
+            const auto begin = csr.neighbors.begin() +
+                               static_cast<long>(csr.offsets[u]);
+            const auto end = csr.neighbors.begin() +
+                             static_cast<long>(csr.offsets[u + 1]);
+            std::sort(begin, end);
+            const std::size_t before = deduped.size();
+            for (auto it = begin; it != end; ++it) {
+                if (deduped.size() == before || deduped.back() != *it)
+                    deduped.push_back(*it);
+            }
+            newOffsets[u + 1] = deduped.size();
+        }
+        csr.offsets = std::move(newOffsets);
+        csr.neighbors = std::move(deduped);
+    }
+    return csr;
+}
+
+TEST(BuilderTest, MatchesMaterialisedReference)
+{
+    Rng rng(8);
+    auto edges = makeKroneckerEdges(8, 8, rng);
+    assignWeights(edges, 64, rng);
+    // The input must exercise self-loop removal and deduplication.
+    std::set<std::pair<GNode, GNode>> seen;
+    std::size_t selfLoops = 0, duplicates = 0;
+    for (const auto &e : edges) {
+        selfLoops += e.u == e.v;
+        duplicates += !seen.insert({e.u, e.v}).second;
+    }
+    ASSERT_GT(selfLoops, 0u);
+    ASSERT_GT(duplicates, 0u);
+
+    unsigned combos = 0;
+    for (unsigned mask = 0; mask < 32; ++mask) {
+        BuildOptions opts;
+        opts.symmetrize = mask & 1;
+        opts.removeSelfLoops = mask & 2;
+        opts.sortAndDedupNeighbors = mask & 4;
+        opts.relabelByDegree = mask & 8;
+        opts.keepWeights = mask & 16;
+        if (opts.sortAndDedupNeighbors && opts.keepWeights)
+            continue;  // rejected by Builder::build
+        ++combos;
+        SCOPED_TRACE(::testing::Message() << "option mask " << mask);
+        const ReferenceCsr want = materialisedCsr(edges, opts);
+        auto sim = makeSim();
+        auto g = Builder::build(*sim, edges, opts);
+        ASSERT_EQ(g->numVertices(), want.n);
+        ASSERT_EQ(g->numEdges(), want.neighbors.size());
+        ASSERT_EQ(g->weighted(), opts.keepWeights);
+        for (std::size_t u = 0; u <= want.n; ++u)
+            ASSERT_EQ(g->peekOffset(static_cast<GNode>(u)), want.offsets[u]);
+        for (std::size_t e = 0; e < want.neighbors.size(); ++e)
+            ASSERT_EQ(g->peekNeighbor(e), want.neighbors[e]) << "entry " << e;
+        for (std::size_t e = 0; e < want.weights.size(); ++e)
+            ASSERT_EQ(g->peekWeight(e), want.weights[e]) << "entry " << e;
+    }
+    EXPECT_EQ(combos, 24u);
+}
+
+TEST(BuilderDeathTest, DedupWithWeightsRejectedAtEntry)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto sim = makeSim();
+    BuildOptions opts;
+    opts.sortAndDedupNeighbors = true;
+    opts.keepWeights = true;
+    EXPECT_DEATH(Builder::build(*sim, {{0, 1, 3}, {1, 2, 5}}, opts),
+                 "sortAndDedupNeighbors cannot keep weights");
 }
 
 // --- Kernels on a known graph --------------------------------------------------
