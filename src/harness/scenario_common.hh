@@ -15,6 +15,7 @@
 #include "harness/invariants.hh"
 #include "harness/profiles.hh"
 #include "harness/scenario.hh"
+#include "sim/sharded.hh"
 #include "sim/simulator.hh"
 
 namespace mclock {
@@ -77,6 +78,29 @@ checkRunInvariants(sim::Simulator &sim, RunRecord &rec)
     }
 }
 
+/**
+ * The sharded-host counterpart of checkRunInvariants: run the invariant
+ * suite on every shard (violations filed as "shardN: ..."), and export
+ * the merged vmstat and perf totals (plus the coordinator trace in
+ * stats mode). @p merged is host.mergedMetrics().
+ */
+inline void
+checkShardedRunInvariants(sim::ShardedSimulator &host,
+                          const sim::Metrics &merged, const RunContext &ctx,
+                          RunRecord &rec)
+{
+    for (unsigned s = 0; s < host.shards(); ++s) {
+        for (auto &v : collectViolations(host.shard(s)))
+            rec.violations.push_back("shard" + std::to_string(s) +
+                                     ": " + std::move(v));
+    }
+    rec.vmstat = merged.stats().snapshot();
+    rec.perfAppOps = host.totalAppOps();
+    rec.perfSimAccesses = merged.totalAccesses();
+    if (ctx.stats)
+        rec.traceEvents = host.trace().events();
+}
+
 /** Scenario factory groups (one per definition file). */
 std::vector<Scenario> makeTraceScenarios();   // fig01, fig02, tab01
 std::vector<Scenario> makeYcsbScenarios();    // fig05/08/09/10 + ablations
@@ -85,7 +109,6 @@ std::vector<Scenario> makeTier3Scenarios();   // tier3_* (DRAM/CXL/PM)
 std::vector<Scenario> makeFaultinjScenarios();  // faultinj_* (fault sweep)
 std::vector<Scenario> makeShardScenarios();   // shard_bigmem family
 std::vector<Scenario> makeTenantScenarios();  // tenant_* (memcg QoS)
-Scenario makeMicroScenario();                 // micro_structures
 
 }  // namespace harness
 }  // namespace mclock

@@ -268,7 +268,7 @@ runNoisyUnit(TenantMix mix, const RunContext &ctx)
 
     RunRecord rec;
     const sim::Metrics merged = host.mergedMetrics();
-    const stats::VmStat vmstat = host.mergedVmstat();
+    const stats::VmStat &vmstat = merged.stats();
 
     // Exact cross-shard percentiles: merge the per-shard histograms
     // (one MemCgroupManager per shard) before taking p99.
@@ -327,17 +327,7 @@ runNoisyUnit(TenantMix mix, const RunContext &ctx)
             static_cast<double>(thrasherAccesses);
     }
 
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        sim::Simulator &sim = host.shard(s);
-        for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-    }
-    rec.vmstat = vmstat.snapshot();
-    rec.perfAppOps = host.totalAppOps();
-    rec.perfSimAccesses = merged.totalAccesses();
-    if (ctx.stats)
-        rec.traceEvents = host.trace().events();
+    checkShardedRunInvariants(host, merged, ctx, rec);
     return rec;
 }
 
@@ -552,7 +542,7 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
 
     RunRecord rec;
     const sim::Metrics merged = host.mergedMetrics();
-    const stats::VmStat vmstat = host.mergedVmstat();
+    const stats::VmStat &vmstat = merged.stats();
 
     // Every tenant departed; a nonzero residue is a charge leak (the
     // invariant walk below would flag it too, but the golden pins it).
@@ -580,17 +570,7 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
         vmstat.global(stats::VmItem::PgtenantPromoteDeferred));
     rec.metrics["epochs"] = static_cast<double>(host.epochs());
 
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        sim::Simulator &sim = host.shard(s);
-        for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-    }
-    rec.vmstat = vmstat.snapshot();
-    rec.perfAppOps = host.totalAppOps();
-    rec.perfSimAccesses = merged.totalAccesses();
-    if (ctx.stats)
-        rec.traceEvents = host.trace().events();
+    checkShardedRunInvariants(host, merged, ctx, rec);
     return rec;
 }
 

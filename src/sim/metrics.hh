@@ -116,7 +116,6 @@ class Metrics
 
     const std::vector<MetricsWindow> &windows() const { return windows_; }
     SimTime windowLength() const { return windowLen_; }
-    std::uint64_t currentRound() const { return round_; }
 
     /** Accesses of the run (the sum over the windows). */
     std::uint64_t totalAccesses() const;

@@ -32,16 +32,6 @@ makeShards(const MachineConfig &whole, const ShardOptions &opts)
     return sims;
 }
 
-std::vector<AddressSpace *>
-collectSpaces(const std::vector<std::unique_ptr<Simulator>> &sims)
-{
-    std::vector<AddressSpace *> spaces;
-    spaces.reserve(sims.size());
-    for (const auto &sim : sims)
-        spaces.push_back(&sim->space());
-    return spaces;
-}
-
 }  // namespace
 
 MachineConfig
@@ -76,11 +66,9 @@ ShardedSimulator::ShardedSimulator(const MachineConfig &whole,
                                    ShardOptions opts)
     : opts_(opts),
       sims_(makeShards(whole, opts)),
-      space_(collectSpaces(sims_)),
       trace_(whole.stats.traceCapacity)
 {
     const unsigned shards = this->shards();
-    MCLOCK_ASSERT(shards <= ShardedAddressSpace::kMaxShards);
     workers_ = std::max(1u, std::min(opts.workers == 0 ? 1u
                                                        : opts.workers,
                                      shards));
@@ -111,22 +99,6 @@ ShardedSimulator::~ShardedSimulator()
 }
 
 void
-ShardedSimulator::read(Vaddr globalVa, std::size_t bytes)
-{
-    const unsigned s = ShardedAddressSpace::shardOfVa(globalVa);
-    MCLOCK_ASSERT(s < shards());
-    sims_[s]->read(ShardedAddressSpace::localVa(globalVa), bytes);
-}
-
-void
-ShardedSimulator::write(Vaddr globalVa, std::size_t bytes)
-{
-    const unsigned s = ShardedAddressSpace::shardOfVa(globalVa);
-    MCLOCK_ASSERT(s < shards());
-    sims_[s]->write(ShardedAddressSpace::localVa(globalVa), bytes);
-}
-
-void
 ShardedSimulator::runEpochOn(unsigned s, std::uint64_t epoch,
                              std::uint64_t grant,
                              const EpochDriver &driver)
@@ -153,38 +125,28 @@ ShardedSimulator::run(const EpochDriver &driver)
         if (!any)
             break;
 
-        if (workers_ <= 1) {
-            // Single-threaded execution width: run the shards in shard
-            // order on the calling thread — the reference schedule the
-            // parallel path must (and does) reproduce bit for bit.
-            for (unsigned s = 0; s < shards; ++s) {
+        // Static round-robin shard ownership: worker w drives shards
+        // w, w+W, ... in shard order, and the calling thread is worker
+        // 0 (width 1 starts no thread at all). No work queue, no shared
+        // mutable state below the join barrier: the epoch's grants are
+        // snapshotted here, before any helper starts, so workers never
+        // read coordinator-owned grants_, which a merge-path mutation
+        // could otherwise race.
+        const std::vector<std::uint64_t> grants = grants_;
+        const auto drive = [this, epoch, &driver, &grants,
+                            shards](unsigned w) {
+            for (unsigned s = w; s < shards; s += workers_) {
                 if (active_[s])
-                    runEpochOn(s, epoch, grants_[s], driver);
+                    runEpochOn(s, epoch, grants[s], driver);
             }
-        } else {
-            // Static round-robin shard ownership: worker w drives
-            // shards w, w+W, ... in shard order. No work queue, no
-            // shared mutable state below the join barrier: the epoch's
-            // grants are snapshotted here, before any worker starts,
-            // so workers never read coordinator-owned vectors (the
-            // hole the thread-safety analysis exposed — nothing
-            // stopped a future merge-path mutation of grants_ from
-            // racing these reads).
-            const std::vector<std::uint64_t> grants = grants_;
-            std::vector<std::thread> pool;
-            pool.reserve(workers_);
-            for (unsigned w = 0; w < workers_; ++w) {
-                pool.emplace_back([this, w, epoch, &driver, &grants,
-                                   shards] {
-                    for (unsigned s = w; s < shards; s += workers_) {
-                        if (active_[s])
-                            runEpochOn(s, epoch, grants[s], driver);
-                    }
-                });
-            }
-            for (auto &t : pool)
-                t.join();
-        }
+        };
+        {
+            std::vector<std::jthread> helpers;
+            helpers.reserve(workers_ - 1);
+            for (unsigned w = 1; w < workers_; ++w)
+                helpers.emplace_back(drive, w);
+            drive(0);
+        }  // the helpers join here: the epoch barrier
 
         mergeEpoch(epoch);
         ++epoch;

@@ -40,7 +40,6 @@
 #include "sim/simulator.hh"
 #include "stats/tracepoint.hh"
 #include "stats/vmstat.hh"
-#include "vm/sharded_address_space.hh"
 
 namespace mclock {
 namespace sim {
@@ -103,18 +102,6 @@ class ShardedSimulator
     Simulator &shard(unsigned s) { return *sims_[s]; }
     const Simulator &shard(unsigned s) const { return *sims_[s]; }
 
-    /** Routing facade over the shard-local address spaces. */
-    ShardedAddressSpace &space() { return space_; }
-
-    /**
-     * Route one unsupervised access through the facade to the owning
-     * shard (global tagged address). Coordinator-thread convenience
-     * for tests and small tools — never call while an epoch is in
-     * flight on worker threads.
-     */
-    void read(Vaddr globalVa, std::size_t bytes = 8);
-    void write(Vaddr globalVa, std::size_t bytes = 8);
-
     /**
      * Per-epoch shard driver: stream the epoch's operations into
      * @p shard (shard-local addresses) and return true while the shard
@@ -129,9 +116,10 @@ class ShardedSimulator
     /**
      * Run epochs until every shard's driver has returned false:
      * each epoch = parallel shard sub-simulations (beginShardEpoch
-     * with the shard's grant, then the driver), a join barrier, and
-     * the deterministic merge (drain logs, seniority-sort, accumulate,
-     * recompute grants).
+     * with the shard's grant, then the driver) on workers() workers —
+     * the calling thread plus workers() - 1 helper threads — a join
+     * barrier, and the deterministic merge (drain logs, seniority-sort,
+     * accumulate, recompute grants).
      */
     void run(const EpochDriver &driver);
 
@@ -193,7 +181,6 @@ class ShardedSimulator
     /** Per-shard event logs: single-writer (the owning worker) between
      *  barriers; drained only by the coordinator at the barrier. */
     std::vector<ShardEventLog> logs_;
-    ShardedAddressSpace space_;
 
     /**
      * Coordinator thread-confinement capability (base/sync.hh): the

@@ -375,7 +375,7 @@ Simulator::promotePage(Page *page, ChargeMode mode)
         return false;
     if (promoteBudget_ == 0) {
         // Epoch promotion budget exhausted: defer until the next grant
-        // (sharded coordination; see setEpochPromoteBudget).
+        // (sharded coordination; see beginShardEpoch).
         vmstat().add(stats::VmItem::PgpromoteDeferred, srcNode);
         return false;
     }

@@ -261,8 +261,6 @@ class Simulator
      */
     void maybeReclaim(Node &node);
 
-    MigrationEngine &migrationEngine() { return migration_; }
-
     // --- Sharded execution hooks -----------------------------------------
     // A sharded machine (sim/sharded.hh) runs this host as one shard of
     // a partitioned address space. Both hooks are inert by default:
@@ -281,23 +279,16 @@ class Simulator
     void bindShardLog(ShardEventLog *log) { shardLog_ = log; }
 
     /**
-     * Install the promotion budget for the coming epoch. Once the
-     * budget reaches zero, promotePage() defers instead of migrating
-     * (counted as `pgpromote_deferred`) until the next grant. Applies
-     * to promotePage() only — Nimble's two-sided exchanges are paired
-     * moves and stay budget-exempt. kUnlimitedPromoteBudget disables
-     * the governor entirely (no counter, no behaviour change).
-     */
-    void setEpochPromoteBudget(std::uint64_t n) { promoteBudget_ = n; }
-
-    /** Remaining budget (kUnlimitedPromoteBudget when ungoverned). */
-    std::uint64_t epochPromoteBudget() const { return promoteBudget_; }
-
-    /**
      * Mark the start of shard epoch @p epoch: installs @p grant as the
      * promotion budget and records the `shard_epoch` counter and
      * tracepoint. Called by the sharded coordinator on the shard's
      * worker thread, before the epoch's operations stream in.
+     *
+     * Once the budget reaches zero, promotePage() defers instead of
+     * migrating (counted as `pgpromote_deferred`) until the next grant.
+     * Applies to promotePage() only — Nimble's two-sided exchanges are
+     * paired moves and stay budget-exempt. kUnlimitedPromoteBudget
+     * disables the governor entirely (no counter, no behaviour change).
      */
     void beginShardEpoch(std::uint64_t epoch,
                          std::uint64_t grant = kUnlimitedPromoteBudget);

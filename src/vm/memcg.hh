@@ -230,14 +230,6 @@ class MemCgroupManager
         return groups_[id].get();
     }
 
-    /** Number of tenant groups created (root excluded). */
-    std::size_t
-    numGroups() const
-    {
-        owner_.assertHeld();
-        return groups_.size() - 1;
-    }
-
     /** Any tenants at all? False on every pre-memcg host. */
     bool
     active() const

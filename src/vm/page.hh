@@ -187,7 +187,6 @@ class Page
     // --- Policy scratch state --------------------------------------------
     /** AutoTiering-OPM's n-bit access-history vector. */
     std::uint8_t historyBits() const { return history_; }
-    void setHistoryBits(std::uint8_t v) { history_ = v; }
 
     /**
      * Shift the history left by one, inserting @p accessed, as
@@ -220,7 +219,6 @@ class Page
     std::uint64_t accessCount() const { return accessCount_; }
     void bumpAccessCount() { ++accessCount_; }
     void setAccessCount(std::uint64_t c) { accessCount_ = c; }
-    void resetAccessCount() { accessCount_ = 0; }
 
   private:
     // One bit per boolean page/PTE state, kernel page->flags style.

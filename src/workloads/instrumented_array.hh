@@ -66,7 +66,6 @@ class InstrumentedArray
 
     std::size_t size() const { return data_.size(); }
     bool allocated() const { return sim_ != nullptr; }
-    Vaddr baseVaddr() const { return base_; }
 
     /** Simulated load of element @p i. */
     T

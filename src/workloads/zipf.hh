@@ -81,19 +81,6 @@ class LatestGenerator
     std::uint64_t items_;
 };
 
-/** Uniform over [0, n). */
-class UniformGenerator
-{
-  public:
-    explicit UniformGenerator(std::uint64_t n) : items_(n) {}
-
-    std::uint64_t next(Rng &rng) { return rng.nextRange(items_); }
-    void setItemCount(std::uint64_t n) { items_ = n; }
-
-  private:
-    std::uint64_t items_;
-};
-
 /** FNV-1a 64-bit hash (the scrambler YCSB uses). */
 std::uint64_t fnv1a64(std::uint64_t v);
 

@@ -15,7 +15,6 @@
 #include "base/flat_map.hh"
 #include "base/intrusive_list.hh"
 #include "base/rng.hh"
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "base/units.hh"
 
@@ -233,73 +232,6 @@ TEST(IntrusiveListTest, ReinsertAfterErase)
     list.pushFront(&a);
     EXPECT_EQ(list.size(), 1u);
     EXPECT_EQ(list.front(), &a);
-}
-
-// --- Summary ----------------------------------------------------------------
-
-TEST(SummaryTest, EmptyIsZero)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(SummaryTest, BasicMoments)
-{
-    Summary s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-}
-
-TEST(SummaryTest, MergeMatchesCombined)
-{
-    Summary a, b, combined;
-    for (int i = 0; i < 50; ++i) {
-        a.add(i);
-        combined.add(i);
-    }
-    for (int i = 50; i < 100; ++i) {
-        b.add(i * 2);
-        combined.add(i * 2);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), combined.variance(), 1e-6);
-}
-
-// --- Histogram ---------------------------------------------------------------
-
-TEST(HistogramTest, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.count(), 6u);
-}
-
-TEST(HistogramTest, QuantileApproximation)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
 }
 
 // --- CsvWriter ----------------------------------------------------------------

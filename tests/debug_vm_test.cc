@@ -347,8 +347,7 @@ TEST(DebugVmSimTest, ShardedRunIsViolationFree)
     std::vector<Vaddr> bases;
     for (unsigned s = 0; s < host.shards(); ++s) {
         host.shard(s).setPolicy(policies::makePolicy("multiclock", opts));
-        bases.push_back(ShardedAddressSpace::localVa(
-            host.space().mmapOn(s, 3_MiB)));
+        bases.push_back(host.shard(s).mmap(3_MiB));
     }
     host.run([&](sim::Simulator &sim, unsigned s, std::uint64_t epoch) {
         for (Vaddr off = 0; off < 3_MiB; off += 4 * kPageSize)

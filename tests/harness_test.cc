@@ -67,10 +67,10 @@ expectIdentical(const ScenarioOutput &a, const ScenarioOutput &b)
 
 // --- Registry -----------------------------------------------------------
 
-TEST(ScenarioRegistry, ListsAllTwentyFiveExperiments)
+TEST(ScenarioRegistry, ListsAllTwentyFourExperiments)
 {
     const auto &all = allScenarios();
-    EXPECT_EQ(all.size(), 25u);
+    EXPECT_EQ(all.size(), 24u);
     std::set<std::string> names;
     for (const auto &sc : all)
         names.insert(sc.name);
@@ -82,8 +82,7 @@ TEST(ScenarioRegistry, ListsAllTwentyFiveExperiments)
           "faultinj_ycsb_a", "faultinj_pagerank",
           "shard_bigmem", "shard_bigmem_budget", "shard_bigmem_x4",
           "shard_bigmem_x8",
-          "tenant_noisy_neighbor", "tenant_churn",
-          "micro_structures"}) {
+          "tenant_noisy_neighbor", "tenant_churn"}) {
         EXPECT_TRUE(names.count(expected))
             << "missing scenario " << expected;
     }
@@ -111,15 +110,14 @@ TEST(ScenarioRegistry, FindAndFilter)
 
 TEST(ScenarioRegistry, GoldenEligibilityMatchesDeterminism)
 {
-    // tab01 is static metadata, micro_structures is host-timed, and
-    // the shard_bigmem_x* variants only pin a worker width (their
-    // results are identical to shard_bigmem, so fixtures would be
-    // redundant); everything else must be in the golden suite.
+    // tab01 is static metadata, and the shard_bigmem_x* variants only
+    // pin a worker width (their results are identical to shard_bigmem,
+    // so fixtures would be redundant); everything else must be in the
+    // golden suite.
     const auto names = goldenScenarioNames();
     EXPECT_EQ(names.size(), 21u);
     for (const auto &name : names) {
         EXPECT_NE(name, "tab01");
-        EXPECT_NE(name, "micro_structures");
         EXPECT_NE(name, "shard_bigmem_x4");
         EXPECT_NE(name, "shard_bigmem_x8");
     }

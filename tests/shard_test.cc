@@ -1,7 +1,7 @@
 /**
  * @file
- * Sharded execution model tests (vm/sharded_address_space,
- * sim/shard_event, sim/sharded, and the shard_bigmem harness family).
+ * Sharded execution model tests (sim/shard_event, sim/sharded, and the
+ * shard_bigmem harness family).
  *
  * The headline contract is worker-count bit-identity: a sharded
  * machine's shard partition is semantic data, the worker thread count
@@ -27,73 +27,11 @@
 #include "sim/shard_event.hh"
 #include "sim/sharded.hh"
 #include "sim/simulator.hh"
-#include "vm/sharded_address_space.hh"
 
 using namespace mclock;
 using namespace mclock::sim;
 
 namespace {
-
-// --- Address routing -----------------------------------------------------
-
-TEST(ShardedAddressSpaceTest, VaTaggingRoundTrips)
-{
-    const Vaddr local = 0x1234'5000;
-    for (unsigned s : {0u, 1u, 7u, 255u}) {
-        const Vaddr global = ShardedAddressSpace::globalVa(s, local);
-        EXPECT_EQ(ShardedAddressSpace::shardOfVa(global), s);
-        EXPECT_EQ(ShardedAddressSpace::localVa(global), local);
-    }
-    // Shard 0 addresses are untagged: the plain local address.
-    EXPECT_EQ(ShardedAddressSpace::globalVa(0, local), local);
-}
-
-TEST(ShardedAddressSpaceTest, VpnTaggingMatchesVaTagging)
-{
-    const Vaddr local = 0xabc'd000;
-    const PageNum localVpn = local >> kPageShift;
-    const Vaddr global = ShardedAddressSpace::globalVa(3, local);
-    EXPECT_EQ(ShardedAddressSpace::shardOfVpn(global >> kPageShift), 3u);
-    EXPECT_EQ(ShardedAddressSpace::localVpn(global >> kPageShift),
-              localVpn);
-    EXPECT_EQ(ShardedAddressSpace::globalVpn(3, localVpn),
-              global >> kPageShift);
-}
-
-TEST(ShardedAddressSpaceTest, FacadeRoutesToOwningShard)
-{
-    MachineConfig cfg;
-    cfg.nodes = {{TierKind::Dram, 1_MiB}};
-    Simulator a(cfg), b(cfg);
-    a.setPolicy(policies::makePolicy("static", {}));
-    b.setPolicy(policies::makePolicy("static", {}));
-    ShardedAddressSpace space({&a.space(), &b.space()});
-    ASSERT_EQ(space.shards(), 2u);
-
-    const Vaddr va0 = space.mmapOn(0, 8 * kPageSize);
-    const Vaddr va1 = space.mmapOn(1, 8 * kPageSize);
-    EXPECT_EQ(ShardedAddressSpace::shardOfVa(va0), 0u);
-    EXPECT_EQ(ShardedAddressSpace::shardOfVa(va1), 1u);
-
-    a.read(ShardedAddressSpace::localVa(va0));
-    b.read(ShardedAddressSpace::localVa(va1));
-    Page *p0 = space.lookup(va0 >> kPageShift);
-    Page *p1 = space.lookup(va1 >> kPageShift);
-    ASSERT_NE(p0, nullptr);
-    ASSERT_NE(p1, nullptr);
-    EXPECT_NE(space.regionOf(va0), nullptr);
-    EXPECT_NE(space.regionOf(va1), nullptr);
-    // The shards' bump allocators hand out the same *local* addresses,
-    // so the two tags must resolve to two distinct shard-local pages.
-    EXPECT_EQ(ShardedAddressSpace::localVpn(va0 >> kPageShift),
-              ShardedAddressSpace::localVpn(va1 >> kPageShift));
-    EXPECT_NE(p0, p1);
-    // An out-of-range shard tag resolves to nothing.
-    EXPECT_EQ(space.lookup(ShardedAddressSpace::globalVpn(
-                  9, ShardedAddressSpace::localVpn(va1 >> kPageShift))),
-              nullptr);
-    EXPECT_EQ(space.pageCount(), 2u);
-}
 
 // --- Event log and seniority order ---------------------------------------
 
@@ -224,8 +162,7 @@ runFingerprint(unsigned workers, std::uint64_t budget)
     std::vector<Vaddr> bases;
     for (unsigned s = 0; s < host.shards(); ++s) {
         host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
-        bases.push_back(ShardedAddressSpace::localVa(
-            host.space().mmapOn(s, 1_MiB)));
+        bases.push_back(host.shard(s).mmap(1_MiB));
     }
 
     host.run([&](Simulator &sim, unsigned s, std::uint64_t epoch) {
@@ -260,8 +197,11 @@ runFingerprint(unsigned workers, std::uint64_t budget)
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesResults)
 {
     const std::string w1 = runFingerprint(1, 0);
+    // Width 3 over 4 shards: the calling thread owns shards 0 and 3.
+    const std::string w3 = runFingerprint(3, 0);
     const std::string w4 = runFingerprint(4, 0);
     const std::string w8 = runFingerprint(8, 0);  // clamps to 4 shards
+    EXPECT_EQ(w1, w3);
     EXPECT_EQ(w1, w4);
     EXPECT_EQ(w1, w8);
     // The run did real tiering work, or this test proves nothing.
@@ -271,7 +211,9 @@ TEST(ShardedSimulatorTest, WorkerCountNeverChangesResults)
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesBudgetedResults)
 {
     const std::string w1 = runFingerprint(1, 8);
+    const std::string w3 = runFingerprint(3, 8);
     const std::string w4 = runFingerprint(4, 8);
+    EXPECT_EQ(w1, w3);
     EXPECT_EQ(w1, w4);
 }
 
@@ -289,8 +231,7 @@ TEST(ShardedSimulatorTest, MergedEventsAreInSeniorityOrderPerEpoch)
     std::vector<Vaddr> bases;
     for (unsigned s = 0; s < host.shards(); ++s) {
         host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
-        bases.push_back(ShardedAddressSpace::localVa(
-            host.space().mmapOn(s, 512_KiB)));
+        bases.push_back(host.shard(s).mmap(512_KiB));
     }
     host.run([&](Simulator &sim, unsigned s, std::uint64_t epoch) {
         const std::size_t pages = 512_KiB / kPageSize;
@@ -327,8 +268,7 @@ TEST(ShardedSimulatorTest, PromoteBudgetDefersDirectPromotions)
     std::vector<Vaddr> bases;
     for (unsigned s = 0; s < host.shards(); ++s) {
         host.shard(s).setPolicy(policies::makePolicy("static", {}));
-        bases.push_back(ShardedAddressSpace::localVa(
-            host.space().mmapOn(s, 1_MiB)));
+        bases.push_back(host.shard(s).mmap(1_MiB));
     }
     host.run([&](Simulator &sim, unsigned s, std::uint64_t epoch) {
         const std::size_t pages = 1_MiB / kPageSize;
@@ -385,8 +325,7 @@ TEST(ShardedSimulatorTest, CoordinatorCountsMergesAndEpochs)
         host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
     std::vector<Vaddr> bases;
     for (unsigned s = 0; s < host.shards(); ++s)
-        bases.push_back(ShardedAddressSpace::localVa(
-            host.space().mmapOn(s, 256_KiB)));
+        bases.push_back(host.shard(s).mmap(256_KiB));
     host.run([&](Simulator &sim, unsigned s, std::uint64_t epoch) {
         sim.read(bases[s]);
         return epoch < 2;
