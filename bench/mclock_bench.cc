@@ -14,8 +14,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "base/parse.hh"
 #include "harness/benchmark.hh"
 #include "harness/golden.hh"
 #include "harness/runner.hh"
@@ -111,25 +110,6 @@ listScenarios()
         ++count;
     }
     std::printf("\n%zu scenarios registered\n", count);
-}
-
-/**
- * Parse all of @p text as a decimal integer no larger than @p max.
- * Empty input, signs, whitespace, trailing characters and overflow are
- * all rejected (bare strtoull would read "abc" as 0 and "12x" as 12).
- */
-bool
-parseUnsigned(const char *text, std::uint64_t max, std::uint64_t &out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(*text)))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE || value > max)
-        return false;
-    out = value;
-    return true;
 }
 
 bool

@@ -7,10 +7,12 @@
  * Usage: graph_analytics [scale] [degree] [trials]
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "base/parse.hh"
 #include "base/units.hh"
 #include "policies/factory.hh"
 #include "sim/machine.hh"
@@ -19,13 +21,32 @@
 
 using namespace mclock;
 
+namespace {
+
+/** argv[i] as an unsigned, @p fallback when absent; exits 2 if bad. */
+unsigned
+argOr(int argc, char **argv, int i, const char *name, unsigned fallback)
+{
+    std::uint64_t value = fallback;
+    if (i < argc && !parseUnsigned(argv[i], UINT_MAX, value)) {
+        std::fprintf(stderr,
+                     "bad %s argument '%s'\n"
+                     "usage: graph_analytics [scale] [degree] [trials]\n",
+                     name, argv[i]);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(value);
+}
+
+}  // namespace
+
 int
 main(int argc, char **argv)
 {
     workloads::gapbs::GapbsConfig cfg;
-    cfg.scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 13;
-    cfg.degree = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 16;
-    cfg.trials = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 2;
+    cfg.scale = argOr(argc, argv, 1, "scale", 13);
+    cfg.degree = argOr(argc, argv, 2, "degree", 16);
+    cfg.trials = argOr(argc, argv, 3, "trials", 2);
     cfg.prIters = 5;
 
     std::printf("PageRank on kron scale=%u degree=%u (%u trials)\n",

@@ -7,9 +7,11 @@
  * Usage: kvstore_ycsb [records] [ops]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
+#include "base/parse.hh"
 #include "base/units.hh"
 #include "policies/factory.hh"
 #include "sim/machine.hh"
@@ -18,18 +20,36 @@
 
 using namespace mclock;
 
+namespace {
+
+/** argv[i] as an integer, @p fallback when absent; exits 2 if bad. */
+std::uint64_t
+argOr(int argc, char **argv, int i, const char *name,
+      std::uint64_t fallback)
+{
+    std::uint64_t value = fallback;
+    if (i < argc && !parseUnsigned(argv[i], SIZE_MAX, value)) {
+        std::fprintf(stderr,
+                     "bad %s argument '%s'\n"
+                     "usage: kvstore_ycsb [records] [ops]\n",
+                     name, argv[i]);
+        std::exit(2);
+    }
+    return value;
+}
+
+}  // namespace
+
 int
 main(int argc, char **argv)
 {
     workloads::YcsbConfig ycsb;
-    ycsb.recordCount =
-        argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 9000;
-    ycsb.opsPerWorkload =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 300000;
+    ycsb.recordCount = argOr(argc, argv, 1, "records", 9000);
+    ycsb.opsPerWorkload = argOr(argc, argv, 2, "ops", 300000);
 
-    // Daemon cadence scaled to the short simulated run, exactly like
-    // the benches (see bench/bench_common.hh).
+    // Daemon cadence scaled to the short simulated run, like the
+    // harness profiles (see benchPolicyOptions in
+    // src/harness/profiles.hh).
     policies::PolicyOptions opts;
     opts.scanInterval = 4_ms;
 

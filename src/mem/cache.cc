@@ -4,12 +4,12 @@
 
 #include "base/logging.hh"
 
-// The set scans below are pure integer work, so a SIMD implementation
-// is bit-for-bit identical to the scalar one. The AVX2 variants are
+// The tag scan below is pure integer work, so its SIMD implementation
+// is bit-for-bit identical to the scalar one. The AVX2 variant is
 // compiled unconditionally via the target attribute (no -mavx2 build
 // flag, so the rest of the object stays baseline x86-64) and selected
 // once at construction with a runtime CPU check; non-x86 builds and
-// odd way counts use the scalar path.
+// way counts that are not a multiple of 4 use the scalar loop.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MCLOCK_CACHE_AVX2 1
 #include <immintrin.h>
@@ -51,37 +51,26 @@ scanTagsAvx2(const std::uint64_t *tags, std::uint64_t tag,
     *invalid = iv;
 }
 
-/** First index of the minimum of @p ways stamps (ways 8 or 16). */
-__attribute__((target("avx2"))) inline unsigned
-argminUseAvx2(const std::uint32_t *use, unsigned ways)
-{
-    // Straight-line: both vectors stay in registers across the min
-    // reduction and the first-index-of-min compare.
-    const __m256i t0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(use));
-    __m256i vmin = t0;
-    __m256i t1 = t0;
-    if (ways == 16) {
-        t1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(use + 8));
-        vmin = _mm256_min_epu32(vmin, t1);
-    }
-    __m128i m = _mm_min_epu32(_mm256_castsi256_si128(vmin),
-                              _mm256_extracti128_si256(vmin, 1));
-    m = _mm_min_epu32(m, _mm_srli_si128(m, 8));
-    m = _mm_min_epu32(m, _mm_srli_si128(m, 4));
-    const __m256i vbest = _mm256_broadcastd_epi32(m);
-    unsigned eq = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(t0, vbest))));
-    if (ways == 16) {
-        eq |= static_cast<unsigned>(_mm256_movemask_ps(
-                  _mm256_castsi256_ps(_mm256_cmpeq_epi32(t1, vbest))))
-              << 8;
-    }
-    return static_cast<unsigned>(std::countr_zero(eq));
-}
-
 #endif  // MCLOCK_CACHE_AVX2
+
+/**
+ * Move @p way to rank 0 of the recency word @p order. The ways more
+ * recent than it move from rank r to r + 1; the rest keep their rank.
+ */
+inline std::uint64_t
+touch(std::uint64_t order, unsigned way)
+{
+    constexpr std::uint64_t kOnes = 0x1111111111111111ull;
+    // Lowest zero nibble of order ^ way: the way's rank (SWAR zero
+    // test; a borrow can only flag nibbles above the first zero).
+    const std::uint64_t x = order ^ (kOnes * way);
+    const std::uint64_t zero = (x - kOnes) & ~x & (kOnes << 3);
+    const unsigned shift =
+        static_cast<unsigned>(std::countr_zero(zero)) - 3;  // 4 * rank
+    const std::uint64_t above = order & (~0ull << shift << 4);
+    const std::uint64_t below = order & ((std::uint64_t{1} << shift) - 1);
+    return above | below << 4 | way;
+}
 
 }  // namespace
 
@@ -92,30 +81,15 @@ CacheModel::CacheModel(const CacheConfig &cfg)
       ways_(cfg.ways)
 {
     MCLOCK_ASSERT(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0);
-    MCLOCK_ASSERT(ways_ >= 1 && ways_ <= 16);  // dirty_ is a 16-bit mask
+    // dirty_ is a 16-bit mask and the recency word has 16 nibbles.
+    MCLOCK_ASSERT(ways_ >= 1 && ways_ <= 16);
     pageMaskable_ = lineShift_ + 6 >= kPageShift;
 #ifdef MCLOCK_CACHE_AVX2
-    if (__builtin_cpu_supports("avx2")) {
-        simdScan_ = ways_ % 4 == 0;
-        simdArgmin_ = ways_ == 8 || ways_ == 16;
-    }
+    simdScan_ = ways_ % 4 == 0 && __builtin_cpu_supports("avx2");
 #endif
     tags_.assign(numSets_ * ways_, kInvalidTag);
-    use_.assign(numSets_ * ways_, 0);
+    order_.assign(numSets_, kIdentityOrder);
     dirty_.assign(numSets_, 0);
-    mru_.assign(numSets_, MruEntry{});
-}
-
-std::size_t
-CacheModel::setOf(Paddr pa) const
-{
-    return (pa >> lineShift_) & (numSets_ - 1);
-}
-
-std::uint64_t
-CacheModel::tagOf(Paddr pa) const
-{
-    return pa >> lineShift_;
 }
 
 CacheResult
@@ -127,27 +101,18 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
     }
     const std::size_t set = setOf(pa);
     const std::uint64_t tag = tagOf(pa);
-    MruEntry &mru = mru_[set];
+    std::uint64_t *tags = &tags_[set * ways_];
+    std::uint64_t &order = order_[set];
+    std::uint16_t &dirty = dirty_[set];
 
-    // Fast path: repeat access to the set's most recent line. The
-    // clock bump and LRU update live entirely in the MRU entry.
-    if (mru.tag == tag) {
-        ++mru.clock;
-        dirty_[set] |= static_cast<std::uint16_t>(
-            static_cast<unsigned>(isWrite) << mru.way);
+    // Fast path: the set's most recent line is already at rank 0.
+    const unsigned mru = static_cast<unsigned>(order & 0xf);
+    if (tags[mru] == tag) {
+        dirty |= static_cast<std::uint16_t>(
+            static_cast<unsigned>(isWrite) << mru);
         ++hits_;
         return {true, false};
     }
-
-    // Different line: reconcile the deferred stamp, then take the
-    // stamp for this access. Tags are always current, so only the
-    // MRU line's lastUse needs the flush.
-    flushMru(mru, set);
-    const std::uint32_t stamp = ++mru.clock;
-
-    const std::size_t base = set * ways_;
-    const std::uint64_t *tags = &tags_[base];
-    const unsigned ways = ways_;
 
     // Branchless membership + validity masks: full-width compare scans
     // instead of early-exit loops, whose data-dependent exit branches
@@ -156,11 +121,11 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
     unsigned invalid = 0;
 #ifdef MCLOCK_CACHE_AVX2
     if (simdScan_) {
-        scanTagsAvx2(tags, tag, ways, &match, &invalid);
+        scanTagsAvx2(tags, tag, ways_, &match, &invalid);
     } else
 #endif
     {
-        for (unsigned w = 0; w < ways; ++w) {
+        for (unsigned w = 0; w < ways_; ++w) {
             match |= static_cast<unsigned>(tags[w] == tag) << w;
             invalid |=
                 static_cast<unsigned>(tags[w] == kInvalidTag) << w;
@@ -169,75 +134,39 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
 
     if (match) {
         const unsigned w = static_cast<unsigned>(std::countr_zero(match));
-        use_[base + w] = stamp;
-        dirty_[set] |= static_cast<std::uint16_t>(
+        order = touch(order, w);
+        dirty |= static_cast<std::uint16_t>(
             static_cast<unsigned>(isWrite) << w);
-        mru.tag = tag;
-        mru.way = static_cast<std::uint8_t>(w);
         ++hits_;
         return {true, false};
     }
 
-    // Miss: the original victim scan (replace when lastUse < victim's,
-    // or line invalid while victim valid) reduces to two cheap cases.
-    // With an invalid line present it settles on the first one: an
-    // invalid victim has lastUse 0, so no later line can undercut it.
-    // All-valid, it is a strict-< running minimum of lastUse (first way
-    // wins ties, including the wrapped-clock lastUse==0 case).
-    unsigned victim;
-    if (invalid) {
-        victim = static_cast<unsigned>(std::countr_zero(invalid));
-    } else {
-#ifdef MCLOCK_CACHE_AVX2
-        if (simdArgmin_) {
-            victim = argminUseAvx2(&use_[base], ways);
-        } else
-#endif
-        {
-            const std::uint32_t *use = &use_[base];
-            std::uint32_t best = use[0];
-            victim = 0;
-            for (unsigned w = 1; w < ways; ++w) {
-                const bool better = use[w] < best;
-                best = better ? use[w] : best;
-                victim = better ? w : victim;
-            }
-        }
-    }
-
+    // Miss: the first invalid way, else the least recently used one.
+    const unsigned victim =
+        invalid ? static_cast<unsigned>(std::countr_zero(invalid))
+                : static_cast<unsigned>(order >> (4 * (ways_ - 1))) & 0xf;
     ++misses_;
-    const bool valid = invalid == 0;
     const std::uint16_t victimBit =
         static_cast<std::uint16_t>(1u << victim);
-    const bool writeback = valid && (dirty_[set] & victimBit) != 0;
+    const bool writeback = invalid == 0 && (dirty & victimBit) != 0;
     if (writeback)
         ++writebacks_;
-    tags_[base + victim] = tag;
-    use_[base + victim] = stamp;
+    tags[victim] = tag;
+    order = touch(order, victim);
     if (isWrite)
-        dirty_[set] |= victimBit;
+        dirty |= victimBit;
     else
-        dirty_[set] = static_cast<std::uint16_t>(dirty_[set] &
-                                                 ~victimBit);
-    mru.tag = tag;
-    mru.way = static_cast<std::uint8_t>(victim);
+        dirty = static_cast<std::uint16_t>(dirty & ~victimBit);
     return {false, writeback};
 }
 
 void
 CacheModel::invalidateLine(std::size_t set, std::uint64_t tag)
 {
-    MruEntry &mru = mru_[set];
-    if (mru.tag == tag) {
-        // The invalidated line is the set's MRU line: its pending
-        // stamp dies with it (the line is reset below).
-        mru.tag = kInvalidTag;
-    }
     const std::size_t base = set * ways_;
     for (unsigned w = 0; w < ways_; ++w) {
         if (tags_[base + w] == tag) {
             tags_[base + w] = kInvalidTag;
-            use_[base + w] = 0;
             dirty_[set] = static_cast<std::uint16_t>(
                 dirty_[set] & ~(1u << w));
             break;
@@ -272,9 +201,8 @@ void
 CacheModel::reset()
 {
     tags_.assign(tags_.size(), kInvalidTag);
-    use_.assign(use_.size(), 0);
+    order_.assign(order_.size(), kIdentityOrder);
     dirty_.assign(dirty_.size(), 0);
-    mru_.assign(mru_.size(), MruEntry{});
     hits_ = misses_ = writebacks_ = 0;
 }
 

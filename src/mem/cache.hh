@@ -12,16 +12,23 @@
  *
  * Hot-path layout: the model is on the critical path of every simulated
  * access, so the per-set state is stored structure-of-arrays — one
- * contiguous tag array, one LRU-stamp array, and a per-set dirty
- * bitmask — and scanned branchlessly (a full-width compare mask instead
- * of an early-exit loop, whose data-dependent branch mispredicts on
- * nearly every lookup). Each set additionally carries a small MRU entry
- * (last-accessed line's tag, way, the set's use clock, and the line's
- * pending LRU stamp); repeat accesses to the same line are served
- * entirely from that 16-byte record. The deferred lastUse value is
- * flushed before any other access reads or writes the set, so every
- * hit/miss/victim/writeback decision is identical to the eager
- * implementation.
+ * contiguous tag array, one recency word and one dirty bitmask per set.
+ * The recency word is the set's exact LRU order: nibble r holds the way
+ * at rank r, rank 0 being the most recently used. A hit on the rank-0
+ * line is one compare and leaves the word unchanged; any other hit or
+ * fill moves its way to rank 0. On a miss the victim is the first
+ * invalid way, else the way at the last rank, so choosing it is a read.
+ *
+ * Exactness: the order equals that of unique, ever-growing per-access
+ * LRU stamps (the victim being the smallest stamp), without the stamps.
+ * An invalidated way keeps its rank, but invalid ways are always chosen
+ * before the last rank, so that rank is only read once every way has
+ * been refilled (and so re-ranked) since.
+ *
+ * The tag scan is branchless (a full-width compare mask instead of an
+ * early-exit loop, whose data-dependent branch mispredicts on nearly
+ * every lookup) and uses AVX2 when the host CPU has it: an all-scalar
+ * scan made the GAPBS PageRank benchmark about 1.4x slower.
  */
 
 #ifndef MCLOCK_MEM_CACHE_HH_
@@ -82,35 +89,22 @@ class CacheModel
     unsigned ways() const { return ways_; }
 
   private:
-    /**
-     * Per-set MRU filter entry. Holds the set's use clock and the
-     * last-accessed line's identity plus its not-yet-written-back
-     * lastUse stamp. Invariant: when tag != kInvalidTag, the line
-     * (way) has logical lastUse == clock, possibly newer than what
-     * use_ stores; flushMru() reconciles. Dirty state lives in the
-     * shared dirty_ bitmask and is always current.
-     */
-    struct MruEntry
-    {
-        std::uint64_t tag = kInvalidTag;
-        std::uint32_t clock = 0;  ///< per-set LRU clock (authoritative)
-        std::uint8_t way = 0;
-    };
-
     static constexpr std::uint64_t kInvalidTag = ~0ull;
+    /**
+     * Way r at rank r. Nibbles at ranks >= ways_ hold values >= ways_,
+     * so they never match a way and never move.
+     */
+    static constexpr std::uint64_t kIdentityOrder = 0xfedcba9876543210ull;
 
-    std::size_t setOf(Paddr pa) const;
-    std::uint64_t tagOf(Paddr pa) const;
-
-    /** Write the MRU entry's pending lastUse back to use_. */
-    void
-    flushMru(const MruEntry &mru, std::size_t set)
+    std::size_t
+    setOf(Paddr pa) const
     {
-        if (mru.tag != kInvalidTag)
-            use_[set * ways_ + mru.way] = mru.clock;
+        return (pa >> lineShift_) & (numSets_ - 1);
     }
 
-    /** Invalidate @p tag in @p set if present (slow scan, no MRU). */
+    std::uint64_t tagOf(Paddr pa) const { return pa >> lineShift_; }
+
+    /** Invalidate @p tag in @p set if present. */
     void invalidateLine(std::size_t set, std::uint64_t tag);
 
     unsigned lineShift_;
@@ -122,17 +116,14 @@ class CacheModel
      * invalidatePage() ignore the mask and stay exact via full scans.
      */
     bool pageMaskable_;
-    // Runtime-dispatched SIMD set scans (see cache.cc); false when the
-    // host CPU lacks AVX2 or the way count doesn't tile into vectors.
+    // AVX2 tag scan (see cache.cc); false when the host CPU lacks AVX2
+    // or the way count doesn't tile into vectors.
     bool simdScan_ = false;
-    bool simdArgmin_ = false;
-    // Structure-of-arrays per-line state, set-major: the hit scan walks
-    // only tags_, the victim scan only tags_ + use_.
+    // Structure-of-arrays per-line state, set-major.
     std::vector<std::uint64_t> tags_;   ///< numSets_ * ways_
-    std::vector<std::uint32_t> use_;    ///< per-set LRU stamps
+    std::vector<std::uint64_t> order_;  ///< per-set recency word
     std::vector<std::uint16_t> dirty_;  ///< per-set dirty bitmask (way i
                                         ///< dirty <=> bit i set)
-    std::vector<MruEntry> mru_;         ///< per-set fast-path entry
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;

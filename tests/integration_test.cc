@@ -46,7 +46,8 @@ smallYcsb()
 
 /**
  * Daemon cadence scaled to the test runs' short simulated durations,
- * mirroring the benches' time-scaling (see bench/bench_common.hh).
+ * mirroring the harness profiles (see benchPolicyOptions in
+ * src/harness/profiles.hh).
  */
 policies::PolicyOptions
 scaledOptions(SimTime interval = 4_ms)

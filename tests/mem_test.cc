@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/rng.hh"
 #include "base/units.hh"
 #include "mem/cache.hh"
 #include "mem/dram_cache.hh"
@@ -171,6 +174,156 @@ TEST(CacheModelTest, ResetClearsEverything)
     cache.reset();
     EXPECT_EQ(cache.hits() + cache.misses(), 0u);
     EXPECT_FALSE(cache.access(0x3000, false).hit);
+}
+
+/**
+ * The LLC model before its recency word: per-set 32-bit LRU stamps from
+ * a per-set clock, victim = first invalid way, else the first way with
+ * the smallest stamp (scalar argmin). Kept to pin the current model.
+ */
+class StampArgminCache
+{
+  public:
+    explicit StampArgminCache(const CacheConfig &cfg)
+        : ways_(cfg.ways), sets_(cfg.sizeBytes / (cfg.lineBytes * cfg.ways)),
+          lineBytes_(cfg.lineBytes), tags_(sets_ * ways_, kInvalid),
+          use_(sets_ * ways_, 0), dirty_(sets_ * ways_, false),
+          clock_(sets_, 0)
+    {
+    }
+
+    CacheResult
+    access(Paddr pa, bool isWrite)
+    {
+        const std::uint64_t tag = pa / lineBytes_;
+        const std::size_t set = tag & (sets_ - 1);
+        const std::size_t base = set * ways_;
+        const std::uint32_t stamp = ++clock_[set];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == tag) {
+                use_[base + w] = stamp;
+                dirty_[base + w] = dirty_[base + w] || isWrite;
+                ++hits;
+                return {true, false};
+            }
+        }
+        unsigned victim = 0;
+        bool invalid = false;
+        for (unsigned w = 0; w < ways_ && !invalid; ++w) {
+            if (tags_[base + w] == kInvalid) {
+                victim = w;
+                invalid = true;
+            } else if (use_[base + w] < use_[base + victim]) {
+                victim = w;
+            }
+        }
+        ++misses;
+        const bool writeback = !invalid && dirty_[base + victim];
+        writebacks += writeback;
+        tags_[base + victim] = tag;
+        use_[base + victim] = stamp;
+        dirty_[base + victim] = isWrite;
+        return {false, writeback};
+    }
+
+    void
+    invalidatePage(Paddr pageBase)
+    {
+        for (Paddr pa = pageBase; pa < pageBase + kPageSize;
+             pa += lineBytes_) {
+            const std::uint64_t tag = pa / lineBytes_;
+            const std::size_t base = (tag & (sets_ - 1)) * ways_;
+            for (unsigned w = 0; w < ways_; ++w) {
+                if (tags_[base + w] == tag) {
+                    tags_[base + w] = kInvalid;
+                    use_[base + w] = 0;
+                    dirty_[base + w] = false;
+                }
+            }
+        }
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    static constexpr std::uint64_t kInvalid = ~0ull;
+    unsigned ways_;
+    std::size_t sets_;
+    std::size_t lineBytes_;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint32_t> use_;
+    std::vector<bool> dirty_;
+    std::vector<std::uint32_t> clock_;
+};
+
+enum class CacheTrace { Random, Streamed, PageClustered };
+
+TEST(CacheModelTest, MatchesStampArgminReference)
+{
+    constexpr std::size_t kSets = 64;
+    for (unsigned ways : {1u, 2u, 3u, 4u, 8u, 12u, 16u}) {
+        for (CacheTrace trace : {CacheTrace::Random, CacheTrace::Streamed,
+                                 CacheTrace::PageClustered}) {
+            for (bool useMask : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "ways " << ways << " trace "
+                             << static_cast<int>(trace) << " mask "
+                             << useMask);
+                CacheConfig cfg;
+                cfg.ways = ways;
+                cfg.lineBytes = 64;
+                cfg.sizeBytes = kSets * ways * cfg.lineBytes;
+                CacheModel cache(cfg);
+                StampArgminCache ref(cfg);
+                // The footprint is 4x the cache: hits, misses and
+                // evictions of every rank all occur.
+                const Paddr span = 4 * cfg.sizeBytes;
+                std::vector<std::uint64_t> masks(span / kPageSize, 0);
+                Rng rng(ways * 31 + static_cast<unsigned>(trace));
+                Paddr cursor = 0;
+                for (int i = 0; i < 100000; ++i) {
+                    Paddr pa = 0;
+                    switch (trace) {
+                      case CacheTrace::Random:
+                        pa = rng.nextRange(span);
+                        break;
+                      case CacheTrace::Streamed:
+                        pa = cursor;
+                        cursor = (cursor + 4) % span;
+                        break;
+                      case CacheTrace::PageClustered:
+                        // Bursts of 8 accesses to one page.
+                        if (i % 8 == 0)
+                            cursor = rng.nextRange(span) & ~(kPageSize - 1);
+                        pa = cursor + rng.nextRange(kPageSize);
+                        break;
+                    }
+                    if (rng.nextBool(0.02)) {
+                        const Paddr page = pa & ~(kPageSize - 1);
+                        cache.invalidatePage(
+                            page, useMask ? &masks[page / kPageSize]
+                                          : nullptr);
+                        ref.invalidatePage(page);
+                        continue;
+                    }
+                    const bool isWrite = rng.nextBool(0.3);
+                    const CacheResult got = cache.access(
+                        pa, isWrite,
+                        useMask ? &masks[pa / kPageSize] : nullptr);
+                    const CacheResult want = ref.access(pa, isWrite);
+                    ASSERT_EQ(got.hit, want.hit) << "access " << i;
+                    ASSERT_EQ(got.writebackDirty, want.writebackDirty)
+                        << "access " << i;
+                }
+                EXPECT_EQ(cache.hits(), ref.hits);
+                EXPECT_EQ(cache.misses(), ref.misses);
+                EXPECT_EQ(cache.writebacks(), ref.writebacks);
+                EXPECT_GT(cache.writebacks(), 0u);
+            }
+        }
+    }
 }
 
 // --- DramCache -----------------------------------------------------------------
