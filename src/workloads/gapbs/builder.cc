@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "base/logging.hh"
 #include "sim/simulator.hh"
@@ -116,24 +117,22 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
         neighbors = std::move(deduped);
     }
 
+    // Free the edge list first: host peak is then the edge list plus
+    // one CSR, during the scatter.
+    std::vector<Edge>().swap(edges);
+
     // Materialise in simulated memory, in allocation order. This is the
     // load phase: offsets first (small, hot), then the neighbor stream,
-    // then weights.
+    // then weights. The host vectors move into the graph uncopied.
     auto graph = std::make_unique<Graph>();
     graph->numVertices_ = n;
     graph->numEdges_ = neighbors.size();
-    graph->offsets_.allocate(sim, n + 1, "gapbs-offsets");
-    for (std::size_t i = 0; i <= n; ++i)
-        graph->offsets_.poke(i, offsets[i]);
+    graph->offsets_.allocate(sim, std::move(offsets), "gapbs-offsets");
     graph->offsets_.streamInit();
-    graph->neighbors_.allocate(sim, neighbors.size(), "gapbs-neighbors");
-    for (std::size_t i = 0; i < neighbors.size(); ++i)
-        graph->neighbors_.poke(i, neighbors[i]);
+    graph->neighbors_.allocate(sim, std::move(neighbors), "gapbs-neighbors");
     graph->neighbors_.streamInit();
     if (opts.keepWeights) {
-        graph->weights_.allocate(sim, weights.size(), "gapbs-weights");
-        for (std::size_t i = 0; i < weights.size(); ++i)
-            graph->weights_.poke(i, weights[i]);
+        graph->weights_.allocate(sim, std::move(weights), "gapbs-weights");
         graph->weights_.streamInit();
     }
     return graph;

@@ -13,6 +13,7 @@
 #define MCLOCK_WORKLOADS_INSTRUMENTED_ARRAY_HH_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -39,10 +40,22 @@ class InstrumentedArray
     void
     allocate(sim::Simulator &sim, std::size_t n, const std::string &name)
     {
+        allocate(sim, std::vector<T>(n), name);
+    }
+
+    /**
+     * Adopt @p data as the host copy, without copying it, and map a
+     * region of its size. An empty array is allocated but maps nothing.
+     */
+    void
+    allocate(sim::Simulator &sim, std::vector<T> data,
+             const std::string &name)
+    {
         MCLOCK_ASSERT(sim_ == nullptr);
         sim_ = &sim;
-        data_.assign(n, T{});
-        base_ = sim.mmap(n * sizeof(T), /*anon=*/true, name);
+        data_ = std::move(data);
+        if (!data_.empty())
+            base_ = sim.mmap(data_.size() * sizeof(T), /*anon=*/true, name);
     }
 
     /** Release the simulated region (host copy is freed too). */
@@ -50,9 +63,10 @@ class InstrumentedArray
     release()
     {
         if (sim_) {
-            sim_->unmapRegion(base_);
+            if (!data_.empty())
+                sim_->unmapRegion(base_);
             sim_ = nullptr;
-            data_.clear();
+            std::vector<T>().swap(data_);
         }
     }
 
@@ -95,8 +109,9 @@ class InstrumentedArray
 
     /**
      * Sequential first-touch sweep: one simulated store per 64 B line.
-     * Used after poke()-filling host data to materialise the region's
-     * pages in allocation order (the load phase of a benchmark).
+     * Used after filling host data (poke() or a moved-in vector) to
+     * materialise the region's pages in allocation order (the load
+     * phase of a benchmark).
      */
     void
     streamInit()

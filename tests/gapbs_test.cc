@@ -11,6 +11,7 @@
 #include <numeric>
 #include <queue>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "base/units.hh"
@@ -26,6 +27,7 @@
 #include "workloads/gapbs/pr.hh"
 #include "workloads/gapbs/sssp.hh"
 #include "workloads/gapbs/tc.hh"
+#include "workloads/instrumented_array.hh"
 
 namespace mclock {
 namespace workloads {
@@ -204,6 +206,25 @@ TEST(BuilderTest, RelabelByDegreePutsHubsFirst)
     EXPECT_EQ(g->peekDegree(0), 3u);
 }
 
+TEST(BuilderTest, SelfLoopsOnlyGivesNoEntries)
+{
+    for (const bool keepWeights : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "keepWeights " << keepWeights);
+        auto sim = makeSim();
+        BuildOptions opts;
+        opts.keepWeights = keepWeights;
+        auto g = Builder::build(*sim, {{0, 0, 1}, {1, 1, 1}}, opts);
+        EXPECT_EQ(g->numVertices(), 2u);
+        EXPECT_EQ(g->numEdges(), 0u);
+        EXPECT_EQ(g->peekDegree(0), 0u);
+        EXPECT_EQ(g->weighted(), keepWeights);
+    }
+    auto sim = makeSim();
+    auto g = Builder::build(*sim, {}, BuildOptions{});
+    EXPECT_EQ(g->numVertices(), 1u);
+    EXPECT_EQ(g->numEdges(), 0u);
+}
+
 /** Host-side CSR as Builder lays it out. */
 struct ReferenceCsr
 {
@@ -292,6 +313,31 @@ materialisedCsr(std::vector<Edge> edges, const BuildOptions &opts)
     return csr;
 }
 
+/** Materialise @p values through a size-only allocation and poke(). */
+template <typename T>
+void
+pokeAndStream(InstrumentedArray<T> &arr, sim::Simulator &sim,
+              const std::vector<T> &values, const std::string &name)
+{
+    arr.allocate(sim, values.size(), name);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        arr.poke(i, values[i]);
+    arr.streamInit();
+}
+
+void
+expectSameRegions(sim::Simulator &a, sim::Simulator &b)
+{
+    const auto &ra = a.space().regions();
+    const auto &rb = b.space().regions();
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra[i].start, rb[i].start) << "region " << i;
+        EXPECT_EQ(ra[i].bytes, rb[i].bytes) << "region " << i;
+        EXPECT_EQ(ra[i].name, rb[i].name) << "region " << i;
+    }
+}
+
 TEST(BuilderTest, MatchesMaterialisedReference)
 {
     Rng rng(8);
@@ -323,6 +369,20 @@ TEST(BuilderTest, MatchesMaterialisedReference)
         auto sim = makeSim();
         auto g = Builder::build(*sim, edges, opts);
         ASSERT_EQ(g->numVertices(), want.n);
+        // The simulated side equals poke-filling fresh arrays in
+        // offsets -> neighbors -> weights order.
+        auto twin = makeSim();
+        InstrumentedArray<std::uint64_t> offsets;
+        InstrumentedArray<GNode> neighbors;
+        InstrumentedArray<Weight> weights;
+        pokeAndStream(offsets, *twin, want.offsets, "gapbs-offsets");
+        pokeAndStream(neighbors, *twin, want.neighbors, "gapbs-neighbors");
+        if (opts.keepWeights)
+            pokeAndStream(weights, *twin, want.weights, "gapbs-weights");
+        EXPECT_EQ(sim->now(), twin->now());
+        EXPECT_EQ(sim->metrics().totalAccesses(),
+                  twin->metrics().totalAccesses());
+        expectSameRegions(*sim, *twin);
         ASSERT_EQ(g->numEdges(), want.neighbors.size());
         ASSERT_EQ(g->weighted(), opts.keepWeights);
         for (std::size_t u = 0; u <= want.n; ++u)

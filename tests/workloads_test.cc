@@ -8,6 +8,8 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "base/units.hh"
 #include "policies/static_tiering.hh"
@@ -182,6 +184,58 @@ TEST(InstrumentedArrayTest, ReleaseUnmaps)
     EXPECT_GT(sim->space().pageCount(), 0u);
     arr.release();
     EXPECT_EQ(sim->space().pageCount(), 0u);
+    EXPECT_FALSE(arr.allocated());
+}
+
+TEST(InstrumentedArrayTest, MovedInVectorIsAdoptedAndMatchesPokedTwin)
+{
+    std::vector<std::uint64_t> host(3000);
+    for (std::size_t i = 0; i < host.size(); ++i)
+        host[i] = i * 7;
+
+    auto moved = makeSim();
+    std::vector<std::uint64_t> copy(host);
+    const std::uint64_t *buffer = copy.data();
+    InstrumentedArray<std::uint64_t> a;
+    a.allocate(*moved, std::move(copy), "arr");
+    EXPECT_EQ(&a.peek(0), buffer);  // adopted, not copied
+    EXPECT_EQ(moved->metrics().totalAccesses(), 0u);
+    a.streamInit();
+
+    auto poked = makeSim();
+    InstrumentedArray<std::uint64_t> b(*poked, host.size(), "arr");
+    for (std::size_t i = 0; i < host.size(); ++i)
+        b.poke(i, host[i]);
+    b.streamInit();
+
+    EXPECT_EQ(moved->now(), poked->now());
+    EXPECT_EQ(moved->metrics().totalAccesses(),
+              poked->metrics().totalAccesses());
+    for (const auto item :
+         {stats::VmItem::PgfaultDram, stats::VmItem::PgfaultPm})
+        EXPECT_EQ(moved->vmstat().global(item), poked->vmstat().global(item));
+    const auto &ra = moved->space().regions();
+    const auto &rb = poked->space().regions();
+    ASSERT_EQ(ra.size(), 1u);
+    ASSERT_EQ(rb.size(), 1u);
+    EXPECT_EQ(ra[0].start, rb[0].start);
+    EXPECT_EQ(ra[0].bytes, rb[0].bytes);
+    EXPECT_EQ(ra[0].name, rb[0].name);
+    for (std::size_t i = 0; i < host.size(); ++i)
+        ASSERT_EQ(a.peek(i), b.peek(i));
+}
+
+TEST(InstrumentedArrayTest, EmptyArrayMapsNothing)
+{
+    auto sim = makeSim();
+    InstrumentedArray<int> arr;
+    arr.allocate(*sim, std::vector<int>{}, "empty");
+    EXPECT_TRUE(arr.allocated());
+    EXPECT_EQ(arr.size(), 0u);
+    EXPECT_TRUE(sim->space().regions().empty());
+    arr.streamInit();
+    EXPECT_EQ(sim->metrics().totalAccesses(), 0u);
+    arr.release();
     EXPECT_FALSE(arr.allocated());
 }
 
