@@ -15,7 +15,7 @@
  *
  *  - ThreadRole: a *zero-cost* capability modelling single-owner
  *    thread confinement — state owned by exactly one thread at a time,
- *    with ownership handed off only at join/epoch barriers (shard
+ *    with ownership handed off only at a join or under a lock (shard
  *    worker state, the sharded coordinator's merge state, per-host
  *    stats sinks). It has no lock() — nothing to contend on — only
  *    assertHeld(), which owner-side code calls (an empty inline

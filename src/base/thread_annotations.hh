@@ -5,7 +5,7 @@
  * The concurrency surface of this tree (harness thread pool, shard
  * worker threads, memcg charge maps, stats ring buffers) is guarded by
  * two disciplines: real mutexes (the harness pool) and single-owner
- * thread confinement handed off at epoch/join barriers (everything
+ * thread confinement handed off at joins and shard claims (everything
  * else). Both are *statically checkable* with Clang's
  * -Wthread-safety: mutex-protected members carry MCLOCK_GUARDED_BY and
  * their locking functions MCLOCK_ACQUIRE/RELEASE/REQUIRES; confined

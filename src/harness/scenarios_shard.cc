@@ -93,7 +93,7 @@ shardOpsPerEpoch(const RunContext &ctx)
 /**
  * Shard-local workload state. Owned by the coordinator, but each
  * instance is touched only by whichever worker thread drives its shard
- * in a given epoch (the epoch barrier is the handoff point).
+ * in a given epoch (the shard's claim is the handoff point).
  */
 struct ShardWorkload
 {

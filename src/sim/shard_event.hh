@@ -2,11 +2,13 @@
  * @file
  * Cross-shard event records and the per-shard ordered event log.
  *
- * A sharded machine runs S sub-simulators in parallel between epoch
- * barriers. Anything one shard does that the coordinator must observe
- * (completed promotions, demotions, exchanges) is appended to the
- * shard's own log — single-writer, no locking — and drained at the
- * barrier, where the coordinator k-way merges all logs by *seniority*:
+ * A sharded machine runs S sub-simulators in parallel. Anything one
+ * shard does that the coordinator must observe (completed promotions,
+ * demotions, exchanges) is appended to the shard's own log —
+ * single-writer, no locking — and closed into a per-epoch slice when
+ * the shard's epoch ends. At a merge, the coordinator takes one slice
+ * per shard for the epoch it merges and k-way merges them by
+ * *seniority*:
  *
  *     (sim_time, shard_id, seq)
  *
@@ -22,6 +24,7 @@
 #define MCLOCK_SIM_SHARD_EVENT_HH_
 
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -31,7 +34,7 @@
 namespace mclock {
 namespace sim {
 
-/** What a shard reports across the epoch barrier. */
+/** What a shard reports to the coordinator's merge. */
 enum class ShardEventKind : std::uint8_t {
     Promote,   ///< page migrated one tier up (vpn, arg = dst node)
     Demote,    ///< page migrated one tier down (vpn, arg = dst node)
@@ -60,13 +63,23 @@ shardEventSenior(const ShardEvent &a, const ShardEvent &b)
     return a.seq < b.seq;
 }
 
+/** One shard's closed epoch: its events and where its clock ended. */
+struct ShardEpochSlice
+{
+    SimTime end = 0;                 ///< shard clock at the epoch's end
+    std::vector<ShardEvent> events;  ///< the epoch's events, append order
+};
+
 /**
- * Append-only event log owned by one shard. The owning sub-simulator
- * appends from its worker thread; the coordinator drains at the epoch
- * barrier (never concurrently — the barrier is the handoff point).
- * The sequence counter is monotonic across the whole run, not per
- * epoch, so replaying merged epochs back to back yields one totally
- * ordered stream.
+ * Append-only event log owned by one shard. Ownership follows the
+ * shard's claim: the thread running one of the shard's epochs appends
+ * and closes the epoch; the coordinator takes closed slices only after
+ * the workers have joined (never concurrently — the join is the
+ * handoff point). A shard may close several epochs before the
+ * coordinator takes any; slices come out oldest first. The sequence
+ * counter is monotonic across the whole run, not per epoch, so
+ * replaying merged epochs back to back yields one totally ordered
+ * stream.
  */
 class ShardEventLog
 {
@@ -81,13 +94,14 @@ class ShardEventLog
     append(ShardEventKind kind, SimTime time, std::uint64_t vpn,
            std::uint64_t arg)
     {
-        // Single-owner discipline: between barriers the log belongs to
-        // the shard's worker; at the barrier ownership hands off to
-        // the coordinator, which drains it (base/sync.hh ThreadRole).
+        // Single-owner discipline: the log belongs to whichever thread
+        // holds the shard's claim, and to the coordinator once the
+        // workers have joined (base/sync.hh ThreadRole).
         owner_.assertHeld();
         buf_.push_back({time, shard_, seq_++, kind, vpn, arg});
     }
 
+    /** Events appended since the last drain. */
     std::size_t
     size() const
     {
@@ -95,7 +109,7 @@ class ShardEventLog
         return buf_.size();
     }
 
-    /** Hand the epoch's events to the coordinator and reset the log. */
+    /** Hand out the events appended since the last drain; reset. */
     std::vector<ShardEvent>
     drain()
     {
@@ -105,13 +119,43 @@ class ShardEventLog
         return out;
     }
 
+    /**
+     * End the shard's current epoch at shard clock @p end: everything
+     * appended since the last drain becomes the epoch's slice.
+     */
+    void
+    closeEpoch(SimTime end)
+    {
+        owner_.assertHeld();
+        closed_.push_back({end, drain()});
+    }
+
+    /** Closed epochs not yet taken. */
+    std::size_t
+    closedEpochs() const
+    {
+        owner_.assertHeld();
+        return closed_.size();
+    }
+
+    /** Take the oldest closed epoch (closedEpochs() must be > 0). */
+    ShardEpochSlice
+    takeEpoch()
+    {
+        owner_.assertHeld();
+        ShardEpochSlice out = std::move(closed_.front());
+        closed_.pop_front();
+        return out;
+    }
+
   private:
     std::uint32_t shard_ = 0;
-    /** Barrier-passed ownership: worker between barriers, coordinator
-     *  at the barrier (see append). */
+    /** Claim-passed ownership: the claiming worker while an epoch
+     *  runs, the coordinator after the join (see append). */
     base::ThreadRole owner_;
     std::uint64_t seq_ MCLOCK_GUARDED_BY(owner_) = 0;
     std::vector<ShardEvent> buf_ MCLOCK_GUARDED_BY(owner_);
+    std::deque<ShardEpochSlice> closed_ MCLOCK_GUARDED_BY(owner_);
 };
 
 }  // namespace sim

@@ -1,6 +1,7 @@
 #include "sim/sharded.hh"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "base/logging.hh"
@@ -84,7 +85,7 @@ ShardedSimulator::ShardedSimulator(const MachineConfig &whole,
                    budget == 0
                        ? Simulator::kUnlimitedPromoteBudget
                        : std::max<std::uint64_t>(1, budget / shards));
-    active_.assign(shards, 1);
+    slots_.assign(shards, ShardSlot{});
     coordVmstat_.resize(sims_.front()->config().nodes.size());
     trace_.bindClock(&mergeClock_);
 }
@@ -98,59 +99,107 @@ ShardedSimulator::~ShardedSimulator()
         sim->bindShardLog(nullptr);
 }
 
-void
+bool
 ShardedSimulator::runEpochOn(unsigned s, std::uint64_t epoch,
                              std::uint64_t grant,
                              const EpochDriver &driver)
 {
-    // Worker-side: shard-local state plus this shard's active_ element
-    // only. The promotion grant arrives by value — reading grants_
-    // here would be a -Wthread-safety error (coordinator-guarded).
+    // Worker-side: shard-local state only. The promotion grant arrives
+    // by value — reading grants_ here would be a -Wthread-safety error
+    // (coordinator-guarded).
     sims_[s]->beginShardEpoch(epoch, grant);
-    active_[s] = driver(*sims_[s], s, epoch) ? 1 : 0;
+    const bool more = driver(*sims_[s], s, epoch);
+    logs_[s].closeEpoch(sims_[s]->now());
+    return more;
+}
+
+void
+ShardedSimulator::work(std::uint64_t phaseEnd,
+                       const std::vector<std::uint64_t> &grants,
+                       const EpochDriver &driver)
+{
+    const unsigned shards = this->shards();
+    unsigned s = shards;  // no claim held
+    std::uint64_t epoch = 0;
+    bool more = false;
+    for (;;) {
+        {
+            base::MutexLock lock(claimMu_);
+            if (s < shards) {
+                ShardSlot &done = slots_[s];
+                done.active = more;
+                done.busy = false;
+                done.next = epoch + 1;
+            }
+            // Claim the idle, active shard furthest behind (ties to the
+            // lowest shard). Nothing claimable means every remaining
+            // epoch of the phase belongs to a busy shard, whose worker
+            // claims on; so returning strands nothing.
+            s = shards;
+            for (unsigned t = 0; t < shards; ++t) {
+                const ShardSlot &slot = slots_[t];
+                if (slot.active && !slot.busy && slot.next < phaseEnd &&
+                    (s == shards || slot.next < slots_[s].next))
+                    s = t;
+            }
+            if (s == shards)
+                return;
+            slots_[s].busy = true;
+            epoch = slots_[s].next;
+        }
+        more = runEpochOn(s, epoch, grants[s], driver);
+    }
+}
+
+bool
+ShardedSimulator::anyActive()
+{
+    base::MutexLock lock(claimMu_);
+    return std::any_of(slots_.begin(), slots_.end(),
+                       [](const ShardSlot &slot) { return slot.active; });
 }
 
 void
 ShardedSimulator::run(const EpochDriver &driver)
 {
-    // run() is the coordinator: it owns the merge state between the
-    // join barriers it itself erects.
+    // run() is the coordinator: it owns the merge state, which no
+    // worker touches, and merges only after the workers it starts have
+    // joined.
     coordinator_.assertHeld();
-    const unsigned shards = this->shards();
-    std::uint64_t epoch = epochs_;
-    for (;;) {
-        bool any = false;
-        for (unsigned s = 0; s < shards; ++s)
-            any = any || active_[s];
-        if (!any)
-            break;
+    MCLOCK_ASSERT(anyActive(),
+                  "ShardedSimulator::run() called again after every "
+                  "shard finished");
 
-        // Static round-robin shard ownership: worker w drives shards
-        // w, w+W, ... in shard order, and the calling thread is worker
-        // 0 (width 1 starts no thread at all). No work queue, no shared
-        // mutable state below the join barrier: the epoch's grants are
-        // snapshotted here, before any helper starts, so workers never
-        // read coordinator-owned grants_, which a merge-path mutation
-        // could otherwise race.
+    // Grants depend on the merge only under a promote budget. Without
+    // one they never change, so every epoch runs in one phase and the
+    // helpers start once; with one, grant(e+1) needs merge(e), so each
+    // phase is one epoch.
+    const bool grantsFollowMerge = opts_.epochPromoteBudget > 0;
+    std::uint64_t epoch = epochs_;
+    do {
+        const std::uint64_t phaseEnd =
+            grantsFollowMerge ? epoch + 1
+                              : std::numeric_limits<std::uint64_t>::max();
+        // Snapshot the phase's grants before any helper starts, so
+        // workers never read coordinator-owned grants_, which the
+        // merge mutates.
         const std::vector<std::uint64_t> grants = grants_;
-        const auto drive = [this, epoch, &driver, &grants,
-                            shards](unsigned w) {
-            for (unsigned s = w; s < shards; s += workers_) {
-                if (active_[s])
-                    runEpochOn(s, epoch, grants[s], driver);
-            }
-        };
         {
             std::vector<std::jthread> helpers;
             helpers.reserve(workers_ - 1);
             for (unsigned w = 1; w < workers_; ++w)
-                helpers.emplace_back(drive, w);
-            drive(0);
-        }  // the helpers join here: the epoch barrier
+                helpers.emplace_back(
+                    [&] { work(phaseEnd, grants, driver); });
+            work(phaseEnd, grants, driver);
+        }  // the helpers join here: the end of the phase
 
-        mergeEpoch(epoch);
-        ++epoch;
-    }
+        // Merge every epoch the phase ran, oldest first.
+        while (std::any_of(logs_.begin(), logs_.end(),
+                           [](const ShardEventLog &log) {
+                               return log.closedEpochs() > 0;
+                           }))
+            mergeEpoch(epoch++);
+    } while (anyActive());
     epochs_ = epoch;
 }
 
@@ -159,21 +208,32 @@ ShardedSimulator::mergeEpoch(std::uint64_t epoch)
 {
     const unsigned shards = this->shards();
 
-    // Drain in shard order; each log is internally ordered already, so
-    // the sort below is a k-way merge with unique (time, shard, seq)
-    // keys — one total order, independent of drain or thread timing.
-    std::vector<ShardEvent> merged;
+    // Move each shard's slice of this epoch into events_ in shard
+    // order; each slice is internally ordered already, so the sort
+    // below is a k-way merge with unique (time, shard, seq) keys — one
+    // total order, independent of drain or thread timing. The clock is
+    // the epoch's makespan: a shard that has already stopped
+    // contributes its final clock.
+    const auto first = static_cast<std::ptrdiff_t>(events_.size());
+    SimTime clock = 0;
     for (unsigned s = 0; s < shards; ++s) {
-        auto drained = logs_[s].drain();
-        merged.insert(merged.end(), drained.begin(), drained.end());
+        if (logs_[s].closedEpochs() == 0) {
+            clock = std::max(clock, sims_[s]->now());
+            continue;
+        }
+        const ShardEpochSlice slice = logs_[s].takeEpoch();
+        clock = std::max(clock, slice.end);
+        events_.insert(events_.end(), slice.events.begin(),
+                       slice.events.end());
     }
-    std::sort(merged.begin(), merged.end(), shardEventSenior);
+    const auto merged = events_.begin() + first;
+    std::sort(merged, events_.end(), shardEventSenior);
+    const auto count = static_cast<std::uint64_t>(events_.end() - merged);
 
-    mergeClock_ = makespan();
-    coordVmstat_.add(stats::VmItem::PgshardMerge, kInvalidNode,
-                     merged.size());
+    mergeClock_ = clock;
+    coordVmstat_.add(stats::VmItem::PgshardMerge, kInvalidNode, count);
     trace_.record(stats::TraceEventType::ShardMerge, kInvalidNode, epoch,
-                  merged.size());
+                  count);
 
     // Seniority-weighted budget reallocation: the first B promotions
     // of the merged stream earn their shards the next epoch's credits
@@ -182,12 +242,12 @@ ShardedSimulator::mergeEpoch(std::uint64_t epoch)
     if (budget > 0) {
         std::vector<std::uint64_t> earned(shards, 0);
         std::uint64_t credited = 0;
-        for (const ShardEvent &ev : merged) {
-            if (ev.kind != ShardEventKind::Promote)
+        for (auto it = merged; it != events_.end(); ++it) {
+            if (it->kind != ShardEventKind::Promote)
                 continue;
             if (credited == budget)
                 break;
-            ++earned[ev.shard];
+            ++earned[it->shard];
             ++credited;
         }
         const std::uint64_t even =
@@ -197,8 +257,6 @@ ShardedSimulator::mergeEpoch(std::uint64_t epoch)
                              ? even
                              : std::max<std::uint64_t>(1, earned[s]);
     }
-
-    events_.insert(events_.end(), merged.begin(), merged.end());
 }
 
 SimTime

@@ -46,7 +46,7 @@ enum class TraceEventType : std::uint8_t {
     WatermarkCross,     ///< free count crossed low mark: arg0=free frames
     ShardEpoch,         ///< shard epoch begins: arg0=epoch,
                         ///< arg1=promote budget granted (0 = unlimited)
-    ShardMerge,         ///< epoch merge barrier: arg0=epoch,
+    ShardMerge,         ///< coordinator merged an epoch: arg0=epoch,
                         ///< arg1=events merged across shards
     MemcgReclaim,       ///< memcg hard-cap reclaim: arg0=cgroup id,
                         ///< arg1=pages demoted

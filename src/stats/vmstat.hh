@@ -74,7 +74,7 @@ enum class VmItem : std::uint8_t {
     KswapdWake,        ///< pressure handler invocations (kswapd wakes)
     KpromotedWake,     ///< promotion daemon invocations
     WatermarkLowCross, ///< node free count newly dipped below low
-    PgshardMerge,      ///< cross-shard events merged at epoch barriers
+    PgshardMerge,      ///< cross-shard events merged, epoch by epoch
     ShardEpoch,        ///< shard epochs executed (per shard + global)
     PgpromoteDeferred, ///< promotions deferred by an exhausted epoch budget
     MemcgLimitReclaim, ///< pages demoted by memcg hard-cap reclaim

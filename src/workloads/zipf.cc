@@ -41,6 +41,7 @@ void
 ZipfianGenerator::computeConstants()
 {
     zeta2Theta_ = zetaStatic(0, 2, theta_, 0.0);
+    rankOneBound_ = 1.0 + std::pow(0.5, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(items_),
                            1.0 - theta_)) /
@@ -67,7 +68,7 @@ ZipfianGenerator::next(Rng &rng)
     const double uz = u * zetaN_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rankOneBound_)
         return 1;
     const auto rank = static_cast<std::uint64_t>(
         static_cast<double>(items_) *

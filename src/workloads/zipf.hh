@@ -43,6 +43,8 @@ class ZipfianGenerator
     std::uint64_t zetaComputedTo_;
     double alpha_;
     double zeta2Theta_;
+    /** u * zeta(n) below this (and >= 1) draws rank 1: 1 + 0.5^theta. */
+    double rankOneBound_;
     double eta_;
 };
 

@@ -15,7 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/units.hh"
@@ -143,8 +147,12 @@ TEST(ShardMachineTest, RemainderPagesConserveCapacity)
 
 /**
  * Small-but-busy sharded run: each shard streams a strided workload
- * ~2x its DRAM slice so promotions and demotions actually flow.
- * Returns the full observable state as a comparable string.
+ * ~2x its DRAM slice so promotions and demotions actually flow. Shards
+ * carry unequal work and live unequally long (shard s stops after
+ * epoch 3 + s), so without a budget the scheduler lets some shards run
+ * epochs ahead of others. Returns the full observable state — the
+ * coordinator trace included, whose `shard_merge` clocks the merge
+ * has to rebuild from per-epoch shard clocks — as a comparable string.
  */
 std::string
 runFingerprint(unsigned workers, std::uint64_t budget)
@@ -169,11 +177,11 @@ runFingerprint(unsigned workers, std::uint64_t budget)
         // Shards touch different strides so their event streams differ
         // (a symmetric workload would hide ordering bugs).
         const std::size_t pages = 1_MiB / kPageSize;
-        for (std::size_t i = 0; i < pages * 4; ++i) {
+        for (std::size_t i = 0; i < pages * (2 + s); ++i) {
             const std::size_t page = (i * (s + 1) + epoch) % pages;
             sim.read(bases[s] + page * kPageSize);
         }
-        return epoch < 5;
+        return epoch < 3 + s;
     });
 
     std::string fp;
@@ -189,6 +197,11 @@ runFingerprint(unsigned workers, std::uint64_t budget)
     }
     for (const auto &[key, value] : host.mergedVmstat().snapshot())
         fp += "\n" + key + "=" + std::to_string(value);
+    for (const auto &ev : host.trace().events()) {
+        fp += "\ntrace " + std::to_string(static_cast<int>(ev.type)) +
+              "@" + std::to_string(ev.time) + "/" +
+              std::to_string(ev.arg0) + "/" + std::to_string(ev.arg1);
+    }
     const Metrics merged = host.mergedMetrics();
     fp += "\naccesses=" + std::to_string(merged.totalAccesses());
     return fp;
@@ -197,7 +210,7 @@ runFingerprint(unsigned workers, std::uint64_t budget)
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesResults)
 {
     const std::string w1 = runFingerprint(1, 0);
-    // Width 3 over 4 shards: the calling thread owns shards 0 and 3.
+    // Width 3 over 4 shards: one worker always runs two shards' epochs.
     const std::string w3 = runFingerprint(3, 0);
     const std::string w4 = runFingerprint(4, 0);
     const std::string w8 = runFingerprint(8, 0);  // clamps to 4 shards
@@ -206,6 +219,8 @@ TEST(ShardedSimulatorTest, WorkerCountNeverChangesResults)
     EXPECT_EQ(w1, w8);
     // The run did real tiering work, or this test proves nothing.
     EXPECT_NE(w1.find("pgpromote_success"), std::string::npos);
+    EXPECT_NE(w1.find("epochs=7 "), std::string::npos);
+    EXPECT_NE(w1.find("\ntrace "), std::string::npos);
 }
 
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesBudgetedResults)
@@ -213,8 +228,154 @@ TEST(ShardedSimulatorTest, WorkerCountNeverChangesBudgetedResults)
     const std::string w1 = runFingerprint(1, 8);
     const std::string w3 = runFingerprint(3, 8);
     const std::string w4 = runFingerprint(4, 8);
+    const std::string w8 = runFingerprint(8, 8);
     EXPECT_EQ(w1, w3);
     EXPECT_EQ(w1, w4);
+    EXPECT_EQ(w1, w8);
+    EXPECT_NE(w1.find("pgpromote_success"), std::string::npos);
+}
+
+TEST(ShardedSimulatorTest, MergeClockIsEachEpochsMakespan)
+{
+    // Without a budget every merge runs after shards have raced ahead,
+    // so each `shard_merge` clock must come from the shards' clocks at
+    // the end of *that* epoch (a stopped shard keeps its final clock),
+    // never from where the shards stand when the merge runs.
+    constexpr unsigned kShards = 3;
+    MachineConfig whole;
+    whole.nodes = {{TierKind::Dram, 1_MiB}, {TierKind::Pmem, 4_MiB}};
+    ShardOptions opts;
+    opts.shards = kShards;
+    opts.workers = 3;
+    ShardedSimulator host(whole, opts);
+    std::vector<Vaddr> bases;
+    for (unsigned s = 0; s < host.shards(); ++s) {
+        host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
+        bases.push_back(host.shard(s).mmap(256_KiB));
+    }
+    const std::uint64_t lastEpoch[kShards] = {4, 5, 2};
+    std::vector<std::vector<SimTime>> ends(kShards);  // per-shard slots
+    host.run([&](Simulator &sim, unsigned s, std::uint64_t epoch) {
+        // Shard 2 runs the fewest epochs but the most work each, so
+        // its final clock is the makespan of epochs it never ran.
+        const std::size_t pages = 256_KiB / kPageSize;
+        for (std::size_t i = 0; i < pages * (1 + 8 * (s == 2)); ++i)
+            sim.read(bases[s] + ((i + epoch) % pages) * kPageSize);
+        ends[s].push_back(sim.now());
+        return epoch < lastEpoch[s];
+    });
+    ASSERT_EQ(host.epochs(), 6u);
+    std::vector<SimTime> expected;
+    for (std::uint64_t e = 0; e < host.epochs(); ++e) {
+        SimTime t = 0;
+        for (const auto &shard : ends)
+            t = std::max(t, shard[std::min<std::size_t>(e, shard.size() - 1)]);
+        expected.push_back(t);
+    }
+    std::vector<SimTime> got;
+    for (const auto &ev : host.trace().events()) {
+        if (ev.type == stats::TraceEventType::ShardMerge) {
+            EXPECT_EQ(ev.arg0, got.size());
+            got.push_back(ev.time);
+        }
+    }
+    EXPECT_EQ(got, expected);
+    // The run is lopsided enough that the final makespan would differ.
+    EXPECT_LT(expected.front(), host.makespan());
+}
+
+TEST(ShardedSimulatorTest, GovernedEpochsNeverOverlap)
+{
+    // Under a promote budget, grant(e+1) depends on merge(e): no shard
+    // may start epoch e+1 before every shard has finished epoch e.
+    constexpr unsigned kShards = 4;
+    constexpr std::uint64_t kEpochs = 6;
+    MachineConfig whole;
+    whole.nodes = {{TierKind::Dram, 1_MiB}, {TierKind::Pmem, 4_MiB}};
+    ShardOptions opts;
+    opts.shards = kShards;
+    opts.workers = 4;
+    opts.epochPromoteBudget = 4;
+    ShardedSimulator host(whole, opts);
+    std::vector<Vaddr> bases;
+    for (unsigned s = 0; s < host.shards(); ++s) {
+        host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
+        bases.push_back(host.shard(s).mmap(256_KiB));
+    }
+    std::array<std::atomic<unsigned>, kEpochs> finished{};
+    std::atomic<unsigned> early{0};
+    host.run([&](Simulator &sim, unsigned s, std::uint64_t epoch) {
+        if (epoch > 0 && finished[epoch - 1].load() != kShards)
+            early.fetch_add(1);
+        // Unequal work, so a free-running schedule would overlap.
+        const std::size_t pages = 256_KiB / kPageSize;
+        for (std::size_t i = 0; i < pages * (1 + 3 * s); ++i)
+            sim.read(bases[s] + (i % pages) * kPageSize);
+        finished[epoch].fetch_add(1);
+        return epoch + 1 < kEpochs;
+    });
+    EXPECT_EQ(early.load(), 0u);
+    EXPECT_EQ(host.epochs(), kEpochs);
+    for (const auto &count : finished)
+        EXPECT_EQ(count.load(), kShards);
+}
+
+TEST(ShardedSimulatorTest, UngovernedShardsRunAheadOfOtherShards)
+{
+    // Without a budget nothing flows back from the merge, so there is
+    // no per-epoch barrier: shard 1 holds its epoch 0 open until shard
+    // 0 has started epoch 1, which a lock-stepped schedule never lets
+    // happen (the wait would time out).
+    MachineConfig whole;
+    whole.nodes = {{TierKind::Dram, 1_MiB}, {TierKind::Pmem, 2_MiB}};
+    ShardOptions opts;
+    opts.shards = 2;
+    opts.workers = 2;
+    ShardedSimulator host(whole, opts);
+    for (unsigned s = 0; s < host.shards(); ++s)
+        host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
+    std::atomic<bool> shard0Ahead{false};
+    bool sawAhead = false;  // written by shard 1's driver only
+    host.run([&](Simulator &, unsigned s, std::uint64_t epoch) {
+        if (s == 0) {
+            if (epoch == 1)
+                shard0Ahead.store(true);
+            return epoch < 1;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (!shard0Ahead.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        sawAhead = shard0Ahead.load();
+        return false;
+    });
+    EXPECT_TRUE(sawAhead);
+    EXPECT_EQ(host.epochs(), 2u);
+}
+
+TEST(ShardedSimulatorTest, RunAfterAllShardsFinishedPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MachineConfig whole;
+    whole.nodes = {{TierKind::Dram, 1_MiB}, {TierKind::Pmem, 2_MiB}};
+    ShardOptions opts;
+    opts.shards = 2;
+    ShardedSimulator host(whole, opts);
+    for (unsigned s = 0; s < host.shards(); ++s)
+        host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
+    unsigned calls = 0;
+    host.run([&](Simulator &, unsigned, std::uint64_t) {
+        ++calls;
+        return false;
+    });
+    EXPECT_EQ(calls, 2u);
+    // Every shard has finished, so a second run() has nothing to do:
+    // it must fail loudly instead of returning as if it had run.
+    EXPECT_DEATH(host.run([](Simulator &, unsigned, std::uint64_t) {
+        return true;
+    }),
+                 "every shard finished");
 }
 
 TEST(ShardedSimulatorTest, MergedEventsAreInSeniorityOrderPerEpoch)
@@ -333,7 +494,7 @@ TEST(ShardedSimulatorTest, CoordinatorCountsMergesAndEpochs)
     EXPECT_EQ(host.epochs(), 3u);
     const auto snapshot = host.mergedVmstat().snapshot();
     // One shard_epoch per (shard, epoch); one pgshard_merge event total
-    // count accumulated at the barriers (counted even when zero events
+    // count accumulated at the merges (counted even when zero events
     // merged — the *merge* happened).
     EXPECT_EQ(snapshot.at("shard_epoch"), 6u);
     ASSERT_TRUE(snapshot.count("pgshard_merge"));

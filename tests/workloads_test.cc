@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
@@ -70,6 +72,86 @@ TEST(ZipfTest, ItemCountGrowth)
             sawHigh = true;
     }
     EXPECT_TRUE(sawHigh);
+}
+
+/**
+ * The YCSB zipfian draw with every constant recomputed per draw, kept
+ * as the reference the generator's precomputed constants must
+ * reproduce bit for bit.
+ */
+class ReferenceZipf
+{
+  public:
+    ReferenceZipf(std::uint64_t n, double theta)
+        : items_(n), theta_(theta), zetaN_(zeta(0, n, 0.0))
+    {
+    }
+
+    void
+    grow(std::uint64_t n)
+    {
+        zetaN_ = zeta(items_, n, zetaN_);
+        items_ = n;
+    }
+
+    std::uint64_t
+    next(Rng &rng) const
+    {
+        const double zeta2 = zeta(0, 2, 0.0);
+        const double alpha = 1.0 / (1.0 - theta_);
+        const double eta =
+            (1.0 - std::pow(2.0 / static_cast<double>(items_),
+                            1.0 - theta_)) /
+            (1.0 - zeta2 / zetaN_);
+        const double u = rng.nextDouble();
+        const double uz = u * zetaN_;
+        if (uz < 1.0)
+            return 0;
+        if (uz < 1.0 + std::pow(0.5, theta_))
+            return 1;
+        const auto rank = static_cast<std::uint64_t>(
+            static_cast<double>(items_) *
+            std::pow(eta * u - eta + 1.0, alpha));
+        return std::min(rank, items_ - 1);
+    }
+
+  private:
+    double
+    zeta(std::uint64_t st, std::uint64_t n, double initial) const
+    {
+        double sum = initial;
+        for (std::uint64_t i = st; i < n; ++i)
+            sum += 1.0 / std::pow(static_cast<double>(i + 1), theta_);
+        return sum;
+    }
+
+    std::uint64_t items_;
+    double theta_;
+    double zetaN_;
+};
+
+TEST(ZipfTest, MatchesPerDrawReferenceFormula)
+{
+    for (const double theta : {0.5, 0.8, 0.99}) {
+        ZipfianGenerator zipf(1000, theta);
+        ReferenceZipf ref(1000, theta);
+        Rng rng(11), refRng(11);
+        std::uint64_t ones = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            if (i % 250000 == 0 && i > 0) {
+                // Growth re-derives the constants from the new zeta.
+                const std::uint64_t n = zipf.itemCount() * 3;
+                zipf.setItemCount(n);
+                ref.grow(n);
+            }
+            const std::uint64_t got = zipf.next(rng);
+            ASSERT_EQ(got, ref.next(refRng))
+                << "theta " << theta << " draw " << i;
+            ones += got == 1 ? 1 : 0;
+        }
+        // The rank-one branch was exercised, not just the tail.
+        EXPECT_GT(ones, 1000u) << theta;
+    }
 }
 
 TEST(ZipfTest, ScrambledSpreadsHotKeys)
