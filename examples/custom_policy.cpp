@@ -79,12 +79,9 @@ class SecondChancePromoter : public policies::TieringPolicy
                     if (sim_->promotePage(
                             pg,
                             sim::Simulator::ChargeMode::Background)) {
-                        pg->setActive(true);
-                        sim_->memory()
-                            .node(pg->node())
-                            .lists()
-                            .add(pg, pfra::NodeLists::activeKind(
-                                         pg->isAnon()));
+                        // Fig. 4 arrival: hot on the DRAM active list.
+                        policies::placeMigrated(*sim_, pg,
+                                                /*active=*/true);
                         continue;
                     }
                     lists.add(pg, kind);

@@ -192,10 +192,7 @@ Kpromoted::shrinkPromoteList(sim::Node &node, bool anon, std::size_t budget,
         if (ok) {
             // Arrive hot on the upper tier's active list.
             pg->setPromoteFlag(false);
-            pg->setReferenced(false);
-            pg->setActive(true);
-            mem.node(pg->node()).lists().add(
-                pg, pfra::NodeLists::activeKind(anon));
+            policies::placeMigrated(sim_, pg, /*active=*/true);
             ++promotedNow;
         } else {
             // Not migratable (e.g. locked, or no space even after

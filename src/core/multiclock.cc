@@ -95,7 +95,6 @@ MultiClockPolicy::lowProtectionFilter(TierRank tier) const
 void
 MultiClockPolicy::handlePressure(sim::Node &node)
 {
-    auto &mem = sim_->memory();
     Kpromoted &kp = *kpromoted_[static_cast<std::size_t>(node.id())];
 
     // Step 1: promote-list pages first attempt to migrate up; failures
@@ -108,49 +107,17 @@ MultiClockPolicy::handlePressure(sim::Node &node)
     // Step 2: rebalance the active:inactive ratio.
     for (bool anon : {true, false}) {
         const auto stats = pfra::balanceActiveInactive(
-            node.lists(), anon, cfg_.pressureBudget,
-            node.inactiveRatio());
+            node.lists(), anon, kPressureBudget, node.inactiveRatio());
         sim_->chargeScan(stats.scanned);
     }
 
     // Step 3: demote unreferenced inactive-tail pages one tier down; on
     // the lowest tier, write back to block storage instead. Tenants at
     // or below their memcg "low" floor are spared on the first pass.
-    TierRank down;
-    const bool hasLower = mem.lowerTier(node.tier(), down);
     const pfra::PageFilter spare = lowProtectionFilter(node.tier());
-    std::size_t remaining = cfg_.pressureBudget;
-    bool progress = true;
-    while (!node.aboveHigh() && remaining > 0 && progress) {
-        progress = false;
-        for (bool anon : {false, true}) {
-            std::vector<Page *> victims;
-            const std::size_t chunk = std::min<std::size_t>(remaining, 64);
-            if (chunk == 0)
-                break;
-            auto stats = pfra::collectInactiveCandidates(
-                node.lists(), anon, chunk, victims, spare);
-            if (victims.empty() && spare && stats.rotated > 0) {
-                // Only protected pages at the tail: low is a soft
-                // floor, so it yields rather than stalling reclaim.
-                stats.merge(pfra::collectInactiveCandidates(
-                    node.lists(), anon, chunk, victims));
-            }
-            sim_->chargeScan(stats.scanned);
-            remaining -= std::min<std::size_t>(
-                remaining, stats.scanned ? stats.scanned : 1);
-            for (Page *pg : victims) {
-                progress = true;
-                if (hasLower && sim_->demotePage(pg, sim::Simulator::ChargeMode::Background)) {
-                    pg->setActive(false);
-                    pg->setReferenced(false);
-                    mem.node(pg->node()).lists().add(
-                        pg, pfra::NodeLists::inactiveKind(anon));
-                } else {
-                    sim_->evictPage(pg);
-                }
-            }
-        }
+    std::size_t remaining = kPressureBudget;
+    while (!node.aboveHigh() && remaining > 0 &&
+           reclaimPass(node, remaining, spare)) {
     }
 }
 
@@ -186,10 +153,7 @@ MultiClockPolicy::demoteFromTier(TierRank tier, std::size_t target)
                 if (idle && demoted < target &&
                     sim_->demotePage(
                         pg, sim::Simulator::ChargeMode::Background)) {
-                    pg->setActive(false);
-                    pg->setReferenced(false);
-                    mem.node(pg->node()).lists().add(
-                        pg, pfra::NodeLists::inactiveKind(anon));
+                    policies::placeMigrated(*sim_, pg, /*active=*/false);
                     ++demoted;
                 } else {
                     // Still warm, out of budget, or no space below:

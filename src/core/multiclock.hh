@@ -50,8 +50,6 @@ struct MultiClockConfig
      * promote/demote churn when the hot set far exceeds DRAM.
      */
     std::size_t promoteBudget = 64;
-    /** Page budget per pressure-handler invocation. */
-    std::size_t pressureBudget = 2048;
 };
 
 /** The MULTI-CLOCK tiering policy. */

@@ -166,7 +166,8 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
             result.appOps += rec.perfAppOps;
             result.simAccesses += rec.perfSimAccesses;
         }
-        result.output = e.scenario->reduce(opts.context, e.records);
+        result.output = mergeRecords(e.units, e.records);
+        e.scenario->reduce(opts.context, e.records, result.output);
         result.wallSeconds = secondsSince(e.start);
         if (!opts.quiet) {
             std::fputs(result.output.text.c_str(), stdout);

@@ -6,9 +6,10 @@
  * data: a Scenario names the workload, the policies compared, the
  * default seed, and two functions — expand(), which turns the scenario
  * into independent RunUnits (one Simulator instance each, safe to
- * execute on any thread), and reduce(), which assembles the units'
- * records into human-readable text, CSV artifacts, and a flat metric
- * summary used by the golden-run regression suite.
+ * execute on any thread), and reduce(), which adds the scenario's
+ * human-readable table, CSV artifacts, and derived summary keys to the
+ * runner's merge of the units' records (the flat metric summary used
+ * by the golden-run regression suite).
  *
  * Determinism contract: a unit must derive all randomness from the
  * RunContext (seed + params), must not touch global mutable state, and
@@ -200,18 +201,21 @@ struct Scenario
     std::function<std::vector<RunUnit>(const RunContext &)> expand;
 
     /**
-     * Assemble unit records (in expand order) into the final output.
+     * Add the scenario's own text, CSV artifacts and derived summary
+     * keys to @p out, which the runner has already filled with
+     * mergeRecords() of the units. @p records are in expand order.
      * Runs single-threaded after every unit of the scenario finished.
      */
-    std::function<ScenarioOutput(const RunContext &,
-                                 const std::vector<RunRecord> &)>
+    std::function<void(const RunContext &, const std::vector<RunRecord> &,
+                       ScenarioOutput &out)>
         reduce;
 };
 
 /**
- * Default reduce: concatenates unit texts, forwards artifacts, and
- * merges metrics as "<unit>.<metric>". Scenario reducers typically call
- * this first and then add their cross-unit table/CSV.
+ * The runner's merge of a scenario's unit records, before reduce():
+ * concatenates unit texts, forwards artifacts, and merges metrics as
+ * "<unit>.<metric>" (plus vmstat, violations, tenant metrics and stats
+ * artifacts under the same unit prefix).
  */
 ScenarioOutput mergeRecords(const std::vector<RunUnit> &units,
                             const std::vector<RunRecord> &records);

@@ -55,13 +55,12 @@ inline void
 applyStatsContext(sim::MachineConfig &machine, const RunContext &ctx)
 {
     machine.stats.sampler = ctx.stats;
-    machine.stats.artifacts = ctx.stats;
 }
 
 /**
  * Run the shared invariant suite, file violations on the record, and
  * export the vmstat snapshot (plus trace/sampler artifacts in stats
- * mode).
+ * mode, i.e. when applyStatsContext() registered the sampler).
  */
 inline void
 checkRunInvariants(sim::Simulator &sim, RunRecord &rec)
@@ -71,10 +70,9 @@ checkRunInvariants(sim::Simulator &sim, RunRecord &rec)
     rec.vmstat = sim.vmstat().snapshot();
     rec.perfAppOps += sim.appOps();
     rec.perfSimAccesses += sim.metrics().totalAccesses();
-    if (sim.config().stats.artifacts) {
+    if (sim.sampler()) {
         rec.traceEvents = sim.trace().events();
-        if (sim.sampler())
-            rec.samplerCsv = sim.sampler()->toCsv();
+        rec.samplerCsv = sim.sampler()->toCsv();
     }
 }
 

@@ -98,13 +98,11 @@ addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
 }
 
 /** Shared reduce: policy x rate table + CSV. */
-ScenarioOutput
-faultinjReduce(const Scenario &sc, const RunContext &ctx,
-               const std::vector<RunRecord> &records, const char *metric,
+void
+faultinjReduce(const Scenario &sc, const std::vector<RunRecord> &records,
+               ScenarioOutput &out, const char *metric,
                const char *metricLabel, const char *csvName)
 {
-    ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-    out.text.clear();
     appendf(out.text, "=== %s ===\n", sc.title.c_str());
     appendf(out.text, "%-12s %6s %10s %11s %8s %8s %9s %9s %8s\n",
             "policy", "rate%", metricLabel, "promotions", "aborts",
@@ -147,7 +145,6 @@ faultinjReduce(const Scenario &sc, const RunContext &ctx,
             "collapse at 40%%).\nwrote %s\n",
             csvName);
     out.artifacts.push_back({csvName, csv.str()});
-    return out;
 }
 
 // --- YCSB-A under injected migration faults ----------------------------
@@ -195,10 +192,11 @@ faultinjYcsbScenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        return faultinjReduce(sc, ctx, records, "kops", "kops/s",
-                              "faultinj_ycsb_a.csv");
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
+        faultinjReduce(sc, records, out, "kops", "kops/s",
+                       "faultinj_ycsb_a.csv");
     };
     return sc;
 }
@@ -244,10 +242,11 @@ faultinjPagerankScenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        return faultinjReduce(sc, ctx, records, "seconds", "seconds",
-                              "faultinj_pagerank.csv");
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
+        faultinjReduce(sc, records, out, "seconds", "seconds",
+                       "faultinj_pagerank.csv");
     };
     return sc;
 }

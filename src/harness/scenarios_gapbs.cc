@@ -72,9 +72,8 @@ fig06Scenario()
         return units;
     };
     sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         const auto cfg = fig06Config(ctx);
         appendf(out.text,
                 "=== Fig. 6: GAPBS avg execution time per trial, "
@@ -113,7 +112,6 @@ fig06Scenario()
                 "\nwrote fig06_gapbs_tiering.csv (execution time "
                 "normalised to static)\n");
         out.artifacts.push_back({"fig06_gapbs_tiering.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -236,10 +234,9 @@ fig07Scenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [](const RunContext &,
+                   const std::vector<RunRecord> &records,
+                   ScenarioOutput &out) {
         const double staticTput = records[0].metrics.at("tput_a");
         const double mclockTput = records[1].metrics.at("tput_a");
         const double mmTput = records[2].metrics.at("tput_a");
@@ -276,7 +273,6 @@ fig07Scenario()
                       std::to_string(mmPr / staticPr)});
         appendf(out.text, "\nwrote fig07_memory_mode.csv\n");
         out.artifacts.push_back({"fig07_memory_mode.csv", csv.str()});
-        return out;
     };
     return sc;
 }

@@ -229,10 +229,9 @@ shardScenario(const std::string &name, const std::string &title,
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text, "=== %s ===\n", sc.title.c_str());
         appendf(out.text, "%u shards; worker threads change wall-clock "
                           "only, never these numbers.\n",
@@ -270,7 +269,6 @@ shardScenario(const std::string &name, const std::string &title,
         }
         appendf(out.text, "wrote %s.csv\n", sc.name.c_str());
         out.artifacts.push_back({sc.name + ".csv", csv.str()});
-        return out;
     };
     return sc;
 }

@@ -354,10 +354,9 @@ noisyNeighborScenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text, "=== %s ===\n", sc.title.c_str());
         appendf(out.text,
                 "%u shards; victim p99 is exact (merged discrete "
@@ -415,7 +414,6 @@ noisyNeighborScenario()
         }
         appendf(out.text, "wrote %s.csv\n", sc.name.c_str());
         out.artifacts.push_back({sc.name + ".csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -592,10 +590,9 @@ churnScenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text, "=== %s ===\n", sc.title.c_str());
         appendf(out.text,
                 "%llu waves x %llu-epoch lifetimes over %u shards\n",
@@ -615,7 +612,6 @@ churnScenario()
                     m.at("demotions"), m.at("slot_releases"),
                     m.at("leaked_charges"));
         }
-        return out;
     };
     return sc;
 }

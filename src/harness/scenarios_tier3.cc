@@ -109,13 +109,11 @@ runTier3Ycsb(const std::string &policy, const Tier3YcsbProfile &p,
 constexpr const char *kTierLabels[3] = {"dram", "cxl", "pm"};
 
 /** Shared reduce body: policy table with per-tier access breakdown. */
-ScenarioOutput
-tier3Reduce(const Scenario &sc, const RunContext &ctx,
-            const std::vector<RunRecord> &records, const char *metric,
+void
+tier3Reduce(const Scenario &sc, const std::vector<RunRecord> &records,
+            ScenarioOutput &out, const char *metric,
             const char *metricLabel, const char *csvName)
 {
-    ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-    out.text.clear();
     appendf(out.text, "=== %s ===\n", sc.title.c_str());
     appendf(out.text, "%-12s %10s", "policy", metricLabel);
     for (int t = 0; t < 3; ++t)
@@ -155,7 +153,6 @@ tier3Reduce(const Scenario &sc, const RunContext &ctx,
             "dynamic policies shift accesses up-rank.\nwrote %s\n",
             csvName);
     out.artifacts.push_back({csvName, csv.str()});
-    return out;
 }
 
 Scenario
@@ -179,10 +176,11 @@ tier3YcsbScenario(const char *name, const char *title,
         return units;
     };
     const std::string csvStr = csvName;
-    sc.reduce = [sc, csvStr](const RunContext &ctx,
-                             const std::vector<RunRecord> &records) {
-        return tier3Reduce(sc, ctx, records, "kops", "kops/s",
-                           csvStr.c_str());
+    sc.reduce = [sc, csvStr](const RunContext &,
+                             const std::vector<RunRecord> &records,
+                             ScenarioOutput &out) {
+        tier3Reduce(sc, records, out, "kops", "kops/s",
+                    csvStr.c_str());
     };
     return sc;
 }
@@ -241,10 +239,11 @@ tier3PagerankScenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        return tier3Reduce(sc, ctx, records, "seconds", "seconds",
-                           "tier3_pagerank.csv");
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
+        tier3Reduce(sc, records, out, "seconds", "seconds",
+                    "tier3_pagerank.csv");
     };
     return sc;
 }

@@ -112,9 +112,8 @@ fig01Scenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
+    sc.reduce = [](const RunContext &, const std::vector<RunRecord> &,
+                   ScenarioOutput &out) {
         std::string head;
         appendf(head, "=== Fig. 1: page access heatmaps "
                       "(50 sampled pages x time) ===\n");
@@ -123,7 +122,6 @@ fig01Scenario()
                 "\nExpected shape: rows split into always-hot "
                 "(DRAM-friendly), sparse (infrequent), and bimodal "
                 "phase-hot (Tier-friendly) pages.\n");
-        return out;
     };
     return sc;
 }
@@ -161,10 +159,9 @@ fig02Scenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [](const RunContext &,
+                   const std::vector<RunRecord> &records,
+                   ScenarioOutput &out) {
         appendf(out.text,
                 "=== Fig. 2: accesses in the performance window, by "
                 "observation-window frequency class ===\n");
@@ -193,7 +190,6 @@ fig02Scenario()
                 "\nExpected shape: multi >> single for every workload "
                 "(the paper's Fig. 2).\nwrote fig02_frequency.csv\n");
         out.artifacts.push_back({"fig02_frequency.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -239,10 +235,9 @@ tab01Scenario()
         }});
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        return mergeRecords(sc.expand(ctx), records);
-    };
+    // The merged unit texts are the whole table.
+    sc.reduce = [](const RunContext &, const std::vector<RunRecord> &,
+                   ScenarioOutput &) {};
     return sc;
 }
 

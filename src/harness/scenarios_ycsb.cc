@@ -126,9 +126,8 @@ fig05Scenario()
         return units;
     };
     sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         const auto p = ycsbProfile(ctx, 1200000, 60000);
         appendf(out.text,
                 "=== Fig. 5: YCSB throughput normalised to static "
@@ -164,7 +163,7 @@ fig05Scenario()
                 const double norm =
                     baseline[j] > 0.0 ? tput[j] / baseline[j] : 0.0;
                 appendf(out.text, " %8.3f", norm);
-                row.push_back(std::to_string(tput[j] / baseline[j]));
+                row.push_back(std::to_string(norm));
             }
             appendf(out.text, "\n");
             csv.writeRow(row);
@@ -173,7 +172,6 @@ fig05Scenario()
                 "\nwrote fig05_ycsb_tiering.csv (values normalised to "
                 "static)\n");
         out.artifacts.push_back({"fig05_ycsb_tiering.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -222,10 +220,9 @@ fig08Scenario()
     sc.expand = [](const RunContext &ctx) {
         return windowUnits(ctx, 4000000, 120000);
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text,
                 "=== Fig. 8: pages promoted per 20 s (scaled) window, "
                 "YCSB-A ===\n");
@@ -257,7 +254,6 @@ fig08Scenario()
                 "\nExpected shape: Nimble promotes more pages than "
                 "MULTI-CLOCK.\nwrote fig08_promotions.csv\n");
         out.artifacts.push_back({"fig08_promotions.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -274,10 +270,9 @@ fig09Scenario()
     sc.expand = [](const RunContext &ctx) {
         return windowUnits(ctx, 4000000, 120000);
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text,
                 "=== Fig. 9: re-access %% of recently promoted pages "
                 "per 20 s (scaled) window, YCSB-A ===\n");
@@ -325,7 +320,6 @@ fig09Scenario()
                 "Nimble's (paper: ~15 points).\n"
                 "wrote fig09_reaccess.csv\n");
         out.artifacts.push_back({"fig09_reaccess.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -369,10 +363,9 @@ fig10Scenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text,
                 "=== Fig. 10: scan-interval sensitivity, YCSB-A "
                 "throughput (kops/s) ===\n");
@@ -393,7 +386,6 @@ fig10Scenario()
                 "cadence is scaled by 1/%.0f)\n", kTimeScale);
         appendf(out.text, "wrote fig10_scan_interval.csv\n");
         out.artifacts.push_back({"fig10_scan_interval.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -423,9 +415,8 @@ ablationPromoteListScenario()
         return units;
     };
     sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         const auto workload = static_cast<workloads::YcsbWorkload>(
             ctx.param("workload", 0));
         appendf(out.text,
@@ -464,7 +455,6 @@ ablationPromoteListScenario()
         appendf(out.text, "\nwrote ablation_promote_list.csv\n");
         out.artifacts.push_back(
             {"ablation_promote_list.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -488,10 +478,9 @@ ablationTrackingCostScenario()
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text,
                 "=== Ablation D2: access-tracking mechanism cost "
                 "(YCSB-A) ===\n");
@@ -530,7 +519,6 @@ ablationTrackingCostScenario()
                 "background scans.\nwrote ablation_tracking_cost.csv\n");
         out.artifacts.push_back(
             {"ablation_tracking_cost.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -584,9 +572,8 @@ ablationRatioScenario()
         return units;
     };
     sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text,
                 "=== Ablation D4: DRAM:PM ratio sweep (YCSB-A, "
                 "fixed footprint) ===\n");
@@ -610,7 +597,6 @@ ablationRatioScenario()
                 "DRAM becomes scarcer, until DRAM is too small to hold "
                 "the hot set.\nwrote ablation_ratio.csv\n");
         out.artifacts.push_back({"ablation_ratio.csv", csv.str()});
-        return out;
     };
     return sc;
 }
@@ -663,9 +649,8 @@ ablationLlcScenario()
         return units;
     };
     sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
         appendf(out.text,
                 "=== Ablation: LLC size vs tiering benefit (YCSB-A) "
                 "===\n");
@@ -689,7 +674,6 @@ ablationLlcScenario()
                 "band, the smaller the benefit of page placement.\n"
                 "wrote ablation_llc.csv\n");
         out.artifacts.push_back({"ablation_llc.csv", csv.str()});
-        return out;
     };
     return sc;
 }

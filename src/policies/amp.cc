@@ -85,7 +85,7 @@ AmpPolicy::tick(SimTime now)
 
     std::size_t promoted = 0;
     for (Page *pg : candidates) {
-        if (promoted >= cfg_.promoteBatch)
+        if (promoted >= kPromoteBatch)
             break;
         // Skip pages with no signal at all (never accessed).
         if (mode_ != AmpMode::Random && pg->accessCount() == 0)
@@ -105,59 +105,27 @@ AmpPolicy::tick(SimTime now)
                 pg, sim::Simulator::ChargeMode::Background);
         }
         if (ok) {
-            pg->setActive(true);
-            pg->setReferenced(false);
-            mem.node(pg->node()).lists().add(
-                pg, pfra::NodeLists::activeKind(pg->isAnon()));
+            placeMigrated(*sim_, pg, /*active=*/true);
             ++promoted;
         } else {
             lists.add(pg, pfra::NodeLists::activeKind(pg->isAnon()));
         }
     }
 
-    if (cfg_.decayCounts) {
-        space.forEachPage([](Page *pg) {
-            // Halve LFU counts so stale popularity ages out.
-            pg->setAccessCount(pg->accessCount() / 2);
-        });
-    }
+    // Decay: halve LFU counts every pass so stale popularity ages out
+    // and selection tracks phase changes.
+    space.forEachPage(
+        [](Page *pg) { pg->setAccessCount(pg->accessCount() / 2); });
     (void)now;
 }
 
 void
 AmpPolicy::handlePressure(sim::Node &node)
 {
-    auto &mem = sim_->memory();
-    TierRank down;
-    const bool hasLower = mem.lowerTier(node.tier(), down);
-    std::size_t remaining = cfg_.pressureBudget;
+    std::size_t remaining = kPressureBudget;
     bool progress = true;
     while (!node.aboveHigh() && remaining > 0 && progress) {
-        progress = false;
-        for (bool anon : {false, true}) {
-            std::vector<Page *> victims;
-            const std::size_t chunk = std::min<std::size_t>(remaining, 64);
-            if (chunk == 0)
-                break;
-            const auto stats = pfra::collectInactiveCandidates(
-                node.lists(), anon, chunk, victims);
-            sim_->chargeScan(stats.scanned);
-            remaining -= std::min<std::size_t>(
-                remaining, stats.scanned ? stats.scanned : 1);
-            for (Page *pg : victims) {
-                progress = true;
-                if (hasLower &&
-                    sim_->demotePage(
-                        pg, sim::Simulator::ChargeMode::Background)) {
-                    pg->setActive(false);
-                    pg->setReferenced(false);
-                    mem.node(pg->node()).lists().add(
-                        pg, pfra::NodeLists::inactiveKind(anon));
-                } else {
-                    sim_->evictPage(pg);
-                }
-            }
-        }
+        progress = reclaimPass(node, remaining);
         for (bool anon : {true, false}) {
             const auto stats = pfra::balanceActiveInactive(
                 node.lists(), anon, 128, node.inactiveRatio());

@@ -40,11 +40,6 @@ enum class AmpMode {
 struct AmpConfig
 {
     SimTime scanInterval = 1_s;
-    /** Pages promoted per pass (full profiling selects the global top). */
-    std::size_t promoteBatch = 512;
-    std::size_t pressureBudget = 2048;
-    /** LFU/LRU decay: halve counts every pass to track phase changes. */
-    bool decayCounts = true;
 };
 
 /** Full-profiling LRU/LFU/Random selection (AMP). */
@@ -62,6 +57,9 @@ class AmpPolicy : public TieringPolicy
     FeatureRow features() const override;
 
   private:
+    /** Pages promoted per pass (full profiling selects the global top). */
+    static constexpr std::size_t kPromoteBatch = 512;
+
     void tick(SimTime now);
 
     AmpMode mode_;

@@ -77,7 +77,7 @@ AutoTieringPolicy::scanTick(SimTime now)
         // (anything with a tier below them) are demoted when their tier
         // lacks headroom.
         TierRank below;
-        if (opm() && demoted < cfg_.demoteBudget &&
+        if (opm() && demoted < kDemoteBudget &&
             pg->historyBits() == 0 && pg->onLru() &&
             mem.lowerTier(sim_->pageTier(pg), below)) {
             sim::Node &node = mem.node(pg->node());
@@ -126,10 +126,7 @@ AutoTieringPolicy::onHintFault(Page *page)
         srcLists.remove(page);
         if (sim_->migratePage(page, dst,
                               sim::Simulator::ChargeMode::FaultPath)) {
-            page->setActive(true);
-            page->setReferenced(false);
-            mem.node(page->node()).lists().add(
-                page, pfra::NodeLists::activeKind(page->isAnon()));
+            placeMigrated(*sim_, page, /*active=*/true);
             sim_->vmstat().add(stats::VmItem::NumaPagesMigrated, dst);
             return;
         }
@@ -151,14 +148,8 @@ AutoTieringPolicy::onHintFault(Page *page)
     victimLists.remove(victim);
     if (sim_->exchangePages(page, victim,
                             sim::Simulator::ChargeMode::FaultPath)) {
-        page->setActive(true);
-        page->setReferenced(false);
-        mem.node(page->node()).lists().add(
-            page, pfra::NodeLists::activeKind(page->isAnon()));
-        victim->setActive(false);
-        victim->setReferenced(false);
-        mem.node(victim->node()).lists().add(
-            victim, pfra::NodeLists::inactiveKind(victim->isAnon()));
+        placeMigrated(*sim_, page, /*active=*/true);
+        placeMigrated(*sim_, victim, /*active=*/false);
     } else {
         srcLists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
         victimLists.add(victim,
@@ -184,7 +175,7 @@ AutoTieringPolicy::pickColdVictim(bool anon, SimTime now, TierRank tier)
                                  pfra::NodeLists::activeKind(anon)}) {
             auto &list = lists.list(kind);
             const std::size_t sample =
-                std::min(cfg_.victimSample, list.size());
+                std::min(kVictimSample, list.size());
             for (std::size_t i = 0; i < sample; ++i) {
                 Page *pg = list.back();
                 lists.rotateToFront(pg);
@@ -209,14 +200,10 @@ AutoTieringPolicy::pickColdVictim(bool anon, SimTime now, TierRank tier)
 bool
 AutoTieringPolicy::demoteColdPage(Page *page)
 {
-    auto &mem = sim_->memory();
-    auto &lists = mem.node(page->node()).lists();
+    auto &lists = sim_->memory().node(page->node()).lists();
     lists.remove(page);
     if (sim_->demotePage(page, sim::Simulator::ChargeMode::Background)) {
-        page->setActive(false);
-        page->setReferenced(false);
-        mem.node(page->node()).lists().add(
-            page, pfra::NodeLists::inactiveKind(page->isAnon()));
+        placeMigrated(*sim_, page, /*active=*/false);
         return true;
     }
     lists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
@@ -230,7 +217,7 @@ AutoTieringPolicy::handlePressure(sim::Node &node)
     if (opm() && sim_->memory().lowerTier(node.tier(), below)) {
         // Demote history-cold pages until the watermark recovers.
         auto &lists = node.lists();
-        std::size_t budget = cfg_.demoteBudget;
+        std::size_t budget = kDemoteBudget;
         for (bool anon : {true, false}) {
             auto &inactive =
                 lists.list(pfra::NodeLists::inactiveKind(anon));

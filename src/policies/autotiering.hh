@@ -50,15 +50,11 @@ struct AutoTieringConfig
      * sizeable fraction of the footprint each pass.
      */
     std::size_t poisonChunk = 8192;
-    /** Upper-tier pages sampled when looking for an exchange victim. */
-    std::size_t victimSample = 8;
     /**
      * CPM: a victim qualifies only if its last hint fault is older than
      * this (conservative "is it colder than the faulting page" check).
      */
     SimTime victimColdThreshold = 3_s;
-    /** OPM: max proactive demotions per profiling pass. */
-    std::size_t demoteBudget = 512;
 };
 
 /** The three hint-fault-based variants. */
@@ -101,6 +97,11 @@ class AutoTieringPolicy : public TieringPolicy
     const AutoTieringConfig &config() const { return cfg_; }
 
   private:
+    /** Upper-tier pages sampled when looking for an exchange victim. */
+    static constexpr std::size_t kVictimSample = 8;
+    /** OPM: max proactive demotions per profiling pass or pressure call. */
+    static constexpr std::size_t kDemoteBudget = 512;
+
     /** One profiling pass: poison PTEs, shift history, OPM demotions. */
     void scanTick(SimTime now);
 

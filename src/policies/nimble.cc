@@ -90,10 +90,7 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
         // the upper tier has no free frames.
         lists.remove(pg);
         if (sim_->promotePage(pg, sim::Simulator::ChargeMode::Background)) {
-            pg->setActive(true);
-            pg->setReferenced(false);
-            mem.node(pg->node()).lists().add(
-                pg, pfra::NodeLists::activeKind(pg->isAnon()));
+            placeMigrated(*sim_, pg, /*active=*/true);
             ++promoted;
             continue;
         }
@@ -102,15 +99,8 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
             auto &victimLists = mem.node(victim->node()).lists();
             victimLists.remove(victim);
             if (sim_->exchangePages(pg, victim, sim::Simulator::ChargeMode::Background)) {
-                pg->setActive(true);
-                pg->setReferenced(false);
-                mem.node(pg->node()).lists().add(
-                    pg, pfra::NodeLists::activeKind(pg->isAnon()));
-                victim->setActive(false);
-                victim->setReferenced(false);
-                mem.node(victim->node()).lists().add(
-                    victim,
-                    pfra::NodeLists::inactiveKind(victim->isAnon()));
+                placeMigrated(*sim_, pg, /*active=*/true);
+                placeMigrated(*sim_, victim, /*active=*/false);
                 ++promoted;
                 continue;
             }
@@ -127,10 +117,7 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
                 sim_->maybeReclaim(mem.node(id));
             if (sim_->promotePage(pg,
                                   sim::Simulator::ChargeMode::Background)) {
-                pg->setActive(true);
-                pg->setReferenced(false);
-                mem.node(pg->node()).lists().add(
-                    pg, pfra::NodeLists::activeKind(pg->isAnon()));
+                placeMigrated(*sim_, pg, /*active=*/true);
                 ++promoted;
                 continue;
             }
@@ -157,7 +144,7 @@ NimblePolicy::pickExchangeVictim(bool anon, TierRank tier)
             auto &inactive =
                 lists.list(pfra::NodeLists::inactiveKind(anon));
             const std::size_t sample =
-                std::min(cfg_.victimSample, inactive.size());
+                std::min(kVictimSample, inactive.size());
             for (std::size_t i = 0; i < sample; ++i) {
                 Page *pg = inactive.back();
                 // CLOCK pass over the upper tier: consume the accessed
@@ -185,41 +172,15 @@ NimblePolicy::pickExchangeVictim(bool anon, TierRank tier)
 void
 NimblePolicy::handlePressure(sim::Node &node)
 {
-    auto &mem = sim_->memory();
     // Rebalance, then demote unreferenced inactive-tail pages.
     for (bool anon : {true, false}) {
         const auto stats = pfra::balanceActiveInactive(
-            node.lists(), anon, cfg_.pressureBudget, node.inactiveRatio());
+            node.lists(), anon, kPressureBudget, node.inactiveRatio());
         sim_->chargeScan(stats.scanned);
     }
-    TierRank down;
-    const bool hasLower = mem.lowerTier(node.tier(), down);
-    std::size_t remaining = cfg_.pressureBudget;
-    bool progress = true;
-    while (!node.aboveHigh() && remaining > 0 && progress) {
-        progress = false;
-        for (bool anon : {false, true}) {
-            std::vector<Page *> victims;
-            const std::size_t chunk = std::min<std::size_t>(remaining, 64);
-            if (chunk == 0)
-                break;
-            const auto stats = pfra::collectInactiveCandidates(
-                node.lists(), anon, chunk, victims);
-            sim_->chargeScan(stats.scanned);
-            remaining -= std::min<std::size_t>(
-                remaining, stats.scanned ? stats.scanned : 1);
-            for (Page *pg : victims) {
-                progress = true;
-                if (hasLower && sim_->demotePage(pg, sim::Simulator::ChargeMode::Background)) {
-                    pg->setActive(false);
-                    pg->setReferenced(false);
-                    mem.node(pg->node()).lists().add(
-                        pg, pfra::NodeLists::inactiveKind(anon));
-                } else {
-                    sim_->evictPage(pg);
-                }
-            }
-        }
+    std::size_t remaining = kPressureBudget;
+    while (!node.aboveHigh() && remaining > 0 &&
+           reclaimPass(node, remaining)) {
     }
 }
 

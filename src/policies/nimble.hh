@@ -43,9 +43,6 @@ struct NimbleConfig
      * accessed pages, a bounded batch per pass.
      */
     std::size_t promoteBudget = 128;
-    std::size_t pressureBudget = 2048;
-    /** Upper-tier pages sampled when looking for an exchange victim. */
-    std::size_t victimSample = 64;
 };
 
 /** Recency-only promotion via reference bits; exchange when full. */
@@ -69,6 +66,9 @@ class NimblePolicy : public TieringPolicy
     const NimbleConfig &config() const { return cfg_; }
 
   private:
+    /** Upper-tier pages sampled when looking for an exchange victim. */
+    static constexpr std::size_t kVictimSample = 64;
+
     /** One wake of the promotion daemon on @p node. */
     void tick(sim::Node &node, SimTime now);
 

@@ -1,5 +1,6 @@
 #include "policies/policy.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "base/logging.hh"
@@ -9,6 +10,17 @@
 
 namespace mclock {
 namespace policies {
+
+void
+placeMigrated(sim::Simulator &sim, Page *page, bool active)
+{
+    page->setActive(active);
+    page->setReferenced(false);
+    const bool anon = page->isAnon();
+    sim.memory().node(page->node()).lists().add(
+        page, active ? pfra::NodeLists::activeKind(anon)
+                     : pfra::NodeLists::inactiveKind(anon));
+}
 
 void
 TieringPolicy::attach(sim::Simulator &sim)
@@ -130,6 +142,44 @@ TieringPolicy::evictToStorage(sim::Node &node, std::size_t target)
         }
     }
     return freed;
+}
+
+bool
+TieringPolicy::reclaimPass(sim::Node &node, std::size_t &remaining,
+                           const pfra::PageFilter &spare)
+{
+    TierRank down;
+    const bool hasLower = sim_->memory().lowerTier(node.tier(), down);
+    bool reclaimed = false;
+    // Kernel order: file-backed pages first, then anon.
+    for (bool anon : {false, true}) {
+        const std::size_t chunk = std::min<std::size_t>(remaining, 64);
+        if (chunk == 0)
+            break;
+        std::vector<Page *> victims;
+        auto stats = pfra::collectInactiveCandidates(
+            node.lists(), anon, chunk, victims, spare);
+        if (victims.empty() && spare && stats.rotated > 0) {
+            // Only spared pages at the tail: the filter is a soft
+            // floor, so it yields rather than stalling reclaim.
+            stats.merge(pfra::collectInactiveCandidates(
+                node.lists(), anon, chunk, victims));
+        }
+        sim_->chargeScan(stats.scanned);
+        remaining -= std::min<std::size_t>(
+            remaining, stats.scanned ? stats.scanned : 1);
+        for (Page *pg : victims) {
+            reclaimed = true;
+            if (hasLower &&
+                sim_->demotePage(
+                    pg, sim::Simulator::ChargeMode::Background)) {
+                placeMigrated(*sim_, pg, /*active=*/false);
+            } else {
+                sim_->evictPage(pg);
+            }
+        }
+    }
+    return reclaimed;
 }
 
 }  // namespace policies

@@ -13,10 +13,12 @@
 #ifndef MCLOCK_POLICIES_POLICY_HH_
 #define MCLOCK_POLICIES_POLICY_HH_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
 #include "base/types.hh"
+#include "pfra/vmscan.hh"
 
 namespace mclock {
 
@@ -57,10 +59,24 @@ struct FeatureRow
     std::string keyInsight;
 };
 
+/**
+ * The Fig. 4 arrival rule for a page a migration just moved: set
+ * PG_active to @p active, clear PG_referenced, and add the page at the
+ * head of its new node's active list (a promoted page, or the hot side
+ * of an exchange) or inactive list (a demoted page, or an exchange
+ * victim). Every successful promote, demote and exchange in src/core
+ * and src/policies places its page through here. A free function so
+ * that core::Kpromoted, which is not a policy, can use it.
+ */
+void placeMigrated(sim::Simulator &sim, Page *page, bool active);
+
 /** Abstract base for all tiering policies. */
 class TieringPolicy
 {
   public:
+    /** Page budget of one handlePressure() invocation. */
+    static constexpr std::size_t kPressureBudget = 2048;
+
     virtual ~TieringPolicy() = default;
 
     /** Short identifier used in benches ("multiclock", "nimble", ...). */
@@ -139,6 +155,20 @@ class TieringPolicy
      * @return pages freed
      */
     std::size_t evictToStorage(sim::Node &node, std::size_t target);
+
+    /**
+     * One demote-or-evict pass over @p node: the file inactive tail,
+     * then the anon one. Each collects up to min(@p remaining, 64)
+     * unreferenced candidates, sparing pages @p spare matches unless
+     * only spared pages rotated, and charges the scan against
+     * @p remaining. Each candidate migrates one tier down, or is
+     * evicted to storage when there is no lower tier or the demotion
+     * fails.
+     *
+     * @return true when any page left the node
+     */
+    bool reclaimPass(sim::Node &node, std::size_t &remaining,
+                     const pfra::PageFilter &spare = {});
 
     sim::Simulator *sim_ = nullptr;
     /** Set in the constructor of policies overriding onMemoryAccess. */

@@ -29,8 +29,6 @@ struct StatsConfig
     bool sampler = false;
     /** Sampler period in simulated ns (paper-scale 1 s, scaled). */
     SimTime samplerInterval = 4'000'000ull;
-    /** Export vmstat.csv / trace.jsonl from harness runs (--stats). */
-    bool artifacts = false;
 };
 
 /** Everything needed to instantiate a Simulator. */

@@ -35,6 +35,9 @@ kernelName(Kernel k)
 GapbsDriver::GapbsDriver(sim::Simulator &sim, GapbsConfig cfg)
     : sim_(sim), cfg_(cfg)
 {
+    // The reported time is an average over trials; none is undefined.
+    if (cfg_.trials == 0)
+        MCLOCK_FATAL("GAPBS trials must be > 0");
 }
 
 GapbsDriver::~GapbsDriver() = default;

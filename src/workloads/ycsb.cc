@@ -25,6 +25,9 @@ YcsbDriver::YcsbDriver(sim::Simulator &sim, YcsbConfig cfg)
     : sim_(sim), cfg_(cfg), rng_(cfg.seed),
       store_(std::make_unique<KvStore>(sim))
 {
+    // Throughput over zero operations is undefined.
+    if (cfg_.opsPerWorkload == 0)
+        MCLOCK_FATAL("YCSB opsPerWorkload must be > 0");
 }
 
 void

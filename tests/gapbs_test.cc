@@ -631,6 +631,15 @@ TEST(DriverTest, RunsTrialsAndReportsTimes)
     EXPECT_GT(r.avgTrialSeconds(), 0.0);
 }
 
+TEST(DriverDeathTest, ZeroTrialsRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto sim = makeSim();
+    GapbsConfig cfg;
+    cfg.trials = 0;
+    EXPECT_DEATH({ GapbsDriver driver(*sim, cfg); }, "trials must be > 0");
+}
+
 TEST(DriverTest, TcUsesSmallerUniformGraph)
 {
     auto sim = makeSim();

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "base/units.hh"
 #include "policies/amp.hh"
@@ -51,6 +54,39 @@ touchPage(sim::Simulator &sim)
     const Vaddr a = sim.mmap(kPageSize);
     sim.read(a);
     return sim.space().lookup(pageNumOf(a));
+}
+
+/** Every page currently resident in DRAM. */
+std::vector<Page *>
+dramPages(sim::Simulator &sim)
+{
+    std::vector<Page *> out;
+    sim.space().forEachPage([&](Page *pg) {
+        if (pg->resident() && sim.pageTier(pg) == TierKind::Dram)
+            out.push_back(pg);
+    });
+    return out;
+}
+
+/**
+ * Fig. 4 arrival for pages that left DRAM: each of @p before now on PM
+ * sits on an inactive list with PG_active and PG_referenced clear.
+ * Returns how many did.
+ */
+std::size_t
+expectDemotedArrivals(sim::Simulator &sim, const std::vector<Page *> &before)
+{
+    std::size_t moved = 0;
+    for (Page *pg : before) {
+        if (!pg->resident() || sim.pageTier(pg) != TierKind::Pmem)
+            continue;
+        ++moved;
+        EXPECT_EQ(pg->list(), pfra::NodeLists::inactiveKind(pg->isAnon()))
+            << "vpn " << pg->vpn();
+        EXPECT_FALSE(pg->active()) << "vpn " << pg->vpn();
+        EXPECT_FALSE(pg->referenced()) << "vpn " << pg->vpn();
+    }
+    return moved;
 }
 
 // --- Static tiering ------------------------------------------------------------
@@ -116,6 +152,7 @@ TEST(NimbleTest, ExchangesWhenDramFull)
     sim.space().forEachPage([](Page *pg) {
         pg->setPteReferenced(false);
     });
+    const std::vector<Page *> inDram = dramPages(sim);
     // Keep the PM page hot across daemon wakes. The victim search is a
     // CLOCK pass over the upper tier, so it takes a few wakes before a
     // cleared-and-still-cold DRAM page becomes available for exchange.
@@ -127,6 +164,10 @@ TEST(NimbleTest, ExchangesWhenDramFull)
     }
     EXPECT_EQ(sim.pageTier(hot), TierKind::Dram);
     EXPECT_GE(sim.vmstat().global(stats::VmItem::Pgexchange), 1u);
+    // The hot page arrives on DRAM's active list; the victim resets to
+    // PM's inactive list.
+    EXPECT_EQ(hot->list(), pfra::NodeLists::activeKind(hot->isAnon()));
+    EXPECT_GE(expectDemotedArrivals(sim, inDram), 1u);
 }
 
 TEST(NimbleTest, ScanIntervalAdjustable)
@@ -230,10 +271,15 @@ TEST(AutoTieringTest, CpmExchangesWithColdVictimWhenFull)
     // Let several profiling passes elapse: the victim-coldness horizon
     // is a couple of full passes, and no DRAM page faults meanwhile.
     sim.compute(60_s);
+    const std::vector<Page *> inDram = dramPages(sim);
     hot->setHintPoisoned(true);  // re-arm in case a pass consumed it
     sim.read(hot->vaddr());
     EXPECT_EQ(sim.pageTier(hot), TierKind::Dram);
     EXPECT_EQ(sim.vmstat().global(stats::VmItem::Pgexchange), 1u);
+    // The hot page arrives on DRAM's active list; the one victim resets
+    // to PM's inactive list.
+    EXPECT_EQ(hot->list(), pfra::NodeLists::activeKind(hot->isAnon()));
+    EXPECT_EQ(expectDemotedArrivals(sim, inDram), 1u);
 }
 
 TEST(AutoTieringTest, OpmDemotesZeroHistoryPagesUnderPressure)
@@ -361,6 +407,60 @@ TEST(AmpTest2, Names)
     EXPECT_STREQ(AmpPolicy(AmpMode::Lfu).name(), "amp-lfu");
     EXPECT_STREQ(AmpPolicy(AmpMode::Random).name(), "amp-random");
 }
+
+// --- Shared reclaim pass -----------------------------------------------------
+
+/** Policies whose handlePressure demotes through reclaimPass(). */
+class ReclaimPassTest : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ReclaimPassTest, DemotesToPmInactiveThenSwapsOnBottomTier)
+{
+    sim::Simulator sim(testMachine());
+    sim.setPolicy(makePolicy(GetParam(), PolicyOptions{}));
+    auto &mem = sim.memory();
+    sim::Node &dram = mem.node(0);
+    sim::Node &pm = mem.node(1);
+    ASSERT_EQ(pm.tier(), TierKind::Pmem);
+
+    // Born in DRAM, then cold: no accessed bit for the CLOCK pass.
+    const std::size_t n = dram.totalFrames() / 2;
+    const Vaddr a = sim.mmap(n * kPageSize);
+    for (std::size_t i = 0; i < n; ++i)
+        sim.write(a + i * kPageSize);
+    sim.space().forEachPage([](Page *pg) { pg->setPteReferenced(false); });
+    const std::vector<Page *> inDram = dramPages(sim);
+    ASSERT_EQ(inDram.size(), n);
+
+    // Below DRAM's low watermark: pages demote to PM and none swap.
+    Paddr p;
+    while (!dram.belowLow())
+        ASSERT_TRUE(dram.allocFrame(p));
+    sim.policy().handlePressure(dram);
+    const auto &vm = sim.vmstat();
+    EXPECT_GT(vm.global(stats::VmItem::Pgdemote), 0u);
+    EXPECT_EQ(expectDemotedArrivals(sim, inDram),
+              vm.global(stats::VmItem::Pgdemote));
+    EXPECT_EQ(vm.global(stats::VmItem::Pswpout), 0u);
+    EXPECT_TRUE(dram.aboveHigh());
+
+    // PM is the bottom tier: pressure there evicts to swap.
+    while (!pm.belowLow())
+        ASSERT_TRUE(pm.allocFrame(p));
+    sim.policy().handlePressure(pm);
+    EXPECT_GT(vm.global(stats::VmItem::Pswpout), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PressurePolicies, ReclaimPassTest,
+                         ::testing::Values("multiclock", "nimble",
+                                           "amp-lru"),
+                         [](const auto &info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-',
+                                          '_');
+                             return name;
+                         });
 
 
 TEST(NimbleTest, PromoteBudgetBoundsMigrationsPerWake)

@@ -394,6 +394,16 @@ tinyYcsb()
     return cfg;
 }
 
+TEST(YcsbDeathTest, ZeroOpsRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto sim = makeSim();
+    YcsbConfig cfg = tinyYcsb();
+    cfg.opsPerWorkload = 0;
+    EXPECT_DEATH({ YcsbDriver driver(*sim, cfg); },
+                 "opsPerWorkload must be > 0");
+}
+
 TEST(YcsbTest, LoadPopulatesStore)
 {
     auto sim = makeSim();
