@@ -243,7 +243,11 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = count("--jobs");
         } else if (arg == "--shards") {
-            ctx.shards = std::max(count("--shards"), 1u);
+            ctx.shards = count("--shards");
+            if (ctx.shards == 0) {
+                std::fprintf(stderr, "--shards must be >= 1\n");
+                return 2;
+            }
         } else if (arg == "--out") {
             outDir = operand("--out");
         } else if (arg == "--seed") {
@@ -259,8 +263,6 @@ main(int argc, char **argv)
             golden = true;
         } else if (arg == "--stats") {
             ctx.stats = true;
-        } else if (arg == "--manifest") {
-            manifest = true;
         } else if (arg == "--no-manifest") {
             manifest = false;
         } else if (arg == "--quiet") {

@@ -1,28 +1,6 @@
 #include "base/csv.hh"
 
-#include <iomanip>
-
-#include "base/logging.hh"
-
 namespace mclock {
-
-CsvWriter::CsvWriter(const std::string &path) : file_(path), toFile_(true)
-{
-    if (!file_)
-        MCLOCK_FATAL("cannot open CSV output file '%s'", path.c_str());
-}
-
-CsvWriter::CsvWriter() : toFile_(false)
-{
-}
-
-std::ostream &
-CsvWriter::out()
-{
-    if (toFile_)
-        return file_;
-    return mem_;
-}
 
 std::string
 CsvWriter::escape(const std::string &field)
@@ -48,26 +26,12 @@ CsvWriter::writeHeader(const std::vector<std::string> &cols)
 void
 CsvWriter::writeRow(const std::vector<std::string> &cols)
 {
-    auto &os = out();
     for (std::size_t i = 0; i < cols.size(); ++i) {
         if (i)
-            os << ',';
-        os << escape(cols[i]);
+            mem_ << ',';
+        mem_ << escape(cols[i]);
     }
-    os << '\n';
-}
-
-void
-CsvWriter::writeRow(const std::vector<double> &cols, int precision)
-{
-    auto &os = out();
-    os << std::setprecision(precision) << std::fixed;
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-        if (i)
-            os << ',';
-        os << cols[i];
-    }
-    os << '\n';
+    mem_ << '\n';
 }
 
 std::string

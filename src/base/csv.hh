@@ -1,44 +1,31 @@
 /**
  * @file
- * Minimal CSV writer used by benches to emit figure data series.
+ * Minimal in-memory CSV writer for figure data series.
  */
 
 #ifndef MCLOCK_BASE_CSV_HH_
 #define MCLOCK_BASE_CSV_HH_
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace mclock {
 
-/** Writes rows to a CSV file; quoting is applied when needed. */
+/** Builds CSV text in memory; quoting is applied when needed. */
 class CsvWriter
 {
   public:
-    /** Open path for writing; fatal on failure. */
-    explicit CsvWriter(const std::string &path);
-
-    /** Construct an in-memory writer (for tests); use str() to read back. */
-    CsvWriter();
-
     void writeHeader(const std::vector<std::string> &cols);
     void writeRow(const std::vector<std::string> &cols);
 
-    /** Convenience: write a row of doubles with fixed precision. */
-    void writeRow(const std::vector<double> &cols, int precision = 6);
-
-    /** In-memory contents (only valid for the default-constructed form). */
+    /** The rows written so far. */
     std::string str() const;
 
   private:
-    std::ostream &out();
     static std::string escape(const std::string &field);
 
-    std::ofstream file_;
     std::ostringstream mem_;
-    bool toFile_;
 };
 
 }  // namespace mclock

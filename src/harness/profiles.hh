@@ -78,23 +78,13 @@ gapbsMachine()
     return cfg;
 }
 
-/** Tiered machine for the Memory-mode comparison (Fig. 7). */
+/** Machine for the Memory-mode comparison (Fig. 7); Memory-mode itself
+ *  runs it without the DRAM node, which becomes its cache. */
 inline sim::MachineConfig
 memModeTieredMachine()
 {
     sim::MachineConfig cfg;
     cfg.nodes = {{TierKind::Dram, 16_MiB}, {TierKind::Pmem, 96_MiB}};
-    cfg.cache.sizeBytes = 1_MiB;
-    cfg.metricsWindow = kMetricsWindow;
-    return cfg;
-}
-
-/** PM-only machine for Memory-mode itself (DRAM is the cache). */
-inline sim::MachineConfig
-memModePmMachine()
-{
-    sim::MachineConfig cfg;
-    cfg.nodes = {{TierKind::Pmem, 96_MiB}};
     cfg.cache.sizeBytes = 1_MiB;
     cfg.metricsWindow = kMetricsWindow;
     return cfg;

@@ -79,10 +79,7 @@ addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
 {
     using stats::VmItem;
     const auto &vm = sim.vmstat();
-    rec.metrics["promotions"] =
-        static_cast<double>(vm.global(VmItem::PgpromoteSuccess));
-    rec.metrics["demotions"] =
-        static_cast<double>(vm.global(VmItem::Pgdemote));
+    addMigrationMetrics(sim, rec);
     rec.metrics["aborts"] =
         static_cast<double>(vm.global(VmItem::PgmigrateAbort));
     rec.metrics["retries"] =
@@ -97,156 +94,106 @@ addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
         static_cast<double>(sim.faultInjector().poisonedPages());
 }
 
-/** Shared reduce: policy x rate table + CSV. */
-void
-faultinjReduce(const Scenario &sc, const std::vector<RunRecord> &records,
-               ScenarioOutput &out, const char *metric,
-               const char *metricLabel, const char *csvName)
+/** YCSB-A at one sweep point: throughput plus the fault metrics. */
+RunRecord
+faultinjYcsb(const RunContext &ctx, const std::string &policy,
+             unsigned ratePct)
 {
-    appendf(out.text, "=== %s ===\n", sc.title.c_str());
-    appendf(out.text, "%-12s %6s %10s %11s %8s %8s %9s %9s %8s\n",
-            "policy", "rate%", metricLabel, "promotions", "aborts",
-            "retries", "rollbacks", "throttles", "poisoned");
-
-    CsvWriter csv;
-    csv.writeHeader({"policy", "rate_pct", metric, "promotions",
-                     "demotions", "aborts", "retries", "rollbacks",
-                     "throttles", "promote_fail", "poisoned"});
-
-    std::size_t i = 0;
-    for (const auto &policy : kFaultPolicies) {
-        for (unsigned rate : kFaultRates) {
-            if (i >= records.size())
-                break;
-            const auto &m = records[i].metrics;
-            appendf(out.text,
-                    "%-12s %6u %10.1f %11.0f %8.0f %8.0f %9.0f %9.0f "
-                    "%8.0f\n",
-                    policy.c_str(), rate, m.at(metric),
-                    m.at("promotions"), m.at("aborts"), m.at("retries"),
-                    m.at("rollbacks"), m.at("throttles"),
-                    m.at("poisoned"));
-            csv.writeRow({policy, std::to_string(rate),
-                          std::to_string(m.at(metric)),
-                          std::to_string(m.at("promotions")),
-                          std::to_string(m.at("demotions")),
-                          std::to_string(m.at("aborts")),
-                          std::to_string(m.at("retries")),
-                          std::to_string(m.at("rollbacks")),
-                          std::to_string(m.at("throttles")),
-                          std::to_string(m.at("promote_fail")),
-                          std::to_string(m.at("poisoned"))});
-            ++i;
-        }
-    }
-    appendf(out.text,
-            "\nExpected: promotions fall monotonically with the injected "
-            "rate; retry+throttle keep the decay graceful (no "
-            "collapse at 40%%).\nwrote %s\n",
-            csvName);
-    out.artifacts.push_back({csvName, csv.str()});
+    HostSpec host = ycsbHost(ctx, policy);
+    host.machine.faults = faultinjConfig(ratePct);
+    return runYcsb(
+        ctx, host, ycsbWorkload(ctx, 800000, 40000, 3),
+        {workloads::YcsbWorkload::A},
+        [](sim::Simulator &sim, const auto &results, RunRecord &rec) {
+            rec.metrics["kops"] = results[0].throughputOpsPerSec() / 1e3;
+            addFaultMetrics(sim, rec);
+        });
 }
 
-// --- YCSB-A under injected migration faults ----------------------------
+/** PageRank at one sweep point: trial time plus the fault metrics. */
+RunRecord
+faultinjPagerank(const RunContext &ctx, const std::string &policy,
+                 unsigned ratePct)
+{
+    HostSpec host{policy, ctx.golden ? faultinjGoldenGapbsMachine()
+                                     : gapbsMachine()};
+    host.machine.faults = faultinjConfig(ratePct);
+    auto graph = ctx.golden ? goldenGapbsConfig() : gapbsBenchConfig();
+    graph.seed = ctx.derivedSeed(4, graph.seed);
+    return runGapbs(ctx, host, graph, workloads::gapbs::Kernel::PR,
+                    addFaultMetrics);
+}
 
+/**
+ * A faultinj_* scenario: one @p run unit per (policy, rate) point,
+ * reduced to a policy x rate table of @p metric and the fault counters.
+ */
 Scenario
-faultinjYcsbScenario()
+faultinjScenario(const char *name, const char *title, const char *workload,
+                 RunRecord (*run)(const RunContext &, const std::string &,
+                                  unsigned),
+                 const char *metric, const char *metricLabel)
 {
     Scenario sc;
-    sc.name = "faultinj_ycsb_a";
-    sc.title = "YCSB-A under injected migration faults (rate sweep)";
-    sc.workload = "ycsb";
+    sc.name = name;
+    sc.title = title;
+    sc.workload = workload;
     sc.policies = kFaultPolicies;
-    sc.expand = [](const RunContext &ctx) {
+    sc.expand = [run](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : kFaultPolicies) {
             for (unsigned rate : kFaultRates) {
                 units.push_back({faultUnitName(policy, rate),
-                                 [policy, rate, ctx](const RunContext &) {
-                    const std::uint64_t ops =
-                        ctx.param("ops", ctx.golden ? 40000 : 800000);
-                    sim::MachineConfig machine = ctx.golden
-                        ? goldenYcsbMachine() : ycsbMachine();
-                    machine.seed = ctx.seed;
-                    machine.faults = faultinjConfig(rate);
-                    applyStatsContext(machine, ctx);
-                    workloads::YcsbConfig ycsb = ctx.golden
-                        ? goldenYcsbConfig(ops) : ycsbBenchConfig(ops);
-                    ycsb.seed = ctx.derivedSeed(3, ycsb.seed);
-
-                    RunRecord rec;
-                    sim::Simulator sim(machine);
-                    sim.setPolicy(policies::makePolicy(
-                        policy, benchPolicyOptions()));
-                    workloads::YcsbDriver driver(sim, ycsb);
-                    driver.load();
-                    const auto r =
-                        driver.run(workloads::YcsbWorkload::A);
-                    rec.metrics["kops"] =
-                        r.throughputOpsPerSec() / 1e3;
-                    addFaultMetrics(sim, rec);
-                    checkRunInvariants(sim, rec);
-                    return rec;
+                                 [policy, rate, run](const RunContext &ctx) {
+                    return run(ctx, policy, rate);
                 }});
             }
         }
         return units;
     };
-    sc.reduce = [sc](const RunContext &,
-                     const std::vector<RunRecord> &records,
-                     ScenarioOutput &out) {
-        faultinjReduce(sc, records, out, "kops", "kops/s",
-                       "faultinj_ycsb_a.csv");
-    };
-    return sc;
-}
+    sc.reduce = [sc, metric, metricLabel](
+                    const RunContext &, const std::vector<RunRecord> &records,
+                    ScenarioOutput &out) {
+        const std::string csvName = sc.name + ".csv";
+        appendf(out.text, "=== %s ===\n", sc.title.c_str());
+        appendf(out.text, "%-12s %6s %10s %11s %8s %8s %9s %9s %8s\n",
+                "policy", "rate%", metricLabel, "promotions", "aborts",
+                "retries", "rollbacks", "throttles", "poisoned");
 
-// --- GAPBS PageRank under injected migration faults --------------------
+        CsvWriter csv;
+        csv.writeHeader({"policy", "rate_pct", metric, "promotions",
+                         "demotions", "aborts", "retries", "rollbacks",
+                         "throttles", "promote_fail", "poisoned"});
 
-Scenario
-faultinjPagerankScenario()
-{
-    Scenario sc;
-    sc.name = "faultinj_pagerank";
-    sc.title = "GAPBS PageRank under injected migration faults";
-    sc.workload = "gapbs";
-    sc.policies = kFaultPolicies;
-    sc.expand = [](const RunContext &ctx) {
-        std::vector<RunUnit> units;
+        std::size_t i = 0;
         for (const auto &policy : kFaultPolicies) {
             for (unsigned rate : kFaultRates) {
-                units.push_back({faultUnitName(policy, rate),
-                                 [policy, rate, ctx](const RunContext &) {
-                    sim::MachineConfig machine = ctx.golden
-                        ? faultinjGoldenGapbsMachine() : gapbsMachine();
-                    machine.seed = ctx.seed;
-                    machine.faults = faultinjConfig(rate);
-                    applyStatsContext(machine, ctx);
-                    workloads::gapbs::GapbsConfig gapbs = ctx.golden
-                        ? goldenGapbsConfig() : gapbsBenchConfig();
-                    gapbs.seed = ctx.derivedSeed(4, gapbs.seed);
-
-                    RunRecord rec;
-                    sim::Simulator sim(machine);
-                    sim.setPolicy(policies::makePolicy(
-                        policy, benchPolicyOptions()));
-                    workloads::gapbs::GapbsDriver driver(sim, gapbs);
-                    const auto r =
-                        driver.run(workloads::gapbs::Kernel::PR);
-                    rec.metrics["seconds"] = r.avgTrialSeconds();
-                    addFaultMetrics(sim, rec);
-                    checkRunInvariants(sim, rec);
-                    return rec;
-                }});
+                const auto &m = records[i++].metrics;
+                appendf(out.text,
+                        "%-12s %6u %10.1f %11.0f %8.0f %8.0f %9.0f %9.0f "
+                        "%8.0f\n",
+                        policy.c_str(), rate, m.at(metric),
+                        m.at("promotions"), m.at("aborts"),
+                        m.at("retries"), m.at("rollbacks"),
+                        m.at("throttles"), m.at("poisoned"));
+                csv.writeRow({policy, std::to_string(rate),
+                              std::to_string(m.at(metric)),
+                              std::to_string(m.at("promotions")),
+                              std::to_string(m.at("demotions")),
+                              std::to_string(m.at("aborts")),
+                              std::to_string(m.at("retries")),
+                              std::to_string(m.at("rollbacks")),
+                              std::to_string(m.at("throttles")),
+                              std::to_string(m.at("promote_fail")),
+                              std::to_string(m.at("poisoned"))});
             }
         }
-        return units;
-    };
-    sc.reduce = [sc](const RunContext &,
-                     const std::vector<RunRecord> &records,
-                     ScenarioOutput &out) {
-        faultinjReduce(sc, records, out, "seconds", "seconds",
-                       "faultinj_pagerank.csv");
+        appendf(out.text,
+                "\nExpected: promotions fall monotonically with the "
+                "injected rate; retry+throttle keep the decay graceful "
+                "(no collapse at 40%%).\nwrote %s\n",
+                csvName.c_str());
+        out.artifacts.push_back({csvName, csv.str()});
     };
     return sc;
 }
@@ -256,7 +203,14 @@ faultinjPagerankScenario()
 std::vector<Scenario>
 makeFaultinjScenarios()
 {
-    return {faultinjYcsbScenario(), faultinjPagerankScenario()};
+    return {faultinjScenario(
+                "faultinj_ycsb_a",
+                "YCSB-A under injected migration faults (rate sweep)",
+                "ycsb", faultinjYcsb, "kops", "kops/s"),
+            faultinjScenario(
+                "faultinj_pagerank",
+                "GAPBS PageRank under injected migration faults",
+                "gapbs", faultinjPagerank, "seconds", "seconds")};
 }
 
 }  // namespace harness

@@ -6,7 +6,8 @@
  * with.
  */
 
-#include <map>
+#include <functional>
+#include <memory>
 
 #include "base/csv.hh"
 #include "harness/scenario_common.hh"
@@ -15,6 +16,22 @@
 
 namespace mclock {
 namespace harness {
+
+RunRecord
+runGapbs(const RunContext &ctx, const HostSpec &host,
+         const workloads::gapbs::GapbsConfig &graph,
+         workloads::gapbs::Kernel kernel,
+         const std::function<void(sim::Simulator &, RunRecord &)> &report)
+{
+    return runHost(ctx, host, [&](sim::Simulator &sim, RunRecord &rec) {
+        auto driver =
+            std::make_unique<workloads::gapbs::GapbsDriver>(sim, graph);
+        rec.metrics["seconds"] = driver->run(kernel).avgTrialSeconds();
+        if (report)
+            report(sim, rec);
+        return driver;
+    });
+}
 
 namespace {
 
@@ -43,30 +60,19 @@ fig06Scenario()
                "tiering";
     sc.workload = "gapbs";
     sc.policies = policies::tieredPolicyNames();
-    sc.expand = [sc](const RunContext &ctx) {
+    sc.expand = [sc](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : sc.policies) {
             for (Kernel k : kKernels) {
                 const std::string name =
                     policy + "/" + workloads::gapbs::kernelName(k);
-                units.push_back(
-                    {name, [policy, k, ctx](const RunContext &) {
-                        const auto cfg = fig06Config(ctx);
-                        sim::MachineConfig machine = ctx.golden
-                                                         ? goldenGapbsMachine()
-                                                         : gapbsMachine();
-                        machine.seed = ctx.seed;
-                        applyStatsContext(machine, ctx);
-                        RunRecord rec;
-                        sim::Simulator sim(machine);
-                        sim.setPolicy(policies::makePolicy(
-                            policy, benchPolicyOptions()));
-                        workloads::gapbs::GapbsDriver driver(sim, cfg);
-                        const auto r = driver.run(k);
-                        rec.metrics["seconds"] = r.avgTrialSeconds();
-                        checkRunInvariants(sim, rec);
-                        return rec;
-                    }});
+                units.push_back({name, [policy, k](const RunContext &ctx) {
+                    return runGapbs(
+                        ctx,
+                        {policy, ctx.golden ? goldenGapbsMachine()
+                                            : gapbsMachine()},
+                        fig06Config(ctx), k);
+                }});
             }
         }
         return units;
@@ -80,108 +86,38 @@ fig06Scenario()
                 "normalised to static tiering (lower is better) ===\n");
         appendf(out.text, "kron scale=%u degree=%u trials=%u\n",
                 cfg.scale, cfg.degree, cfg.trials);
-        appendf(out.text, "%-12s", "policy");
+        std::vector<std::string> columns;
         for (Kernel k : kKernels)
-            appendf(out.text, " %8s", workloads::gapbs::kernelName(k));
-        appendf(out.text, "\n");
-
-        CsvWriter csv;
-        std::vector<std::string> header{"policy"};
-        for (Kernel k : kKernels)
-            header.push_back(workloads::gapbs::kernelName(k));
-        csv.writeHeader(header);
-
-        std::map<std::size_t, double> baseline;
-        for (std::size_t p = 0; p < sc.policies.size(); ++p) {
-            appendf(out.text, "%-12s", sc.policies[p].c_str());
-            std::vector<std::string> row{sc.policies[p]};
-            for (std::size_t k = 0; k < kKernels.size(); ++k) {
-                const double secs =
-                    records[p * kKernels.size() + k].metrics.at(
-                        "seconds");
-                if (sc.policies[p] == "static")
-                    baseline[k] = secs;
-                const double norm = secs / baseline[k];
-                appendf(out.text, " %8.3f", norm);
-                row.push_back(std::to_string(norm));
-            }
-            appendf(out.text, "\n");
-            csv.writeRow(row);
-        }
+            columns.push_back(workloads::gapbs::kernelName(k));
+        const std::string csv = normalisedToStatic(
+            out.text, sc.policies, columns,
+            [&](std::size_t p, std::size_t k) {
+                return records[p * kKernels.size() + k].metrics.at(
+                    "seconds");
+            });
         appendf(out.text,
                 "\nwrote fig06_gapbs_tiering.csv (execution time "
                 "normalised to static)\n");
-        out.artifacts.push_back({"fig06_gapbs_tiering.csv", csv.str()});
+        out.artifacts.push_back({"fig06_gapbs_tiering.csv", csv});
     };
     return sc;
 }
 
 // --- Fig. 7 -------------------------------------------------------------
 
-/** The three memory organisations compared in Fig. 7. */
-struct Fig07Profiles
+/**
+ * @p policy's Fig. 7 host on @p tiered (DRAM+PM, OS-managed).
+ * Memory-mode runs on the same machine without its DRAM node, with
+ * that DRAM as the hardware cache.
+ */
+HostSpec
+fig07Host(const std::string &policy, const sim::MachineConfig &tiered)
 {
-    sim::MachineConfig tiered;   ///< DRAM+PM, OS-managed
-    sim::MachineConfig pmOnly;   ///< PM only; DRAM is the HW cache
-    sim::MachineConfig gTiered;  ///< GAPBS-sized tiered machine
-    sim::MachineConfig gPm;      ///< GAPBS-sized PM-only machine
-    workloads::YcsbConfig ycsb;
-    workloads::gapbs::GapbsConfig pr;
-    policies::PolicyOptions opts;   ///< YCSB options (dramCache set)
-    policies::PolicyOptions gOpts;  ///< GAPBS options (dramCache set)
-};
-
-Fig07Profiles
-fig07Profiles(const RunContext &ctx)
-{
-    Fig07Profiles p;
-    const std::uint64_t ops =
-        ctx.param("ops", ctx.golden ? 40000 : 1200000);
-    if (ctx.golden) {
-        p.tiered.nodes = {{TierKind::Dram, 4_MiB},
-                          {TierKind::Pmem, 24_MiB}};
-        p.tiered.cache.sizeBytes = 64_KiB;
-        p.tiered.metricsWindow = 20_ms;
-        p.pmOnly = p.tiered;
-        p.pmOnly.nodes = {{TierKind::Pmem, 24_MiB}};
-        p.ycsb.recordCount = 16000;  // ~16 MiB items vs 4 MiB DRAM
-        p.gTiered = goldenGapbsMachine();
-        p.gTiered.nodes = {{TierKind::Dram, 2_MiB},
-                           {TierKind::Pmem, 12_MiB}};
-        p.gPm = p.gTiered;
-        p.gPm.nodes = {{TierKind::Pmem, 12_MiB}};
-        p.pr = goldenGapbsConfig();
-        p.pr.prIters = 4;
-    } else {
-        p.tiered = memModeTieredMachine();
-        p.pmOnly = memModePmMachine();
-        // Workload sized ~4x DRAM (paper: Memory-mode uses all DRAM as
-        // cache, so a competitive comparison needs footprint >> cache).
-        p.ycsb.recordCount = 60000;  // ~64 MiB items vs 16 MiB DRAM
-        p.gTiered = gapbsMachine();
-        p.gTiered.nodes = {{TierKind::Dram, 8_MiB},
-                           {TierKind::Pmem, 48_MiB}};
-        p.gPm = p.gTiered;
-        p.gPm.nodes = {{TierKind::Pmem, 48_MiB}};
-        p.pr.scale = 16;  // footprint ~4x the 8 MiB DRAM-equivalent
-        p.pr.degree = 20;
-        p.pr.trials = 2;
-        p.pr.prIters = 6;
-    }
-    p.ycsb.valueBytes = 1024;
-    p.ycsb.opsPerWorkload = ops;
-    p.ycsb.seed = ctx.derivedSeed(1, p.ycsb.seed);
-    p.tiered.seed = p.pmOnly.seed = ctx.seed;
-    p.gTiered.seed = p.gPm.seed = ctx.seed;
-    applyStatsContext(p.tiered, ctx);
-    applyStatsContext(p.pmOnly, ctx);
-    applyStatsContext(p.gTiered, ctx);
-    applyStatsContext(p.gPm, ctx);
-    p.opts = benchPolicyOptions();
-    p.opts.dramCacheBytes = p.tiered.tierBytes(TierKind::Dram);
-    p.gOpts = benchPolicyOptions();
-    p.gOpts.dramCacheBytes = p.gTiered.tierBytes(TierKind::Dram);
-    return p;
+    HostSpec host{policy, tiered};
+    host.opts.dramCacheBytes = tiered.tierBytes(TierKind::Dram);
+    if (policy == "memory-mode")
+        host.machine.nodes = {tiered.nodes.back()};
+    return host;
 }
 
 constexpr const char *kFig07Policies[] = {"static", "multiclock",
@@ -195,41 +131,52 @@ fig07Scenario()
     sc.title = "Fig. 7: Memory-mode comparison (YCSB + PageRank)";
     sc.workload = "ycsb+gapbs";
     sc.policies = {"static", "multiclock", "memory-mode"};
-    sc.expand = [](const RunContext &ctx) {
+    sc.expand = [](const RunContext &) {
         std::vector<RunUnit> units;
         for (const std::string policy : kFig07Policies) {
             units.push_back({"ycsb_a/" + policy,
-                             [policy, ctx](const RunContext &) {
-                const auto p = fig07Profiles(ctx);
-                const auto &machine =
-                    policy == "memory-mode" ? p.pmOnly : p.tiered;
-                RunRecord rec;
-                sim::Simulator sim(machine);
-                sim.setPolicy(policies::makePolicy(policy, p.opts));
-                workloads::YcsbDriver driver(sim, p.ycsb);
-                driver.load();
-                std::map<std::string, double> tput;
-                for (const auto &r : driver.runPaperSequence())
-                    tput[r.workload] = r.throughputOpsPerSec();
-                rec.metrics["tput_a"] = tput.at("A");
-                checkRunInvariants(sim, rec);
-                return rec;
+                             [policy](const RunContext &ctx) {
+                sim::MachineConfig tiered = memModeTieredMachine();
+                if (ctx.golden) {
+                    tiered.nodes = {{TierKind::Dram, 4_MiB},
+                                    {TierKind::Pmem, 24_MiB}};
+                    tiered.cache.sizeBytes = 64_KiB;
+                    tiered.metricsWindow = 20_ms;
+                }
+                // Workload sized ~4x DRAM (paper: Memory-mode uses all
+                // DRAM as cache, so a competitive comparison needs
+                // footprint >> cache): ~16 MiB golden, ~64 MiB full.
+                auto ycsb = ycsbWorkload(ctx, 1200000, 40000, 1);
+                ycsb.recordCount = ctx.golden ? 16000 : 60000;
+                return runYcsb(
+                    ctx, fig07Host(policy, tiered), ycsb, kPaperSequence,
+                    [](sim::Simulator &, const auto &results,
+                       RunRecord &rec) {
+                        rec.metrics["tput_a"] =
+                            results[0].throughputOpsPerSec();
+                    });
             }});
         }
         for (const std::string policy : kFig07Policies) {
             units.push_back({"pagerank/" + policy,
-                             [policy, ctx](const RunContext &) {
-                const auto p = fig07Profiles(ctx);
-                const auto &machine =
-                    policy == "memory-mode" ? p.gPm : p.gTiered;
-                RunRecord rec;
-                sim::Simulator sim(machine);
-                sim.setPolicy(policies::makePolicy(policy, p.gOpts));
-                workloads::gapbs::GapbsDriver driver(sim, p.pr);
-                rec.metrics["seconds"] =
-                    driver.run(Kernel::PR).avgTrialSeconds();
-                checkRunInvariants(sim, rec);
-                return rec;
+                             [policy](const RunContext &ctx) {
+                sim::MachineConfig tiered =
+                    ctx.golden ? goldenGapbsMachine() : gapbsMachine();
+                tiered.nodes = {
+                    {TierKind::Dram, ctx.golden ? 2_MiB : 8_MiB},
+                    {TierKind::Pmem, ctx.golden ? 12_MiB : 48_MiB}};
+                workloads::gapbs::GapbsConfig pr;
+                if (ctx.golden) {
+                    pr = goldenGapbsConfig();
+                    pr.prIters = 4;
+                } else {
+                    pr.scale = 16;  // footprint ~4x the 8 MiB DRAM
+                    pr.degree = 20;
+                    pr.trials = 2;
+                    pr.prIters = 6;
+                }
+                return runGapbs(ctx, fig07Host(policy, tiered), pr,
+                                Kernel::PR);
             }});
         }
         return units;

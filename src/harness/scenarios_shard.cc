@@ -64,7 +64,6 @@ shardMachineWhole(const RunContext &ctx)
     cfg.cache.sizeBytes = 32_KiB;
     cfg.cache.ways = 8;
     cfg.metricsWindow = ctx.golden ? 20_ms : kMetricsWindow;
-    cfg.seed = ctx.seed;
     applyStatsContext(cfg, ctx);
     return cfg;
 }

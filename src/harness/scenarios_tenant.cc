@@ -110,7 +110,6 @@ tenantMachineWhole(const RunContext &ctx)
     cfg.cache.sizeBytes = 32_KiB;
     cfg.cache.ways = 8;
     cfg.metricsWindow = ctx.golden ? 20_ms : kMetricsWindow;
-    cfg.seed = ctx.seed;
     applyStatsContext(cfg, ctx);
     return cfg;
 }
@@ -441,7 +440,6 @@ churnMachineWhole(const RunContext &ctx)
     cfg.cache.sizeBytes = 32_KiB;
     cfg.cache.ways = 8;
     cfg.metricsWindow = ctx.golden ? 20_ms : kMetricsWindow;
-    cfg.seed = ctx.seed;
     applyStatsContext(cfg, ctx);
     return cfg;
 }

@@ -5,11 +5,11 @@
  * checked-in golden fixtures were generated with.
  */
 
+#include <memory>
 #include <sstream>
 
 #include "base/csv.hh"
 #include "harness/scenario_common.hh"
-#include "policies/static_tiering.hh"
 #include "trace/heatmap.hh"
 #include "trace/window_analysis.hh"
 #include "workloads/synthetic.hh"
@@ -33,25 +33,23 @@ struct SyntheticRun
     workloads::SyntheticConfig cfg;
 };
 
-void
+/** Trace @p profile on static tiering (the fig01/fig02 unit host). */
+RunRecord
 runSynthetic(const RunContext &ctx, workloads::SyntheticProfile profile,
-             SyntheticRun &out, RunRecord &rec)
+             SyntheticRun &out)
 {
     const std::uint64_t seconds =
         ctx.param("seconds", ctx.golden ? 12 : 120);
-    sim::MachineConfig machine =
-        ctx.golden ? goldenYcsbMachine() : ycsbMachine();
-    machine.seed = ctx.seed;
-    applyStatsContext(machine, ctx);
-    sim::Simulator sim(machine);
-    sim.setPolicy(std::make_unique<policies::StaticTieringPolicy>());
-
     out.cfg.numPages = ctx.golden ? 600 : 2000;
     out.cfg.duration = seconds * 1_s;
     out.cfg.seed = ctx.derivedSeed(3, out.cfg.seed);
-    workloads::SyntheticWorkload workload(sim, profile, out.cfg);
-    workload.run(out.trace);
-    checkRunInvariants(sim, rec);
+    return runHost(ctx, ycsbHost(ctx, "static"),
+                   [&](sim::Simulator &sim, RunRecord &) {
+        auto workload = std::make_unique<workloads::SyntheticWorkload>(
+            sim, profile, out.cfg);
+        workload->run(out.trace);
+        return workload;
+    });
 }
 
 Scenario
@@ -68,9 +66,8 @@ fig01Scenario()
             const char *name = workloads::syntheticProfileName(profile);
             units.push_back({name, [profile, name,
                                     ctx](const RunContext &) {
-                RunRecord rec;
                 SyntheticRun run;
-                runSynthetic(ctx, profile, run, rec);
+                RunRecord rec = runSynthetic(ctx, profile, run);
 
                 trace::HeatmapConfig hmCfg;
                 hmCfg.sampledPages = 50;
@@ -140,9 +137,8 @@ fig02Scenario()
         for (auto profile : kProfiles) {
             const char *name = workloads::syntheticProfileName(profile);
             units.push_back({name, [profile, ctx](const RunContext &) {
-                RunRecord rec;
                 SyntheticRun run;
-                runSynthetic(ctx, profile, run, rec);
+                RunRecord rec = runSynthetic(ctx, profile, run);
                 const SimTime window =
                     1_s * ctx.param("window-s", 2);
                 const auto r =

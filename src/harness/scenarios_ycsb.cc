@@ -8,7 +8,8 @@
  */
 
 #include <algorithm>
-#include <map>
+#include <functional>
+#include <memory>
 
 #include "base/csv.hh"
 #include "harness/scenario_common.hh"
@@ -17,79 +18,80 @@
 namespace mclock {
 namespace harness {
 
+RunRecord
+runYcsb(const RunContext &ctx, const HostSpec &host,
+        const workloads::YcsbConfig &ycsb,
+        const std::vector<workloads::YcsbWorkload> &phases,
+        const YcsbReport &report)
+{
+    return runHost(ctx, host, [&](sim::Simulator &sim, RunRecord &rec) {
+        auto driver = std::make_unique<workloads::YcsbDriver>(sim, ycsb);
+        driver->load();
+        std::vector<workloads::YcsbResult> results;
+        for (workloads::YcsbWorkload w : phases)
+            results.push_back(driver->run(w));
+        report(sim, results, rec);
+        return driver;
+    });
+}
+
 namespace {
 
 using stats::VmItem;
+using workloads::YcsbWorkload;
 
-/** Machine + workload + options for one YCSB experiment run. */
-struct YcsbProfile
-{
-    sim::MachineConfig machine;
-    workloads::YcsbConfig ycsb;
-    policies::PolicyOptions opts;
-};
-
-YcsbProfile
-ycsbProfile(const RunContext &ctx, std::uint64_t defaultOps,
-            std::uint64_t goldenOps,
-            SimTime interval = kScanInterval)
-{
-    const std::uint64_t ops =
-        ctx.param("ops", ctx.golden ? goldenOps : defaultOps);
-    YcsbProfile p;
-    p.machine = ctx.golden ? goldenYcsbMachine() : ycsbMachine();
-    p.machine.seed = ctx.seed;
-    applyStatsContext(p.machine, ctx);
-    p.ycsb = ctx.golden ? goldenYcsbConfig(ops) : ycsbBenchConfig(ops);
-    p.ycsb.seed = ctx.derivedSeed(1, p.ycsb.seed);
-    p.opts = benchPolicyOptions(interval);
-    return p;
-}
-
-/** Load + one workload phase under @p policy; shared unit body. */
+/** Load + one phase; the metrics Figs. 8-10 and the ablations read. */
 RunRecord
-runSingleWorkload(const std::string &policy, const YcsbProfile &p,
-                  workloads::YcsbWorkload workload)
+runPhase(const RunContext &ctx, const HostSpec &host,
+         std::uint64_t fullOps, std::uint64_t goldenOps, YcsbWorkload w)
 {
-    RunRecord rec;
-    sim::Simulator sim(p.machine);
-    sim.setPolicy(policies::makePolicy(policy, p.opts));
-    workloads::YcsbDriver driver(sim, p.ycsb);
-    driver.load();
-    const auto r = driver.run(workload);
-    rec.metrics["kops"] = r.throughputOpsPerSec() / 1e3;
-    rec.metrics["promotions"] =
-        static_cast<double>(sim.vmstat().global(VmItem::PgpromoteSuccess));
-    rec.metrics["demotions"] =
-        static_cast<double>(sim.vmstat().global(VmItem::Pgdemote));
-    rec.metrics["reaccessed"] =
-        static_cast<double>(sim.metrics().totalReaccessed());
-    rec.metrics["hint_faults"] =
-        static_cast<double>(sim.vmstat().global(VmItem::PghintFault));
-    rec.metrics["scanned_pages"] =
-        static_cast<double>(sim.vmstat().global(VmItem::PgscanCharged));
-    rec.metrics["inline_overhead_ns"] =
-        static_cast<double>(sim.vmstat().global(VmItem::InlineOverheadNs));
-    rec.metrics["background_work_ns"] =
-        static_cast<double>(sim.vmstat().global(VmItem::BackgroundWorkNs));
-    rec.metrics["swap_outs"] =
-        static_cast<double>(sim.vmstat().global(VmItem::Pswpout));
-    const auto &windows = sim.metrics().windows();
-    rec.metrics["windows"] = static_cast<double>(windows.size());
-    char key[48];
-    for (std::size_t w = 0; w < windows.size(); ++w) {
-        std::snprintf(key, sizeof(key), "w%03zu.promotions", w);
-        rec.metrics[key] = static_cast<double>(windows[w].promotions);
-        std::snprintf(key, sizeof(key), "w%03zu.reaccessed", w);
-        rec.metrics[key] =
-            static_cast<double>(windows[w].promotedReaccessed);
-    }
-    checkRunInvariants(sim, rec);
-    return rec;
+    const auto report = [](sim::Simulator &sim, const auto &r,
+                           RunRecord &rec) {
+        const auto &vm = sim.vmstat();
+        rec.metrics["kops"] = r[0].throughputOpsPerSec() / 1e3;
+        addMigrationMetrics(sim, rec);
+        rec.metrics["reaccessed"] =
+            static_cast<double>(sim.metrics().totalReaccessed());
+        rec.metrics["hint_faults"] =
+            static_cast<double>(vm.global(VmItem::PghintFault));
+        rec.metrics["scanned_pages"] =
+            static_cast<double>(vm.global(VmItem::PgscanCharged));
+        rec.metrics["inline_overhead_ns"] =
+            static_cast<double>(vm.global(VmItem::InlineOverheadNs));
+        rec.metrics["background_work_ns"] =
+            static_cast<double>(vm.global(VmItem::BackgroundWorkNs));
+        rec.metrics["swap_outs"] =
+            static_cast<double>(vm.global(VmItem::Pswpout));
+        const auto &windows = sim.metrics().windows();
+        rec.metrics["windows"] = static_cast<double>(windows.size());
+        char key[48];
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+            std::snprintf(key, sizeof(key), "w%03zu.promotions", i);
+            rec.metrics[key] = static_cast<double>(windows[i].promotions);
+            std::snprintf(key, sizeof(key), "w%03zu.reaccessed", i);
+            rec.metrics[key] =
+                static_cast<double>(windows[i].promotedReaccessed);
+        }
+    };
+    return runYcsb(ctx, host, ycsbWorkload(ctx, fullOps, goldenOps, 1),
+                   {w}, report);
 }
 
-constexpr const char *kSequenceWorkloads[] = {"A", "B", "C",
-                                              "F", "W", "D"};
+/** One unit per policy, each running phase @p w on the YCSB host. */
+std::vector<RunUnit>
+phaseUnits(const std::vector<std::string> &policies,
+           std::uint64_t fullOps, std::uint64_t goldenOps,
+           YcsbWorkload w = YcsbWorkload::A)
+{
+    std::vector<RunUnit> units;
+    for (const auto &policy : policies) {
+        units.push_back({policy, [=](const RunContext &ctx) {
+            return runPhase(ctx, ycsbHost(ctx, policy), fullOps,
+                            goldenOps, w);
+        }});
+    }
+    return units;
+}
 
 // --- Fig. 5 -------------------------------------------------------------
 
@@ -101,26 +103,21 @@ fig05Scenario()
     sc.title = "Fig. 5: YCSB throughput normalised to static tiering";
     sc.workload = "ycsb";
     sc.policies = policies::tieredPolicyNames();
-    sc.expand = [sc](const RunContext &ctx) {
+    sc.expand = [sc](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : sc.policies) {
-            units.push_back({policy, [policy, ctx](const RunContext &) {
-                const auto p = ycsbProfile(ctx, 1200000, 60000);
-                RunRecord rec;
-                sim::Simulator sim(p.machine);
-                sim.setPolicy(policies::makePolicy(policy, p.opts));
-                workloads::YcsbDriver driver(sim, p.ycsb);
-                driver.load();
-                for (const auto &result : driver.runPaperSequence()) {
-                    rec.metrics["tput." + result.workload] =
-                        result.throughputOpsPerSec();
-                }
-                rec.metrics["promotions"] = static_cast<double>(
-                    sim.vmstat().global(VmItem::PgpromoteSuccess));
-                rec.metrics["demotions"] =
-                    static_cast<double>(sim.vmstat().global(VmItem::Pgdemote));
-                checkRunInvariants(sim, rec);
-                return rec;
+            units.push_back({policy, [policy](const RunContext &ctx) {
+                return runYcsb(
+                    ctx, ycsbHost(ctx, policy),
+                    ycsbWorkload(ctx, 1200000, 60000, 1), kPaperSequence,
+                    [](sim::Simulator &sim, const auto &results,
+                       RunRecord &rec) {
+                        for (const auto &r : results) {
+                            rec.metrics["tput." + r.workload] =
+                                r.throughputOpsPerSec();
+                        }
+                        addMigrationMetrics(sim, rec);
+                    });
             }});
         }
         return units;
@@ -128,71 +125,31 @@ fig05Scenario()
     sc.reduce = [sc](const RunContext &ctx,
                      const std::vector<RunRecord> &records,
                      ScenarioOutput &out) {
-        const auto p = ycsbProfile(ctx, 1200000, 60000);
+        const auto ycsb = ycsbWorkload(ctx, 1200000, 60000, 1);
         appendf(out.text,
                 "=== Fig. 5: YCSB throughput normalised to static "
                 "tiering ===\n");
         appendf(out.text,
                 "records=%zu ops/workload=%llu footprint~2.5x DRAM\n",
-                p.ycsb.recordCount,
-                static_cast<unsigned long long>(p.ycsb.opsPerWorkload));
-
-        CsvWriter csv;
-        std::vector<std::string> header{"policy"};
-        for (const auto *w : kSequenceWorkloads)
-            header.push_back(w);
-        csv.writeHeader(header);
-
-        appendf(out.text, "%-12s", "policy");
-        for (const auto *w : kSequenceWorkloads)
-            appendf(out.text, " %8s", w);
-        appendf(out.text, "\n");
-
-        std::vector<double> baseline;
-        for (std::size_t i = 0; i < records.size(); ++i) {
-            const auto &policy = sc.policies[i];
-            std::vector<double> tput;
-            for (const auto *w : kSequenceWorkloads)
-                tput.push_back(
-                    records[i].metrics.at(std::string("tput.") + w));
-            if (policy == "static")
-                baseline = tput;
-            appendf(out.text, "%-12s", policy.c_str());
-            std::vector<std::string> row{policy};
-            for (std::size_t j = 0; j < tput.size(); ++j) {
-                const double norm =
-                    baseline[j] > 0.0 ? tput[j] / baseline[j] : 0.0;
-                appendf(out.text, " %8.3f", norm);
-                row.push_back(std::to_string(norm));
-            }
-            appendf(out.text, "\n");
-            csv.writeRow(row);
-        }
+                ycsb.recordCount,
+                static_cast<unsigned long long>(ycsb.opsPerWorkload));
+        std::vector<std::string> columns;
+        for (YcsbWorkload w : kPaperSequence)
+            columns.push_back(workloads::ycsbWorkloadName(w));
+        const std::string csv = normalisedToStatic(
+            out.text, sc.policies, columns,
+            [&](std::size_t p, std::size_t c) {
+                return records[p].metrics.at("tput." + columns[c]);
+            });
         appendf(out.text,
                 "\nwrote fig05_ycsb_tiering.csv (values normalised to "
                 "static)\n");
-        out.artifacts.push_back({"fig05_ycsb_tiering.csv", csv.str()});
+        out.artifacts.push_back({"fig05_ycsb_tiering.csv", csv});
     };
     return sc;
 }
 
 // --- Fig. 8 / Fig. 9 (windowed promotion metrics) -----------------------
-
-std::vector<RunUnit>
-windowUnits(const RunContext &ctx, std::uint64_t defaultOps,
-            std::uint64_t goldenOps)
-{
-    std::vector<RunUnit> units;
-    for (const std::string policy : {"multiclock", "nimble"}) {
-        units.push_back({policy, [policy, ctx, defaultOps,
-                                  goldenOps](const RunContext &) {
-            const auto p = ycsbProfile(ctx, defaultOps, goldenOps);
-            return runSingleWorkload(policy, p,
-                                     workloads::YcsbWorkload::A);
-        }});
-    }
-    return units;
-}
 
 /** Per-window series "w000.<key>" -> vector, up to `windows`. */
 std::vector<double>
@@ -217,8 +174,8 @@ fig08Scenario()
     sc.title = "Fig. 8: pages promoted per 20 s window, YCSB-A";
     sc.workload = "ycsb";
     sc.policies = {"multiclock", "nimble"};
-    sc.expand = [](const RunContext &ctx) {
-        return windowUnits(ctx, 4000000, 120000);
+    sc.expand = [sc](const RunContext &) {
+        return phaseUnits(sc.policies, 4000000, 120000);
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -267,8 +224,8 @@ fig09Scenario()
                "YCSB-A";
     sc.workload = "ycsb";
     sc.policies = {"multiclock", "nimble"};
-    sc.expand = [](const RunContext &ctx) {
-        return windowUnits(ctx, 4000000, 120000);
+    sc.expand = [sc](const RunContext &) {
+        return phaseUnits(sc.policies, 4000000, 120000);
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -324,7 +281,38 @@ fig09Scenario()
     return sc;
 }
 
-// --- Fig. 10 (scan-interval sensitivity) --------------------------------
+// --- Policy x point sweeps (Fig. 10, ablations D4 and LLC) -------------
+
+/** One sweep point: its label and how it changes the unit's host. */
+struct SweepPoint
+{
+    std::string label;
+    std::function<void(HostSpec &)> apply;
+};
+
+/**
+ * YCSB-A units for every (point, policy) pair, named
+ * "<policy>/<label>", point-major: records[i * policies + p].
+ */
+std::vector<RunUnit>
+sweepUnits(const std::vector<std::string> &policies,
+           const std::vector<SweepPoint> &points, std::uint64_t fullOps,
+           std::uint64_t goldenOps)
+{
+    std::vector<RunUnit> units;
+    for (const auto &point : points) {
+        for (const auto &policy : policies) {
+            units.push_back({policy + "/" + point.label,
+                             [=](const RunContext &ctx) {
+                HostSpec host = ycsbHost(ctx, policy);
+                point.apply(host);
+                return runPhase(ctx, host, fullOps, goldenOps,
+                                YcsbWorkload::A);
+            }});
+        }
+    }
+    return units;
+}
 
 struct IntervalPoint
 {
@@ -345,23 +333,15 @@ fig10Scenario()
     sc.title = "Fig. 10: scan-interval sensitivity, YCSB-A throughput";
     sc.workload = "ycsb";
     sc.policies = {"multiclock", "nimble"};
-    sc.expand = [sc](const RunContext &ctx) {
-        std::vector<RunUnit> units;
+    sc.expand = [sc](const RunContext &) {
+        std::vector<SweepPoint> points;
         for (const auto &point : kIntervals) {
-            for (const auto &policy : sc.policies) {
-                const std::string name =
-                    policy + "/" + point.label;
-                const SimTime interval = scaledTime(point.paperValue);
-                units.push_back(
-                    {name, [policy, interval, ctx](const RunContext &) {
-                        const auto p =
-                            ycsbProfile(ctx, 1500000, 60000, interval);
-                        return runSingleWorkload(
-                            policy, p, workloads::YcsbWorkload::A);
-                    }});
-            }
+            const SimTime interval = scaledTime(point.paperValue);
+            points.push_back({point.label, [interval](HostSpec &host) {
+                host.opts.scanInterval = interval;
+            }});
         }
-        return units;
+        return sweepUnits(sc.policies, points, 1500000, 60000);
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -390,7 +370,129 @@ fig10Scenario()
     return sc;
 }
 
-// --- Ablations ----------------------------------------------------------
+/**
+ * A static-vs-multiclock sweep (ablations D4 and LLC): YCSB-A kops of
+ * both policies and the speedup, one row per point.
+ */
+struct SpeedupSweep
+{
+    const char *name;
+    const char *title;
+    const char *heading;   ///< the table's "=== ... ===" line
+    const char *column;    ///< text header of the point column
+    int width;             ///< text width of the point column
+    const char *csvColumn;
+    const char *expected;  ///< the "Expected: ..." line
+    std::uint64_t fullOps, goldenOps;
+    std::vector<SweepPoint> (*points)(bool golden);
+};
+
+Scenario
+speedupSweepScenario(const SpeedupSweep &s)
+{
+    Scenario sc;
+    sc.name = s.name;
+    sc.title = s.title;
+    sc.workload = "ycsb";
+    sc.policies = {"static", "multiclock"};
+    sc.expand = [sc, s](const RunContext &ctx) {
+        return sweepUnits(sc.policies, s.points(ctx.golden), s.fullOps,
+                          s.goldenOps);
+    };
+    sc.reduce = [s](const RunContext &ctx,
+                    const std::vector<RunRecord> &records,
+                    ScenarioOutput &out) {
+        const std::string csvName = s.name + std::string(".csv");
+        appendf(out.text, "=== %s ===\n", s.heading);
+        appendf(out.text, "%-*s %14s %14s %10s\n", s.width, s.column,
+                "static(kops)", "mclock(kops)", "speedup");
+        CsvWriter csv;
+        csv.writeHeader({s.csvColumn, "static_kops", "multiclock_kops",
+                         "speedup"});
+        const auto points = s.points(ctx.golden);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const double st = records[2 * i].metrics.at("kops");
+            const double mc = records[2 * i + 1].metrics.at("kops");
+            appendf(out.text, "%-*s %14.1f %14.1f %10.3f\n", s.width,
+                    points[i].label.c_str(), st, mc, mc / st);
+            csv.writeRow({points[i].label, std::to_string(st),
+                          std::to_string(mc), std::to_string(mc / st)});
+        }
+        appendf(out.text, "\nExpected: %s\nwrote %s\n", s.expected,
+                csvName.c_str());
+        out.artifacts.push_back({csvName, csv.str()});
+    };
+    return sc;
+}
+
+/** D4 points: DRAM:PM ratios at a fixed footprint. */
+std::vector<SweepPoint>
+ratioPoints(bool golden)
+{
+    struct Ratio
+    {
+        const char *label;
+        std::size_t dram, pmem;
+    };
+    static const Ratio kGolden[] = {{"1:2", 6_MiB, 12_MiB},
+                                    {"1:4", 4_MiB, 16_MiB},
+                                    {"1:8", 2_MiB, 16_MiB},
+                                    {"1:16", 1_MiB, 16_MiB}};
+    static const Ratio kFull[] = {{"1:2", 24_MiB, 48_MiB},
+                                  {"1:4", 16_MiB, 64_MiB},
+                                  {"1:8", 8_MiB, 64_MiB},
+                                  {"1:16", 4_MiB, 64_MiB}};
+    std::vector<SweepPoint> points;
+    for (const Ratio &r : golden ? kGolden : kFull) {
+        points.push_back({r.label, [r](HostSpec &host) {
+            host.machine.nodes = {{TierKind::Dram, r.dram},
+                                  {TierKind::Pmem, r.pmem}};
+        }});
+    }
+    return points;
+}
+
+/** LLC points: cache sizes against the same hot band. */
+std::vector<SweepPoint>
+llcPoints(bool golden)
+{
+    struct Llc
+    {
+        const char *label;
+        std::size_t bytes;
+    };
+    static const Llc kGolden[] = {{"16KiB", 16_KiB},
+                                  {"64KiB", 64_KiB},
+                                  {"256KiB", 256_KiB},
+                                  {"1MiB", 1_MiB}};
+    static const Llc kFull[] = {{"64KiB", 64_KiB},
+                                {"256KiB", 256_KiB},
+                                {"1MiB", 1_MiB},
+                                {"4MiB", 4_MiB}};
+    std::vector<SweepPoint> points;
+    for (const Llc &l : golden ? kGolden : kFull) {
+        points.push_back({l.label, [l](HostSpec &host) {
+            host.machine.cache.sizeBytes = l.bytes;
+        }});
+    }
+    return points;
+}
+
+// --- Ablations D1 and D2 ------------------------------------------------
+
+/** --param workload: A/B/C/D/F/W; E does not run on the KV store. */
+YcsbWorkload
+promoteListWorkload(const RunContext &ctx)
+{
+    const std::uint64_t w = ctx.param("workload", 0);
+    if (w > static_cast<std::uint64_t>(YcsbWorkload::W) ||
+        w == static_cast<std::uint64_t>(YcsbWorkload::E)) {
+        MCLOCK_FATAL("ablation_promote_list: bad --param workload=%llu "
+                     "(want 0=A 1=B 2=C 3=D 5=F 6=W)",
+                     static_cast<unsigned long long>(w));
+    }
+    return static_cast<YcsbWorkload>(w);
+}
 
 Scenario
 ablationPromoteListScenario()
@@ -402,23 +504,13 @@ ablationPromoteListScenario()
     sc.policies = {"multiclock", "nimble", "amp-lru", "amp-lfu",
                    "amp-random"};
     sc.expand = [sc](const RunContext &ctx) {
-        const auto workload = static_cast<workloads::YcsbWorkload>(
-            ctx.param("workload", 0));
-        std::vector<RunUnit> units;
-        for (const auto &policy : sc.policies) {
-            units.push_back(
-                {policy, [policy, workload, ctx](const RunContext &) {
-                    const auto p = ycsbProfile(ctx, 1200000, 60000);
-                    return runSingleWorkload(policy, p, workload);
-                }});
-        }
-        return units;
+        return phaseUnits(sc.policies, 1200000, 60000,
+                          promoteListWorkload(ctx));
     };
     sc.reduce = [sc](const RunContext &ctx,
                      const std::vector<RunRecord> &records,
                      ScenarioOutput &out) {
-        const auto workload = static_cast<workloads::YcsbWorkload>(
-            ctx.param("workload", 0));
+        const auto workload = promoteListWorkload(ctx);
         appendf(out.text,
                 "=== Ablation D1: page-selection mechanism (YCSB-%s) "
                 "===\n",
@@ -467,16 +559,8 @@ ablationTrackingCostScenario()
     sc.title = "Ablation D2: access-tracking mechanism cost";
     sc.workload = "ycsb";
     sc.policies = policies::tieredPolicyNames();
-    sc.expand = [sc](const RunContext &ctx) {
-        std::vector<RunUnit> units;
-        for (const auto &policy : sc.policies) {
-            units.push_back({policy, [policy, ctx](const RunContext &) {
-                const auto p = ycsbProfile(ctx, 1200000, 60000);
-                return runSingleWorkload(policy, p,
-                                         workloads::YcsbWorkload::A);
-            }});
-        }
-        return units;
+    sc.expand = [sc](const RunContext &) {
+        return phaseUnits(sc.policies, 1200000, 60000);
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -523,161 +607,6 @@ ablationTrackingCostScenario()
     return sc;
 }
 
-struct RatioPoint
-{
-    const char *label;
-    std::size_t dram;
-    std::size_t pmem;
-};
-
-std::vector<RatioPoint>
-ratioPoints(bool golden)
-{
-    if (golden) {
-        return {{"1:2", 6_MiB, 12_MiB},
-                {"1:4", 4_MiB, 16_MiB},
-                {"1:8", 2_MiB, 16_MiB},
-                {"1:16", 1_MiB, 16_MiB}};
-    }
-    return {{"1:2", 24_MiB, 48_MiB},
-            {"1:4", 16_MiB, 64_MiB},
-            {"1:8", 8_MiB, 64_MiB},
-            {"1:16", 4_MiB, 64_MiB}};
-}
-
-Scenario
-ablationRatioScenario()
-{
-    Scenario sc;
-    sc.name = "ablation_ratio";
-    sc.title = "Ablation D4: DRAM:PM capacity ratio sweep";
-    sc.workload = "ycsb";
-    sc.policies = {"static", "multiclock"};
-    sc.expand = [sc](const RunContext &ctx) {
-        std::vector<RunUnit> units;
-        for (const auto &r : ratioPoints(ctx.golden)) {
-            for (const auto &policy : sc.policies) {
-                const std::string name =
-                    policy + "/" + r.label;
-                units.push_back(
-                    {name, [policy, r, ctx](const RunContext &) {
-                        auto p = ycsbProfile(ctx, 1000000, 50000);
-                        p.machine.nodes = {{TierKind::Dram, r.dram},
-                                           {TierKind::Pmem, r.pmem}};
-                        return runSingleWorkload(
-                            policy, p, workloads::YcsbWorkload::A);
-                    }});
-            }
-        }
-        return units;
-    };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records,
-                     ScenarioOutput &out) {
-        appendf(out.text,
-                "=== Ablation D4: DRAM:PM ratio sweep (YCSB-A, "
-                "fixed footprint) ===\n");
-        appendf(out.text, "%-6s %14s %14s %10s\n", "ratio",
-                "static(kops)", "mclock(kops)", "speedup");
-        CsvWriter csv;
-        csv.writeHeader({"ratio", "static_kops", "multiclock_kops",
-                         "speedup"});
-        const auto points = ratioPoints(ctx.golden);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const double st = records[2 * i].metrics.at("kops");
-            const double mc = records[2 * i + 1].metrics.at("kops");
-            appendf(out.text, "%-6s %14.1f %14.1f %10.3f\n",
-                    points[i].label, st, mc, mc / st);
-            csv.writeRow({points[i].label, std::to_string(st),
-                          std::to_string(mc),
-                          std::to_string(mc / st)});
-        }
-        appendf(out.text,
-                "\nExpected: the dynamic-tiering advantage grows as "
-                "DRAM becomes scarcer, until DRAM is too small to hold "
-                "the hot set.\nwrote ablation_ratio.csv\n");
-        out.artifacts.push_back({"ablation_ratio.csv", csv.str()});
-    };
-    return sc;
-}
-
-struct LlcPoint
-{
-    const char *label;
-    std::size_t bytes;
-};
-
-std::vector<LlcPoint>
-llcPoints(bool golden)
-{
-    if (golden) {
-        return {{"16KiB", 16_KiB},
-                {"64KiB", 64_KiB},
-                {"256KiB", 256_KiB},
-                {"1MiB", 1_MiB}};
-    }
-    return {{"64KiB", 64_KiB},
-            {"256KiB", 256_KiB},
-            {"1MiB", 1_MiB},
-            {"4MiB", 4_MiB}};
-}
-
-Scenario
-ablationLlcScenario()
-{
-    Scenario sc;
-    sc.name = "ablation_llc";
-    sc.title = "Ablation: LLC size vs tiering benefit";
-    sc.workload = "ycsb";
-    sc.policies = {"static", "multiclock"};
-    sc.expand = [sc](const RunContext &ctx) {
-        std::vector<RunUnit> units;
-        for (const auto &size : llcPoints(ctx.golden)) {
-            for (const auto &policy : sc.policies) {
-                const std::string name =
-                    policy + "/" + size.label;
-                units.push_back(
-                    {name, [policy, size, ctx](const RunContext &) {
-                        auto p = ycsbProfile(ctx, 800000, 50000);
-                        p.machine.cache.sizeBytes = size.bytes;
-                        p.machine.cache.ways = 8;
-                        return runSingleWorkload(
-                            policy, p, workloads::YcsbWorkload::A);
-                    }});
-            }
-        }
-        return units;
-    };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records,
-                     ScenarioOutput &out) {
-        appendf(out.text,
-                "=== Ablation: LLC size vs tiering benefit (YCSB-A) "
-                "===\n");
-        appendf(out.text, "%-8s %14s %14s %10s\n", "LLC",
-                "static(kops)", "mclock(kops)", "speedup");
-        CsvWriter csv;
-        csv.writeHeader({"llc", "static_kops", "multiclock_kops",
-                         "speedup"});
-        const auto points = llcPoints(ctx.golden);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const double st = records[2 * i].metrics.at("kops");
-            const double mc = records[2 * i + 1].metrics.at("kops");
-            appendf(out.text, "%-8s %14.1f %14.1f %10.3f\n",
-                    points[i].label, st, mc, mc / st);
-            csv.writeRow({points[i].label, std::to_string(st),
-                          std::to_string(mc),
-                          std::to_string(mc / st)});
-        }
-        appendf(out.text,
-                "\nExpected: the larger the LLC relative to the hot "
-                "band, the smaller the benefit of page placement.\n"
-                "wrote ablation_llc.csv\n");
-        out.artifacts.push_back({"ablation_llc.csv", csv.str()});
-    };
-    return sc;
-}
-
 }  // namespace
 
 std::vector<Scenario>
@@ -689,8 +618,22 @@ makeYcsbScenarios()
             fig10Scenario(),
             ablationPromoteListScenario(),
             ablationTrackingCostScenario(),
-            ablationRatioScenario(),
-            ablationLlcScenario()};
+            speedupSweepScenario(
+                {"ablation_ratio",
+                 "Ablation D4: DRAM:PM capacity ratio sweep",
+                 "Ablation D4: DRAM:PM ratio sweep (YCSB-A, fixed "
+                 "footprint)",
+                 "ratio", 6, "ratio",
+                 "the dynamic-tiering advantage grows as DRAM becomes "
+                 "scarcer, until DRAM is too small to hold the hot set.",
+                 1000000, 50000, ratioPoints}),
+            speedupSweepScenario(
+                {"ablation_llc", "Ablation: LLC size vs tiering benefit",
+                 "Ablation: LLC size vs tiering benefit (YCSB-A)", "LLC",
+                 8, "llc",
+                 "the larger the LLC relative to the hot band, the "
+                 "smaller the benefit of page placement.",
+                 800000, 50000, llcPoints})};
 }
 
 }  // namespace harness

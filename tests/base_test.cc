@@ -250,13 +250,6 @@ TEST(CsvWriterTest, EscapesSpecialCharacters)
     EXPECT_EQ(csv.str(), "\"a,b\",\"q\"\"q\",\"line\nbreak\"\n");
 }
 
-TEST(CsvWriterTest, DoubleRowPrecision)
-{
-    CsvWriter csv;
-    csv.writeRow(std::vector<double>{1.5, 2.25}, 2);
-    EXPECT_EQ(csv.str(), "1.50,2.25\n");
-}
-
 // --- SlabArena --------------------------------------------------------------
 
 /** Arena element with observable construction/destruction. */
