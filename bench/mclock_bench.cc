@@ -57,7 +57,8 @@ usage(const char *prog)
         "  --seed N          base seed (default %llu)\n"
         "  --param K=V       integer scenario parameter (e.g. "
         "ops=100000);\n"
-        "                    repeatable\n"
+        "                    repeatable; K must be a key a selected\n"
+        "                    scenario reads (--list shows them)\n"
         "  --golden          use the reduced-scale golden profiles\n"
         "  --stats           export kernel-style stats per unit: the\n"
         "                    vmstat time series (<scenario>_<unit>_"
@@ -107,6 +108,12 @@ listScenarios()
                     sc.workload.c_str(),
                     sc.goldenEligible ? "yes" : "no",
                     sc.title.c_str());
+        if (!sc.params.empty()) {
+            std::string keys;
+            for (const auto &key : sc.params)
+                keys += " " + key;
+            std::printf("%-24s --param keys:%s\n", "", keys.c_str());
+        }
         ++count;
     }
     std::printf("\n%zu scenarios registered\n", count);
@@ -301,11 +308,25 @@ main(int argc, char **argv)
         listScenarios();
         return 0;
     }
+    const auto selected = filterScenarios(filter);
+    for (const auto &param : ctx.params) {
+        const std::string &key = param.first;
+        if (std::none_of(selected.begin(), selected.end(),
+                         [&key](const Scenario *sc) {
+                             return std::count(sc->params.begin(),
+                                               sc->params.end(), key) > 0;
+                         })) {
+            std::fprintf(stderr,
+                         "unknown --param '%s': no selected scenario "
+                         "reads it (see --list)\n",
+                         key.c_str());
+            return 2;
+        }
+    }
     if (updateGolden || checkGolden)
         return goldenPass(goldenDir, filter, jobs, ctx.shards,
                           updateGolden);
 
-    const auto selected = filterScenarios(filter);
     if (selected.empty()) {
         std::fprintf(stderr, "no scenario matches '%s' (see --list)\n",
                      filter.c_str());

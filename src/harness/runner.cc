@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -109,6 +110,14 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 }  // namespace
 
+unsigned
+poolWidth(unsigned requested, unsigned hardware, std::size_t units)
+{
+    const std::size_t wanted = requested ? requested : std::max(1u, hardware);
+    return static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min(wanted, units)));
+}
+
 RunReport
 runScenarios(const std::vector<const Scenario *> &scenarios,
              const RunnerOptions &opts)
@@ -116,39 +125,42 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
     // mclock-lint: wall-clock-ok(observation-only wall_seconds metric)
     const auto runStart = std::chrono::steady_clock::now();
 
-    unsigned jobs = opts.jobs;
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-
     // Expand everything up front so units from different scenarios
-    // share the pool (the slowest scenario no longer serializes).
+    // share the pool (the slowest scenario no longer serializes). Each
+    // scenario runs under its own context, which checks every param()
+    // read against the keys the scenario declares.
     struct Expanded
     {
         const Scenario *scenario;
+        RunContext context;
         std::vector<RunUnit> units;
         std::vector<RunRecord> records;
         std::chrono::steady_clock::time_point start;
-        double wallSeconds = 0.0;
     };
     std::vector<Expanded> expanded;
     expanded.reserve(scenarios.size());
+    std::size_t unitCount = 0;
     for (const Scenario *sc : scenarios) {
         Expanded e;
         e.scenario = sc;
-        e.units = sc->expand(opts.context);
+        e.context = opts.context;
+        e.context.declared = &sc->params;
+        e.units = sc->expand(e.context);
         e.records.resize(e.units.size());
+        unitCount += e.units.size();
         expanded.push_back(std::move(e));
     }
 
     {
-        ThreadPool pool(jobs);
+        ThreadPool pool(poolWidth(
+            opts.jobs, std::thread::hardware_concurrency(), unitCount));
         for (auto &e : expanded) {
             // mclock-lint: wall-clock-ok(per-scenario wall_seconds)
             e.start = std::chrono::steady_clock::now();
             for (std::size_t u = 0; u < e.units.size(); ++u) {
                 RunUnit *unit = &e.units[u];
                 RunRecord *slot = &e.records[u];
-                const RunContext *ctx = &opts.context;
+                const RunContext *ctx = &e.context;
                 pool.submit([unit, slot, ctx] {
                     *slot = unit->run(*ctx);
                 });
@@ -167,7 +179,7 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
             result.simAccesses += rec.perfSimAccesses;
         }
         result.output = mergeRecords(e.units, e.records);
-        e.scenario->reduce(opts.context, e.records, result.output);
+        e.scenario->reduce(e.context, e.records, result.output);
         result.wallSeconds = secondsSince(e.start);
         if (!opts.quiet) {
             std::fputs(result.output.text.c_str(), stdout);

@@ -24,7 +24,7 @@ namespace harness {
 /** Runner configuration. */
 struct RunnerOptions
 {
-    unsigned jobs = 1;          ///< worker threads (0 = hardware)
+    unsigned jobs = 1;  ///< worker threads (0 = hardware; see poolWidth)
     std::string outDir = ".";   ///< where artifacts + manifest land
     bool writeArtifacts = true;
     bool writeManifest = false;
@@ -59,6 +59,14 @@ struct RunReport
         return true;
     }
 };
+
+/**
+ * Worker threads for a pool running @p units units: @p requested, or
+ * @p hardware threads (at least one) when @p requested is 0, and never
+ * more than there are units (but at least one).
+ */
+unsigned poolWidth(unsigned requested, unsigned hardware,
+                   std::size_t units);
 
 /**
  * Execute @p scenarios under @p opts. Prints each scenario's text (in

@@ -1,9 +1,90 @@
 #include "harness/scenario.hh"
 
+#include "base/csv.hh"
 #include "harness/scenario_common.hh"
 
 namespace mclock {
 namespace harness {
+
+void
+finishUnit(const RunContext &ctx, const std::vector<sim::Simulator *> &sims,
+           const sim::Metrics &merged, std::uint64_t appOps,
+           const stats::TraceBuffer &trace, RunRecord &rec)
+{
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        for (auto &v : collectViolations(*sims[s])) {
+            rec.violations.push_back(
+                sims.size() > 1 ? "shard" + std::to_string(s) + ": " + v
+                                : std::move(v));
+        }
+    }
+    rec.vmstat = merged.stats().snapshot();
+    rec.perfAppOps = appOps;
+    rec.perfSimAccesses = merged.totalAccesses();
+    if (ctx.stats) {
+        rec.traceEvents = trace.events();
+        if (sims.size() == 1)
+            rec.samplerCsv = sims[0]->sampler()->toCsv();
+    }
+}
+
+void
+Table::row(std::string label, std::vector<Cell> cells)
+{
+    MCLOCK_ASSERT(cells.size() + 1 == columns_.size());
+    rows_.emplace_back(std::move(label), std::move(cells));
+}
+
+std::string
+Table::text() const
+{
+    std::string out;
+    appendf(out, "%-*s", columns_[0].width, columns_[0].text.c_str());
+    for (std::size_t c = 1; c < columns_.size(); ++c) {
+        if (!columns_[c].text.empty())
+            appendf(out, " %*s", columns_[c].width, columns_[c].text.c_str());
+    }
+    for (const auto &[label, cells] : rows_) {
+        appendf(out, "\n%-*s", columns_[0].width, label.c_str());
+        for (std::size_t c = 1; c < columns_.size(); ++c) {
+            const Column &col = columns_[c];
+            const Cell &cell = cells[c - 1];
+            if (col.text.empty())
+                continue;
+            if (const auto *n = std::get_if<std::uint64_t>(&cell)) {
+                appendf(out, " %*llu", col.width,
+                        static_cast<unsigned long long>(*n));
+            } else {
+                appendf(out, " %*.*f", col.width, col.precision,
+                        std::get<double>(cell));
+            }
+        }
+    }
+    return out + "\n";
+}
+
+std::string
+Table::csv() const
+{
+    CsvWriter csv;
+    std::vector<std::string> header;
+    for (const Column &col : columns_) {
+        if (!col.csv.empty())
+            header.push_back(col.csv);
+    }
+    csv.writeHeader(header);
+    for (const auto &[label, cells] : rows_) {
+        std::vector<std::string> row{label};
+        for (std::size_t c = 1; c < columns_.size(); ++c) {
+            if (!columns_[c].csv.empty()) {
+                row.push_back(std::visit(
+                    [](auto v) { return std::to_string(v); }, cells[c - 1]));
+            }
+        }
+        csv.writeRow(row);
+    }
+    return csv.str();
+}
 
 ScenarioOutput
 mergeRecords(const std::vector<RunUnit> &units,

@@ -20,12 +20,14 @@
 #ifndef MCLOCK_HARNESS_SCENARIO_HH_
 #define MCLOCK_HARNESS_SCENARIO_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "stats/tracepoint.hh"
 
 namespace mclock {
@@ -63,13 +65,25 @@ struct RunContext
      */
     unsigned shards = 1;
 
-    /** Named overrides from the CLI (--ops, --param k=v, ...). */
+    /** Named overrides from the CLI (--param k=v). */
     std::map<std::string, std::uint64_t> params;
+
+    /**
+     * The keys the running scenario declares (Scenario::params), set by
+     * the runner; param() panics on any other key. nullptr outside the
+     * runner checks nothing.
+     */
+    const std::vector<std::string> *declared = nullptr;
 
     /** Override lookup with default. */
     std::uint64_t
     param(const std::string &name, std::uint64_t dflt) const
     {
+        if (declared && std::find(declared->begin(), declared->end(),
+                                  name) == declared->end()) {
+            MCLOCK_PANIC("scenario reads undeclared --param '%s'",
+                         name.c_str());
+        }
         auto it = params.find(name);
         return it == params.end() ? dflt : it->second;
     }
@@ -140,7 +154,7 @@ struct RunRecord
     /**
      * Work counters for wall-clock benchmarking: application memory
      * operations issued and memory-visible accesses completed by this
-     * unit's simulator(s) (summed when a unit runs several hosts).
+     * unit's host (summed over shards on a sharded host).
      * Kept separate from @ref metrics so the golden-comparable summary
      * is unchanged.
      */
@@ -194,6 +208,9 @@ struct Scenario
     std::string title;     ///< one-line description for --list
     std::string workload;  ///< workload family ("ycsb", "gapbs", ...)
     std::vector<std::string> policies;  ///< policies compared (metadata)
+
+    /** The --param keys the scenario reads; the CLI rejects others. */
+    std::vector<std::string> params;
 
     /** Included in the golden regression suite (deterministic only). */
     bool goldenEligible = true;

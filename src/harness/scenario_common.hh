@@ -12,9 +12,9 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "base/csv.hh"
 #include "base/logging.hh"
 #include "harness/invariants.hh"
 #include "harness/profiles.hh"
@@ -66,23 +66,16 @@ applyStatsContext(sim::MachineConfig &machine, const RunContext &ctx)
 }
 
 /**
- * Run the shared invariant suite, file violations on the record, and
- * export the vmstat snapshot (plus trace/sampler artifacts in stats
- * mode, i.e. when applyStatsContext() registered the sampler).
+ * The finish of every unit, single-host or sharded: runs the invariant
+ * suite on each of @p sims (violations prefixed "shardN: " when there
+ * is more than one), sets the record's vmstat snapshot and perf totals
+ * from the host's @p merged metrics and @p appOps, and in stats mode
+ * adds @p trace's events plus, on a single host, its sampler series.
  */
-inline void
-checkRunInvariants(sim::Simulator &sim, RunRecord &rec)
-{
-    for (auto &v : collectViolations(sim))
-        rec.violations.push_back(std::move(v));
-    rec.vmstat = sim.vmstat().snapshot();
-    rec.perfAppOps += sim.appOps();
-    rec.perfSimAccesses += sim.metrics().totalAccesses();
-    if (sim.sampler()) {
-        rec.traceEvents = sim.trace().events();
-        rec.samplerCsv = sim.sampler()->toCsv();
-    }
-}
+void finishUnit(const RunContext &ctx,
+                const std::vector<sim::Simulator *> &sims,
+                const sim::Metrics &merged, std::uint64_t appOps,
+                const stats::TraceBuffer &trace, RunRecord &rec);
 
 /** The host of one single-host unit: machine, policy and its options. */
 struct HostSpec
@@ -105,8 +98,7 @@ ycsbHost(const RunContext &ctx, const std::string &policy)
  * calls body(sim, rec), which drives the workload and adds the unit's
  * own metric keys. The body returns the workload object it drove;
  * that object, and every region it still maps, lives until
- * checkRunInvariants() has filed the violations and exported the
- * counters.
+ * finishUnit() has filed the violations and exported the counters.
  */
 template <typename Body>
 RunRecord
@@ -117,8 +109,51 @@ runHost(const RunContext &ctx, HostSpec host, Body &&body)
     sim::Simulator sim(host.machine);
     sim.setPolicy(policies::makePolicy(host.policy, host.opts));
     [[maybe_unused]] const auto workload = body(sim, rec);
-    checkRunInvariants(sim, rec);
+    finishUnit(ctx, {&sim}, sim.metrics(), sim.appOps(), sim.trace(), rec);
     return rec;
+}
+
+/**
+ * The sharded counterpart of runHost: @p host.machine is the whole
+ * machine, partitioned into @p opts.shards shards that each run
+ * @p host.policy. body(sharded, rec) sets up the per-shard workload,
+ * calls sharded.run() and adds the unit's keys; the workload object it
+ * returns lives until finishUnit() has checked every shard.
+ */
+template <typename Body>
+RunRecord
+runSharded(const RunContext &ctx, HostSpec host, sim::ShardOptions opts,
+           Body &&body)
+{
+    applyStatsContext(host.machine, ctx);
+    RunRecord rec;
+    sim::ShardedSimulator sharded(host.machine, opts);
+    std::vector<sim::Simulator *> sims;
+    for (unsigned s = 0; s < sharded.shards(); ++s) {
+        sharded.shard(s).setPolicy(
+            policies::makePolicy(host.policy, host.opts));
+        sims.push_back(&sharded.shard(s));
+    }
+    [[maybe_unused]] const auto workload = body(sharded, rec);
+    finishUnit(ctx, sims, sharded.mergedMetrics(), sharded.totalAppOps(),
+               sharded.trace(), rec);
+    return rec;
+}
+
+/**
+ * The whole machine of a sharded scenario: @p dram bytes of DRAM over
+ * @p pmem bytes of PM, a 32 KiB 8-way LLC, and the golden profile's
+ * 20 ms metrics window.
+ */
+inline sim::MachineConfig
+shardedMachine(const RunContext &ctx, std::size_t dram, std::size_t pmem)
+{
+    sim::MachineConfig cfg;
+    cfg.nodes = {{TierKind::Dram, dram}, {TierKind::Pmem, pmem}};
+    cfg.cache.sizeBytes = 32_KiB;
+    cfg.cache.ways = 8;
+    cfg.metricsWindow = ctx.golden ? 20_ms : kMetricsWindow;
+    return cfg;
 }
 
 /** YCSB workload at the context's scale; --param ops overrides the
@@ -164,12 +199,63 @@ RunRecord runGapbs(
 
 /** "promotions" / "demotions": the host's migration totals. */
 inline void
-addMigrationMetrics(const sim::Simulator &sim, RunRecord &rec)
+addMigrationMetrics(const stats::VmStat &vmstat, RunRecord &rec)
 {
     rec.metrics["promotions"] = static_cast<double>(
-        sim.vmstat().global(stats::VmItem::PgpromoteSuccess));
-    rec.metrics["demotions"] = static_cast<double>(
-        sim.vmstat().global(stats::VmItem::Pgdemote));
+        vmstat.global(stats::VmItem::PgpromoteSuccess));
+    rec.metrics["demotions"] =
+        static_cast<double>(vmstat.global(stats::VmItem::Pgdemote));
+}
+
+/** One column of a report Table. */
+struct Column
+{
+    std::string csv;    ///< CSV header; empty: the column is text-only
+    std::string text;   ///< text header; empty: the column is CSV-only
+    int width = 0;      ///< text width
+    int precision = 0;  ///< text digits after the point (double cells)
+};
+
+/** A numeric table cell: a double (CSV "%f") or an integer. */
+using Cell = std::variant<double, std::uint64_t>;
+
+/**
+ * A reducer's report table with its columns declared once. Column 0
+ * holds the row labels (left-aligned in the text); every other column
+ * holds one numeric cell per row (right-aligned after one space). The
+ * same rows render as the text table and as the CSV artifact, whose
+ * cells are exactly std::to_string() of each value.
+ */
+class Table
+{
+  public:
+    explicit Table(std::vector<Column> columns)
+        : columns_(std::move(columns))
+    {
+    }
+
+    /** Add a row: its label and one cell per non-label column. */
+    void row(std::string label, std::vector<Cell> cells);
+
+    /** The header line and rows, over the columns with a text header. */
+    std::string text() const;
+
+    /** The header and rows, over the columns with a CSV name. */
+    std::string csv() const;
+
+  private:
+    std::vector<Column> columns_;
+    std::vector<std::pair<std::string, std::vector<Cell>>> rows_;
+};
+
+/** One cell per non-label column, read from @p metrics by CSV name. */
+inline std::vector<Cell>
+metricCells(const std::vector<Column> &columns, const MetricMap &metrics)
+{
+    std::vector<Cell> cells;
+    for (std::size_t c = 1; c < columns.size(); ++c)
+        cells.push_back(metrics.at(columns[c].csv));
+    return cells;
 }
 
 /**
@@ -189,50 +275,20 @@ normalisedToStatic(std::string &text,
         std::find(policies.begin(), policies.end(), "static") -
         policies.begin());
     MCLOCK_ASSERT(base < policies.size());
-    CsvWriter csv;
-    std::vector<std::string> header{"policy"};
-    header.insert(header.end(), columns.begin(), columns.end());
-    csv.writeHeader(header);
-    appendf(text, "%-12s", "policy");
+    std::vector<Column> header{{"policy", "policy", 12}};
     for (const auto &c : columns)
-        appendf(text, " %8s", c.c_str());
-    appendf(text, "\n");
+        header.push_back({c, c, 8, 3});
+    Table table(std::move(header));
     for (std::size_t p = 0; p < policies.size(); ++p) {
-        appendf(text, "%-12s", policies[p].c_str());
-        std::vector<std::string> row{policies[p]};
+        std::vector<Cell> cells;
         for (std::size_t c = 0; c < columns.size(); ++c) {
             const double b = value(base, c);
-            const double norm = b > 0.0 ? value(p, c) / b : 0.0;
-            appendf(text, " %8.3f", norm);
-            row.push_back(std::to_string(norm));
+            cells.push_back(b > 0.0 ? value(p, c) / b : 0.0);
         }
-        appendf(text, "\n");
-        csv.writeRow(row);
+        table.row(policies[p], std::move(cells));
     }
-    return csv.str();
-}
-
-/**
- * The sharded-host counterpart of checkRunInvariants: run the invariant
- * suite on every shard (violations filed as "shardN: ..."), and export
- * the merged vmstat and perf totals (plus the coordinator trace in
- * stats mode). @p merged is host.mergedMetrics().
- */
-inline void
-checkShardedRunInvariants(sim::ShardedSimulator &host,
-                          const sim::Metrics &merged, const RunContext &ctx,
-                          RunRecord &rec)
-{
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        for (auto &v : collectViolations(host.shard(s)))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-    }
-    rec.vmstat = merged.stats().snapshot();
-    rec.perfAppOps = host.totalAppOps();
-    rec.perfSimAccesses = merged.totalAccesses();
-    if (ctx.stats)
-        rec.traceEvents = host.trace().events();
+    text += table.text();
+    return table.csv();
 }
 
 /** Scenario factory groups (one per definition file). */

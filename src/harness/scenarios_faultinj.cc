@@ -17,7 +17,6 @@
 
 #include <string>
 
-#include "base/csv.hh"
 #include "harness/scenario_common.hh"
 #include "workloads/gapbs/driver.hh"
 #include "workloads/ycsb.hh"
@@ -79,7 +78,7 @@ addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
 {
     using stats::VmItem;
     const auto &vm = sim.vmstat();
-    addMigrationMetrics(sim, rec);
+    addMigrationMetrics(vm, rec);
     rec.metrics["aborts"] =
         static_cast<double>(vm.global(VmItem::PgmigrateAbort));
     rec.metrics["retries"] =
@@ -132,13 +131,15 @@ Scenario
 faultinjScenario(const char *name, const char *title, const char *workload,
                  RunRecord (*run)(const RunContext &, const std::string &,
                                   unsigned),
-                 const char *metric, const char *metricLabel)
+                 const char *metric, const char *metricLabel,
+                 std::vector<std::string> params)
 {
     Scenario sc;
     sc.name = name;
     sc.title = title;
     sc.workload = workload;
     sc.policies = kFaultPolicies;
+    sc.params = std::move(params);
     sc.expand = [run](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : kFaultPolicies) {
@@ -156,44 +157,37 @@ faultinjScenario(const char *name, const char *title, const char *workload,
                     ScenarioOutput &out) {
         const std::string csvName = sc.name + ".csv";
         appendf(out.text, "=== %s ===\n", sc.title.c_str());
-        appendf(out.text, "%-12s %6s %10s %11s %8s %8s %9s %9s %8s\n",
-                "policy", "rate%", metricLabel, "promotions", "aborts",
-                "retries", "rollbacks", "throttles", "poisoned");
-
-        CsvWriter csv;
-        csv.writeHeader({"policy", "rate_pct", metric, "promotions",
-                         "demotions", "aborts", "retries", "rollbacks",
-                         "throttles", "promote_fail", "poisoned"});
-
+        Table table({{"policy", "policy", 12},
+                     {"rate_pct", "rate%", 6},
+                     {metric, metricLabel, 10, 1},
+                     {"promotions", "promotions", 11},
+                     {"demotions", ""},
+                     {"aborts", "aborts", 8},
+                     {"retries", "retries", 8},
+                     {"rollbacks", "rollbacks", 9},
+                     {"throttles", "throttles", 9},
+                     {"promote_fail", ""},
+                     {"poisoned", "poisoned", 8}});
         std::size_t i = 0;
         for (const auto &policy : kFaultPolicies) {
             for (unsigned rate : kFaultRates) {
                 const auto &m = records[i++].metrics;
-                appendf(out.text,
-                        "%-12s %6u %10.1f %11.0f %8.0f %8.0f %9.0f %9.0f "
-                        "%8.0f\n",
-                        policy.c_str(), rate, m.at(metric),
-                        m.at("promotions"), m.at("aborts"),
-                        m.at("retries"), m.at("rollbacks"),
-                        m.at("throttles"), m.at("poisoned"));
-                csv.writeRow({policy, std::to_string(rate),
-                              std::to_string(m.at(metric)),
-                              std::to_string(m.at("promotions")),
-                              std::to_string(m.at("demotions")),
-                              std::to_string(m.at("aborts")),
-                              std::to_string(m.at("retries")),
-                              std::to_string(m.at("rollbacks")),
-                              std::to_string(m.at("throttles")),
-                              std::to_string(m.at("promote_fail")),
-                              std::to_string(m.at("poisoned"))});
+                table.row(policy,
+                          {std::uint64_t{rate}, m.at(metric),
+                           m.at("promotions"),
+                           m.at("demotions"), m.at("aborts"),
+                           m.at("retries"), m.at("rollbacks"),
+                           m.at("throttles"), m.at("promote_fail"),
+                           m.at("poisoned")});
             }
         }
+        out.text += table.text();
         appendf(out.text,
                 "\nExpected: promotions fall monotonically with the "
                 "injected rate; retry+throttle keep the decay graceful "
                 "(no collapse at 40%%).\nwrote %s\n",
                 csvName.c_str());
-        out.artifacts.push_back({csvName, csv.str()});
+        out.artifacts.push_back({csvName, table.csv()});
     };
     return sc;
 }
@@ -206,11 +200,11 @@ makeFaultinjScenarios()
     return {faultinjScenario(
                 "faultinj_ycsb_a",
                 "YCSB-A under injected migration faults (rate sweep)",
-                "ycsb", faultinjYcsb, "kops", "kops/s"),
+                "ycsb", faultinjYcsb, "kops", "kops/s", {"ops"}),
             faultinjScenario(
                 "faultinj_pagerank",
                 "GAPBS PageRank under injected migration faults",
-                "gapbs", faultinjPagerank, "seconds", "seconds")};
+                "gapbs", faultinjPagerank, "seconds", "seconds", {})};
 }
 
 }  // namespace harness

@@ -31,7 +31,6 @@
 #include <memory>
 #include <string>
 
-#include "base/csv.hh"
 #include "base/rng.hh"
 #include "harness/scenario_common.hh"
 #include "sim/sharded.hh"
@@ -92,28 +91,6 @@ enum class TenantMix
 const std::vector<std::string> kNoisyUnits = {"baseline", "isolated",
                                               "shared"};
 
-/**
- * Whole-host machine. Per shard: 2 MiB DRAM / 8 MiB PM golden — the
- * victim (~0.7 MiB) fits in DRAM with room to spare, the thrasher
- * (~3.2 MiB) cannot.
- */
-sim::MachineConfig
-tenantMachineWhole(const RunContext &ctx)
-{
-    sim::MachineConfig cfg;
-    if (ctx.golden) {
-        cfg.nodes = {{TierKind::Dram, 8_MiB}, {TierKind::Pmem, 32_MiB}};
-    } else {
-        cfg.nodes = {{TierKind::Dram, 16_MiB},
-                     {TierKind::Pmem, 64_MiB}};
-    }
-    cfg.cache.sizeBytes = 32_KiB;
-    cfg.cache.ways = 8;
-    cfg.metricsWindow = ctx.golden ? 20_ms : kMetricsWindow;
-    applyStatsContext(cfg, ctx);
-    return cfg;
-}
-
 std::uint64_t
 victimRecords(const RunContext &ctx)
 {
@@ -124,24 +101,6 @@ std::uint64_t
 thrasherRecords(const RunContext &ctx)
 {
     return ctx.param("thrasher_records", ctx.golden ? 3000 : 6000);
-}
-
-std::uint64_t
-tenantEpochs(const RunContext &ctx)
-{
-    return ctx.param("epochs", ctx.golden ? 4 : 8);
-}
-
-std::uint64_t
-victimOpsPerEpoch(const RunContext &ctx)
-{
-    return ctx.param("victim_ops", ctx.golden ? 6000 : 24000);
-}
-
-std::uint64_t
-thrasherOpsPerEpoch(const RunContext &ctx)
-{
-    return ctx.param("thrasher_ops", ctx.golden ? 9000 : 36000);
 }
 
 /** One shard's tenants: cgroups, stores, and request generators. */
@@ -202,132 +161,128 @@ makeTenantShard(sim::Simulator &sim, TenantMix mix, const RunContext &ctx,
     return t;
 }
 
+/**
+ * One noisy-neighbor unit. The whole host has 2 MiB DRAM / 8 MiB PM
+ * per shard golden: the victim (~0.7 MiB) fits in DRAM with room to
+ * spare, the thrasher (~3.2 MiB) cannot.
+ */
 RunRecord
 runNoisyUnit(TenantMix mix, const RunContext &ctx)
 {
     constexpr std::size_t kValueBytes = 1024;
     const std::uint64_t vRecords = victimRecords(ctx);
     const std::uint64_t tRecords = thrasherRecords(ctx);
-    const std::uint64_t epochs = tenantEpochs(ctx);
-    const std::uint64_t vOps = victimOpsPerEpoch(ctx);
-    const std::uint64_t tOps = thrasherOpsPerEpoch(ctx);
+    const std::uint64_t epochs = ctx.param("epochs", ctx.golden ? 4 : 8);
+    const std::uint64_t vOps =
+        ctx.param("victim_ops", ctx.golden ? 6000 : 24000);
+    const std::uint64_t tOps =
+        ctx.param("thrasher_ops", ctx.golden ? 9000 : 36000);
 
-    sim::ShardOptions opts;
-    opts.shards = kTenantShards;
-    opts.workers = ctx.shards;
+    const HostSpec host{"multiclock",
+                        shardedMachine(ctx, ctx.golden ? 8_MiB : 16_MiB,
+                                       ctx.golden ? 32_MiB : 64_MiB)};
+    return runSharded(ctx, host, {kTenantShards, ctx.shards},
+                      [&](sim::ShardedSimulator &sharded, RunRecord &rec) {
+        std::vector<TenantShard> tenants(sharded.shards());
+        for (unsigned s = 0; s < sharded.shards(); ++s)
+            tenants[s] = makeTenantShard(sharded.shard(s), mix, ctx, s);
 
-    sim::ShardedSimulator host(tenantMachineWhole(ctx), opts);
-    std::vector<TenantShard> tenants;
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        host.shard(s).setPolicy(
-            policies::makePolicy("multiclock", benchPolicyOptions()));
-        tenants.push_back(
-            makeTenantShard(host.shard(s), mix, ctx, s));
-    }
-
-    host.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {
-        TenantShard &t = tenants[s];
-        if (epoch == 0) {
-            // Load phase: victim first (born in DRAM), then the
-            // thrasher spills past the DRAM watermark exactly as a
-            // late-arriving bulk tenant would.
-            for (std::uint64_t k = 0; k < vRecords; ++k)
-                t.victim->put(k, kValueBytes);
-            if (t.thrasher) {
-                for (std::uint64_t k = 0; k < tRecords; ++k)
-                    t.thrasher->put(k, kValueBytes);
+        sharded.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {
+            TenantShard &t = tenants[s];
+            if (epoch == 0) {
+                // Load phase: victim first (born in DRAM), then the
+                // thrasher spills past the DRAM watermark exactly as a
+                // late-arriving bulk tenant would.
+                for (std::uint64_t k = 0; k < vRecords; ++k)
+                    t.victim->put(k, kValueBytes);
+                if (t.thrasher) {
+                    for (std::uint64_t k = 0; k < tRecords; ++k)
+                        t.thrasher->put(k, kValueBytes);
+                }
+                return true;
             }
-            return true;
-        }
-        // Request epochs. The victim runs a stable zipfian YCSB-A
-        // mix; the thrasher's popularity churns every epoch (rotating
-        // key offset), so it keeps manufacturing new promotion
-        // candidates — the noisy-neighbor pressure under test.
-        for (std::uint64_t i = 0; i < vOps; ++i) {
-            const std::uint64_t key = t.victimZipf->next(t.victimRng);
-            if (t.victimRng.nextRange(100) < 50)
-                t.victim->get(key);
-            else
-                t.victim->put(key, kValueBytes);
-        }
-        if (t.thrasher) {
-            const std::uint64_t churn = (epoch - 1) * 797;
-            for (std::uint64_t i = 0; i < tOps; ++i) {
-                const std::uint64_t key =
-                    (t.thrasherZipf->next(t.thrasherRng) + churn) %
-                    tRecords;
-                if (t.thrasherRng.nextRange(100) < 50)
-                    t.thrasher->get(key);
+            // Request epochs. The victim runs a stable zipfian YCSB-A
+            // mix; the thrasher's popularity churns every epoch (rotating
+            // key offset), so it keeps manufacturing new promotion
+            // candidates — the noisy-neighbor pressure under test.
+            for (std::uint64_t i = 0; i < vOps; ++i) {
+                const std::uint64_t key = t.victimZipf->next(t.victimRng);
+                if (t.victimRng.nextRange(100) < 50)
+                    t.victim->get(key);
                 else
-                    t.thrasher->put(key, kValueBytes);
+                    t.victim->put(key, kValueBytes);
+            }
+            if (t.thrasher) {
+                const std::uint64_t churn = (epoch - 1) * 797;
+                for (std::uint64_t i = 0; i < tOps; ++i) {
+                    const std::uint64_t key =
+                        (t.thrasherZipf->next(t.thrasherRng) + churn) %
+                        tRecords;
+                    if (t.thrasherRng.nextRange(100) < 50)
+                        t.thrasher->get(key);
+                    else
+                        t.thrasher->put(key, kValueBytes);
+                }
+            }
+            return epoch < epochs;
+        });
+
+        // Exact cross-shard percentiles: merge the per-shard histograms
+        // (one MemCgroupManager per shard) before taking p99.
+        LatencyHist victimHist, thrasherHist;
+        std::uint64_t victimAccesses = 0, thrasherAccesses = 0;
+        double victimLatSum = 0.0;
+        for (unsigned s = 0; s < sharded.shards(); ++s) {
+            sim::Simulator &sim = sharded.shard(s);
+            const TenantShard &t = tenants[s];
+            if (const MemCgroup *cg = sim.memcg().find(t.victimId)) {
+                mergeHist(victimHist, *cg);
+                victimAccesses += cg->accesses();
+                victimLatSum +=
+                    cg->meanLatency() * static_cast<double>(cg->accesses());
+            }
+            if (const MemCgroup *cg = sim.memcg().find(t.thrasherId)) {
+                mergeHist(thrasherHist, *cg);
+                thrasherAccesses += cg->accesses();
             }
         }
-        return epoch < epochs;
-    });
 
-    RunRecord rec;
-    const sim::Metrics merged = host.mergedMetrics();
-    const stats::VmStat &vmstat = merged.stats();
-
-    // Exact cross-shard percentiles: merge the per-shard histograms
-    // (one MemCgroupManager per shard) before taking p99.
-    LatencyHist victimHist, thrasherHist;
-    std::uint64_t victimAccesses = 0, thrasherAccesses = 0;
-    double victimLatSum = 0.0;
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        sim::Simulator &sim = host.shard(s);
-        const TenantShard &t = tenants[s];
-        if (const MemCgroup *cg = sim.memcg().find(t.victimId)) {
-            mergeHist(victimHist, *cg);
-            victimAccesses += cg->accesses();
-            victimLatSum +=
-                cg->meanLatency() * static_cast<double>(cg->accesses());
-        }
-        if (const MemCgroup *cg = sim.memcg().find(t.thrasherId)) {
-            mergeHist(thrasherHist, *cg);
-            thrasherAccesses += cg->accesses();
-        }
-    }
-
-    const double victimP99 = static_cast<double>(histP99(victimHist));
-    rec.metrics["victim_p99_ns"] = victimP99;
-    rec.metrics["victim_mean_ns"] =
-        victimAccesses == 0
-            ? 0.0
-            : victimLatSum / static_cast<double>(victimAccesses);
-    rec.metrics["victim_accesses"] =
-        static_cast<double>(victimAccesses);
-    rec.metrics["thrasher_p99_ns"] =
-        static_cast<double>(histP99(thrasherHist));
-    rec.metrics["thrasher_accesses"] =
-        static_cast<double>(thrasherAccesses);
-    rec.metrics["promotions"] =
-        static_cast<double>(vmstat.global(VmItem::PgpromoteSuccess));
-    rec.metrics["demotions"] =
-        static_cast<double>(vmstat.global(VmItem::Pgdemote));
-    rec.metrics["tenant_demotions"] = static_cast<double>(
-        vmstat.global(stats::VmItem::PgtenantDemote));
-    rec.metrics["promote_deferred"] = static_cast<double>(
-        vmstat.global(stats::VmItem::PgtenantPromoteDeferred));
-    rec.metrics["alloc_fallbacks"] = static_cast<double>(
-        vmstat.global(stats::VmItem::PgtenantAllocFallback));
-    rec.metrics["limit_reclaims"] = static_cast<double>(
-        vmstat.global(stats::VmItem::MemcgLimitReclaim));
-
-    rec.tenantMetrics["victim.p99_latency_ns"] = victimP99;
-    rec.tenantMetrics["victim.mean_latency_ns"] =
-        rec.metrics["victim_mean_ns"];
-    rec.tenantMetrics["victim.accesses"] =
-        static_cast<double>(victimAccesses);
-    if (thrasherAccesses > 0) {
-        rec.tenantMetrics["thrasher.p99_latency_ns"] =
-            rec.metrics["thrasher_p99_ns"];
-        rec.tenantMetrics["thrasher.accesses"] =
+        const stats::VmStat vmstat = sharded.mergedVmstat();
+        const double victimP99 = static_cast<double>(histP99(victimHist));
+        rec.metrics["victim_p99_ns"] = victimP99;
+        rec.metrics["victim_mean_ns"] =
+            victimAccesses == 0
+                ? 0.0
+                : victimLatSum / static_cast<double>(victimAccesses);
+        rec.metrics["victim_accesses"] =
+            static_cast<double>(victimAccesses);
+        rec.metrics["thrasher_p99_ns"] =
+            static_cast<double>(histP99(thrasherHist));
+        rec.metrics["thrasher_accesses"] =
             static_cast<double>(thrasherAccesses);
-    }
+        addMigrationMetrics(vmstat, rec);
+        rec.metrics["tenant_demotions"] =
+            static_cast<double>(vmstat.global(VmItem::PgtenantDemote));
+        rec.metrics["promote_deferred"] = static_cast<double>(
+            vmstat.global(VmItem::PgtenantPromoteDeferred));
+        rec.metrics["alloc_fallbacks"] = static_cast<double>(
+            vmstat.global(VmItem::PgtenantAllocFallback));
+        rec.metrics["limit_reclaims"] =
+            static_cast<double>(vmstat.global(VmItem::MemcgLimitReclaim));
 
-    checkShardedRunInvariants(host, merged, ctx, rec);
-    return rec;
+        rec.tenantMetrics["victim.p99_latency_ns"] = victimP99;
+        rec.tenantMetrics["victim.mean_latency_ns"] =
+            rec.metrics["victim_mean_ns"];
+        rec.tenantMetrics["victim.accesses"] =
+            static_cast<double>(victimAccesses);
+        if (thrasherAccesses > 0) {
+            rec.tenantMetrics["thrasher.p99_latency_ns"] =
+                rec.metrics["thrasher_p99_ns"];
+            rec.tenantMetrics["thrasher.accesses"] =
+                static_cast<double>(thrasherAccesses);
+        }
+        return tenants;
+    });
 }
 
 Scenario
@@ -338,6 +293,8 @@ noisyNeighborScenario()
     sc.title = "Tenant isolation vs. a churning noisy neighbor";
     sc.workload = "kvstore";
     sc.policies = {"multiclock"};
+    sc.params = {"victim_records", "thrasher_records", "epochs",
+                 "victim_ops", "thrasher_ops"};
     sc.goldenEligible = true;
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
@@ -361,37 +318,22 @@ noisyNeighborScenario()
                 "%u shards; victim p99 is exact (merged discrete "
                 "histograms).\n",
                 kTenantShards);
-        appendf(out.text, "%-10s %14s %14s %11s %10s %9s %9s\n", "mix",
-                "victim_p99_ns", "victim_mean", "promotions",
-                "demotions", "deferred", "reclaims");
-
-        CsvWriter csv;
-        csv.writeHeader({"mix", "victim_p99_ns", "victim_mean_ns",
-                         "victim_accesses", "thrasher_p99_ns",
-                         "promotions", "demotions", "tenant_demotions",
-                         "promote_deferred", "alloc_fallbacks",
-                         "limit_reclaims"});
-        for (std::size_t i = 0;
-             i < records.size() && i < kNoisyUnits.size(); ++i) {
-            const auto &m = records[i].metrics;
-            appendf(out.text,
-                    "%-10s %14.0f %14.1f %11.0f %10.0f %9.0f %9.0f\n",
-                    kNoisyUnits[i].c_str(), m.at("victim_p99_ns"),
-                    m.at("victim_mean_ns"), m.at("promotions"),
-                    m.at("demotions"), m.at("promote_deferred"),
-                    m.at("limit_reclaims"));
-            csv.writeRow({kNoisyUnits[i],
-                          std::to_string(m.at("victim_p99_ns")),
-                          std::to_string(m.at("victim_mean_ns")),
-                          std::to_string(m.at("victim_accesses")),
-                          std::to_string(m.at("thrasher_p99_ns")),
-                          std::to_string(m.at("promotions")),
-                          std::to_string(m.at("demotions")),
-                          std::to_string(m.at("tenant_demotions")),
-                          std::to_string(m.at("promote_deferred")),
-                          std::to_string(m.at("alloc_fallbacks")),
-                          std::to_string(m.at("limit_reclaims"))});
-        }
+        const std::vector<Column> columns = {
+            {"mix", "mix", 10},
+            {"victim_p99_ns", "victim_p99_ns", 14},
+            {"victim_mean_ns", "victim_mean", 14, 1},
+            {"victim_accesses", ""},
+            {"thrasher_p99_ns", ""},
+            {"promotions", "promotions", 11},
+            {"demotions", "demotions", 10},
+            {"tenant_demotions", ""},
+            {"promote_deferred", "deferred", 9},
+            {"alloc_fallbacks", ""},
+            {"limit_reclaims", "reclaims", 9}};
+        Table table(columns);
+        for (std::size_t i = 0; i < records.size(); ++i)
+            table.row(kNoisyUnits[i], metricCells(columns, records[i].metrics));
+        out.text += table.text();
 
         // The scenario's figure of merit, pinned in the golden
         // summary: isolation holds the victim's p99 at baseline
@@ -412,7 +354,7 @@ noisyNeighborScenario()
             }
         }
         appendf(out.text, "wrote %s.csv\n", sc.name.c_str());
-        out.artifacts.push_back({sc.name + ".csv", csv.str()});
+        out.artifacts.push_back({sc.name + ".csv", table.csv()});
     };
     return sc;
 }
@@ -425,37 +367,6 @@ const std::vector<std::string> kChurnUnits = {"multiclock", "static"};
 constexpr std::uint64_t kChurnWaves = 4;
 constexpr std::uint64_t kTenantLife = 3;
 
-/**
- * Whole-host machine for the churn waves: per shard 1 MiB DRAM / 2 MiB
- * PM and ample swap. Three concurrent 1.5 MiB tenants over-commit the
- * 3 MiB of memory, forcing demotion cascades into swap; departures
- * then tear regions down with slots still held.
- */
-sim::MachineConfig
-churnMachineWhole(const RunContext &ctx)
-{
-    sim::MachineConfig cfg;
-    cfg.nodes = {{TierKind::Dram, 4_MiB}, {TierKind::Pmem, 8_MiB}};
-    cfg.swapPages = 16384;
-    cfg.cache.sizeBytes = 32_KiB;
-    cfg.cache.ways = 8;
-    cfg.metricsWindow = ctx.golden ? 20_ms : kMetricsWindow;
-    applyStatsContext(cfg, ctx);
-    return cfg;
-}
-
-std::uint64_t
-churnTenantPages(const RunContext &ctx)
-{
-    return ctx.param("tenant_pages", 384);
-}
-
-std::uint64_t
-churnSweeps(const RunContext &ctx)
-{
-    return ctx.param("sweeps", ctx.golden ? 2 : 4);
-}
-
 /** One live tenant's shard-local state. */
 struct ChurnTenant
 {
@@ -465,109 +376,105 @@ struct ChurnTenant
     bool departed = false;
 };
 
+/**
+ * One churn unit. The whole host has 1 MiB DRAM / 2 MiB PM per shard
+ * and ample swap: three concurrent 1.5 MiB tenants over-commit the
+ * 3 MiB of memory, forcing demotion cascades into swap; departures
+ * then tear regions down with slots still held.
+ */
 RunRecord
 runChurnUnit(const std::string &policy, const RunContext &ctx)
 {
-    const std::uint64_t pages = churnTenantPages(ctx);
-    const std::uint64_t sweeps = churnSweeps(ctx);
+    const std::uint64_t pages = ctx.param("tenant_pages", 384);
+    const std::uint64_t sweeps = ctx.param("sweeps", ctx.golden ? 2 : 4);
     const std::uint64_t lastEpoch = kChurnWaves - 1 + kTenantLife;
 
-    sim::ShardOptions opts;
-    opts.shards = kTenantShards;
-    opts.workers = ctx.shards;
+    HostSpec host{policy, shardedMachine(ctx, 4_MiB, 8_MiB)};
+    host.machine.swapPages = 16384;
+    return runSharded(ctx, host, {kTenantShards, ctx.shards},
+                      [&](sim::ShardedSimulator &sharded, RunRecord &rec) {
+        std::vector<std::vector<ChurnTenant>> waves(sharded.shards());
+        std::vector<Rng> rngs(sharded.shards());
+        for (unsigned s = 0; s < sharded.shards(); ++s)
+            rngs[s] = Rng(ctx.derivedSeed(64 + s, 0xc0ffee5eed00ull + s));
 
-    sim::ShardedSimulator host(churnMachineWhole(ctx), opts);
-    std::vector<std::vector<ChurnTenant>> waves(host.shards());
-    std::vector<Rng> rngs;
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        host.shard(s).setPolicy(
-            policies::makePolicy(policy, benchPolicyOptions()));
-        rngs.emplace_back(ctx.derivedSeed(64 + s, 0xc0ffee5eed00ull + s));
-    }
+        sharded.run([&](sim::Simulator &sim, unsigned s,
+                        std::uint64_t epoch) {
+            auto &tenants = waves[s];
+            Rng &rng = rngs[s];
 
-    host.run([&](sim::Simulator &sim, unsigned s, std::uint64_t epoch) {
-        auto &tenants = waves[s];
-        Rng &rng = rngs[s];
-
-        // Departure first: wave w leaves at the start of epoch
-        // w + kTenantLife, pages and swap slots and all — charges must
-        // drop with the region.
-        for (auto &t : tenants) {
-            if (!t.departed && epoch >= t.arrival + kTenantLife) {
-                sim.unmapRegion(t.region);
-                t.departed = true;
-            }
-        }
-
-        // Arrival: one capped tenant per wave epoch. Even waves get a
-        // partial DRAM cap (relieved by per-cgroup reclaim); odd waves
-        // are DRAM-excluded batch tenants (cap 0), so every fault must
-        // take the allocation-fallback path into PM.
-        if (epoch < kChurnWaves) {
-            ChurnTenant t;
-            t.arrival = epoch;
-            MemCgroupLimits limits;
-            limits.maxPages = {epoch % 2 == 0 ? 128u : 0u};
-            limits.lowPages = {64};
-            limits.promoteQuantum = 16;
-            t.id = sim.memcg().create(
-                "wave" + std::to_string(epoch), limits);
-            t.region = sim.mmap(pages * kPageSize, /*anon=*/true,
-                                "tenant-heap", t.id);
-            tenants.push_back(t);
-        }
-
-        // Each live tenant sweeps its heap: a strided write pass per
-        // sweep plus a sprinkle of random reads, enough to keep its
-        // resident set referenced and the fault path busy.
-        for (const auto &t : tenants) {
-            if (t.departed)
-                continue;
-            for (std::uint64_t pass = 0; pass < sweeps; ++pass) {
-                for (std::uint64_t p = 0; p < pages; ++p)
-                    sim.write(t.region + p * kPageSize, 8);
-                for (std::uint64_t i = 0; i < pages / 4; ++i) {
-                    sim.read(t.region +
-                                 rng.nextRange(pages) * kPageSize,
-                             8);
+            // Departure first: wave w leaves at the start of epoch
+            // w + kTenantLife, pages and swap slots and all — charges
+            // must drop with the region.
+            for (auto &t : tenants) {
+                if (!t.departed && epoch >= t.arrival + kTenantLife) {
+                    sim.unmapRegion(t.region);
+                    t.departed = true;
                 }
             }
-        }
-        return epoch < lastEpoch;
-    });
 
-    RunRecord rec;
-    const sim::Metrics merged = host.mergedMetrics();
-    const stats::VmStat &vmstat = merged.stats();
+            // Arrival: one capped tenant per wave epoch. Even waves get
+            // a partial DRAM cap (relieved by per-cgroup reclaim); odd
+            // waves are DRAM-excluded batch tenants (cap 0), so every
+            // fault must take the allocation-fallback path into PM.
+            if (epoch < kChurnWaves) {
+                ChurnTenant t;
+                t.arrival = epoch;
+                MemCgroupLimits limits;
+                limits.maxPages = {epoch % 2 == 0 ? 128u : 0u};
+                limits.lowPages = {64};
+                limits.promoteQuantum = 16;
+                t.id = sim.memcg().create(
+                    "wave" + std::to_string(epoch), limits);
+                t.region = sim.mmap(pages * kPageSize, /*anon=*/true,
+                                    "tenant-heap", t.id);
+                tenants.push_back(t);
+            }
 
-    // Every tenant departed; a nonzero residue is a charge leak (the
-    // invariant walk below would flag it too, but the golden pins it).
-    double leaked = 0.0;
-    std::uint64_t slotReleases = 0;
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        host.shard(s).memcg().forEach([&](const MemCgroup &cg) {
-            leaked += static_cast<double>(cg.chargedTotal());
+            // Each live tenant sweeps its heap: a strided write pass per
+            // sweep plus a sprinkle of random reads, enough to keep its
+            // resident set referenced and the fault path busy.
+            for (const auto &t : tenants) {
+                if (t.departed)
+                    continue;
+                for (std::uint64_t pass = 0; pass < sweeps; ++pass) {
+                    for (std::uint64_t p = 0; p < pages; ++p)
+                        sim.write(t.region + p * kPageSize, 8);
+                    for (std::uint64_t i = 0; i < pages / 4; ++i) {
+                        sim.read(t.region +
+                                     rng.nextRange(pages) * kPageSize,
+                                 8);
+                    }
+                }
+            }
+            return epoch < lastEpoch;
         });
-        slotReleases += host.shard(s).swap().slotReleases();
-    }
-    rec.metrics["leaked_charges"] = leaked;
-    rec.metrics["slot_releases"] = static_cast<double>(slotReleases);
-    rec.metrics["promotions"] =
-        static_cast<double>(vmstat.global(VmItem::PgpromoteSuccess));
-    rec.metrics["demotions"] =
-        static_cast<double>(vmstat.global(VmItem::Pgdemote));
-    rec.metrics["swap_outs"] = static_cast<double>(
-        vmstat.global(stats::VmItem::Pswpout));
-    rec.metrics["alloc_fallbacks"] = static_cast<double>(
-        vmstat.global(stats::VmItem::PgtenantAllocFallback));
-    rec.metrics["limit_reclaims"] = static_cast<double>(
-        vmstat.global(stats::VmItem::MemcgLimitReclaim));
-    rec.metrics["promote_deferred"] = static_cast<double>(
-        vmstat.global(stats::VmItem::PgtenantPromoteDeferred));
-    rec.metrics["epochs"] = static_cast<double>(host.epochs());
 
-    checkShardedRunInvariants(host, merged, ctx, rec);
-    return rec;
+        // Every tenant departed; a nonzero residue is a charge leak (the
+        // invariant walk would flag it too, but the golden pins it).
+        double leaked = 0.0;
+        std::uint64_t slotReleases = 0;
+        for (unsigned s = 0; s < sharded.shards(); ++s) {
+            sharded.shard(s).memcg().forEach([&](const MemCgroup &cg) {
+                leaked += static_cast<double>(cg.chargedTotal());
+            });
+            slotReleases += sharded.shard(s).swap().slotReleases();
+        }
+        const stats::VmStat vmstat = sharded.mergedVmstat();
+        rec.metrics["leaked_charges"] = leaked;
+        rec.metrics["slot_releases"] = static_cast<double>(slotReleases);
+        addMigrationMetrics(vmstat, rec);
+        rec.metrics["swap_outs"] =
+            static_cast<double>(vmstat.global(VmItem::Pswpout));
+        rec.metrics["alloc_fallbacks"] = static_cast<double>(
+            vmstat.global(VmItem::PgtenantAllocFallback));
+        rec.metrics["limit_reclaims"] =
+            static_cast<double>(vmstat.global(VmItem::MemcgLimitReclaim));
+        rec.metrics["promote_deferred"] = static_cast<double>(
+            vmstat.global(VmItem::PgtenantPromoteDeferred));
+        rec.metrics["epochs"] = static_cast<double>(sharded.epochs());
+        return waves;
+    });
 }
 
 Scenario
@@ -578,6 +485,7 @@ churnScenario()
     sc.title = "Tenant arrival/departure waves under caps and swap";
     sc.workload = "synthetic";
     sc.policies = kChurnUnits;
+    sc.params = {"tenant_pages", "sweeps"};
     sc.goldenEligible = true;
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
@@ -597,19 +505,18 @@ churnScenario()
                 static_cast<unsigned long long>(kChurnWaves),
                 static_cast<unsigned long long>(kTenantLife),
                 kTenantShards);
-        appendf(out.text, "%-12s %9s %10s %9s %10s %9s %8s\n", "policy",
-                "swap_outs", "fallbacks", "reclaims", "demotions",
-                "releases", "leaked");
-        for (std::size_t i = 0;
-             i < records.size() && i < kChurnUnits.size(); ++i) {
-            const auto &m = records[i].metrics;
-            appendf(out.text,
-                    "%-12s %9.0f %10.0f %9.0f %10.0f %9.0f %8.0f\n",
-                    kChurnUnits[i].c_str(), m.at("swap_outs"),
-                    m.at("alloc_fallbacks"), m.at("limit_reclaims"),
-                    m.at("demotions"), m.at("slot_releases"),
-                    m.at("leaked_charges"));
-        }
+        const std::vector<Column> columns = {
+            {"policy", "policy", 12},
+            {"swap_outs", "swap_outs", 9},
+            {"alloc_fallbacks", "fallbacks", 10},
+            {"limit_reclaims", "reclaims", 9},
+            {"demotions", "demotions", 10},
+            {"slot_releases", "releases", 9},
+            {"leaked_charges", "leaked", 8}};
+        Table table(columns);
+        for (std::size_t i = 0; i < records.size(); ++i)
+            table.row(kChurnUnits[i], metricCells(columns, records[i].metrics));
+        out.text += table.text();
     };
     return sc;
 }

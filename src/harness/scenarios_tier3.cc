@@ -14,7 +14,6 @@
 
 #include <string>
 
-#include "base/csv.hh"
 #include "harness/scenario_common.hh"
 #include "workloads/gapbs/driver.hh"
 #include "workloads/ycsb.hh"
@@ -72,7 +71,7 @@ tier3Ycsb(const RunContext &ctx, const std::string &policy)
         ycsbWorkload(ctx, 1200000, 60000, 1), {W},
         [](sim::Simulator &sim, const auto &results, RunRecord &rec) {
             rec.metrics["kops"] = results[0].throughputOpsPerSec() / 1e3;
-            addMigrationMetrics(sim, rec);
+            addMigrationMetrics(sim.vmstat(), rec);
             rec.metrics["swap_outs"] = static_cast<double>(
                 sim.vmstat().global(VmItem::Pswpout));
             addTierMetrics(sim, rec);
@@ -90,7 +89,7 @@ tier3Pagerank(const RunContext &ctx, const std::string &policy)
         {policy, ctx.golden ? goldenTier3GapbsMachine() : tier3GapbsMachine()},
         graph, workloads::gapbs::Kernel::PR,
         [](sim::Simulator &sim, RunRecord &rec) {
-            addMigrationMetrics(sim, rec);
+            addMigrationMetrics(sim.vmstat(), rec);
             addTierMetrics(sim, rec);
         });
 }
@@ -102,13 +101,15 @@ tier3Pagerank(const RunContext &ctx, const std::string &policy)
 Scenario
 tier3Scenario(const char *name, const char *title, const char *workload,
               RunRecord (*run)(const RunContext &, const std::string &),
-              const char *metric, const char *metricLabel)
+              const char *metric, const char *metricLabel,
+              std::vector<std::string> params)
 {
     Scenario sc;
     sc.name = name;
     sc.title = title;
     sc.workload = workload;
     sc.policies = tier3Policies();
+    sc.params = std::move(params);
     sc.expand = [sc, run](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : sc.policies) {
@@ -123,44 +124,32 @@ tier3Scenario(const char *name, const char *title, const char *workload,
                     ScenarioOutput &out) {
         const std::string csvName = sc.name + ".csv";
         appendf(out.text, "=== %s ===\n", sc.title.c_str());
-        appendf(out.text, "%-12s %10s", "policy", metricLabel);
-        for (int t = 0; t < 3; ++t)
-            appendf(out.text, " %11s.acc %9s.ns", kTierLabels[t],
-                    kTierLabels[t]);
-        appendf(out.text, "\n");
-
-        CsvWriter csv;
-        std::vector<std::string> header{"policy", metric};
-        for (int t = 0; t < 3; ++t) {
-            header.push_back(std::string(kTierLabels[t]) + "_accesses");
-            header.push_back(std::string(kTierLabels[t]) + "_avg_ns");
+        std::vector<Column> columns{{"policy", "policy", 12},
+                                    {metric, metricLabel, 10, 1}};
+        for (const char *tier : kTierLabels) {
+            const std::string t = tier;
+            columns.push_back({t + "_accesses", t + ".acc", 15});
+            columns.push_back({t + "_avg_ns", t + ".ns", 13, 1});
         }
-        csv.writeHeader(header);
-
+        Table table(std::move(columns));
         for (std::size_t i = 0; i < records.size(); ++i) {
             const auto &m = records[i].metrics;
-            appendf(out.text, "%-12s %10.1f", sc.policies[i].c_str(),
-                    m.at(metric));
-            std::vector<std::string> row{sc.policies[i],
-                                         std::to_string(m.at(metric))};
+            std::vector<Cell> cells{m.at(metric)};
             char key[32];
             for (int t = 0; t < 3; ++t) {
                 std::snprintf(key, sizeof(key), "tier%d.accesses", t);
-                const double acc = m.at(key);
+                cells.push_back(m.at(key));
                 std::snprintf(key, sizeof(key), "tier%d.avg_ns", t);
-                const double ns = m.at(key);
-                appendf(out.text, " %15.0f %13.1f", acc, ns);
-                row.push_back(std::to_string(acc));
-                row.push_back(std::to_string(ns));
+                cells.push_back(m.at(key));
             }
-            appendf(out.text, "\n");
-            csv.writeRow(row);
+            table.row(sc.policies[i], std::move(cells));
         }
+        out.text += table.text();
         appendf(out.text,
                 "\nExpected: device latency orders DRAM < CXL < PM; "
                 "dynamic policies shift accesses up-rank.\nwrote %s\n",
                 csvName.c_str());
-        out.artifacts.push_back({csvName, csv.str()});
+        out.artifacts.push_back({csvName, table.csv()});
     };
     return sc;
 }
@@ -173,14 +162,15 @@ makeTier3Scenarios()
     return {tier3Scenario("tier3_ycsb_a",
                           "Three-tier YCSB-A throughput (DRAM/CXL/PM)",
                           "ycsb", tier3Ycsb<workloads::YcsbWorkload::A>,
-                          "kops", "kops/s"),
+                          "kops", "kops/s", {"ops"}),
             tier3Scenario("tier3_ycsb_b",
                           "Three-tier YCSB-B throughput (DRAM/CXL/PM)",
                           "ycsb", tier3Ycsb<workloads::YcsbWorkload::B>,
-                          "kops", "kops/s"),
+                          "kops", "kops/s", {"ops"}),
             tier3Scenario("tier3_pagerank",
                           "Three-tier GAPBS PageRank (DRAM/CXL/PM)",
-                          "gapbs", tier3Pagerank, "seconds", "seconds")};
+                          "gapbs", tier3Pagerank, "seconds", "seconds",
+                          {})};
 }
 
 }  // namespace harness

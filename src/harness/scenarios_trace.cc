@@ -59,6 +59,7 @@ fig01Scenario()
     sc.name = "fig01";
     sc.title = "Fig. 1: page access heatmaps (50 pages x time)";
     sc.workload = "synthetic";
+    sc.params = {"seconds"};
     sc.policies = {"static"};
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
@@ -131,6 +132,7 @@ fig02Scenario()
     sc.title = "Fig. 2: observation/performance window frequency "
                "analysis";
     sc.workload = "synthetic";
+    sc.params = {"seconds", "window-s"};
     sc.policies = {"static"};
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
@@ -161,31 +163,25 @@ fig02Scenario()
         appendf(out.text,
                 "=== Fig. 2: accesses in the performance window, by "
                 "observation-window frequency class ===\n");
-        appendf(out.text, "%-14s %14s %14s %8s\n", "workload",
-                "single (mean)", "multi (mean)", "ratio");
-        CsvWriter csv;
-        csv.writeHeader({"workload", "single_mean", "multi_mean",
-                         "ratio", "single_samples", "multi_samples"});
+        Table table({{"workload", "workload", 14},
+                     {"single_mean", "single (mean)", 14, 2},
+                     {"multi_mean", "multi (mean)", 14, 2},
+                     {"ratio", "ratio", 8, 2},
+                     {"single_samples", ""},
+                     {"multi_samples", ""}});
         for (std::size_t i = 0; i < records.size(); ++i) {
-            const char *name =
-                workloads::syntheticProfileName(kProfiles[i]);
             const auto &m = records[i].metrics;
-            appendf(out.text, "%-14s %14.2f %14.2f %8.2f\n", name,
-                    m.at("single_mean"), m.at("multi_mean"),
-                    m.at("ratio"));
-            csv.writeRow({std::string(name),
-                          std::to_string(m.at("single_mean")),
-                          std::to_string(m.at("multi_mean")),
-                          std::to_string(m.at("ratio")),
-                          std::to_string(static_cast<std::uint64_t>(
-                              m.at("single_samples"))),
-                          std::to_string(static_cast<std::uint64_t>(
-                              m.at("multi_samples")))});
+            table.row(workloads::syntheticProfileName(kProfiles[i]),
+                      {m.at("single_mean"), m.at("multi_mean"),
+                       m.at("ratio"),
+                       static_cast<std::uint64_t>(m.at("single_samples")),
+                       static_cast<std::uint64_t>(m.at("multi_samples"))});
         }
+        out.text += table.text();
         appendf(out.text,
                 "\nExpected shape: multi >> single for every workload "
                 "(the paper's Fig. 2).\nwrote fig02_frequency.csv\n");
-        out.artifacts.push_back({"fig02_frequency.csv", csv.str()});
+        out.artifacts.push_back({"fig02_frequency.csv", table.csv()});
     };
     return sc;
 }

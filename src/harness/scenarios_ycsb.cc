@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 
-#include "base/csv.hh"
 #include "harness/scenario_common.hh"
 #include "workloads/ycsb.hh"
 
@@ -49,7 +48,7 @@ runPhase(const RunContext &ctx, const HostSpec &host,
                            RunRecord &rec) {
         const auto &vm = sim.vmstat();
         rec.metrics["kops"] = r[0].throughputOpsPerSec() / 1e3;
-        addMigrationMetrics(sim, rec);
+        addMigrationMetrics(sim.vmstat(), rec);
         rec.metrics["reaccessed"] =
             static_cast<double>(sim.metrics().totalReaccessed());
         rec.metrics["hint_faults"] =
@@ -102,6 +101,7 @@ fig05Scenario()
     sc.name = "fig05";
     sc.title = "Fig. 5: YCSB throughput normalised to static tiering";
     sc.workload = "ycsb";
+    sc.params = {"ops"};
     sc.policies = policies::tieredPolicyNames();
     sc.expand = [sc](const RunContext &) {
         std::vector<RunUnit> units;
@@ -116,7 +116,7 @@ fig05Scenario()
                             rec.metrics["tput." + r.workload] =
                                 r.throughputOpsPerSec();
                         }
-                        addMigrationMetrics(sim, rec);
+                        addMigrationMetrics(sim.vmstat(), rec);
                     });
             }});
         }
@@ -173,6 +173,7 @@ fig08Scenario()
     sc.name = "fig08";
     sc.title = "Fig. 8: pages promoted per 20 s window, YCSB-A";
     sc.workload = "ycsb";
+    sc.params = {"ops"};
     sc.policies = {"multiclock", "nimble"};
     sc.expand = [sc](const RunContext &) {
         return phaseUnits(sc.policies, 4000000, 120000);
@@ -188,29 +189,25 @@ fig08Scenario()
         const std::size_t windows =
             std::min(mclock.size(), nimble.size());
 
-        CsvWriter csv;
-        csv.writeHeader({"window", "multiclock", "nimble"});
-        appendf(out.text, "%-8s %12s %12s\n", "window", "multiclock",
-                "nimble");
+        Table table({{"window", "window", 8},
+                     {"multiclock", "multiclock", 12},
+                     {"nimble", "nimble", 12}});
         std::uint64_t mcTotal = 0, nbTotal = 0;
         for (std::size_t w = 0; w < windows; ++w) {
             const auto mc = static_cast<std::uint64_t>(mclock[w]);
             const auto nb = static_cast<std::uint64_t>(nimble[w]);
-            appendf(out.text, "%-8zu %12llu %12llu\n", w,
-                    static_cast<unsigned long long>(mc),
-                    static_cast<unsigned long long>(nb));
-            csv.writeRow({std::to_string(w), std::to_string(mc),
-                          std::to_string(nb)});
+            table.row(std::to_string(w), {mc, nb});
             mcTotal += mc;
             nbTotal += nb;
         }
-        appendf(out.text, "%-8s %12llu %12llu\n", "total",
-                static_cast<unsigned long long>(mcTotal),
-                static_cast<unsigned long long>(nbTotal));
+        // The total row is text-only: the CSV is taken before it.
+        const std::string csv = table.csv();
+        table.row("total", {mcTotal, nbTotal});
+        out.text += table.text();
         appendf(out.text,
                 "\nExpected shape: Nimble promotes more pages than "
                 "MULTI-CLOCK.\nwrote fig08_promotions.csv\n");
-        out.artifacts.push_back({"fig08_promotions.csv", csv.str()});
+        out.artifacts.push_back({"fig08_promotions.csv", csv});
     };
     return sc;
 }
@@ -223,6 +220,7 @@ fig09Scenario()
     sc.title = "Fig. 9: re-access % of recently promoted pages, "
                "YCSB-A";
     sc.workload = "ycsb";
+    sc.params = {"ops"};
     sc.policies = {"multiclock", "nimble"};
     sc.expand = [sc](const RunContext &) {
         return phaseUnits(sc.policies, 4000000, 120000);
@@ -256,27 +254,25 @@ fig09Scenario()
             return pct(r, p);
         };
 
-        CsvWriter csv;
-        csv.writeHeader({"window", "multiclock_pct", "nimble_pct"});
-        appendf(out.text, "%-8s %14s %14s\n", "window",
-                "multiclock(%)", "nimble(%)");
+        Table table({{"window", "window", 8},
+                     {"multiclock_pct", "multiclock(%)", 14, 1},
+                     {"nimble_pct", "nimble(%)", 14, 1}});
         for (std::size_t w = 0; w < windows; ++w) {
             if (mcProm[w] == 0 && nbProm[w] == 0)
                 continue;
-            appendf(out.text, "%-8zu %14.1f %14.1f\n", w,
-                    pct(mcRe[w], mcProm[w]), pct(nbRe[w], nbProm[w]));
-            csv.writeRow(
-                {std::to_string(w),
-                 std::to_string(pct(mcRe[w], mcProm[w])),
-                 std::to_string(pct(nbRe[w], nbProm[w]))});
+            table.row(std::to_string(w), {pct(mcRe[w], mcProm[w]),
+                                          pct(nbRe[w], nbProm[w])});
         }
-        appendf(out.text, "%-8s %14.1f %14.1f\n", "overall",
-                overall(mcProm, mcRe), overall(nbProm, nbRe));
+        // The overall row is text-only: the CSV is taken before it.
+        const std::string csv = table.csv();
+        table.row("overall",
+                  {overall(mcProm, mcRe), overall(nbProm, nbRe)});
+        out.text += table.text();
         appendf(out.text,
                 "\nExpected shape: MULTI-CLOCK's re-access %% exceeds "
                 "Nimble's (paper: ~15 points).\n"
                 "wrote fig09_reaccess.csv\n");
-        out.artifacts.push_back({"fig09_reaccess.csv", csv.str()});
+        out.artifacts.push_back({"fig09_reaccess.csv", csv});
     };
     return sc;
 }
@@ -332,6 +328,7 @@ fig10Scenario()
     sc.name = "fig10";
     sc.title = "Fig. 10: scan-interval sensitivity, YCSB-A throughput";
     sc.workload = "ycsb";
+    sc.params = {"ops"};
     sc.policies = {"multiclock", "nimble"};
     sc.expand = [sc](const RunContext &) {
         std::vector<SweepPoint> points;
@@ -349,23 +346,20 @@ fig10Scenario()
         appendf(out.text,
                 "=== Fig. 10: scan-interval sensitivity, YCSB-A "
                 "throughput (kops/s) ===\n");
-        appendf(out.text, "%-8s %14s %14s\n", "interval", "multiclock",
-                "nimble");
-        CsvWriter csv;
-        csv.writeHeader({"interval", "multiclock_kops", "nimble_kops"});
+        Table table({{"interval", "interval", 8},
+                     {"multiclock_kops", "multiclock", 14, 1},
+                     {"nimble_kops", "nimble", 14, 1}});
         for (std::size_t i = 0; i < std::size(kIntervals); ++i) {
-            const double mc = records[2 * i].metrics.at("kops");
-            const double nb = records[2 * i + 1].metrics.at("kops");
-            appendf(out.text, "%-8s %14.1f %14.1f\n",
-                    kIntervals[i].label, mc, nb);
-            csv.writeRow({kIntervals[i].label, std::to_string(mc),
-                          std::to_string(nb)});
+            table.row(kIntervals[i].label,
+                      {records[2 * i].metrics.at("kops"),
+                       records[2 * i + 1].metrics.at("kops")});
         }
+        out.text += table.text();
         appendf(out.text,
                 "\n(intervals are paper-scale labels; simulated "
                 "cadence is scaled by 1/%.0f)\n", kTimeScale);
         appendf(out.text, "wrote fig10_scan_interval.csv\n");
-        out.artifacts.push_back({"fig10_scan_interval.csv", csv.str()});
+        out.artifacts.push_back({"fig10_scan_interval.csv", table.csv()});
     };
     return sc;
 }
@@ -394,6 +388,7 @@ speedupSweepScenario(const SpeedupSweep &s)
     sc.name = s.name;
     sc.title = s.title;
     sc.workload = "ycsb";
+    sc.params = {"ops"};
     sc.policies = {"static", "multiclock"};
     sc.expand = [sc, s](const RunContext &ctx) {
         return sweepUnits(sc.policies, s.points(ctx.golden), s.fullOps,
@@ -404,23 +399,20 @@ speedupSweepScenario(const SpeedupSweep &s)
                     ScenarioOutput &out) {
         const std::string csvName = s.name + std::string(".csv");
         appendf(out.text, "=== %s ===\n", s.heading);
-        appendf(out.text, "%-*s %14s %14s %10s\n", s.width, s.column,
-                "static(kops)", "mclock(kops)", "speedup");
-        CsvWriter csv;
-        csv.writeHeader({s.csvColumn, "static_kops", "multiclock_kops",
-                         "speedup"});
+        Table table({{s.csvColumn, s.column, s.width},
+                     {"static_kops", "static(kops)", 14, 1},
+                     {"multiclock_kops", "mclock(kops)", 14, 1},
+                     {"speedup", "speedup", 10, 3}});
         const auto points = s.points(ctx.golden);
         for (std::size_t i = 0; i < points.size(); ++i) {
             const double st = records[2 * i].metrics.at("kops");
             const double mc = records[2 * i + 1].metrics.at("kops");
-            appendf(out.text, "%-*s %14.1f %14.1f %10.3f\n", s.width,
-                    points[i].label.c_str(), st, mc, mc / st);
-            csv.writeRow({points[i].label, std::to_string(st),
-                          std::to_string(mc), std::to_string(mc / st)});
+            table.row(points[i].label, {st, mc, mc / st});
         }
+        out.text += table.text();
         appendf(out.text, "\nExpected: %s\nwrote %s\n", s.expected,
                 csvName.c_str());
-        out.artifacts.push_back({csvName, csv.str()});
+        out.artifacts.push_back({csvName, table.csv()});
     };
     return sc;
 }
@@ -501,6 +493,7 @@ ablationPromoteListScenario()
     sc.name = "ablation_promote_list";
     sc.title = "Ablation D1: page-selection mechanism";
     sc.workload = "ycsb";
+    sc.params = {"ops", "workload"};
     sc.policies = {"multiclock", "nimble", "amp-lru", "amp-lfu",
                    "amp-random"};
     sc.expand = [sc](const RunContext &ctx) {
@@ -515,11 +508,12 @@ ablationPromoteListScenario()
                 "=== Ablation D1: page-selection mechanism (YCSB-%s) "
                 "===\n",
                 workloads::ycsbWorkloadName(workload));
-        appendf(out.text, "%-12s %12s %12s %12s %12s\n", "selection",
-                "kops/s", "promoted", "reaccess%", "demoted");
-        CsvWriter csv;
-        csv.writeHeader({"selection", "kops", "promoted",
-                         "reaccess_pct", "demoted"});
+        Table table({{"selection", "selection", 12},
+                     {"kops", "kops/s", 12, 1},
+                     {"promoted", "promoted", 12},
+                     {"reaccess_pct", "reaccess%", 12, 1},
+                     {"demoted", "demoted", 12},
+                     {"", "swaps", 8}});
         for (std::size_t i = 0; i < records.size(); ++i) {
             const auto &m = records[i].metrics;
             const auto promoted =
@@ -530,23 +524,14 @@ ablationPromoteListScenario()
                 promoted ? 100.0 * static_cast<double>(reaccessed) /
                                static_cast<double>(promoted)
                          : 0.0;
-            const auto demoted =
-                static_cast<std::uint64_t>(m.at("demotions"));
-            appendf(out.text,
-                    "%-12s %12.1f %12llu %12.1f %12llu  swaps=%llu\n",
-                    sc.policies[i].c_str(), m.at("kops"),
-                    static_cast<unsigned long long>(promoted), pct,
-                    static_cast<unsigned long long>(demoted),
-                    static_cast<unsigned long long>(
-                        static_cast<std::uint64_t>(
-                            m.at("swap_outs"))));
-            csv.writeRow({sc.policies[i], std::to_string(m.at("kops")),
-                          std::to_string(promoted), std::to_string(pct),
-                          std::to_string(demoted)});
+            table.row(sc.policies[i],
+                      {m.at("kops"), promoted, pct,
+                       static_cast<std::uint64_t>(m.at("demotions")),
+                       static_cast<std::uint64_t>(m.at("swap_outs"))});
         }
+        out.text += table.text();
         appendf(out.text, "\nwrote ablation_promote_list.csv\n");
-        out.artifacts.push_back(
-            {"ablation_promote_list.csv", csv.str()});
+        out.artifacts.push_back({"ablation_promote_list.csv", table.csv()});
     };
     return sc;
 }
@@ -558,6 +543,7 @@ ablationTrackingCostScenario()
     sc.name = "ablation_tracking_cost";
     sc.title = "Ablation D2: access-tracking mechanism cost";
     sc.workload = "ycsb";
+    sc.params = {"ops"};
     sc.policies = policies::tieredPolicyNames();
     sc.expand = [sc](const RunContext &) {
         return phaseUnits(sc.policies, 1200000, 60000);
@@ -568,41 +554,27 @@ ablationTrackingCostScenario()
         appendf(out.text,
                 "=== Ablation D2: access-tracking mechanism cost "
                 "(YCSB-A) ===\n");
-        appendf(out.text, "%-12s %10s %12s %14s %16s %16s\n", "policy",
-                "kops/s", "hint_faults", "scanned_pages",
-                "inline_ovh(ms)", "bg_work(ms)");
-        CsvWriter csv;
-        csv.writeHeader({"policy", "kops", "hint_faults",
-                         "scanned_pages", "inline_overhead_ms",
-                         "background_work_ms"});
+        Table table({{"policy", "policy", 12},
+                     {"kops", "kops/s", 10, 1},
+                     {"hint_faults", "hint_faults", 12},
+                     {"scanned_pages", "scanned_pages", 14},
+                     {"inline_overhead_ms", "inline_ovh(ms)", 16, 2},
+                     {"background_work_ms", "bg_work(ms)", 16, 2}});
         for (std::size_t i = 0; i < records.size(); ++i) {
             const auto &m = records[i].metrics;
-            const double inlineMs = m.at("inline_overhead_ns") / 1e6;
-            const double bgMs = m.at("background_work_ns") / 1e6;
-            appendf(out.text, "%-12s %10.1f %12llu %14llu %16.2f "
-                              "%16.2f\n",
-                    sc.policies[i].c_str(), m.at("kops"),
-                    static_cast<unsigned long long>(
-                        static_cast<std::uint64_t>(
-                            m.at("hint_faults"))),
-                    static_cast<unsigned long long>(
-                        static_cast<std::uint64_t>(
-                            m.at("scanned_pages"))),
-                    inlineMs, bgMs);
-            csv.writeRow(
-                {sc.policies[i], std::to_string(m.at("kops")),
-                 std::to_string(static_cast<std::uint64_t>(
-                     m.at("hint_faults"))),
-                 std::to_string(static_cast<std::uint64_t>(
-                     m.at("scanned_pages"))),
-                 std::to_string(inlineMs), std::to_string(bgMs)});
+            table.row(sc.policies[i],
+                      {m.at("kops"),
+                       static_cast<std::uint64_t>(m.at("hint_faults")),
+                       static_cast<std::uint64_t>(m.at("scanned_pages")),
+                       m.at("inline_overhead_ns") / 1e6,
+                       m.at("background_work_ns") / 1e6});
         }
+        out.text += table.text();
         appendf(out.text,
                 "\nExpected: AT-* pay hint faults + fault-path "
                 "migrations inline; reference-bit policies pay only "
                 "background scans.\nwrote ablation_tracking_cost.csv\n");
-        out.artifacts.push_back(
-            {"ablation_tracking_cost.csv", csv.str()});
+        out.artifacts.push_back({"ablation_tracking_cost.csv", table.csv()});
     };
     return sc;
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "harness/invariants.hh"
 #include "harness/profiles.hh"
 #include "harness/runner.hh"
+#include "harness/scenario_common.hh"
 #include "policies/factory.hh"
 #include "sim/simulator.hh"
 #include "workloads/ycsb.hh"
@@ -108,6 +110,24 @@ TEST(ScenarioRegistry, FindAndFilter)
     EXPECT_EQ(filterScenarios("no_such_scenario").size(), 0u);
 }
 
+TEST(ScenarioRegistry, EveryParamReadIsDeclared)
+{
+    // The runner gives each scenario a context that panics on reading
+    // a key the scenario does not declare, so one run of the whole
+    // registry proves every declaration complete. Small values for
+    // every key keep the run short.
+    RunContext ctx = goldenContext();
+    ctx.params = {{"ops", 2000},          {"trials", 1},
+                  {"seconds", 2},         {"records", 300},
+                  {"epochs", 1},          {"victim_records", 100},
+                  {"thrasher_records", 300}, {"victim_ops", 300},
+                  {"thrasher_ops", 300},  {"tenant_pages", 32},
+                  {"sweeps", 1}};
+    const auto all = filterScenarios("");
+    const auto report = runScenarios(all, quietOptions(4, ctx));
+    EXPECT_EQ(report.results.size(), all.size());
+}
+
 TEST(ScenarioRegistry, GoldenEligibilityMatchesDeterminism)
 {
     // tab01 is static metadata, and the shard_bigmem_x* variants only
@@ -155,6 +175,15 @@ TEST(RunContext, ParamLookup)
     EXPECT_EQ(ctx.param("missing", 9), 9u);
 }
 
+TEST(RunContext, ReadingAnUndeclaredParamPanics)
+{
+    const std::vector<std::string> keys{"ops"};
+    RunContext ctx;
+    ctx.declared = &keys;
+    EXPECT_EQ(ctx.param("ops", 9), 9u);
+    EXPECT_DEATH(ctx.param("trials", 1), "undeclared --param 'trials'");
+}
+
 // --- Determinism --------------------------------------------------------
 
 TEST(RunnerDeterminism, SameSeedTwiceIsBitIdentical)
@@ -164,6 +193,26 @@ TEST(RunnerDeterminism, SameSeedTwiceIsBitIdentical)
     const auto b = runScenario("fig05", quietOptions(2, ctx));
     expectIdentical(a.output, b.output);
     EXPECT_FALSE(a.output.summary.empty());
+}
+
+TEST(Runner, PoolWidthIsClampedToTheUnitCount)
+{
+    EXPECT_EQ(poolWidth(4, 8, 2), 2u);
+    EXPECT_EQ(poolWidth(4, 8, 100), 4u);
+    EXPECT_EQ(poolWidth(0, 8, 3), 3u);
+    EXPECT_EQ(poolWidth(0, 8, 100), 8u);
+    EXPECT_EQ(poolWidth(0, 0, 100), 1u);  // hardware count unknown
+    EXPECT_EQ(poolWidth(UINT_MAX, 8, 5), 5u);
+    EXPECT_EQ(poolWidth(3, 8, 0), 1u);
+}
+
+TEST(RunnerDeterminism, JobsJustAboveTheUnitCountMatchOneJob)
+{
+    // fig02 expands to three units; four jobs start three threads.
+    const auto ctx = smallContext();
+    const auto serial = runScenario("fig02", quietOptions(1, ctx));
+    const auto wide = runScenario("fig02", quietOptions(4, ctx));
+    expectIdentical(serial.output, wide.output);
 }
 
 TEST(RunnerDeterminism, JobCountDoesNotAffectOutput)
@@ -223,8 +272,9 @@ TEST(RunnerDeterminism, MultiScenarioRunMatchesAnyJobCount)
 
 /**
  * Thread-pool churn regression: repeated pool construction/teardown
- * and an oversubscribed worker count (far more workers than units)
- * exercise the submit/drain/shutdown windows of the runner's
+ * and job counts up to and past the unit count (the pool is clamped to
+ * one thread per unit) exercise the submit/drain/shutdown windows of
+ * the runner's
  * ThreadPool under maximal interleaving pressure. The functional
  * assertion is bit-identical output; under the tsan preset this test
  * is also the data-race regression net for the --jobs harness and the
@@ -318,6 +368,95 @@ TEST(HarnessInvariants, FreshSimulatorIsClean)
     sim::Simulator sim(goldenYcsbMachine());
     sim.setPolicy(policies::makePolicy("multiclock"));
     EXPECT_TRUE(collectViolations(sim).empty());
+}
+
+// --- Unit finish --------------------------------------------------------
+
+/**
+ * Writes 64 fresh pages and idles long enough for the daemons to wake
+ * (tracepoints); with @p corrupt, also counts one demotion no metrics
+ * window saw, which the invariant suite must report.
+ */
+Vaddr
+touchPages(sim::Simulator &sim, bool corrupt)
+{
+    const Vaddr region = sim.mmap(64 * kPageSize);
+    for (std::uint64_t p = 0; p < 64; ++p)
+        sim.write(region + p * kPageSize, 8);
+    sim.compute(1_s);
+    if (corrupt)
+        sim.vmstat().add(stats::VmItem::Pgdemote);
+    return region;
+}
+
+TEST(UnitFinish, SingleAndShardedRunnersFillTheSameRecord)
+{
+    RunContext ctx = goldenContext();
+    ctx.stats = true;
+    const RunRecord single = runHost(
+        ctx, ycsbHost(ctx, "multiclock"),
+        [](sim::Simulator &sim, RunRecord &) {
+            return touchPages(sim, true);
+        });
+    const RunRecord sharded = runSharded(
+        ctx, {"multiclock", shardedMachine(ctx, 8_MiB, 32_MiB)},
+        {/*shards=*/4, /*workers=*/2},
+        [](sim::ShardedSimulator &host, RunRecord &) {
+            host.run([](sim::Simulator &sim, unsigned s, std::uint64_t) {
+                touchPages(sim, s == 1);
+                return false;
+            });
+            return host.shards();
+        });
+
+    // The same planted fault, filed bare on the single host and under
+    // its shard's name on the sharded one.
+    ASSERT_FALSE(single.violations.empty());
+    ASSERT_EQ(sharded.violations.size(), single.violations.size());
+    for (std::size_t i = 0; i < single.violations.size(); ++i) {
+        EXPECT_EQ(sharded.violations[i], "shard1: " + single.violations[i]);
+    }
+    EXPECT_NE(single.violations[0].find("metrics windows"),
+              std::string::npos);
+
+    EXPECT_EQ(single.vmstat.at("pgdemote"), 1u);
+    EXPECT_EQ(sharded.vmstat.at("pgdemote"), 1u);
+    EXPECT_EQ(single.perfAppOps, 64u);
+    EXPECT_EQ(sharded.perfAppOps, 4u * 64u);
+    EXPECT_GT(single.perfSimAccesses, 0u);
+    EXPECT_GT(sharded.perfSimAccesses, 0u);
+
+    // Stats mode: the host's trace, plus the sampler on a single host.
+    EXPECT_FALSE(single.traceEvents.empty());
+    EXPECT_FALSE(single.samplerCsv.empty());
+    ASSERT_EQ(sharded.traceEvents.size(), 1u);  // one shard_merge
+    EXPECT_TRUE(sharded.samplerCsv.empty());
+}
+
+// --- Report table -------------------------------------------------------
+
+TEST(ReportTable, RendersDeclaredColumnsAsTextAndCsv)
+{
+    Table table({{"name", "name", 6},
+                 {"x", "x", 8, 2},
+                 {"n", "count", 6},
+                 {"", "txt", 4},
+                 {"csv_only", ""}});
+    const double third = 1.0 / 3.0;
+    table.row("a,b", {third, std::uint64_t{12345678901}, std::uint64_t{7},
+                      1e9 + 0.5});
+    table.row("c", {-2.0, std::uint64_t{0}, std::uint64_t{12}, 0.0});
+
+    EXPECT_EQ(table.text(), "name          x  count  txt\n"
+                            "a,b        0.33 12345678901    7\n"
+                            "c         -2.00      0   12\n");
+    // CSV cells are std::to_string() of each value: "%f" for doubles,
+    // plain digits for integers; a label holding a comma is quoted.
+    EXPECT_EQ(table.csv(), "name,x,n,csv_only\n\"a,b\"," +
+                               std::to_string(third) + ",12345678901," +
+                               std::to_string(1e9 + 0.5) + "\nc," +
+                               std::to_string(-2.0) + ",0," +
+                               std::to_string(0.0) + "\n");
 }
 
 // --- Artifacts ----------------------------------------------------------
