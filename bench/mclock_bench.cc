@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "base/hash.hh"
 #include "base/parse.hh"
 #include "harness/benchmark.hh"
 #include "harness/golden.hh"
@@ -72,7 +73,9 @@ usage(const char *prog)
         "golden regression:\n"
         "  --check-golden    run golden scenarios, compare with "
         "fixtures\n"
+        "                    and print each scenario's fingerprint\n"
         "  --update-golden   regenerate fixtures (review the diff!)\n"
+        "                    (both refuse --seed, --param and --stats)\n"
         "  --golden-dir DIR  fixture directory (default: %s)\n"
         "\n"
         "wall-clock benchmarking:\n"
@@ -180,9 +183,13 @@ goldenPass(const std::string &dir, const std::string &filter,
         const auto diffs =
             compareGolden(golden, result.output.summary);
         if (diffs.empty()) {
-            std::printf("ok   %-24s %zu metrics (%.2fs)\n",
+            // One fingerprint over the scenario's unit fingerprints.
+            Fnv1a fp;
+            for (const auto &[unit, unitFp] : result.output.fingerprints)
+                fp.field(unit).word(unitFp);
+            std::printf("ok   %-24s %zu metrics fingerprint %016llx\n",
                         result.name.c_str(), golden.metrics.size(),
-                        result.wallSeconds);
+                        static_cast<unsigned long long>(fp.value()));
         } else {
             std::printf("FAIL %-24s %zu mismatches\n",
                         result.name.c_str(), diffs.size());
@@ -191,6 +198,8 @@ goldenPass(const std::string &dir, const std::string &filter,
             ++failures;
         }
     }
+    std::printf("%zu scenario(s), %.2fs wall\n", report.results.size(),
+                report.wallSeconds);
     if (!report.clean()) {
         std::fprintf(stderr, "invariant violations detected\n");
         return 1;
@@ -323,9 +332,23 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (updateGolden || checkGolden)
+    if (updateGolden || checkGolden) {
+        const char *ignored = ctx.stats                  ? "--stats"
+                              : !ctx.params.empty()      ? "--param"
+                              : ctx.seed != kDefaultSeed ? "--seed"
+                                                         : nullptr;
+        if (ignored) {
+            std::fprintf(stderr,
+                         "%s does not apply to %s: the golden suite "
+                         "runs at the fixtures' pinned seed and scale\n",
+                         ignored,
+                         updateGolden ? "--update-golden"
+                                      : "--check-golden");
+            return 2;
+        }
         return goldenPass(goldenDir, filter, jobs, ctx.shards,
                           updateGolden);
+    }
 
     if (selected.empty()) {
         std::fprintf(stderr, "no scenario matches '%s' (see --list)\n",

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace mclock {
@@ -144,10 +145,7 @@ class FlatMap64
     static std::size_t
     hash(std::uint64_t x)
     {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(x ^ (x >> 31));
+        return static_cast<std::size_t>(splitmix64(x));
     }
 
     void

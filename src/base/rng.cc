@@ -1,28 +1,14 @@
 #include "base/rng.hh"
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace mclock {
 
-namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t sm = seed;
-    for (auto &s : s_)
-        s = splitmix64(sm);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        s_[i] = splitmix64(seed, i + 1);
 }
 
 std::uint64_t

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "base/hash.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 
@@ -41,15 +42,14 @@ isoTimestampUtc()
     return buf;
 }
 
-void
-hashBytes(std::uint64_t &h, const std::string &s)
+/** @p v as 16 lower-case hex digits (JSON numbers lose 64-bit values). */
+std::string
+hex64(std::uint64_t v)
 {
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    h ^= 0xff;
-    h *= 0x100000001b3ull;  // field separator
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 }  // namespace
@@ -92,38 +92,29 @@ readGitSha(const std::string &startDir)
 std::uint64_t
 configHash(const Scenario &scenario, const RunContext &ctx)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-    hashBytes(h, scenario.name);
-    hashBytes(h, scenario.workload);
+    Fnv1a h;
+    h.field(scenario.name).field(scenario.workload);
     for (const auto &p : scenario.policies)
-        hashBytes(h, p);
-    hashBytes(h, std::to_string(ctx.seed));
-    hashBytes(h, ctx.golden ? "golden" : "full");
-    for (const auto &[key, value] : ctx.params) {
-        hashBytes(h, key);
-        hashBytes(h, std::to_string(value));
-    }
-    return h;
+        h.field(p);
+    h.field(std::to_string(ctx.seed)).field(ctx.golden ? "golden" : "full");
+    for (const auto &[key, value] : ctx.params)
+        h.field(key).field(std::to_string(value));
+    return h.value();
 }
 
 void
 writeManifest(const RunReport &report, const RunnerOptions &opts)
 {
-    char hashBuf[24];
     Json scenarios{Json::Array{}};
     for (const auto &r : report.results) {
         const Scenario *sc = findScenario(r.name);
         Json entry{Json::Object{}};
         entry.set("name", r.name);
         if (sc) {
-            std::snprintf(hashBuf, sizeof(hashBuf), "%016llx",
-                          static_cast<unsigned long long>(
-                              configHash(*sc, opts.context)));
-            entry.set("config_hash", std::string(hashBuf));
+            entry.set("config_hash", hex64(configHash(*sc, opts.context)));
             entry.set("workload", sc->workload);
         }
         entry.set("units", static_cast<double>(r.units));
-        entry.set("wall_seconds", r.wallSeconds);
         entry.set("metrics", static_cast<double>(r.output.summary.size()));
         entry.set("violations",
                   static_cast<double>(r.output.violations.size()));
@@ -142,6 +133,11 @@ writeManifest(const RunReport &report, const RunnerOptions &opts)
                 vmstat.set(key, static_cast<double>(value));
         }
         entry.set("vmstat", std::move(vmstat));
+        // Per-unit result fingerprints (RunRecord::fingerprint).
+        Json fingerprints{Json::Object{}};
+        for (const auto &[unit, fp] : r.output.fingerprints)
+            fingerprints.set(unit, hex64(fp));
+        entry.set("fingerprints", std::move(fingerprints));
         // Per-tenant QoS metrics for multi-tenant scenarios
         // ("<unit>.<tenant>.<metric>"); omitted when the scenario
         // created no memory cgroups.

@@ -97,17 +97,6 @@ class ThreadPool
     std::vector<std::thread> threads_;
 };
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    // Host-time measurement only (wall_seconds in reports); never
-    // feeds simulated state.
-    // mclock-lint: wall-clock-ok(observation-only wall_seconds metric)
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 }  // namespace
 
 unsigned
@@ -135,7 +124,6 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
         RunContext context;
         std::vector<RunUnit> units;
         std::vector<RunRecord> records;
-        std::chrono::steady_clock::time_point start;
     };
     std::vector<Expanded> expanded;
     expanded.reserve(scenarios.size());
@@ -155,14 +143,13 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
         ThreadPool pool(poolWidth(
             opts.jobs, std::thread::hardware_concurrency(), unitCount));
         for (auto &e : expanded) {
-            // mclock-lint: wall-clock-ok(per-scenario wall_seconds)
-            e.start = std::chrono::steady_clock::now();
             for (std::size_t u = 0; u < e.units.size(); ++u) {
                 RunUnit *unit = &e.units[u];
                 RunRecord *slot = &e.records[u];
                 const RunContext *ctx = &e.context;
                 pool.submit([unit, slot, ctx] {
                     *slot = unit->run(*ctx);
+                    slot->fingerprint = unitFingerprint(*slot);
                 });
             }
         }
@@ -180,7 +167,6 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
         }
         result.output = mergeRecords(e.units, e.records);
         e.scenario->reduce(e.context, e.records, result.output);
-        result.wallSeconds = secondsSince(e.start);
         if (!opts.quiet) {
             std::fputs(result.output.text.c_str(), stdout);
             std::fflush(stdout);
@@ -228,7 +214,10 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
         }
     }
 
-    report.wallSeconds = secondsSince(runStart);
+    // mclock-lint: wall-clock-ok(observation-only wall_seconds metric)
+    report.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - runStart)
+                             .count();
     if (opts.writeManifest)
         writeManifest(report, opts);
     return report;

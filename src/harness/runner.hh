@@ -37,7 +37,6 @@ struct ScenarioResult
 {
     std::string name;
     ScenarioOutput output;
-    double wallSeconds = 0.0;   ///< host time spent in this scenario
     std::size_t units = 0;
     /** Unit perf counters summed (see RunRecord; not golden-compared). */
     std::uint64_t appOps = 0;

@@ -1,14 +1,46 @@
 #include "harness/scenario.hh"
 
+#include <bit>
+
 #include "base/csv.hh"
 #include "harness/scenario_common.hh"
 
 namespace mclock {
 namespace harness {
 
+std::uint64_t
+hostFingerprint(SimTime clock, const std::vector<sim::MetricsWindow> &windows)
+{
+    Fnv1a h;
+    h.word(clock).word(windows.size());
+    for (const auto &w : windows) {
+        h.word(w.accesses).word(w.promotions).word(w.demotions);
+        h.word(w.promotedReaccessed).word(w.tierAccesses.size());
+        for (std::uint64_t n : w.tierAccesses)
+            h.word(n);
+    }
+    return h.value();
+}
+
+std::uint64_t
+unitFingerprint(const RunRecord &rec)
+{
+    Fnv1a h;
+    h.word(rec.fingerprint);
+    for (const MetricMap *map : {&rec.metrics, &rec.tenantMetrics}) {
+        h.word(map->size());
+        for (const auto &[key, value] : *map)
+            h.field(key).word(std::bit_cast<std::uint64_t>(value));
+    }
+    h.word(rec.vmstat.size());
+    for (const auto &[key, value] : rec.vmstat)
+        h.field(key).word(value);
+    return h.value();
+}
+
 void
 finishUnit(const RunContext &ctx, const std::vector<sim::Simulator *> &sims,
-           const sim::Metrics &merged, std::uint64_t appOps,
+           const sim::Metrics &merged, SimTime clock, std::uint64_t appOps,
            const stats::TraceBuffer &trace, RunRecord &rec)
 {
     for (std::size_t s = 0; s < sims.size(); ++s) {
@@ -21,6 +53,7 @@ finishUnit(const RunContext &ctx, const std::vector<sim::Simulator *> &sims,
     rec.vmstat = merged.stats().snapshot();
     rec.perfAppOps = appOps;
     rec.perfSimAccesses = merged.totalAccesses();
+    rec.fingerprint = hostFingerprint(clock, merged.windows());
     if (ctx.stats) {
         rec.traceEvents = trace.events();
         if (sims.size() == 1)
@@ -96,8 +129,7 @@ mergeRecords(const std::vector<RunUnit> &units,
         out.text += rec.text;
         for (const auto &artifact : rec.artifacts)
             out.artifacts.push_back(artifact);
-        const std::string &prefix =
-            i < units.size() ? units[i].name : "unit";
+        const std::string &prefix = units[i].name;
         for (const auto &[key, value] : rec.metrics)
             out.summary[prefix + "." + key] = value;
         for (const auto &v : rec.violations)
@@ -110,6 +142,7 @@ mergeRecords(const std::vector<RunUnit> &units,
         }
         for (const auto &[key, value] : rec.tenantMetrics)
             out.tenantMetrics[prefix + "." + key] = value;
+        out.fingerprints[prefix] = rec.fingerprint;
         if (!rec.samplerCsv.empty()) {
             out.statsArtifacts.push_back(
                 {prefix + "_vmstat.csv", rec.samplerCsv});

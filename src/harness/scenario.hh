@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "stats/tracepoint.hh"
 
@@ -97,12 +98,8 @@ struct RunContext
     std::uint64_t
     derivedSeed(std::uint64_t slot, std::uint64_t fixtureSeed) const
     {
-        if (seed == kDefaultSeed)
-            return fixtureSeed;
-        std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (slot + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        return seed == kDefaultSeed ? fixtureSeed
+                                    : splitmix64(seed, slot + 1);
     }
 };
 
@@ -111,6 +108,8 @@ struct Artifact
 {
     std::string filename;
     std::string contents;
+
+    bool operator==(const Artifact &) const = default;
 };
 
 /** What one unit produced. */
@@ -160,7 +159,19 @@ struct RunRecord
      */
     std::uint64_t perfAppOps = 0;
     std::uint64_t perfSimAccesses = 0;
+
+    /**
+     * Exact digest of the unit's simulated results, not of the --stats
+     * exports: finishUnit() hashes the host's final clock and window
+     * series, and the runner seals that with unitFingerprint() once the
+     * unit has returned.
+     */
+    std::uint64_t fingerprint = 0;
 };
+
+/** rec.fingerprint hashed with every metric, tenant metric and vmstat
+ *  count, bit for bit. */
+std::uint64_t unitFingerprint(const RunRecord &rec);
 
 /** One independently executable simulation; owns its Simulator. */
 struct RunUnit
@@ -199,6 +210,9 @@ struct ScenarioOutput
      * of the golden summary.
      */
     MetricMap tenantMetrics;
+
+    /** Each unit's RunRecord::fingerprint, by unit name. */
+    std::map<std::string, std::uint64_t> fingerprints;
 };
 
 /** One registered experiment. */
@@ -232,7 +246,8 @@ struct Scenario
  * The runner's merge of a scenario's unit records, before reduce():
  * concatenates unit texts, forwards artifacts, and merges metrics as
  * "<unit>.<metric>" (plus vmstat, violations, tenant metrics and stats
- * artifacts under the same unit prefix).
+ * artifacts under the same unit prefix), and files each unit's
+ * fingerprint under its name.
  */
 ScenarioOutput mergeRecords(const std::vector<RunUnit> &units,
                             const std::vector<RunRecord> &records);

@@ -65,17 +65,23 @@ applyStatsContext(sim::MachineConfig &machine, const RunContext &ctx)
     machine.stats.sampler = ctx.stats;
 }
 
+/** A unit's fingerprint before sealing: @p clock and every window field. */
+std::uint64_t hostFingerprint(SimTime clock,
+                              const std::vector<sim::MetricsWindow> &windows);
+
 /**
  * The finish of every unit, single-host or sharded: runs the invariant
  * suite on each of @p sims (violations prefixed "shardN: " when there
  * is more than one), sets the record's vmstat snapshot and perf totals
- * from the host's @p merged metrics and @p appOps, and in stats mode
- * adds @p trace's events plus, on a single host, its sampler series.
+ * from the host's @p merged metrics and @p appOps, its fingerprint to
+ * hostFingerprint(@p clock, merged windows), and in stats mode adds
+ * @p trace's events plus, on a single host, its sampler series.
  */
 void finishUnit(const RunContext &ctx,
                 const std::vector<sim::Simulator *> &sims,
-                const sim::Metrics &merged, std::uint64_t appOps,
-                const stats::TraceBuffer &trace, RunRecord &rec);
+                const sim::Metrics &merged, SimTime clock,
+                std::uint64_t appOps, const stats::TraceBuffer &trace,
+                RunRecord &rec);
 
 /** The host of one single-host unit: machine, policy and its options. */
 struct HostSpec
@@ -109,7 +115,8 @@ runHost(const RunContext &ctx, HostSpec host, Body &&body)
     sim::Simulator sim(host.machine);
     sim.setPolicy(policies::makePolicy(host.policy, host.opts));
     [[maybe_unused]] const auto workload = body(sim, rec);
-    finishUnit(ctx, {&sim}, sim.metrics(), sim.appOps(), sim.trace(), rec);
+    finishUnit(ctx, {&sim}, sim.metrics(), sim.now(), sim.appOps(),
+               sim.trace(), rec);
     return rec;
 }
 
@@ -135,8 +142,8 @@ runSharded(const RunContext &ctx, HostSpec host, sim::ShardOptions opts,
         sims.push_back(&sharded.shard(s));
     }
     [[maybe_unused]] const auto workload = body(sharded, rec);
-    finishUnit(ctx, sims, sharded.mergedMetrics(), sharded.totalAppOps(),
-               sharded.trace(), rec);
+    finishUnit(ctx, sims, sharded.mergedMetrics(), sharded.makespan(),
+               sharded.totalAppOps(), sharded.trace(), rec);
     return rec;
 }
 

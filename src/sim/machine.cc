@@ -6,32 +6,6 @@ namespace mclock {
 namespace sim {
 
 MachineConfig
-paperMachineScaled()
-{
-    MachineConfig cfg;
-    cfg.nodes = {
-        {TierKind::Dram, 64_MiB},
-        {TierKind::Pmem, 256_MiB},
-    };
-    cfg.cache.sizeBytes = 4_MiB;
-    return cfg;
-}
-
-MachineConfig
-paperMachineTwoSocket()
-{
-    MachineConfig cfg;
-    cfg.nodes = {
-        {TierKind::Dram, 32_MiB},
-        {TierKind::Dram, 32_MiB},
-        {TierKind::Pmem, 128_MiB},
-        {TierKind::Pmem, 128_MiB},
-    };
-    cfg.cache.sizeBytes = 4_MiB;
-    return cfg;
-}
-
-MachineConfig
 paperMachineMemoryMode()
 {
     MachineConfig cfg;

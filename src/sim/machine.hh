@@ -20,15 +20,17 @@
 namespace mclock {
 namespace sim {
 
+/** Tracepoint ring capacity of every host, in events. */
+constexpr std::size_t kTraceCapacity = 4096;
+
+/** vmstat sampler period in simulated ns (paper-scale 1 s, scaled). */
+constexpr SimTime kSamplerInterval = 4'000'000ull;
+
 /** Observability knobs for one simulated host (see src/stats/). */
 struct StatsConfig
 {
-    /** Tracepoint ring capacity in events; 0 disables tracing. */
-    std::size_t traceCapacity = 4096;
     /** Register the periodic vmstat sampler daemon. */
     bool sampler = false;
-    /** Sampler period in simulated ns (paper-scale 1 s, scaled). */
-    SimTime samplerInterval = 4'000'000ull;
 };
 
 /** Everything needed to instantiate a Simulator. */
@@ -60,19 +62,6 @@ struct MachineConfig
 };
 
 /**
- * The paper's evaluation platform, scaled: one DRAM node (64 MiB) and
- * one PM node (256 MiB), preserving the ~1:4 DRAM:PM ratio of the
- * Memory-mode testbed (376 GB : 1.5 TB).
- */
-MachineConfig paperMachineScaled();
-
-/**
- * Two-socket variant: two DRAM nodes and two PM nodes (the DAX-KMEM
- * driver hot-plugs each PM DIMM set as its own node).
- */
-MachineConfig paperMachineTwoSocket();
-
-/**
  * Memory-mode platform: the OS sees only PM nodes; the DRAM acts as a
  * memory-side cache managed by MemoryModePolicy (pass the DRAM size to
  * the policy, not to the node list).
@@ -89,8 +78,8 @@ MachineConfig paperMachineThreeTier();
 
 /**
  * Small machine used by the default bench runs: 16 MiB DRAM + 64 MiB PM
- * with a 1 MiB LLC. Same 1:4 tier ratio as paperMachineScaled(); ~4x
- * cheaper to simulate.
+ * with a 1 MiB LLC, the ~1:4 DRAM:PM ratio of the paper's Memory-mode
+ * testbed (376 GB : 1.5 TB).
  */
 MachineConfig benchMachine();
 

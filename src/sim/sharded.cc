@@ -4,22 +4,13 @@
 #include <limits>
 #include <thread>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace mclock {
 namespace sim {
 
 namespace {
-
-/** splitmix64 finalizer: independent per-shard seed streams. */
-std::uint64_t
-shardSeed(std::uint64_t base, unsigned shard)
-{
-    std::uint64_t z = base + 0x9e3779b97f4a7c15ull * (shard + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 std::vector<std::unique_ptr<Simulator>>
 makeShards(const MachineConfig &whole, const ShardOptions &opts)
@@ -59,7 +50,10 @@ shardMachine(const MachineConfig &whole, unsigned shards, unsigned shard)
             1, cfg.swapPages / shards +
                    (shard < cfg.swapPages % shards ? 1 : 0));
     }
-    cfg.seed = shardSeed(whole.seed, shard);
+    cfg.seed = splitmix64(whole.seed, shard + 1);
+    // A sharded host has no single sampler series to export, and one
+    // per shard would only be thrown away.
+    cfg.stats.sampler = false;
     return cfg;
 }
 
@@ -67,7 +61,7 @@ ShardedSimulator::ShardedSimulator(const MachineConfig &whole,
                                    ShardOptions opts)
     : opts_(opts),
       sims_(makeShards(whole, opts)),
-      trace_(whole.stats.traceCapacity)
+      trace_(kTraceCapacity)
 {
     const unsigned shards = this->shards();
     workers_ = std::max(1u, std::min(opts.workers == 0 ? 1u

@@ -76,9 +76,9 @@ struct ShardOptions
  * distributed one each to the low-numbered shards (floor one page per
  * shard) — capacity is conserved: per node, the shard shares sum to
  * the whole machine exactly. Each shard gets an independent
- * deterministic seed stream. With shards == 1 the config — seed
- * included — is @p whole itself, so a 1-shard machine is the
- * unpartitioned host, bit for bit.
+ * deterministic seed stream and no vmstat sampler. With shards == 1
+ * the config — seed and sampler included — is @p whole itself, so a
+ * 1-shard machine is the unpartitioned host, bit for bit.
  */
 MachineConfig shardMachine(const MachineConfig &whole, unsigned shards,
                            unsigned shard);

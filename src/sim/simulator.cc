@@ -19,7 +19,7 @@ Simulator::Simulator(MachineConfig cfg)
       metrics_(cfg_.metricsWindow, mem_.numNodes()),
       swap_(cfg_.swapPages),
       rng_(cfg_.seed),
-      trace_(cfg_.stats.traceCapacity),
+      trace_(kTraceCapacity),
       belowLow_(mem_.numNodes(), false),
       promoteFailStreak_(mem_.numNodes(), 0),
       promoteThrottleUntil_(mem_.numNodes(), 0)
@@ -59,7 +59,7 @@ Simulator::Simulator(MachineConfig cfg)
         sampler_ = std::make_unique<stats::VmstatSampler>(vmstat());
         // The sampler body charges no time and mutates no simulator
         // state, so registering it cannot change simulation results.
-        daemons_.add("vmstat_sampler", cfg_.stats.samplerInterval,
+        daemons_.add("vmstat_sampler", kSamplerInterval,
                      [this](SimTime now) { sampler_->sample(now); });
     }
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace mclock {
@@ -10,12 +11,7 @@ namespace workloads {
 std::uint64_t
 fnv1a64(std::uint64_t v)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (v >> (i * 8)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    return Fnv1a().word(v).value();
 }
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)

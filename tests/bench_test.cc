@@ -16,25 +16,14 @@
 #include <string>
 
 #include "harness/benchmark.hh"
-#include "harness/golden.hh"
 #include "harness/profiles.hh"
-#include "harness/runner.hh"
+
+#include "harness_fixtures.hh"
 
 using namespace mclock;
 using namespace mclock::harness;
 
 namespace {
-
-/** Golden-profile context with a small op count: fast but nontrivial. */
-RunContext
-smallContext()
-{
-    RunContext ctx = goldenContext();
-    ctx.params["ops"] = 20000;
-    ctx.params["seconds"] = 6;
-    ctx.params["trials"] = 1;
-    return ctx;
-}
 
 BenchOptions
 smallBenchOptions(unsigned repeat, unsigned warmup)
@@ -45,18 +34,6 @@ smallBenchOptions(unsigned repeat, unsigned warmup)
     opts.jobs = 1;
     opts.context = smallContext();
     return opts;
-}
-
-/** Selection for one scenario by exact name. */
-std::vector<const Scenario *>
-selectOne(const std::string &name)
-{
-    std::vector<const Scenario *> out;
-    for (const Scenario *sc : filterScenarios(name)) {
-        if (sc->name == name)
-            out.push_back(sc);
-    }
-    return out;
 }
 
 std::string
@@ -71,7 +48,7 @@ writeTempFile(const std::string &name, const std::string &contents)
 TEST(BenchRunTest, RepeatAndWarmupCountsHonoured)
 {
     const auto report =
-        runBenchmark(selectOne("fig02"), smallBenchOptions(3, 1));
+        runBenchmark({findScenario("fig02")}, smallBenchOptions(3, 1));
     ASSERT_EQ(report.scenarios.size(), 1u);
     const BenchScenario &s = report.scenarios.front();
     EXPECT_EQ(s.name, "fig02");
@@ -88,15 +65,11 @@ TEST(BenchRunTest, RepeatAndWarmupCountsHonoured)
 TEST(BenchRunTest, BenchmarkingDoesNotPerturbSimulatedResults)
 {
     const auto report =
-        runBenchmark(selectOne("fig02"), smallBenchOptions(2, 0));
+        runBenchmark({findScenario("fig02")}, smallBenchOptions(2, 0));
     ASSERT_EQ(report.scenarios.size(), 1u);
 
-    RunnerOptions ro;
-    ro.jobs = 1;
-    ro.quiet = true;
-    ro.writeArtifacts = false;
-    ro.context = smallContext();
-    const ScenarioResult plain = runScenario("fig02", ro);
+    const ScenarioResult plain =
+        runScenario("fig02", quietOptions(1, smallContext()));
 
     // Identical summary metrics and identical work counters: timing a
     // scenario must not change what it simulates.
@@ -110,7 +83,7 @@ TEST(BenchJsonTest, DocumentSchema)
 {
     BenchOptions opts = smallBenchOptions(2, 0);
     opts.benchId = "BENCH_TEST";
-    const auto report = runBenchmark(selectOne("fig02"), opts);
+    const auto report = runBenchmark({findScenario("fig02")}, opts);
     const Json doc = benchReportToJson(report, opts);
 
     ASSERT_TRUE(doc.isObject());
@@ -158,7 +131,7 @@ TEST(BenchRunTest, MultiJobRequestDowngradesToOne)
     // (with a warning on stderr) rather than honoured.
     BenchOptions opts = smallBenchOptions(1, 0);
     opts.jobs = 4;
-    const auto report = runBenchmark(selectOne("fig02"), opts);
+    const auto report = runBenchmark({findScenario("fig02")}, opts);
     EXPECT_EQ(report.jobs, 1u);
     const Json doc = benchReportToJson(report, opts);
     EXPECT_EQ(doc["jobs"].asNumber(), 1.0);
@@ -170,7 +143,7 @@ TEST(BenchJsonTest, FullReportServesAsBaseline)
     // "best_seconds") must work directly as --bench-baseline, the way
     // BENCH_8 builds on BENCH_7.
     BenchOptions opts = smallBenchOptions(1, 0);
-    const auto report = runBenchmark(selectOne("fig02"), opts);
+    const auto report = runBenchmark({findScenario("fig02")}, opts);
     ASSERT_EQ(report.scenarios.size(), 1u);
     const double best = report.scenarios.front().bestSeconds();
     ASSERT_GT(best, 0.0);
@@ -194,7 +167,7 @@ TEST(BenchJsonTest, FullReportServesAsBaseline)
 TEST(BenchJsonTest, BaselineEmbeddingAndSpeedup)
 {
     BenchOptions opts = smallBenchOptions(1, 0);
-    const auto report = runBenchmark(selectOne("fig02"), opts);
+    const auto report = runBenchmark({findScenario("fig02")}, opts);
     ASSERT_EQ(report.scenarios.size(), 1u);
     const double best = report.scenarios.front().bestSeconds();
     ASSERT_GT(best, 0.0);
@@ -220,7 +193,7 @@ TEST(BenchJsonTest, BaselineEmbeddingAndSpeedup)
 TEST(BenchJsonTest, BaselineWithoutOverlapEmitsExplicitNull)
 {
     BenchOptions opts = smallBenchOptions(1, 0);
-    const auto report = runBenchmark(selectOne("fig02"), opts);
+    const auto report = runBenchmark({findScenario("fig02")}, opts);
 
     Json scenarios{Json::Object{}};
     scenarios.set("some_other_scenario", 1.0);

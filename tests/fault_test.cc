@@ -4,8 +4,7 @@
  * transactional migration engine built on it: decision determinism,
  * the fixed-draw monotonicity contract, persistent poisoning, clean
  * rollback of aborted transactions, retry-with-backoff, promotion
- * throttling (graceful degradation), and cross-job determinism of the
- * faultinj_* scenarios.
+ * throttling (graceful degradation).
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include <vector>
 
 #include "base/units.hh"
-#include "harness/golden.hh"
-#include "harness/runner.hh"
 #include "pfra/lru_lists.hh"
 #include "policies/static_tiering.hh"
 #include "sim/fault_injector.hh"
@@ -399,31 +396,6 @@ TEST(TransactionalMigration, PromotionSuccessMonotoneInFailureRate)
     EXPECT_GT(successes.front(), 0u);   // everything lands at rate 0
     EXPECT_EQ(successes.back(), 0u);    // nothing lands at rate 1
     EXPECT_LT(successes.back(), successes.front());
-}
-
-// --- Scenario-level determinism -------------------------------------------
-
-TEST(FaultDeterminism, FaultinjScenarioIdenticalAcrossJobCounts)
-{
-    harness::RunContext ctx = harness::goldenContext();
-    ctx.params["ops"] = 8000;
-    harness::RunnerOptions serialOpts;
-    serialOpts.jobs = 1;
-    serialOpts.quiet = true;
-    serialOpts.writeArtifacts = false;
-    serialOpts.context = ctx;
-    harness::RunnerOptions parallelOpts = serialOpts;
-    parallelOpts.jobs = 4;
-
-    const auto serial =
-        harness::runScenario("faultinj_ycsb_a", serialOpts);
-    const auto parallel =
-        harness::runScenario("faultinj_ycsb_a", parallelOpts);
-    EXPECT_TRUE(serial.output.violations.empty());
-    EXPECT_FALSE(serial.output.summary.empty());
-    EXPECT_EQ(serial.output.summary, parallel.output.summary);
-    EXPECT_EQ(serial.output.vmstat, parallel.output.vmstat);
-    EXPECT_EQ(serial.output.text, parallel.output.text);
 }
 
 }  // namespace

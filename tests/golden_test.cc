@@ -17,8 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/golden.hh"
-#include "harness/runner.hh"
+#include "harness_fixtures.hh"
 
 using namespace mclock;
 using namespace mclock::harness;
@@ -40,12 +39,7 @@ TEST_P(GoldenScenario, MatchesFixture)
         << "--update-golden)";
     EXPECT_EQ(golden.scenario, name);
 
-    RunnerOptions opts;
-    opts.jobs = 4;
-    opts.quiet = true;
-    opts.writeArtifacts = false;
-    opts.context = goldenContext();
-    const auto result = runScenario(name, opts);
+    const auto result = runScenario(name, quietOptions(4, goldenContext()));
 
     EXPECT_TRUE(result.output.violations.empty())
         << result.output.violations.front();

@@ -9,60 +9,37 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
 #include "base/json.hh"
-#include "harness/golden.hh"
 #include "harness/invariants.hh"
 #include "harness/profiles.hh"
-#include "harness/runner.hh"
 #include "harness/scenario_common.hh"
 #include "policies/factory.hh"
 #include "sim/simulator.hh"
 #include "workloads/ycsb.hh"
+
+#include "harness_fixtures.hh"
 
 using namespace mclock;
 using namespace mclock::harness;
 
 namespace {
 
-/** Golden-profile context with a small op count: fast but nontrivial. */
-RunContext
-smallContext()
-{
-    RunContext ctx = goldenContext();
-    ctx.params["ops"] = 20000;
-    ctx.params["seconds"] = 6;
-    ctx.params["trials"] = 1;
-    return ctx;
-}
-
-RunnerOptions
-quietOptions(unsigned jobs, const RunContext &ctx)
-{
-    RunnerOptions opts;
-    opts.jobs = jobs;
-    opts.quiet = true;
-    opts.writeArtifacts = false;
-    opts.context = ctx;
-    return opts;
-}
-
 void
 expectIdentical(const ScenarioOutput &a, const ScenarioOutput &b)
 {
+    EXPECT_EQ(a.fingerprints, b.fingerprints);
     EXPECT_EQ(a.text, b.text);
     EXPECT_EQ(a.summary, b.summary);
-    ASSERT_EQ(a.artifacts.size(), b.artifacts.size());
-    for (std::size_t i = 0; i < a.artifacts.size(); ++i) {
-        EXPECT_EQ(a.artifacts[i].filename, b.artifacts[i].filename);
-        EXPECT_EQ(a.artifacts[i].contents, b.artifacts[i].contents);
-    }
+    EXPECT_TRUE(a.artifacts == b.artifacts);
     EXPECT_TRUE(a.violations.empty());
     EXPECT_TRUE(b.violations.empty());
 }
@@ -208,30 +185,62 @@ TEST(Runner, PoolWidthIsClampedToTheUnitCount)
 
 TEST(RunnerDeterminism, JobsJustAboveTheUnitCountMatchOneJob)
 {
-    // fig02 expands to three units; four jobs start three threads.
+    // fig02 expands to four units; five jobs start four threads.
     const auto ctx = smallContext();
     const auto serial = runScenario("fig02", quietOptions(1, ctx));
-    const auto wide = runScenario("fig02", quietOptions(4, ctx));
+    const auto wide = runScenario("fig02", quietOptions(5, ctx));
+    EXPECT_EQ(serial.units, 4u);
     expectIdentical(serial.output, wide.output);
 }
 
-TEST(RunnerDeterminism, JobCountDoesNotAffectOutput)
+/**
+ * The bit-identity proof for --jobs, --shards and --stats: every golden
+ * scenario run at --jobs 1 --shards 1 has the same per-unit
+ * fingerprints, summary, text and artifacts at --jobs 4 --shards 8 and
+ * with --stats; the sharded ones (shard_*, tenant_*) also at --jobs 4
+ * with 3 and 4 shard workers.
+ */
+TEST(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
 {
-    const auto ctx = smallContext();
-    const auto serial = runScenario("fig05", quietOptions(1, ctx));
-    const auto parallel = runScenario("fig05", quietOptions(4, ctx));
-    expectIdentical(serial.output, parallel.output);
-}
+    const struct Variant
+    {
+        unsigned jobs = 1, shards = 1;
+        bool stats = false, shardedOnly = false;
+    } variants[] = {{4, 8}, {4, 3, false, true}, {4, 4, false, true},
+                    {1, 1, true}};
+    const auto run = [](const Variant &v) {
+        std::vector<const Scenario *> selected;
+        for (const std::string &name : goldenScenarioNames()) {
+            if (!v.shardedOnly || name.rfind("shard_", 0) == 0 ||
+                name.rfind("tenant_", 0) == 0)
+                selected.push_back(findScenario(name));
+        }
+        RunContext ctx = goldenContext();
+        ctx.shards = v.shards;
+        ctx.stats = v.stats;
+        return runScenarios(selected, quietOptions(v.jobs, ctx));
+    };
 
-TEST(RunnerDeterminism, Tier3JobCountDoesNotAffectOutput)
-{
-    const auto ctx = smallContext();
-    const auto serial =
-        runScenario("tier3_ycsb_a", quietOptions(1, ctx));
-    const auto parallel =
-        runScenario("tier3_ycsb_a", quietOptions(4, ctx));
-    expectIdentical(serial.output, parallel.output);
-    EXPECT_FALSE(serial.output.summary.empty());
+    const RunReport reference = run({});
+    std::map<std::string, const ScenarioOutput *> byName;
+    for (const auto &r : reference.results) {
+        byName[r.name] = &r.output;
+        EXPECT_EQ(r.output.fingerprints.size(), r.units) << r.name;
+    }
+    const auto &fig05 = byName.at("fig05")->fingerprints;
+    EXPECT_NE(fig05.at("multiclock"), fig05.at("static"));
+
+    for (const Variant &v : variants) {
+        const RunReport wide = run(v);
+        ASSERT_EQ(wide.results.size(),
+                  v.shardedOnly ? 4u : reference.results.size());
+        for (const auto &r : wide.results) {
+            SCOPED_TRACE(r.name + " at --jobs " + std::to_string(v.jobs) +
+                         " --shards " + std::to_string(v.shards) +
+                         (v.stats ? " --stats" : ""));
+            expectIdentical(*byName.at(r.name), r.output);
+        }
+    }
 }
 
 TEST(Tier3Machine, StaticTieringOrdersTierLatencies)
@@ -254,20 +263,6 @@ TEST(Tier3Machine, StaticTieringOrdersTierLatencies)
     }
     EXPECT_LT(avg[0], avg[1]);
     EXPECT_LT(avg[1], avg[2]);
-}
-
-TEST(RunnerDeterminism, MultiScenarioRunMatchesAnyJobCount)
-{
-    const auto ctx = smallContext();
-    std::vector<const Scenario *> selected{findScenario("fig02"),
-                                           findScenario("fig09")};
-    const auto serial = runScenarios(selected, quietOptions(1, ctx));
-    const auto parallel = runScenarios(selected, quietOptions(4, ctx));
-    ASSERT_EQ(serial.results.size(), parallel.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-        expectIdentical(serial.results[i].output,
-                        parallel.results[i].output);
-    }
 }
 
 /**
@@ -433,6 +428,36 @@ TEST(UnitFinish, SingleAndShardedRunnersFillTheSameRecord)
     EXPECT_TRUE(sharded.samplerCsv.empty());
 }
 
+TEST(UnitFingerprint, EveryResultFieldChangesIt)
+{
+    std::vector<sim::MetricsWindow> windows(3);
+    windows[1].promotions = 4;
+    windows[1].tierAccesses = {10, 2};
+    RunRecord rec;
+    rec.metrics["throughput"] = 1.5;
+    rec.tenantMetrics["victim.p99_latency_ns"] = 900.0;
+    rec.vmstat["pgdemote"] = 7;
+    const auto fingerprint = [](SimTime clock,
+                                const std::vector<sim::MetricsWindow> &w,
+                                RunRecord r) {
+        r.fingerprint = hostFingerprint(clock, w);
+        return unitFingerprint(r);
+    };
+    const std::uint64_t base = fingerprint(1000, windows, rec);
+
+    RunRecord vmstat = rec;
+    ++vmstat.vmstat["pgdemote"];
+    EXPECT_NE(fingerprint(1000, windows, vmstat), base);
+    auto window = windows;
+    ++window[1].promotions;
+    EXPECT_NE(fingerprint(1000, window, rec), base);
+    RunRecord metric = rec;
+    metric.metrics["throughput"] = std::bit_cast<double>(
+        std::bit_cast<std::uint64_t>(1.5) ^ 1);  // lowest mantissa bit
+    EXPECT_NE(fingerprint(1000, windows, metric), base);
+    EXPECT_NE(fingerprint(1001, windows, rec), base);
+}
+
 // --- Report table -------------------------------------------------------
 
 TEST(ReportTable, RendersDeclaredColumnsAsTextAndCsv)
@@ -478,7 +503,7 @@ TEST(Runner, WritesArtifactsIntoOutDir)
 
     std::string err;
     // The manifest must be valid JSON with the fields the regen flow
-    // documents (git SHA, config hash, per-scenario wall time).
+    // documents (git SHA, config hash, per-unit fingerprints).
     std::ifstream f(dir / "run_manifest.json");
     std::stringstream buf;
     buf << f.rdbuf();
@@ -491,7 +516,11 @@ TEST(Runner, WritesArtifactsIntoOutDir)
     const Json &entry = doc["scenarios"].asArray().front();
     EXPECT_EQ(entry["name"].asString(), "fig02");
     EXPECT_TRUE(entry.contains("config_hash"));
-    EXPECT_TRUE(entry.contains("wall_seconds"));
+    EXPECT_FALSE(entry.contains("wall_seconds"));
+    const auto &fingerprints = entry["fingerprints"].asObject();
+    ASSERT_EQ(fingerprints.size(), 4u);  // one per fig02 unit
+    for (const auto &[unit, fp] : fingerprints)
+        EXPECT_EQ(fp.asString().size(), 16u) << unit;
     std::filesystem::remove_all(dir);
 }
 

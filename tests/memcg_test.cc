@@ -3,9 +3,8 @@
  * Memory-cgroup (multi-tenant isolation) tests: charge accounting
  * through migration, rollback, and teardown; hard-cap reclaim and
  * allocation fallback; deficit-round-robin promotion quotas; and the
- * determinism contract of the tenant_* harness family (jobs and shard
- * worker width must never change results). The whole suite also runs
- * under the debug-vm and tsan CI presets.
+ * QoS outcomes of the tenant_* harness family. The whole suite also
+ * runs under the debug-vm and tsan CI presets.
  */
 
 #include <gtest/gtest.h>
@@ -14,16 +13,15 @@
 #include <vector>
 
 #include "base/units.hh"
-#include "harness/golden.hh"
 #include "harness/invariants.hh"
-#include "harness/runner.hh"
-#include "harness/scenario.hh"
 #include "policies/factory.hh"
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
 #include "stats/vmstat.hh"
 #include "vm/memcg.hh"
 #include "vm/page.hh"
+
+#include "harness_fixtures.hh"
 
 using namespace mclock;
 using namespace mclock::sim;
@@ -318,55 +316,35 @@ TEST(MemCgroupSimTest, PromotionQuotaStarvesAndRecoversPerEpoch)
     expectCountersClean(sim);
 }
 
-// --- Harness family determinism ------------------------------------------
+// --- Harness family -------------------------------------------------------
 
-harness::MetricMap
-runTenantSummary(const std::string &name, unsigned jobs, unsigned width)
-{
-    const harness::Scenario *sc = harness::findScenario(name);
-    EXPECT_NE(sc, nullptr) << name;
-    harness::RunnerOptions opts;
-    opts.jobs = jobs;
-    opts.context = harness::goldenContext();
-    opts.context.shards = width;
-    opts.writeArtifacts = false;
-    opts.writeManifest = false;
-    opts.quiet = true;
-    const auto report = harness::runScenarios({sc}, opts);
-    EXPECT_TRUE(report.clean());
-    return report.results.front().output.summary;
-}
+// Their identity across --jobs and --shards widths is checked, with
+// every other golden scenario's, by RunIdentity in harness_test.
 
 TEST(TenantScenarioTest, NoisyNeighborJobsAndWidthIdentity)
 {
-    const auto j1w1 = runTenantSummary("tenant_noisy_neighbor", 1, 1);
-    const auto j4w1 = runTenantSummary("tenant_noisy_neighbor", 4, 1);
-    const auto j1w8 = runTenantSummary("tenant_noisy_neighbor", 1, 8);
-    EXPECT_EQ(j1w1, j4w1);
-    EXPECT_EQ(j1w1, j1w8);
+    const auto summary = harness::runSummary("tenant_noisy_neighbor",
+                                             harness::goldenContext());
 
     // The figure of merit: isolation holds the victim's p99 at its
     // solo baseline while the shared host degrades it.
-    EXPECT_NEAR(j1w1.at("victim_p99_ratio_isolated"), 1.0, 0.01);
-    EXPECT_GT(j1w1.at("victim_p99_ratio_shared"), 1.1);
-    EXPECT_GT(j1w1.at("isolated.promote_deferred"), 0.0);
+    EXPECT_NEAR(summary.at("victim_p99_ratio_isolated"), 1.0, 0.01);
+    EXPECT_GT(summary.at("victim_p99_ratio_shared"), 1.1);
+    EXPECT_GT(summary.at("isolated.promote_deferred"), 0.0);
 }
 
 TEST(TenantScenarioTest, ChurnJobsAndWidthIdentity)
 {
-    const auto j1w1 = runTenantSummary("tenant_churn", 1, 1);
-    const auto j4w1 = runTenantSummary("tenant_churn", 4, 1);
-    const auto j1w8 = runTenantSummary("tenant_churn", 1, 8);
-    EXPECT_EQ(j1w1, j4w1);
-    EXPECT_EQ(j1w1, j1w8);
+    const auto summary =
+        harness::runSummary("tenant_churn", harness::goldenContext());
 
     // The waves really exercised the edges under test.
-    EXPECT_GT(j1w1.at("multiclock.swap_outs"), 0.0);
-    EXPECT_GT(j1w1.at("multiclock.alloc_fallbacks"), 0.0);
-    EXPECT_GT(j1w1.at("multiclock.limit_reclaims"), 0.0);
-    EXPECT_GT(j1w1.at("multiclock.slot_releases"), 0.0);
-    EXPECT_EQ(j1w1.at("multiclock.leaked_charges"), 0.0);
-    EXPECT_EQ(j1w1.at("static.leaked_charges"), 0.0);
+    EXPECT_GT(summary.at("multiclock.swap_outs"), 0.0);
+    EXPECT_GT(summary.at("multiclock.alloc_fallbacks"), 0.0);
+    EXPECT_GT(summary.at("multiclock.limit_reclaims"), 0.0);
+    EXPECT_GT(summary.at("multiclock.slot_releases"), 0.0);
+    EXPECT_EQ(summary.at("multiclock.leaked_charges"), 0.0);
+    EXPECT_EQ(summary.at("static.leaked_charges"), 0.0);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
  * is pure execution width, and every observable result — merged
  * metrics, merged vmstat, the seniority-ordered event stream, the
  * epoch count — must be byte-identical whether one thread or eight
- * drive the shards. The 8-worker runs here double as the TSan
+ * drive the shards (the harness scenarios' identity: RunIdentity in
+ * harness_test). The 8-worker runs here double as the TSan
  * exercise: the whole suite runs under the tsan preset in CI.
  */
 
@@ -22,15 +23,15 @@
 #include <thread>
 #include <vector>
 
+#include "base/hash.hh"
 #include "base/units.hh"
-#include "harness/golden.hh"
-#include "harness/runner.hh"
-#include "harness/scenario.hh"
 #include "policies/factory.hh"
 #include "sim/machine.hh"
 #include "sim/shard_event.hh"
 #include "sim/sharded.hh"
 #include "sim/simulator.hh"
+
+#include "harness_fixtures.hh"
 
 using namespace mclock;
 using namespace mclock::sim;
@@ -143,23 +144,37 @@ TEST(ShardMachineTest, RemainderPagesConserveCapacity)
     EXPECT_EQ(swp, 69u);
 }
 
+TEST(ShardMachineTest, ShardsOfAStatsHostRunNoSampler)
+{
+    MachineConfig whole = tinyTestMachine();
+    whole.stats.sampler = true;
+    ShardedSimulator host(whole, {/*shards=*/4});
+    for (unsigned s = 0; s < host.shards(); ++s)
+        EXPECT_EQ(host.shard(s).sampler(), nullptr) << "shard " << s;
+    // One shard is the whole host, whose series finishUnit exports.
+    ShardedSimulator single(whole, {/*shards=*/1});
+    EXPECT_NE(single.shard(0).sampler(), nullptr);
+}
+
 // --- Deterministic parallel execution ------------------------------------
 
 /**
  * Small-but-busy sharded run: each shard streams a strided workload
- * ~2x its DRAM slice so promotions and demotions actually flow. Shards
+ * ~2x its DRAM slice, uncached, then idles through a 1 ms kpromoted
+ * scan each epoch, so promotions and demotions actually flow. Shards
  * carry unequal work and live unequally long (shard s stops after
  * epoch 3 + s), so without a budget the scheduler lets some shards run
- * epochs ahead of others. Returns the full observable state — the
- * coordinator trace included, whose `shard_merge` clocks the merge
- * has to rebuild from per-epoch shard clocks — as a comparable string.
+ * epochs ahead of others. Returns a hash of the full observable state —
+ * the coordinator trace included, whose `shard_merge` clocks the merge
+ * has to rebuild from per-epoch shard clocks.
  */
-std::string
+std::uint64_t
 runFingerprint(unsigned workers, std::uint64_t budget)
 {
     MachineConfig whole;
     whole.nodes = {{TierKind::Dram, 2_MiB}, {TierKind::Pmem, 8_MiB}};
     whole.seed = 7;
+    whole.cache.enabled = false;
 
     ShardOptions opts;
     opts.shards = 4;
@@ -168,8 +183,10 @@ runFingerprint(unsigned workers, std::uint64_t budget)
 
     ShardedSimulator host(whole, opts);
     std::vector<Vaddr> bases;
+    policies::PolicyOptions policy;
+    policy.scanInterval = 1_ms;
     for (unsigned s = 0; s < host.shards(); ++s) {
-        host.shard(s).setPolicy(policies::makePolicy("multiclock", {}));
+        host.shard(s).setPolicy(policies::makePolicy("multiclock", policy));
         bases.push_back(host.shard(s).mmap(1_MiB));
     }
 
@@ -181,58 +198,47 @@ runFingerprint(unsigned workers, std::uint64_t budget)
             const std::size_t page = (i * (s + 1) + epoch) % pages;
             sim.read(bases[s] + page * kPageSize);
         }
+        sim.compute(1_ms);
         return epoch < 3 + s;
     });
 
-    std::string fp;
-    fp += "epochs=" + std::to_string(host.epochs());
-    fp += " makespan=" + std::to_string(host.makespan());
-    fp += " appOps=" + std::to_string(host.totalAppOps());
-    fp += " events=" + std::to_string(host.events().size());
+    // The run did real tiering work, or equal hashes prove nothing.
+    EXPECT_EQ(host.epochs(), 7u);
+    EXPECT_GT(host.mergedVmstat().global(stats::VmItem::PgpromoteSuccess),
+              0u);
+    EXPECT_FALSE(host.trace().events().empty());
+
+    Fnv1a h;
+    h.word(host.epochs()).word(host.makespan()).word(host.totalAppOps());
+    h.word(host.events().size());
     for (const auto &ev : host.events()) {
-        fp += "\n" + std::to_string(ev.time) + "/" +
-              std::to_string(ev.shard) + "/" + std::to_string(ev.seq) +
-              "/" + std::to_string(static_cast<int>(ev.kind)) + "/" +
-              std::to_string(ev.vpn) + "/" + std::to_string(ev.arg);
+        h.word(ev.time).word(ev.shard).word(ev.seq);
+        h.word(static_cast<std::uint64_t>(ev.kind)).word(ev.vpn).word(ev.arg);
     }
     for (const auto &[key, value] : host.mergedVmstat().snapshot())
-        fp += "\n" + key + "=" + std::to_string(value);
+        h.field(key).word(value);
     for (const auto &ev : host.trace().events()) {
-        fp += "\ntrace " + std::to_string(static_cast<int>(ev.type)) +
-              "@" + std::to_string(ev.time) + "/" +
-              std::to_string(ev.arg0) + "/" + std::to_string(ev.arg1);
+        h.word(static_cast<std::uint64_t>(ev.type)).word(ev.time);
+        h.word(ev.arg0).word(ev.arg1);
     }
-    const Metrics merged = host.mergedMetrics();
-    fp += "\naccesses=" + std::to_string(merged.totalAccesses());
-    return fp;
+    return h.word(host.mergedMetrics().totalAccesses()).value();
 }
 
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesResults)
 {
-    const std::string w1 = runFingerprint(1, 0);
+    const std::uint64_t w1 = runFingerprint(1, 0);
     // Width 3 over 4 shards: one worker always runs two shards' epochs.
-    const std::string w3 = runFingerprint(3, 0);
-    const std::string w4 = runFingerprint(4, 0);
-    const std::string w8 = runFingerprint(8, 0);  // clamps to 4 shards
-    EXPECT_EQ(w1, w3);
-    EXPECT_EQ(w1, w4);
-    EXPECT_EQ(w1, w8);
-    // The run did real tiering work, or this test proves nothing.
-    EXPECT_NE(w1.find("pgpromote_success"), std::string::npos);
-    EXPECT_NE(w1.find("epochs=7 "), std::string::npos);
-    EXPECT_NE(w1.find("\ntrace "), std::string::npos);
+    EXPECT_EQ(runFingerprint(3, 0), w1);
+    EXPECT_EQ(runFingerprint(4, 0), w1);
+    EXPECT_EQ(runFingerprint(8, 0), w1);  // clamps to 4 shards
 }
 
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesBudgetedResults)
 {
-    const std::string w1 = runFingerprint(1, 8);
-    const std::string w3 = runFingerprint(3, 8);
-    const std::string w4 = runFingerprint(4, 8);
-    const std::string w8 = runFingerprint(8, 8);
-    EXPECT_EQ(w1, w3);
-    EXPECT_EQ(w1, w4);
-    EXPECT_EQ(w1, w8);
-    EXPECT_NE(w1.find("pgpromote_success"), std::string::npos);
+    const std::uint64_t w1 = runFingerprint(1, 8);
+    EXPECT_EQ(runFingerprint(3, 8), w1);
+    EXPECT_EQ(runFingerprint(4, 8), w1);
+    EXPECT_EQ(runFingerprint(8, 8), w1);
 }
 
 TEST(ShardedSimulatorTest, MergeClockIsEachEpochsMakespan)
@@ -513,66 +519,28 @@ TEST(ShardedSimulatorTest, CoordinatorCountsMergesAndEpochs)
 
 /** Tiny context so the harness scenarios stay fast in this suite. */
 harness::RunContext
-tinyShardContext(unsigned workers)
+tinyShardContext()
 {
     harness::RunContext ctx = harness::goldenContext();
-    ctx.shards = workers;
     ctx.params["records"] = 600;
     ctx.params["epochs"] = 2;
     ctx.params["ops"] = 1500;
     return ctx;
 }
 
-harness::MetricMap
-runScenarioSummary(const std::string &name,
-                   const harness::RunContext &ctx)
-{
-    const harness::Scenario *sc = harness::findScenario(name);
-    EXPECT_NE(sc, nullptr) << name;
-    harness::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.context = ctx;
-    opts.writeArtifacts = false;
-    opts.writeManifest = false;
-    opts.quiet = true;
-    const auto report = harness::runScenarios({sc}, opts);
-    EXPECT_TRUE(report.clean());
-    return report.results.front().output.summary;
-}
-
-TEST(ShardScenarioTest, WorkerWidthsProduceIdenticalSummaries)
-{
-    // Full golden profile (not the tiny context): the workload must
-    // overflow each shard's DRAM slice or there are no promotions and
-    // the equality proves nothing.
-    harness::RunContext w1ctx = harness::goldenContext();
-    w1ctx.shards = 1;
-    harness::RunContext w8ctx = harness::goldenContext();
-    w8ctx.shards = 8;
-    const auto w1 = runScenarioSummary("shard_bigmem", w1ctx);
-    const auto w8 = runScenarioSummary("shard_bigmem", w8ctx);
-    EXPECT_EQ(w1, w8);
-    EXPECT_GT(w1.at("multiclock.promotions"), 0.0);
-}
-
 TEST(ShardScenarioTest, PinnedWidthVariantsEqualTheBaseScenario)
 {
-    const auto base = runScenarioSummary("shard_bigmem",
-                                         tinyShardContext(1));
-    const auto x4 = runScenarioSummary("shard_bigmem_x4",
-                                       tinyShardContext(1));
-    const auto x8 = runScenarioSummary("shard_bigmem_x8",
-                                       tinyShardContext(1));
-    EXPECT_EQ(base, x4);
-    EXPECT_EQ(base, x8);
+    const harness::RunContext ctx = tinyShardContext();
+    const auto base = harness::runSummary("shard_bigmem", ctx);
+    EXPECT_EQ(harness::runSummary("shard_bigmem_x4", ctx), base);
+    EXPECT_EQ(harness::runSummary("shard_bigmem_x8", ctx), base);
 }
 
 TEST(ShardScenarioTest, BudgetScenarioDefersPromotions)
 {
     harness::RunContext ctx = harness::goldenContext();
     ctx.shards = 4;
-    const auto summary =
-        runScenarioSummary("shard_bigmem_budget", ctx);
+    const auto summary = harness::runSummary("shard_bigmem_budget", ctx);
     EXPECT_GT(summary.at("multiclock.deferred"), 0.0);
     EXPECT_EQ(summary.at("static.deferred"), 0.0);
 }

@@ -13,8 +13,8 @@
  *  - differential: harness scenario promotion/demotion metrics match
  *    each unit's vmstat export (Fig. 5 policy sweep), and Fig. 8's
  *    window series sums to its totals;
- *  - determinism: merged vmstat output and stats artifacts are
- *    bit-identical across --jobs counts.
+ *  - determinism: stats artifacts are bit-identical across --jobs
+ *    counts (results themselves: RunIdentity in harness_test).
  */
 
 #include <gtest/gtest.h>
@@ -28,10 +28,8 @@
 #include <vector>
 
 #include "base/units.hh"
-#include "harness/golden.hh"
 #include "harness/invariants.hh"
 #include "harness/profiles.hh"
-#include "harness/runner.hh"
 #include "policies/factory.hh"
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
@@ -40,6 +38,8 @@
 #include "stats/vmstat.hh"
 #include "vm/page.hh"
 #include "workloads/ycsb.hh"
+
+#include "harness_fixtures.hh"
 
 using namespace mclock;
 using namespace mclock::harness;
@@ -51,27 +51,6 @@ using stats::VmStat;
 using stats::VmstatSampler;
 
 namespace {
-
-RunContext
-smallContext()
-{
-    RunContext ctx = goldenContext();
-    ctx.params["ops"] = 20000;
-    ctx.params["seconds"] = 6;
-    ctx.params["trials"] = 1;
-    return ctx;
-}
-
-RunnerOptions
-quietOptions(unsigned jobs, const RunContext &ctx)
-{
-    RunnerOptions opts;
-    opts.jobs = jobs;
-    opts.quiet = true;
-    opts.writeArtifacts = false;
-    opts.context = ctx;
-    return opts;
-}
 
 // --- VmStat ---------------------------------------------------------------
 
@@ -677,16 +656,6 @@ TEST(StatsDifferential, Fig08WindowedPromotionsMatch)
 
 // --- Determinism across job counts ----------------------------------------
 
-TEST(StatsDeterminism, VmstatIdenticalAcrossJobCounts)
-{
-    const auto ctx = smallContext();
-    const auto serial = runScenario("fig08", quietOptions(1, ctx));
-    const auto parallel = runScenario("fig08", quietOptions(4, ctx));
-    EXPECT_FALSE(serial.output.vmstat.empty());
-    EXPECT_EQ(serial.output.vmstat, parallel.output.vmstat);
-    EXPECT_EQ(serial.output.summary, parallel.output.summary);
-}
-
 TEST(StatsDeterminism, StatsArtifactsIdenticalAcrossJobCounts)
 {
     auto ctx = smallContext();
@@ -717,20 +686,6 @@ TEST(StatsDeterminism, StatsArtifactsIdenticalAcrossJobCounts)
     }
     EXPECT_TRUE(sawCsv);
     EXPECT_TRUE(sawJsonl);
-    // Stats mode must not perturb the simulation itself.
-    EXPECT_EQ(serial.output.summary, parallel.output.summary);
-}
-
-TEST(StatsDeterminism, StatsModeDoesNotChangeResults)
-{
-    auto plain = smallContext();
-    auto withStats = plain;
-    withStats.stats = true;
-    const auto a = runScenario("fig08", quietOptions(2, plain));
-    const auto b = runScenario("fig08", quietOptions(2, withStats));
-    EXPECT_EQ(a.output.summary, b.output.summary);
-    EXPECT_EQ(a.output.text, b.output.text);
-    EXPECT_EQ(a.output.vmstat, b.output.vmstat);
 }
 
 }  // namespace
