@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,9 @@ usage(const char *prog)
         "fixtures\n"
         "                    and print each scenario's fingerprint\n"
         "  --update-golden   regenerate fixtures (review the diff!)\n"
-        "                    (both refuse --seed, --param and --stats)\n"
+        "                    (both refuse --seed, --param, --stats,\n"
+        "                    --out, --no-manifest and the --bench\n"
+        "                    flags)\n"
         "  --golden-dir DIR  fixture directory (default: %s)\n"
         "\n"
         "wall-clock benchmarking:\n"
@@ -226,9 +229,13 @@ main(int argc, char **argv)
     std::string benchOut, benchBaseline;
     unsigned jobs = 1, repeat = 3, warmup = 1;
     RunContext ctx;
+    // Every flag named on the command line: several have defaults, so
+    // a value alone cannot tell whether the flag was given.
+    std::vector<std::string> given;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        given.push_back(arg);
         auto operand = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s requires an operand\n", flag);
@@ -333,15 +340,21 @@ main(int argc, char **argv)
         }
     }
     if (updateGolden || checkGolden) {
-        const char *ignored = ctx.stats                  ? "--stats"
-                              : !ctx.params.empty()      ? "--param"
-                              : ctx.seed != kDefaultSeed ? "--seed"
-                                                         : nullptr;
-        if (ignored) {
+        // The golden pass runs at the fixtures' pinned seed and scale
+        // and writes no artifacts, so it would ignore these.
+        static const char *const kRunOnly[] = {
+            "--stats", "--param", "--seed", "--out", "--no-manifest",
+            "--bench", "--repeat", "--warmup", "--bench-out",
+            "--bench-baseline"};
+        for (const std::string &arg : given) {
+            if (std::find(std::begin(kRunOnly), std::end(kRunOnly),
+                          arg) == std::end(kRunOnly))
+                continue;
             std::fprintf(stderr,
                          "%s does not apply to %s: the golden suite "
-                         "runs at the fixtures' pinned seed and scale\n",
-                         ignored,
+                         "runs at the fixtures' pinned seed and scale "
+                         "and writes no artifacts\n",
+                         arg.c_str(),
                          updateGolden ? "--update-golden"
                                       : "--check-golden");
             return 2;

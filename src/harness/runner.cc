@@ -94,6 +94,7 @@ class ThreadPool
     std::queue<std::function<void()>> queue_ MCLOCK_GUARDED_BY(mu_);
     std::size_t pending_ MCLOCK_GUARDED_BY(mu_) = 0;
     bool closed_ MCLOCK_GUARDED_BY(mu_) = false;
+    // mclock-lint: thread-ok(the --jobs pool: poolWidth() workers, joined by the destructor; each runs whole units)
     std::vector<std::thread> threads_;
 };
 

@@ -179,6 +179,7 @@ ShardedSimulator::run(const EpochDriver &driver)
         // merge mutates.
         const std::vector<std::uint64_t> grants = grants_;
         {
+            // mclock-lint: thread-ok(--shards helpers for one phase, joined at the brace; they touch only claimed shards)
             std::vector<std::jthread> helpers;
             helpers.reserve(workers_ - 1);
             for (unsigned w = 1; w < workers_; ++w)

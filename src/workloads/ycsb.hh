@@ -64,10 +64,21 @@ struct YcsbResult
     }
 };
 
-/** Runs the load phase and the execution phases against one simulator. */
+/**
+ * Runs the load phase and the execution phases against one simulator.
+ *
+ * A phase's op sequence depends only on the driver's Rng and the
+ * request generators, never on simulator state, so run() draws it on a
+ * producer thread, block by block, while the calling thread replays
+ * the drawn blocks in order into the store. The simulator sees exactly
+ * the calls a serial draw-then-issue loop would make.
+ */
 class YcsbDriver
 {
   public:
+    /** Ops per hand-off block of the producer's ring. */
+    static constexpr std::size_t kOpsPerBlock = 2048;
+
     YcsbDriver(sim::Simulator &sim, YcsbConfig cfg = {});
 
     /** Load phase: populate the backend with recordCount records. */
@@ -94,6 +105,7 @@ class YcsbDriver
 
     sim::Simulator &sim_;
     YcsbConfig cfg_;
+    /** Owned by a phase's producer thread from its start to its join. */
     Rng rng_;
     std::unique_ptr<KvStore> store_;
     std::uint64_t recordsLoaded_ = 0;

@@ -2,17 +2,10 @@
 
 #include <cmath>
 
-#include "base/hash.hh"
 #include "base/logging.hh"
 
 namespace mclock {
 namespace workloads {
-
-std::uint64_t
-fnv1a64(std::uint64_t v)
-{
-    return Fnv1a().word(v).value();
-}
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
     : items_(n), theta_(theta)

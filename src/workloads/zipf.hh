@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "base/hash.hh"
 #include "base/rng.hh"
 
 namespace mclock {
@@ -84,7 +85,11 @@ class LatestGenerator
 };
 
 /** FNV-1a 64-bit hash (the scrambler YCSB uses). */
-std::uint64_t fnv1a64(std::uint64_t v);
+inline std::uint64_t
+fnv1a64(std::uint64_t v)
+{
+    return Fnv1a().word(v).value();
+}
 
 }  // namespace workloads
 }  // namespace mclock

@@ -13,6 +13,7 @@
 #include "base/arena.hh"
 #include "base/csv.hh"
 #include "base/flat_map.hh"
+#include "base/hash.hh"
 #include "base/intrusive_list.hh"
 #include "base/rng.hh"
 #include "base/types.hh"
@@ -125,6 +126,45 @@ TEST(RngTest, ForkIsIndependent)
             ++same;
     }
     EXPECT_LT(same, 2);
+}
+
+// --- FNV-1a ----------------------------------------------------------------
+
+/** FNV-1a over @p v's eight bytes, one step per byte, no folding. */
+std::uint64_t
+fnvEightSteps(std::uint64_t v)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 8; ++i)
+        h = (h ^ ((v >> (i * 8)) & 0xff)) * 0x100000001b3ull;
+    return h;
+}
+
+TEST(Fnv1aTest, WordFoldMatchesEightByteSteps)
+{
+    // Every value below 2^24: the folded path (v < 2^16), the switch
+    // to the full path at 2^16, and a full byte above it.
+    for (std::uint64_t v = 0; v < (1ull << 24); ++v) {
+        if (Fnv1a().word(v).value() != fnvEightSteps(v))
+            FAIL() << "v = " << v;
+    }
+    // 10^7 random values, spread evenly over the 64 bit widths (the
+    // top bit of width w is set, so each value has exactly w bits).
+    Rng rng(17);
+    for (int i = 0; i < 10'000'000; ++i) {
+        const int width = 1 + i % 64;
+        const std::uint64_t v =
+            rng.next64() >> (64 - width) | 1ull << (width - 1);
+        if (Fnv1a().word(v).value() != fnvEightSteps(v))
+            FAIL() << "v = " << v;
+    }
+    // The fold is exact mid-stream too, not only from the seed state.
+    Fnv1a bytes;
+    for (std::uint64_t w : {1ull << 40, 5ull}) {
+        for (int i = 0; i < 8; ++i)
+            bytes.byte(static_cast<std::uint8_t>(w >> (i * 8)));
+    }
+    EXPECT_EQ(Fnv1a().word(1ull << 40).word(5).value(), bytes.value());
 }
 
 // --- Intrusive list --------------------------------------------------------

@@ -10,10 +10,12 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "base/units.hh"
+#include "policies/factory.hh"
 #include "policies/static_tiering.hh"
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
@@ -464,6 +466,179 @@ TEST(YcsbTest, PaperSequenceOrder)
     EXPECT_EQ(results[3].workload, "F");
     EXPECT_EQ(results[4].workload, "W");
     EXPECT_EQ(results[5].workload, "D");
+}
+
+// --- YCSB driver against the serial loop ----------------------------------------
+
+/**
+ * The YCSB driver as it was before run() drew its ops on a producer
+ * thread: each op is drawn and issued on the calling thread. run()'s
+ * loop is kept verbatim.
+ */
+class SerialYcsbReference
+{
+  public:
+    SerialYcsbReference(sim::Simulator &sim, YcsbConfig cfg)
+        : sim_(sim), cfg_(cfg), rng_(cfg.seed),
+          store_(std::make_unique<KvStore>(sim))
+    {
+    }
+
+    void
+    load()
+    {
+        for (std::uint64_t i = 0; i < cfg_.recordCount; ++i)
+            store_->put(keyOf(i), cfg_.valueBytes);
+        recordsLoaded_ = cfg_.recordCount;
+    }
+
+    YcsbResult
+    run(YcsbWorkload w)
+    {
+        YcsbResult result;
+        result.workload = ycsbWorkloadName(w);
+        ScrambledZipfianGenerator zipf(recordsLoaded_, cfg_.zipfTheta);
+        LatestGenerator latest(recordsLoaded_, cfg_.zipfTheta);
+
+        const SimTime start = sim_.now();
+        for (std::uint64_t op = 0; op < cfg_.opsPerWorkload; ++op) {
+            switch (w) {
+              case YcsbWorkload::A:
+                // 50% reads, 50% updates.
+                if (rng_.nextBool(0.5))
+                    doRead(zipf.next(rng_));
+                else
+                    doUpdate(zipf.next(rng_));
+                break;
+              case YcsbWorkload::B:
+                // 95% reads, 5% updates.
+                if (rng_.nextBool(0.95))
+                    doRead(zipf.next(rng_));
+                else
+                    doUpdate(zipf.next(rng_));
+                break;
+              case YcsbWorkload::C:
+                doRead(zipf.next(rng_));
+                break;
+              case YcsbWorkload::D:
+                // 95% reads of recent records, 5% inserts.
+                if (rng_.nextBool(0.95)) {
+                    doRead(latest.next(rng_));
+                } else {
+                    doInsert();
+                    latest.setItemCount(recordsLoaded_);
+                }
+                break;
+              case YcsbWorkload::F:
+                // 50% reads, 50% read-modify-writes.
+                if (rng_.nextBool(0.5))
+                    doRead(zipf.next(rng_));
+                else
+                    store_->readModifyWrite(keyOf(zipf.next(rng_)));
+                break;
+              case YcsbWorkload::W:
+                doUpdate(zipf.next(rng_));
+                break;
+              case YcsbWorkload::E:
+                break;  // handled above
+            }
+        }
+        result.ops = cfg_.opsPerWorkload;
+        result.elapsed = sim_.now() - start;
+        return result;
+    }
+
+    KvStore &store() { return *store_; }
+
+  private:
+    static std::uint64_t keyOf(std::uint64_t recno) { return recno; }
+
+    void
+    doRead(std::uint64_t recno)
+    {
+        const bool found = store_->get(keyOf(recno));
+        EXPECT_TRUE(found);
+    }
+
+    void
+    doUpdate(std::uint64_t recno)
+    {
+        store_->put(keyOf(recno), cfg_.valueBytes);
+    }
+
+    void
+    doInsert()
+    {
+        store_->put(keyOf(recordsLoaded_), cfg_.valueBytes);
+        ++recordsLoaded_;
+    }
+
+    sim::Simulator &sim_;
+    YcsbConfig cfg_;
+    Rng rng_;
+    std::unique_ptr<KvStore> store_;
+    std::uint64_t recordsLoaded_ = 0;
+};
+
+/**
+ * The producer-thread driver must make exactly the store calls the
+ * serial loop makes, at op counts around the hand-off block size, in
+ * every operational phase, and leave rng_ where the loop leaves it.
+ */
+TEST(YcsbDriverTest, MatchesSerialReference)
+{
+    // A footprint above the 2 MiB DRAM tier and a 1 ms scan, so
+    // multiclock promotes and demotes while the phases run.
+    policies::PolicyOptions popts;
+    popts.scanInterval = 1_ms;
+    auto makeHost = [&] {
+        auto sim = std::make_unique<sim::Simulator>(sim::tinyTestMachine());
+        sim->setPolicy(policies::makePolicy("multiclock", popts));
+        return sim;
+    };
+    YcsbConfig cfg;
+    cfg.recordCount = 2400;
+    cfg.seed = 7;
+    constexpr std::uint64_t kBlock = YcsbDriver::kOpsPerBlock;
+    std::uint64_t promotions = 0;
+    for (YcsbWorkload w : {YcsbWorkload::A, YcsbWorkload::B,
+                           YcsbWorkload::C, YcsbWorkload::F,
+                           YcsbWorkload::W, YcsbWorkload::D}) {
+        for (std::uint64_t ops : {std::uint64_t{1}, kBlock - 1, kBlock,
+                                  kBlock + 1, 3 * kBlock + 5}) {
+            SCOPED_TRACE(std::string("phase ") + ycsbWorkloadName(w) +
+                         ", ops " + std::to_string(ops));
+            cfg.opsPerWorkload = ops;
+            auto driverHost = makeHost();
+            auto serialHost = makeHost();
+            YcsbDriver driver(*driverHost, cfg);
+            SerialYcsbReference serial(*serialHost, cfg);
+            driver.load();
+            serial.load();
+            // The second phase starts from the Rng state the first one
+            // left behind.
+            for (YcsbWorkload phase : {w, YcsbWorkload::A}) {
+                const YcsbResult got = driver.run(phase);
+                const YcsbResult want = serial.run(phase);
+                EXPECT_EQ(got.workload, want.workload);
+                EXPECT_EQ(got.ops, want.ops);
+                EXPECT_EQ(got.elapsed, want.elapsed);
+                EXPECT_EQ(got.operational, want.operational);
+                EXPECT_EQ(driverHost->now(), serialHost->now());
+                EXPECT_EQ(driverHost->vmstat().snapshot(),
+                          serialHost->vmstat().snapshot());
+                EXPECT_EQ(driverHost->llc()->hits(),
+                          serialHost->llc()->hits());
+                EXPECT_EQ(driverHost->llc()->misses(),
+                          serialHost->llc()->misses());
+                EXPECT_EQ(driver.store().itemCount(),
+                          serial.store().itemCount());
+            }
+            promotions += driverHost->vmstat().global(
+                stats::VmItem::PgpromoteSuccess);
+        }
+    }
+    EXPECT_GT(promotions, 0u);
 }
 
 // --- Synthetic profiles -------------------------------------------------------------

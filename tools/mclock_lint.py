@@ -4,11 +4,11 @@
 The simulator's core promise is bit-identical output for any execution
 width (--jobs, --shards workers). A handful of C++ idioms silently
 break that promise (hash-order iteration, wall-clock reads) or weaken
-an API contract (dropped gate results, taxonomy drift). Each is
-mechanical to detect with text analysis, so this tool does — one rule
-per failure class, over the file list the build actually compiles
-(compile_commands.json), with a written-reason allowlist for the
-audited exceptions:
+an API contract (dropped gate results, taxonomy drift, unaudited host
+threads). Each is mechanical to detect with text analysis, so this
+tool does — one rule per failure class, over the file list the build
+actually compiles (compile_commands.json), with a written-reason
+allowlist for the audited exceptions:
 
   R1-unordered-iter  Iterating an unordered container in a
       deterministic path (src/sim, src/core, src/pfra, src/policies,
@@ -38,6 +38,13 @@ audited exceptions:
       DESIGN.md 6a/6c tables, and the violation-injection test suite
       must agree exactly.
 
+  R5-thread-spawn  Every std::thread / std::jthread object or
+      container declared under src/ starts host threads beside the
+      --jobs pool, so each one is an audited site: it must carry
+      `// mclock-lint: thread-ok(<reason>)` saying who joins it and
+      what it may touch. `std::thread::` static calls
+      (hardware_concurrency) declare nothing and are not flagged.
+
 Every allowlist annotation must carry a non-empty reason inside the
 parentheses; a bare annotation is itself an error.
 
@@ -45,7 +52,7 @@ Usage:
   mclock_lint.py [--root DIR] [--rules R1,R2,... | all]
                  [--compile-commands PATH] [--files FILE...]
 
-With --files, the text rules (R1-R3) run on exactly those files
+With --files, the text rules (R1-R3, R5) run on exactly those files
 (fixture mode); otherwise the file list is derived from the
 compilation database (TUs under src/ plus their sibling headers). R4
 always analyzes the tree at --root. Exit 0 clean, 1 on findings.
@@ -243,6 +250,29 @@ def rule_r3(src, findings):
                 f"result is the admission decision"))
 
 
+# --- R5: thread spawns --------------------------------------------------
+
+R5_THREAD_RE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+
+
+def rule_r5(src, findings):
+    if not src.display.startswith("src/"):
+        return
+    code = strip_comments_keep_lines(src.lines)
+    for i, line in enumerate(code, 1):
+        if not R5_THREAD_RE.search(line):
+            continue
+        if check_annotation(src, "thread-ok", i, findings,
+                            "R5-thread-spawn"):
+            continue
+        findings.append(Finding(
+            "R5-thread-spawn", src.display, i,
+            "std::thread/std::jthread declared without an audit: every "
+            "host thread the simulator starts runs beside the --jobs "
+            "pool; say who joins it and what it touches in "
+            "`// mclock-lint: thread-ok(<reason>)`"))
+
+
 # --- shared annotation handling ----------------------------------------
 
 
@@ -406,6 +436,7 @@ TEXT_RULES = {
     "R1": ("R1-unordered-iter", rule_r1),
     "R2": ("R2-wall-clock", rule_r2),
     "R3": ("R3-nodiscard", rule_r3),
+    "R5": ("R5-thread-spawn", rule_r5),
 }
 
 
@@ -414,7 +445,7 @@ def main():
     ap.add_argument("--root", default=".", type=pathlib.Path,
                     help="repository root (default: cwd)")
     ap.add_argument("--rules", default="all",
-                    help="comma list of R1,R2,R3,R4 (default: all)")
+                    help="comma list of R1,R2,R3,R4,R5 (default: all)")
     ap.add_argument("--compile-commands", type=pathlib.Path, default=None,
                     help="compilation database "
                          "(default: <root>/build/compile_commands.json)")
@@ -425,12 +456,12 @@ def main():
     root = args.root
 
     if args.rules == "all":
-        selected = {"R1", "R2", "R3", "R4"}
+        selected = {"R1", "R2", "R3", "R4", "R5"}
     else:
         selected = set()
         for token in args.rules.split(","):
             token = token.strip().split("-")[0].upper()
-            if token not in ("R1", "R2", "R3", "R4"):
+            if token not in ("R1", "R2", "R3", "R4", "R5"):
                 ap.error(f"unknown rule {token!r}")
             selected.add(token)
 
