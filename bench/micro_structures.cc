@@ -13,6 +13,7 @@
 
 #include "base/rng.hh"
 #include "base/units.hh"
+#include "harness/profiles.hh"
 #include "mem/cache.hh"
 #include "pfra/lru_lists.hh"
 #include "pfra/vmscan.hh"
@@ -75,30 +76,64 @@ BM_ClockScanPass(benchmark::State &state)
 BENCHMARK(BM_ClockScanPass)->Arg(1024)->Arg(8192);
 
 /**
- * streamed:0 — random addresses over 64 MiB on the default 16-way
- * geometry. streamed:1 — a sequential 4-byte stream on the 8 ways of
+ * PageRank's access shape, drawn once: a sequential 4-byte stream over
+ * the CSR edges interleaved 1:1 with zipf-skewed 4-byte reads of a
+ * 512 KiB score array (hub vertices are hot, scattered by the
+ * scrambler as a Kronecker graph's are).
+ */
+const std::vector<Paddr> &
+pageRankAddresses()
+{
+    static const std::vector<Paddr> addrs = [] {
+        constexpr std::size_t kAccesses = std::size_t{1} << 20;
+        constexpr Paddr kScores = 64_MiB;  // past the edge stream
+        workloads::ScrambledZipfianGenerator zipf(512_KiB / 4);
+        Rng rng(5);
+        std::vector<Paddr> v;
+        v.reserve(kAccesses);
+        for (std::size_t i = 0; i < kAccesses / 2; ++i) {
+            v.push_back(4 * i);
+            v.push_back(kScores + 4 * zipf.next(rng));
+        }
+        return v;
+    }();
+    return addrs;
+}
+
+/**
+ * shape:0 — random addresses over 64 MiB on the default 16-way
+ * geometry. shape:1 — a sequential 4-byte stream on the 8 ways of
  * the harness profiles, where 15 of every 16 accesses hit the set's
- * most recent line.
+ * most recent line. shape:2 — pageRankAddresses() on gapbsMachine()'s
+ * 256 KiB, 16-way LLC, the Fig. 6 path without the simulator around it.
  */
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    const bool streamed = state.range(0) != 0;
+    const auto shape = state.range(0);
     CacheConfig cfg;
     cfg.sizeBytes = 1_MiB;
-    if (streamed)
+    if (shape == 1)
         cfg.ways = 8;
+    if (shape == 2)
+        cfg = harness::gapbsMachine().cache;
     CacheModel cache(cfg);
+    const std::vector<Paddr> &pageRank = pageRankAddresses();
     Rng rng(2);
     Paddr next = 0;
+    std::size_t i = 0;
     for (auto _ : state) {
-        const Paddr pa = streamed ? (next += 4) & (64_MiB - 1)
-                                  : rng.nextRange(64_MiB);
+        Paddr pa = 0;
+        switch (shape) {
+          case 0: pa = rng.nextRange(64_MiB); break;
+          case 1: pa = (next += 4) & (64_MiB - 1); break;
+          default: pa = pageRank[i++ & (pageRank.size() - 1)]; break;
+        }
         benchmark::DoNotOptimize(cache.access(pa, false).hit);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheAccess)->ArgName("streamed")->Arg(0)->Arg(1);
+BENCHMARK(BM_CacheAccess)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_ZipfianNext(benchmark::State &state)

@@ -2,19 +2,6 @@
 
 #include <bit>
 
-#include "base/logging.hh"
-
-// The tag scan below is pure integer work, so its SIMD implementation
-// is bit-for-bit identical to the scalar one. The AVX2 variant is
-// compiled unconditionally via the target attribute (no -mavx2 build
-// flag, so the rest of the object stays baseline x86-64) and selected
-// once at construction with a runtime CPU check; non-x86 builds and
-// way counts that are not a multiple of 4 use the scalar loop.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define MCLOCK_CACHE_AVX2 1
-#include <immintrin.h>
-#endif
-
 namespace mclock {
 
 namespace {
@@ -25,33 +12,6 @@ log2Exact(std::size_t v)
     MCLOCK_ASSERT(v > 0 && (v & (v - 1)) == 0);
     return static_cast<unsigned>(std::countr_zero(v));
 }
-
-#ifdef MCLOCK_CACHE_AVX2
-
-/** Membership + validity masks over @p ways tags (ways % 4 == 0). */
-__attribute__((target("avx2"))) inline void
-scanTagsAvx2(const std::uint64_t *tags, std::uint64_t tag,
-             unsigned ways, unsigned *match, unsigned *invalid)
-{
-    const __m256i vtag = _mm256_set1_epi64x(static_cast<long long>(tag));
-    const __m256i vinv = _mm256_set1_epi64x(-1);  // kInvalidTag
-    unsigned m = 0;
-    unsigned iv = 0;
-    for (unsigned w = 0; w < ways; w += 4) {
-        const __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        m |= static_cast<unsigned>(_mm256_movemask_pd(
-                 _mm256_castsi256_pd(_mm256_cmpeq_epi64(t, vtag))))
-             << w;
-        iv |= static_cast<unsigned>(_mm256_movemask_pd(
-                  _mm256_castsi256_pd(_mm256_cmpeq_epi64(t, vinv))))
-              << w;
-    }
-    *match = m;
-    *invalid = iv;
-}
-
-#endif  // MCLOCK_CACHE_AVX2
 
 /**
  * Move @p way to rank 0 of the recency word @p order. The ways more
@@ -78,18 +38,14 @@ CacheModel::CacheModel(const CacheConfig &cfg)
     : lineShift_(log2Exact(cfg.lineBytes)),
       numSets_(cfg.sizeBytes / (static_cast<std::size_t>(cfg.lineBytes) *
                                 cfg.ways)),
-      ways_(cfg.ways)
+      tagShift_(lineShift_ + log2Exact(numSets_)),
+      ways_(cfg.ways),
+      pageMaskable_(lineShift_ + 6 >= kPageShift),
+      tags_(numSets_)
 {
-    MCLOCK_ASSERT(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0);
     // dirty_ is a 16-bit mask and the recency word has 16 nibbles.
-    MCLOCK_ASSERT(ways_ >= 1 && ways_ <= 16);
-    pageMaskable_ = lineShift_ + 6 >= kPageShift;
-#ifdef MCLOCK_CACHE_AVX2
-    simdScan_ = ways_ % 4 == 0 && __builtin_cpu_supports("avx2");
-#endif
-    tags_.assign(numSets_ * ways_, kInvalidTag);
-    order_.assign(numSets_, kIdentityOrder);
-    dirty_.assign(numSets_, 0);
+    MCLOCK_ASSERT(ways_ >= 1 && ways_ <= detail::kTagLanes);
+    reset();
 }
 
 CacheResult
@@ -100,38 +56,23 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
             << ((pa & (kPageSize - 1)) >> lineShift_);
     }
     const std::size_t set = setOf(pa);
-    const std::uint64_t tag = tagOf(pa);
-    std::uint64_t *tags = &tags_[set * ways_];
+    const std::uint32_t tag = tagOf(pa);
+    TagRow &row = tags_[set];
     std::uint64_t &order = order_[set];
     std::uint16_t &dirty = dirty_[set];
 
     // Fast path: the set's most recent line is already at rank 0.
     const unsigned mru = static_cast<unsigned>(order & 0xf);
-    if (tags[mru] == tag) {
+    if (row.lane[mru] == tag) {
         dirty |= static_cast<std::uint16_t>(
             static_cast<unsigned>(isWrite) << mru);
         ++hits_;
         return {true, false};
     }
 
-    // Branchless membership + validity masks: full-width compare scans
-    // instead of early-exit loops, whose data-dependent exit branches
-    // mispredict on nearly every access.
-    unsigned match = 0;
-    unsigned invalid = 0;
-#ifdef MCLOCK_CACHE_AVX2
-    if (simdScan_) {
-        scanTagsAvx2(tags, tag, ways_, &match, &invalid);
-    } else
-#endif
-    {
-        for (unsigned w = 0; w < ways_; ++w) {
-            match |= static_cast<unsigned>(tags[w] == tag) << w;
-            invalid |=
-                static_cast<unsigned>(tags[w] == kInvalidTag) << w;
-        }
-    }
-
+    // Branchless membership: one full-row compare instead of an
+    // early-exit loop, whose data-dependent exit mispredicts.
+    const unsigned match = detail::laneMask(row.lane, tag);
     if (match) {
         const unsigned w = static_cast<unsigned>(std::countr_zero(match));
         order = touch(order, w);
@@ -142,6 +83,7 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
     }
 
     // Miss: the first invalid way, else the least recently used one.
+    const unsigned invalid = detail::laneMask(row.lane, kInvalidTag);
     const unsigned victim =
         invalid ? static_cast<unsigned>(std::countr_zero(invalid))
                 : static_cast<unsigned>(order >> (4 * (ways_ - 1))) & 0xf;
@@ -151,7 +93,7 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
     const bool writeback = invalid == 0 && (dirty & victimBit) != 0;
     if (writeback)
         ++writebacks_;
-    tags[victim] = tag;
+    row.lane[victim] = tag;
     order = touch(order, victim);
     if (isWrite)
         dirty |= victimBit;
@@ -161,16 +103,13 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
 }
 
 void
-CacheModel::invalidateLine(std::size_t set, std::uint64_t tag)
+CacheModel::invalidateLine(std::size_t set, std::uint32_t tag)
 {
-    const std::size_t base = set * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags_[base + w] == tag) {
-            tags_[base + w] = kInvalidTag;
-            dirty_[set] = static_cast<std::uint16_t>(
-                dirty_[set] & ~(1u << w));
-            break;
-        }
+    const unsigned match = detail::laneMask(tags_[set].lane, tag);
+    if (match) {
+        const unsigned w = static_cast<unsigned>(std::countr_zero(match));
+        tags_[set].lane[w] = kInvalidTag;
+        dirty_[set] = static_cast<std::uint16_t>(dirty_[set] & ~(1u << w));
     }
 }
 
@@ -200,9 +139,12 @@ CacheModel::invalidatePage(Paddr pageBase, std::uint64_t *lineMask)
 void
 CacheModel::reset()
 {
-    tags_.assign(tags_.size(), kInvalidTag);
-    order_.assign(order_.size(), kIdentityOrder);
-    dirty_.assign(dirty_.size(), 0);
+    for (TagRow &row : tags_) {
+        for (unsigned l = 0; l < detail::kTagLanes; ++l)
+            row.lane[l] = l < ways_ ? kInvalidTag : kPadTag;
+    }
+    order_.assign(numSets_, kIdentityOrder);
+    dirty_.assign(numSets_, 0);
     hits_ = misses_ = writebacks_ = 0;
 }
 

@@ -11,8 +11,15 @@
  * stored.
  *
  * Hot-path layout: the model is on the critical path of every simulated
- * access, so the per-set state is stored structure-of-arrays — one
- * contiguous tag array, one recency word and one dirty bitmask per set.
+ * access, so each set is one 64-byte tag row of sixteen 32-bit lanes
+ * plus one recency word and one dirty bitmask. A tag is the line
+ * address without its set bits, so a lane's 32 bits name the line
+ * exactly; tagOf() asserts that, and the simulator refuses a machine
+ * whose top physical line would not fit. Lanes at or above the way
+ * count hold a pad sentinel that neither matches nor counts as invalid,
+ * so one path serves 1 to 16 ways. laneMask() compares all 16 lanes in
+ * baseline SSE2, with no CPU dispatch; a miss alone asks for invalids.
+ *
  * The recency word is the set's exact LRU order: nibble r holds the way
  * at rank r, rank 0 being the most recently used. A hit on the rank-0
  * line is one compare and leaves the word unchanged; any other hit or
@@ -24,11 +31,6 @@
  * An invalidated way keeps its rank, but invalid ways are always chosen
  * before the last rank, so that rank is only read once every way has
  * been refilled (and so re-ranked) since.
- *
- * The tag scan is branchless (a full-width compare mask instead of an
- * early-exit loop, whose data-dependent branch mispredicts on nearly
- * every lookup) and uses AVX2 when the host CPU has it: an all-scalar
- * scan made the GAPBS PageRank benchmark about 1.4x slower.
  */
 
 #ifndef MCLOCK_MEM_CACHE_HH_
@@ -37,10 +39,54 @@
 #include <cstdint>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/memory_config.hh"
 
 namespace mclock {
+
+namespace detail {
+
+/** Lanes per tag row: the recency word and dirty mask hold 16 ways. */
+constexpr unsigned kTagLanes = 16;
+
+/** Bit l set <=> @p lanes[l] == @p tag, one lane at a time. */
+inline unsigned
+laneMaskScalar(const std::uint32_t *lanes, std::uint32_t tag)
+{
+    unsigned mask = 0;
+    for (unsigned l = 0; l < kTagLanes; ++l)
+        mask |= static_cast<unsigned>(lanes[l] == tag) << l;
+    return mask;
+}
+
+/** laneMaskScalar() of a 16-byte-aligned row, in SSE2 where built. */
+inline unsigned
+laneMask(const std::uint32_t *lanes, std::uint32_t tag)
+{
+#if defined(__SSE2__)
+    // Each 32-bit compare yields 0 or -1; signed packs keep both, so
+    // byte l of the packed vector is lane l's result.
+    const __m128i *row = reinterpret_cast<const __m128i *>(lanes);
+    const __m128i t = _mm_set1_epi32(static_cast<int>(tag));
+    const __m128i lo = _mm_packs_epi32(
+        _mm_cmpeq_epi32(_mm_load_si128(row), t),
+        _mm_cmpeq_epi32(_mm_load_si128(row + 1), t));
+    const __m128i hi = _mm_packs_epi32(
+        _mm_cmpeq_epi32(_mm_load_si128(row + 2), t),
+        _mm_cmpeq_epi32(_mm_load_si128(row + 3), t));
+    return static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+#else
+    return laneMaskScalar(lanes, tag);
+#endif
+}
+
+}  // namespace detail
 
 /** Result of a cache lookup. */
 struct CacheResult
@@ -82,6 +128,9 @@ class CacheModel
 
     void reset();
 
+    /** Whether the line of @p pa has a tag below the sentinels. */
+    bool tagFits(Paddr pa) const { return (pa >> tagShift_) < kPadTag; }
+
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }
@@ -89,12 +138,16 @@ class CacheModel
     unsigned ways() const { return ways_; }
 
   private:
-    static constexpr std::uint64_t kInvalidTag = ~0ull;
+    static constexpr std::uint32_t kInvalidTag = ~0u;
+    /** Lanes >= ways_: never a tag, never invalid. */
+    static constexpr std::uint32_t kPadTag = ~0u - 1;
     /**
      * Way r at rank r. Nibbles at ranks >= ways_ hold values >= ways_,
      * so they never match a way and never move.
      */
     static constexpr std::uint64_t kIdentityOrder = 0xfedcba9876543210ull;
+
+    struct alignas(64) TagRow { std::uint32_t lane[detail::kTagLanes]; };
 
     std::size_t
     setOf(Paddr pa) const
@@ -102,13 +155,19 @@ class CacheModel
         return (pa >> lineShift_) & (numSets_ - 1);
     }
 
-    std::uint64_t tagOf(Paddr pa) const { return pa >> lineShift_; }
+    std::uint32_t
+    tagOf(Paddr pa) const
+    {
+        MCLOCK_ASSERT(tagFits(pa));
+        return static_cast<std::uint32_t>(pa >> tagShift_);
+    }
 
     /** Invalidate @p tag in @p set if present. */
-    void invalidateLine(std::size_t set, std::uint64_t tag);
+    void invalidateLine(std::size_t set, std::uint32_t tag);
 
     unsigned lineShift_;
     std::size_t numSets_;
+    unsigned tagShift_;  ///< lineShift_ + log2(numSets_)
     unsigned ways_;
     /**
      * Page masks are only usable when a page spans at most 64 lines
@@ -116,11 +175,8 @@ class CacheModel
      * invalidatePage() ignore the mask and stay exact via full scans.
      */
     bool pageMaskable_;
-    // AVX2 tag scan (see cache.cc); false when the host CPU lacks AVX2
-    // or the way count doesn't tile into vectors.
-    bool simdScan_ = false;
-    // Structure-of-arrays per-line state, set-major.
-    std::vector<std::uint64_t> tags_;   ///< numSets_ * ways_
+    // Per-set state, set-major.
+    std::vector<TagRow> tags_;
     std::vector<std::uint64_t> order_;  ///< per-set recency word
     std::vector<std::uint16_t> dirty_;  ///< per-set dirty bitmask (way i
                                         ///< dirty <=> bit i set)

@@ -8,8 +8,9 @@ namespace sim {
 namespace {
 
 // Leave an unmapped gap between node physical ranges so stray-address
-// bugs surface as assertions rather than aliasing another node.
-constexpr Paddr kNodeGap = 1ull << 40;
+// bugs surface as assertions rather than aliasing another node. 4 GiB
+// keeps every LLC tag of up to 64 nodes within 32 bits (mem/cache.hh).
+constexpr Paddr kNodeGap = 1ull << 32;
 
 }  // namespace
 
@@ -20,10 +21,11 @@ MemorySystem::MemorySystem(const std::vector<NodeSpec> &specs)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const auto &spec = specs[i];
         const std::size_t frames = spec.bytes / kPageSize;
-        MCLOCK_ASSERT(frames > 0);
+        MCLOCK_ASSERT(frames > 0 && frames * kPageSize <= kNodeGap);
         MCLOCK_ASSERT(spec.tier >= 0);
         nodes_.push_back(std::make_unique<Node>(
             static_cast<NodeId>(i), spec.tier, frames, base));
+        paddrEnd_ = base + frames * kPageSize;
         if (tierNodes_.size() <= static_cast<std::size_t>(spec.tier))
             tierNodes_.resize(static_cast<std::size_t>(spec.tier) + 1);
         tierNodes_[static_cast<std::size_t>(spec.tier)].push_back(

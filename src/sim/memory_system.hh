@@ -39,6 +39,9 @@ class MemorySystem
 
     std::size_t numNodes() const { return nodes_.size(); }
 
+    /** One past the highest physical address of any node's frames. */
+    Paddr paddrEnd() const { return paddrEnd_; }
+
     Node &node(NodeId id);
     const Node &node(NodeId id) const;
 
@@ -91,6 +94,7 @@ class MemorySystem
     /** Indexed by tier rank; empty vectors for node-less ranks. */
     std::vector<std::vector<NodeId>> tierNodes_;
     std::vector<TierRank> tierOrder_;
+    Paddr paddrEnd_ = 0;
 };
 
 }  // namespace sim

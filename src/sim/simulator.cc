@@ -24,6 +24,15 @@ Simulator::Simulator(MachineConfig cfg)
       promoteFailStreak_(mem_.numNodes(), 0),
       promoteThrottleUntil_(mem_.numNodes(), 0)
 {
+    // LLC tags are 32 bits (mem/cache.hh); every line must have one.
+    const Paddr topLine = mem_.paddrEnd() - 1;
+    if (llc_ && !llc_->tagFits(topLine)) {
+        MCLOCK_FATAL("a %zu-byte, %u-way LLC has no 32-bit tag for "
+                     "physical address %#llx: use fewer nodes or more "
+                     "LLC sets",
+                     cfg_.cache.sizeBytes, cfg_.cache.ways,
+                     static_cast<unsigned long long>(topLine));
+    }
     trace_.bindClock(&now_);
     // Snapshot the immutable topology for the access fast path: node
     // tiers and per-tier latencies never change after construction.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <thread>
 
 #include "base/logging.hh"
@@ -79,39 +80,41 @@ packOp(OpKind kind, std::uint64_t recno = 0)
 
 /**
  * Draw one op of phase @p w: the same Rng and generator calls, in the
- * same order, as issuing it would make. @p items counts the records
+ * same order, as issuing it would make. Of @p zipf and @p latest only
+ * the one phase @p w draws from is engaged. @p items counts the records
  * the drawn ops will have inserted, for the latest distribution.
  */
 std::uint64_t
-drawOp(YcsbWorkload w, Rng &rng, ScrambledZipfianGenerator &zipf,
-       LatestGenerator &latest, std::uint64_t &items)
+drawOp(YcsbWorkload w, Rng &rng,
+       std::optional<ScrambledZipfianGenerator> &zipf,
+       std::optional<LatestGenerator> &latest, std::uint64_t &items)
 {
     switch (w) {
       case YcsbWorkload::A:
         // 50% reads, 50% updates.
         if (rng.nextBool(0.5))
-            return packOp(OpKind::Read, zipf.next(rng));
-        return packOp(OpKind::Update, zipf.next(rng));
+            return packOp(OpKind::Read, zipf->next(rng));
+        return packOp(OpKind::Update, zipf->next(rng));
       case YcsbWorkload::B:
         // 95% reads, 5% updates.
         if (rng.nextBool(0.95))
-            return packOp(OpKind::Read, zipf.next(rng));
-        return packOp(OpKind::Update, zipf.next(rng));
+            return packOp(OpKind::Read, zipf->next(rng));
+        return packOp(OpKind::Update, zipf->next(rng));
       case YcsbWorkload::C:
-        return packOp(OpKind::Read, zipf.next(rng));
+        return packOp(OpKind::Read, zipf->next(rng));
       case YcsbWorkload::D:
         // 95% reads of recent records, 5% inserts.
         if (rng.nextBool(0.95))
-            return packOp(OpKind::Read, latest.next(rng));
-        latest.setItemCount(++items);
+            return packOp(OpKind::Read, latest->next(rng));
+        latest->setItemCount(++items);
         return packOp(OpKind::Insert);
       case YcsbWorkload::F:
         // 50% reads, 50% read-modify-writes.
         if (rng.nextBool(0.5))
-            return packOp(OpKind::Read, zipf.next(rng));
-        return packOp(OpKind::ReadModifyWrite, zipf.next(rng));
+            return packOp(OpKind::Read, zipf->next(rng));
+        return packOp(OpKind::ReadModifyWrite, zipf->next(rng));
       case YcsbWorkload::W:
-        return packOp(OpKind::Update, zipf.next(rng));
+        return packOp(OpKind::Update, zipf->next(rng));
       case YcsbWorkload::E:
         break;  // never drawn: SCAN is non-operational
     }
@@ -251,8 +254,14 @@ YcsbDriver::run(YcsbWorkload w)
         return result;
     }
 
-    ScrambledZipfianGenerator zipf(recordsLoaded_, cfg_.zipfTheta);
-    LatestGenerator latest(recordsLoaded_, cfg_.zipfTheta);
+    // A phase draws from one generator (D from latest, the rest from
+    // zipf), and each constructor sums zeta over every record.
+    std::optional<ScrambledZipfianGenerator> zipf;
+    std::optional<LatestGenerator> latest;
+    if (w == YcsbWorkload::D)
+        latest.emplace(recordsLoaded_, cfg_.zipfTheta);
+    else
+        zipf.emplace(recordsLoaded_, cfg_.zipfTheta);
     std::uint64_t items = recordsLoaded_;
     // rng_, zipf, latest and items belong to the producer until the
     // join at the end of this scope.

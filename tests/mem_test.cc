@@ -176,6 +176,48 @@ TEST(CacheModelTest, ResetClearsEverything)
     EXPECT_FALSE(cache.access(0x3000, false).hit);
 }
 
+TEST(CacheModelTest, TagBeyondThirtyTwoBitsDies)
+{
+    CacheModel cache(smallCache());  // tag = pa >> 10
+    EXPECT_TRUE(cache.tagFits((Paddr{1} << 42) - 3 * 1024));
+    EXPECT_FALSE(cache.tagFits((Paddr{1} << 42) - 2 * 1024));
+    EXPECT_DEATH(cache.access(Paddr{1} << 50, false), "tagFits");
+}
+
+/**
+ * The SSE2 lane mask (where built) against the portable scalar loop,
+ * on rows shaped as the model keeps them: lanes at or above the way
+ * count hold the pad sentinel, the rest hold tags, invalid sentinels
+ * and values at the signed and unsigned boundaries.
+ */
+TEST(CacheModelTest, LaneMaskMatchesScalarLoop)
+{
+    constexpr std::uint32_t kInvalid = ~0u, kPad = ~0u - 1;
+    const std::uint32_t edges[] = {0, 1, 0x7fffffff, 0x80000000,
+                                   0xfffffffd, kPad, kInvalid};
+    Rng rng(7);
+    alignas(64) std::uint32_t row[detail::kTagLanes];
+    auto draw = [&] {
+        return rng.nextBool(0.5) ? edges[rng.nextRange(std::size(edges))]
+                                 : static_cast<std::uint32_t>(rng.next64());
+    };
+    for (unsigned ways = 1; ways <= detail::kTagLanes; ++ways) {
+        SCOPED_TRACE(::testing::Message() << "ways " << ways);
+        for (int trial = 0; trial < 2000; ++trial) {
+            for (unsigned l = 0; l < detail::kTagLanes; ++l)
+                row[l] = l < ways ? draw() : kPad;
+            for (std::uint32_t tag :
+                 {row[rng.nextRange(ways)], draw(), kInvalid, kPad}) {
+                const unsigned want = detail::laneMaskScalar(row, tag);
+                ASSERT_EQ(detail::laneMask(row, tag), want);
+                if (tag != kPad) {
+                    ASSERT_EQ(want >> ways, 0u);
+                }
+            }
+        }
+    }
+}
+
 /**
  * The LLC model before its recency word: per-set 32-bit LRU stamps from
  * a per-set clock, victim = first invalid way, else the first way with

@@ -157,7 +157,13 @@ TEST(MemorySystemTest, DistinctPaddrRanges)
     Paddr a, b;
     mem.node(0).allocFrame(a);
     mem.node(1).allocFrame(b);
-    EXPECT_NE(a >> 40, b >> 40);  // separate 1 TiB windows
+    EXPECT_NE(a >> 32, b >> 32);  // separate 4 GiB windows
+}
+
+TEST(MemorySystemTest, NodeLargerThanItsWindowDies)
+{
+    EXPECT_DEATH(MemorySystem({{TierKind::Dram, 4_GiB + kPageSize}}),
+                 "kNodeGap");
 }
 
 // --- MigrationEngine -----------------------------------------------------------------
@@ -380,6 +386,41 @@ TEST(SimulatorTest, FirstTouchFaultsAndPlaces)
     EXPECT_EQ(sim->pageTier(pg), TierKind::Dram);
     // On an LRU list (inactive head).
     EXPECT_EQ(pg->list(), LruListKind::InactiveAnon);
+}
+
+// A 1 KiB, 16-way LLC has one set, so its tags keep every line bit.
+MachineConfig
+oneSetLlcMachine(std::size_t pmNodes)
+{
+    MachineConfig cfg;
+    cfg.nodes = {{TierKind::Dram, 1_MiB}};
+    for (std::size_t i = 0; i < pmNodes; ++i)
+        cfg.nodes.push_back({TierKind::Pmem, 1_MiB});
+    cfg.cache.sizeBytes = 1_KiB;
+    cfg.cache.ways = 16;
+    return cfg;
+}
+
+TEST(SimulatorTest, OneSetLlcTagsEveryLineOfThreeNodes)
+{
+    auto sim = makeSim(oneSetLlcMachine(2));
+    const std::size_t pages = 2_MiB / kPageSize;
+    const Vaddr a = sim->mmap(pages * kPageSize);
+    for (std::size_t i = 0; i < pages; ++i)
+        sim->write(a + i * kPageSize);
+    bool onLastNode = false;
+    for (std::size_t i = 0; i < pages; ++i) {
+        sim->read(a + i * kPageSize);
+        onLastNode |= sim->space().lookup(pageNumOf(a) + i)->node() == 2;
+    }
+    EXPECT_TRUE(onLastNode);
+    EXPECT_EQ(sim->llc()->hits() + sim->llc()->misses(), 2 * pages);
+}
+
+TEST(SimulatorTest, RefusesLlcWithoutTagForTopLine)
+{
+    // Node 64 starts at 2^38: its line numbers need 33 bits.
+    EXPECT_DEATH(Simulator{oneSetLlcMachine(64)}, "no 32-bit tag");
 }
 
 TEST(SimulatorTest, FaultCostCharged)

@@ -45,6 +45,13 @@ allowlist for the audited exceptions:
       what it may touch. `std::thread::` static calls
       (hardware_concurrency) declare nothing and are not flagged.
 
+  R6-isa-dispatch  No `__builtin_cpu_supports` and no `target(...)`
+      function attribute under src/. A runtime-dispatched second
+      implementation of a hot loop doubles what the goldens must pin
+      and hides from the build's baseline ISA; the LLC tag compare is
+      baseline SSE2 on x86-64 for that reason. There is no allowlist:
+      a new ISA path is a design change, not an audited exception.
+
 Every allowlist annotation must carry a non-empty reason inside the
 parentheses; a bare annotation is itself an error.
 
@@ -52,7 +59,7 @@ Usage:
   mclock_lint.py [--root DIR] [--rules R1,R2,... | all]
                  [--compile-commands PATH] [--files FILE...]
 
-With --files, the text rules (R1-R3, R5) run on exactly those files
+With --files, the text rules (R1-R3, R5, R6) run on exactly those files
 (fixture mode); otherwise the file list is derived from the
 compilation database (TUs under src/ plus their sibling headers). R4
 always analyzes the tree at --root. Exit 0 clean, 1 on findings.
@@ -273,6 +280,32 @@ def rule_r5(src, findings):
             "`// mclock-lint: thread-ok(<reason>)`"))
 
 
+# --- R6: runtime ISA dispatch -----------------------------------------
+
+R6_PATTERNS = (
+    (re.compile(r"__builtin_cpu_(?:supports|is|init)\b"),
+     "runtime CPU check"),
+    # __attribute__((..., target("avx2"))), [[gnu::target_clones(...)]]
+    (re.compile(r"(?:__attribute__\s*\(\(|\[\[)[^;{]*?"
+                r"\b(?:__)?target(?:_clones)?(?:__)?\s*\("),
+     "target attribute"),
+)
+
+
+def rule_r6(src, findings):
+    if not src.display.startswith("src/"):
+        return
+    code = strip_comments_keep_lines(src.lines)
+    for i, line in enumerate(code, 1):
+        for pat, what in R6_PATTERNS:
+            if pat.search(line):
+                findings.append(Finding(
+                    "R6-isa-dispatch", src.display, i,
+                    f"{what}: a runtime-dispatched second code path; "
+                    f"keep one implementation in the build's baseline "
+                    f"ISA (SSE2 on x86-64)"))
+
+
 # --- shared annotation handling ----------------------------------------
 
 
@@ -437,6 +470,7 @@ TEXT_RULES = {
     "R2": ("R2-wall-clock", rule_r2),
     "R3": ("R3-nodiscard", rule_r3),
     "R5": ("R5-thread-spawn", rule_r5),
+    "R6": ("R6-isa-dispatch", rule_r6),
 }
 
 
@@ -445,7 +479,7 @@ def main():
     ap.add_argument("--root", default=".", type=pathlib.Path,
                     help="repository root (default: cwd)")
     ap.add_argument("--rules", default="all",
-                    help="comma list of R1,R2,R3,R4,R5 (default: all)")
+                    help="comma list of R1,...,R6 (default: all)")
     ap.add_argument("--compile-commands", type=pathlib.Path, default=None,
                     help="compilation database "
                          "(default: <root>/build/compile_commands.json)")
@@ -456,12 +490,12 @@ def main():
     root = args.root
 
     if args.rules == "all":
-        selected = {"R1", "R2", "R3", "R4", "R5"}
+        selected = {"R1", "R2", "R3", "R4", "R5", "R6"}
     else:
         selected = set()
         for token in args.rules.split(","):
             token = token.strip().split("-")[0].upper()
-            if token not in ("R1", "R2", "R3", "R4", "R5"):
+            if token not in ("R1", "R2", "R3", "R4", "R5", "R6"):
                 ap.error(f"unknown rule {token!r}")
             selected.add(token)
 
