@@ -25,10 +25,11 @@
 #include <string>
 #include <vector>
 
-#include "base/hash.hh"
 #include "base/parse.hh"
+#include "calibration.hh"
 #include "harness/benchmark.hh"
 #include "harness/golden.hh"
+#include "harness/manifest.hh"
 #include "harness/runner.hh"
 
 using namespace mclock;
@@ -85,20 +86,19 @@ usage(const char *prog)
         "  --bench           benchmark the selected scenarios: run "
         "each\n"
         "                    --repeat times (after --warmup discarded\n"
-        "                    runs), report host ops/sec and simulated\n"
-        "                    accesses/sec, write --bench-out. Forces\n"
-        "                    --jobs 1 (scenarios must not compete for\n"
-        "                    cores while being timed; sharded scenarios\n"
-        "                    still thread internally per --shards)\n"
+        "                    runs), report raw and host-calibrated\n"
+        "                    seconds, host ops/sec and simulated\n"
+        "                    accesses/sec, write --bench-out. Runs at\n"
+        "                    --jobs 1 and refuses any other --jobs\n"
+        "                    (scenarios must not compete for cores\n"
+        "                    while being timed; sharded scenarios still\n"
+        "                    thread internally per --shards)\n"
         "  --repeat N        measured repeats per scenario (default "
         "3)\n"
         "  --warmup K        discarded warmup runs per scenario "
         "(default 1)\n"
-        "  --bench-out FILE  report path (default <out>/BENCH_8.json)"
-        "\n"
-        "  --bench-baseline FILE\n"
-        "                    recorded baseline to embed and compute\n"
-        "                    speedup_vs_baseline against\n",
+        "  --bench-out FILE  report path (default <out>/BENCH.json);\n"
+        "                    its stem is the report's bench_id\n",
         prog, static_cast<unsigned long long>(kDefaultSeed),
         defaultGoldenDir().c_str());
 }
@@ -186,13 +186,9 @@ goldenPass(const std::string &dir, const std::string &filter,
         const auto diffs =
             compareGolden(golden, result.output.summary);
         if (diffs.empty()) {
-            // One fingerprint over the scenario's unit fingerprints.
-            Fnv1a fp;
-            for (const auto &[unit, unitFp] : result.output.fingerprints)
-                fp.field(unit).word(unitFp);
-            std::printf("ok   %-24s %zu metrics fingerprint %016llx\n",
+            std::printf("ok   %-24s %zu metrics fingerprint %s\n",
                         result.name.c_str(), golden.metrics.size(),
-                        static_cast<unsigned long long>(fp.value()));
+                        hex64(result.output.fingerprint()).c_str());
         } else {
             std::printf("FAIL %-24s %zu mismatches\n",
                         result.name.c_str(), diffs.size());
@@ -226,7 +222,7 @@ main(int argc, char **argv)
     bool updateGolden = false, checkGolden = false, bench = false;
     std::string filter, outDir = ".";
     std::string goldenDir = defaultGoldenDir();
-    std::string benchOut, benchBaseline;
+    std::string benchOut;
     unsigned jobs = 1, repeat = 3, warmup = 1;
     RunContext ctx;
     // Every flag named on the command line: several have defaults, so
@@ -308,8 +304,6 @@ main(int argc, char **argv)
             warmup = count("--warmup");
         } else if (arg == "--bench-out") {
             benchOut = operand("--bench-out");
-        } else if (arg == "--bench-baseline") {
-            benchBaseline = operand("--bench-baseline");
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -344,8 +338,7 @@ main(int argc, char **argv)
         // and writes no artifacts, so it would ignore these.
         static const char *const kRunOnly[] = {
             "--stats", "--param", "--seed", "--out", "--no-manifest",
-            "--bench", "--repeat", "--warmup", "--bench-out",
-            "--bench-baseline"};
+            "--bench", "--repeat", "--warmup", "--bench-out"};
         for (const std::string &arg : given) {
             if (std::find(std::begin(kRunOnly), std::end(kRunOnly),
                           arg) == std::end(kRunOnly))
@@ -370,21 +363,28 @@ main(int argc, char **argv)
     }
 
     if (bench) {
+        if (jobs != 1) {
+            std::fprintf(stderr,
+                         "--bench runs at --jobs 1 (got --jobs %u): "
+                         "scenarios are timed one at a time; use "
+                         "--shards for a sharded scenario's width\n",
+                         jobs);
+            return 2;
+        }
+        const perfbench::Calibration calibration(1);
         BenchOptions bo;
         bo.repeat = repeat;
         bo.warmup = warmup;
-        bo.jobs = jobs;
-        bo.baselinePath = benchBaseline;
+        bo.kernel = {[&calibration] { return calibration.measureS(); },
+                     perfbench::Calibration::kReferenceS};
         bo.context = ctx;
         bo.context.golden = golden;
 
+        if (benchOut.empty())
+            benchOut = (std::filesystem::path(outDir) / "BENCH.json").string();
         const BenchReport report = runBenchmark(selected, bo);
-        const Json doc = benchReportToJson(report, bo);
-
-        if (benchOut.empty()) {
-            benchOut = (std::filesystem::path(outDir) / "BENCH_8.json")
-                           .string();
-        }
+        const Json doc = benchReportToJson(
+            report, bo, std::filesystem::path(benchOut).stem().string());
         std::error_code ec;
         std::filesystem::create_directories(
             std::filesystem::path(benchOut).parent_path(), ec);
@@ -397,12 +397,12 @@ main(int argc, char **argv)
         f << doc.dump(2) << "\n";
 
         if (!quiet) {
-            std::printf("%-24s %10s %14s %14s\n", "scenario", "best_s",
-                        "ops/sec", "accesses/sec");
+            std::printf("%-24s %10s %10s %14s %14s\n", "scenario",
+                        "best_s", "calib_s", "ops/sec", "accesses/sec");
             for (const auto &s : report.scenarios) {
                 const double best = s.bestSeconds();
-                std::printf("%-24s %10.3f %14.0f %14.0f\n",
-                            s.name.c_str(), best,
+                std::printf("%-24s %10.3f %10.3f %14.0f %14.0f\n",
+                            s.name.c_str(), best, report.calibrated(best),
                             best > 0 ? static_cast<double>(s.appOps) /
                                            best
                                      : 0.0,
@@ -411,14 +411,13 @@ main(int argc, char **argv)
                                       best
                                 : 0.0);
             }
-            std::printf("\nsuite: %zu scenario(s), %.2fs best-total",
-                        report.scenarios.size(),
-                        report.totalBestSeconds());
-            if (doc.contains("speedup_vs_baseline")) {
-                std::printf(", %.2fx vs baseline",
-                            doc["speedup_vs_baseline"].asNumber());
-            }
-            std::printf("\nwrote %s\n", benchOut.c_str());
+            std::printf("\nsuite: %zu scenario(s), %.2fs best-total, "
+                        "%.2fs calibrated (kernel %.4fs, reference "
+                        "%.3fs)\nwrote %s\n",
+                        report.scenarios.size(), report.totalBestSeconds(),
+                        report.calibrated(report.totalBestSeconds()),
+                        report.kernelMeanSeconds(), report.kernelReferenceS,
+                        benchOut.c_str());
         }
         return report.clean() ? 0 : 1;
     }

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "base/logging.hh"
 #include "core/kpromoted.hh"
 #include "pfra/vmscan.hh"
 #include "sim/simulator.hh"
@@ -26,28 +25,16 @@ MultiClockPolicy::attach(sim::Simulator &sim)
     // scan passes everywhere); the daemon thread is registered only for
     // nodes that have a higher tier to promote into.
     kpromoted_.clear();
-    daemonIds_.clear();
     for (std::size_t i = 0; i < mem.numNodes(); ++i) {
         const NodeId id = static_cast<NodeId>(i);
         kpromoted_.push_back(std::make_unique<Kpromoted>(*this, sim, id));
         TierRank up;
         if (mem.higherTier(mem.node(id).tier(), up)) {
             Kpromoted *kp = kpromoted_.back().get();
-            daemonIds_.push_back(sim.daemons().add(
-                "kpromoted/" + std::to_string(id), cfg_.scanInterval,
-                [kp](SimTime now) { kp->run(now); }));
+            sim.daemons().add("kpromoted/" + std::to_string(id),
+                              cfg_.scanInterval,
+                              [kp](SimTime now) { kp->run(now); });
         }
-    }
-}
-
-void
-MultiClockPolicy::setScanInterval(SimTime interval)
-{
-    MCLOCK_ASSERT(interval > 0);
-    cfg_.scanInterval = interval;
-    if (sim_) {
-        for (sim::DaemonId id : daemonIds_)
-            sim_->daemons().setInterval(id, interval);
     }
 }
 

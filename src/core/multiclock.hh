@@ -29,7 +29,6 @@
 #include "base/units.hh"
 #include "pfra/vmscan.hh"
 #include "policies/policy.hh"
-#include "sim/daemon.hh"
 
 namespace mclock {
 namespace core {
@@ -95,9 +94,6 @@ class MultiClockPolicy : public policies::TieringPolicy
      */
     std::size_t demoteFromTier(TierRank tier, std::size_t target);
 
-    /** Adjust the kpromoted period at runtime (Fig. 10 sweeps). */
-    void setScanInterval(SimTime interval);
-
   private:
     friend class Kpromoted;
 
@@ -109,7 +105,6 @@ class MultiClockPolicy : public policies::TieringPolicy
 
     MultiClockConfig cfg_;
     std::vector<std::unique_ptr<Kpromoted>> kpromoted_;
-    std::vector<sim::DaemonId> daemonIds_;
 };
 
 }  // namespace core

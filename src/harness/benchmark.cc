@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <numeric>
-#include <sstream>
+#include <thread>
 
 #include "base/logging.hh"
 #include "harness/manifest.hh"
@@ -26,6 +25,28 @@ double
 rate(std::uint64_t count, double secs)
 {
     return secs > 0.0 ? static_cast<double>(count) / secs : 0.0;
+}
+
+#if defined(__clang__)
+constexpr const char *kCompiler = "clang " __clang_version__;
+#else
+constexpr const char *kCompiler = "gcc " __VERSION__;
+#endif
+
+/** The host CPU's "model name" from /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon != std::string::npos)
+            return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+    return "unknown";
 }
 
 }  // namespace
@@ -75,30 +96,33 @@ BenchReport::totalSimAccesses() const
     return sum;
 }
 
+double
+BenchReport::kernelMeanSeconds() const
+{
+    MCLOCK_ASSERT(!kernelSeconds.empty());
+    return std::accumulate(kernelSeconds.begin(), kernelSeconds.end(),
+                           0.0) /
+           static_cast<double>(kernelSeconds.size());
+}
+
+double
+BenchReport::calibrated(double raw) const
+{
+    return raw * kernelReferenceS / kernelMeanSeconds();
+}
+
 BenchReport
 runBenchmark(const std::vector<const Scenario *> &scenarios,
              const BenchOptions &opts)
 {
+    MCLOCK_ASSERT(opts.kernel.measureS && opts.kernel.referenceS > 0.0);
     BenchReport report;
     report.repeat = std::max(1u, opts.repeat);
     report.warmup = opts.warmup;
-
-    // Timing windows must not be contended by other scenarios' units:
-    // anything but one harness worker is downgraded, loudly. Sharded
-    // scenarios still thread internally (context.shards) — one
-    // scenario at a time, that parallelism *is* the measurement.
-    unsigned jobs = opts.jobs;
-    if (jobs != 1) {
-        std::fprintf(stderr,
-                     "bench: --jobs %u downgraded to 1 (benchmark "
-                     "repeats are timed one scenario at a time)\n",
-                     jobs);
-        jobs = 1;
-    }
-    report.jobs = jobs;
+    report.kernelReferenceS = opts.kernel.referenceS;
 
     RunnerOptions ro;
-    ro.jobs = jobs;
+    ro.jobs = 1;
     ro.writeArtifacts = false;
     ro.writeManifest = false;
     ro.quiet = true;
@@ -106,6 +130,7 @@ runBenchmark(const std::vector<const Scenario *> &scenarios,
 
     // One scenario at a time: with the shared pool a slow scenario's
     // units would overlap the next scenario's timing window.
+    report.kernelSeconds.push_back(opts.kernel.measureS());
     for (const Scenario *sc : scenarios) {
         BenchScenario bench;
         bench.name = sc->name;
@@ -119,35 +144,25 @@ runBenchmark(const std::vector<const Scenario *> &scenarios,
             MCLOCK_ASSERT(rr.results.size() == 1);
             ScenarioResult &result = rr.results.front();
             bench.wallSeconds.push_back(seconds(start, stop));
+            const std::uint64_t fp = result.output.fingerprint();
+            if (!result.output.violations.empty() ||
+                (i > 0 && fp != bench.fingerprint))
+                bench.clean = false;
+            bench.fingerprint = fp;
             bench.units = result.units;
             bench.appOps = result.appOps;
             bench.simAccesses = result.simAccesses;
             bench.summary = std::move(result.output.summary);
-            if (!result.output.violations.empty())
-                bench.clean = false;
         }
         report.scenarios.push_back(std::move(bench));
+        report.kernelSeconds.push_back(opts.kernel.measureS());
     }
     return report;
 }
 
 Json
-loadBenchBaseline(const std::string &path)
-{
-    std::ifstream f(path);
-    if (!f)
-        return Json();
-    std::stringstream ss;
-    ss << f.rdbuf();
-    std::string err;
-    Json doc = Json::parse(ss.str(), &err);
-    if (!err.empty() || !doc.isObject())
-        return Json();
-    return doc;
-}
-
-Json
-benchReportToJson(const BenchReport &report, const BenchOptions &opts)
+benchReportToJson(const BenchReport &report, const BenchOptions &opts,
+                  const std::string &benchId)
 {
     Json scenarios{Json::Object{}};
     for (const auto &s : report.scenarios) {
@@ -162,8 +177,10 @@ benchReportToJson(const BenchReport &report, const BenchOptions &opts)
         entry.set("wall_seconds", std::move(walls));
         entry.set("best_seconds", best);
         entry.set("mean_seconds", s.meanSeconds());
+        entry.set("calibrated_best_seconds", report.calibrated(best));
         entry.set("app_ops_per_sec", rate(s.appOps, best));
         entry.set("sim_accesses_per_sec", rate(s.simAccesses, best));
+        entry.set("fingerprint", hex64(s.fingerprint));
         scenarios.set(s.name, std::move(entry));
     }
 
@@ -174,13 +191,20 @@ benchReportToJson(const BenchReport &report, const BenchOptions &opts)
     suite.set("total_sim_accesses",
               static_cast<double>(report.totalSimAccesses()));
     suite.set("total_best_seconds", totalBest);
+    suite.set("total_calibrated_best_seconds", report.calibrated(totalBest));
     suite.set("app_ops_per_sec", rate(report.totalAppOps(), totalBest));
     suite.set("sim_accesses_per_sec",
               rate(report.totalSimAccesses(), totalBest));
 
+    Json host{Json::Object{}};
+    host.set("cpus", static_cast<double>(std::thread::hardware_concurrency()));
+    host.set("model", cpuModel());
+    host.set("compiler", kCompiler);
+    host.set("kernel_s", report.kernelMeanSeconds());
+
     Json doc{Json::Object{}};
-    doc.set("bench_id", opts.benchId);
-    doc.set("schema", "mclock-bench-v1");
+    doc.set("bench_id", benchId);
+    doc.set("schema", "mclock-bench-v2");
     std::string sha = "unknown";
 #ifdef MCLOCK_SOURCE_DIR
     sha = readGitSha(MCLOCK_SOURCE_DIR);
@@ -188,54 +212,12 @@ benchReportToJson(const BenchReport &report, const BenchOptions &opts)
     doc.set("git_sha", sha);
     doc.set("golden_profile", Json(opts.context.golden));
     doc.set("seed", static_cast<double>(opts.context.seed));
-    doc.set("jobs", static_cast<double>(report.jobs));
     doc.set("shards", static_cast<double>(opts.context.shards));
     doc.set("repeat", static_cast<double>(report.repeat));
     doc.set("warmup", static_cast<double>(report.warmup));
+    doc.set("host", std::move(host));
     doc.set("scenarios", std::move(scenarios));
     doc.set("suite", std::move(suite));
-
-    if (!opts.baselinePath.empty()) {
-        Json baseline = loadBenchBaseline(opts.baselinePath);
-        if (baseline.isObject() &&
-            baseline["scenarios"].isObject()) {
-            // Speedup over the intersection, so a partial --filter run
-            // still reports an honest like-for-like ratio.
-            double baseSum = 0.0, measuredSum = 0.0;
-            for (const auto &s : report.scenarios) {
-                const Json &b = baseline["scenarios"][s.name];
-                // Standalone baselines map name -> seconds; full
-                // reports (a previous BENCH_<n>.json used directly)
-                // map name -> {"best_seconds": ...}.
-                double baseBest = 0.0;
-                if (b.isNumber()) {
-                    baseBest = b.asNumber();
-                } else if (b.isObject() &&
-                           b["best_seconds"].isNumber()) {
-                    baseBest = b["best_seconds"].asNumber();
-                }
-                if (baseBest <= 0.0)
-                    continue;
-                baseSum += baseBest;
-                measuredSum += s.bestSeconds();
-            }
-            doc.set("baseline", std::move(baseline));
-            if (baseSum > 0.0 && measuredSum > 0.0) {
-                doc.set("speedup_vs_baseline", baseSum / measuredSum);
-            } else {
-                // Empty intersection (renamed/filtered scenarios) or
-                // degenerate timings: an honest ratio does not exist.
-                // Emit an explicit null — never NaN/inf, and never a
-                // silently missing key a dashboard would misread as
-                // "no baseline configured".
-                doc.set("speedup_vs_baseline", Json());
-                MCLOCK_WARN(
-                    "bench baseline %s shares no timed scenario with "
-                    "this run; speedup_vs_baseline = null",
-                    opts.baselinePath.c_str());
-            }
-        }
-    }
     return doc;
 }
 

@@ -42,7 +42,8 @@ isoTimestampUtc()
     return buf;
 }
 
-/** @p v as 16 lower-case hex digits (JSON numbers lose 64-bit values). */
+}  // namespace
+
 std::string
 hex64(std::uint64_t v)
 {
@@ -51,8 +52,6 @@ hex64(std::uint64_t v)
                   static_cast<unsigned long long>(v));
     return buf;
 }
-
-}  // namespace
 
 std::string
 readGitSha(const std::string &startDir)

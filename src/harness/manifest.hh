@@ -16,6 +16,9 @@
 namespace mclock {
 namespace harness {
 
+/** @p v as 16 lower-case hex digits (JSON numbers lose 64-bit values). */
+std::string hex64(std::uint64_t v);
+
 /**
  * Resolve the current git commit by reading .git/HEAD (no subprocess),
  * walking up from @p startDir. @return "unknown" outside a repository.

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "base/csv.hh"
+#include "base/hash.hh"
 #include "harness/scenario_common.hh"
 
 namespace mclock {
@@ -117,6 +118,15 @@ Table::csv() const
         csv.writeRow(row);
     }
     return csv.str();
+}
+
+std::uint64_t
+ScenarioOutput::fingerprint() const
+{
+    Fnv1a fp;
+    for (const auto &[unit, unitFp] : fingerprints)
+        fp.field(unit).word(unitFp);
+    return fp.value();
 }
 
 ScenarioOutput

@@ -213,6 +213,12 @@ struct ScenarioOutput
 
     /** Each unit's RunRecord::fingerprint, by unit name. */
     std::map<std::string, std::uint64_t> fingerprints;
+
+    /**
+     * One fingerprint over @c fingerprints: what --check-golden prints
+     * and a BENCH report records per scenario.
+     */
+    std::uint64_t fingerprint() const;
 };
 
 /** One registered experiment. */

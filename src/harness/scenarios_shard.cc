@@ -12,14 +12,10 @@
  * metric below is bit-identical for any N: these scenarios are
  * golden-eligible, and shard_test pins 1-vs-4-vs-8 worker equality.
  *
- * Three members:
- *  - shard_bigmem:        ungoverned promotion, workers = --shards;
+ * Two members:
+ *  - shard_bigmem:        ungoverned promotion;
  *  - shard_bigmem_budget: global per-epoch promotion budget exercised
- *                         across the epoch-merge grant loop;
- *  - shard_bigmem_x4/_x8: wall-clock variants with the worker count
- *                         pinned (bench families; not golden — their
- *                         results equal shard_bigmem by construction,
- *                         which shard_test asserts).
+ *                         across the epoch-merge grant loop.
  */
 
 #include <memory>
@@ -154,8 +150,7 @@ runShardUnit(const RunContext &ctx, const std::string &policy,
 /** Expand/reduce shared by the whole family. */
 Scenario
 shardScenario(const std::string &name, const std::string &title,
-              std::uint64_t promoteBudget, unsigned pinnedWorkers,
-              bool goldenEligible)
+              std::uint64_t promoteBudget)
 {
     Scenario sc;
     sc.name = name;
@@ -163,13 +158,12 @@ shardScenario(const std::string &name, const std::string &title,
     sc.workload = "kvstore";
     sc.policies = kShardPolicies;
     sc.params = {"records", "epochs", "ops", "promote_budget"};
-    sc.goldenEligible = goldenEligible;
-    sc.expand = [promoteBudget, pinnedWorkers](const RunContext &) {
+    sc.expand = [promoteBudget](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : kShardPolicies) {
             units.push_back({policy, [=](const RunContext &ctx) {
                 const sim::ShardOptions opts{
-                    kShardCount, pinnedWorkers ? pinnedWorkers : ctx.shards,
+                    kShardCount, ctx.shards,
                     ctx.param("promote_budget", promoteBudget)};
                 return runShardUnit(ctx, policy, opts);
             }});
@@ -214,23 +208,10 @@ makeShardScenarios()
     return {
         shardScenario("shard_bigmem",
                       "Sharded big-memory KV host (8 shards, YCSB-A)",
-                      /*promoteBudget=*/0, /*pinnedWorkers=*/0,
-                      /*goldenEligible=*/true),
-        shardScenario(
-            "shard_bigmem_budget",
-            "Sharded KV host under a global promotion budget",
-            /*promoteBudget=*/64, /*pinnedWorkers=*/0,
-            /*goldenEligible=*/true),
-        shardScenario(
-            "shard_bigmem_x4",
-            "Sharded KV host, 4 worker threads (wall-clock family)",
-            /*promoteBudget=*/0, /*pinnedWorkers=*/4,
-            /*goldenEligible=*/false),
-        shardScenario(
-            "shard_bigmem_x8",
-            "Sharded KV host, 8 worker threads (wall-clock family)",
-            /*promoteBudget=*/0, /*pinnedWorkers=*/8,
-            /*goldenEligible=*/false),
+                      /*promoteBudget=*/0),
+        shardScenario("shard_bigmem_budget",
+                      "Sharded KV host under a global promotion budget",
+                      /*promoteBudget=*/64),
     };
 }
 

@@ -1,6 +1,5 @@
 #include "policies/nimble.hh"
 
-#include "base/logging.hh"
 #include "pfra/vmscan.hh"
 #include "sim/simulator.hh"
 #include "vm/page.hh"
@@ -17,28 +16,15 @@ NimblePolicy::attach(sim::Simulator &sim)
 {
     TieringPolicy::attach(sim);
     auto &mem = sim.memory();
-    daemonIds_.clear();
     for (std::size_t i = 0; i < mem.numNodes(); ++i) {
         const NodeId id = static_cast<NodeId>(i);
         TierRank up;
         if (!mem.higherTier(mem.node(id).tier(), up))
             continue;
-        daemonIds_.push_back(sim.daemons().add(
-            "knimble/" + std::to_string(id), cfg_.scanInterval,
-            [this, id](SimTime now) {
-                tick(sim_->memory().node(id), now);
-            }));
-    }
-}
-
-void
-NimblePolicy::setScanInterval(SimTime interval)
-{
-    MCLOCK_ASSERT(interval > 0);
-    cfg_.scanInterval = interval;
-    if (sim_) {
-        for (sim::DaemonId id : daemonIds_)
-            sim_->daemons().setInterval(id, interval);
+        sim.daemons().add("knimble/" + std::to_string(id),
+                          cfg_.scanInterval, [this, id](SimTime now) {
+                              tick(sim_->memory().node(id), now);
+                          });
     }
 }
 

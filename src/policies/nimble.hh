@@ -17,13 +17,11 @@
 #define MCLOCK_POLICIES_NIMBLE_HH_
 
 #include <cstddef>
-#include <vector>
 
 #include "base/types.hh"
 #include "vm/page.hh"
 #include "base/units.hh"
 #include "policies/policy.hh"
-#include "sim/daemon.hh"
 
 namespace mclock {
 
@@ -60,9 +58,6 @@ class NimblePolicy : public TieringPolicy
 
     FeatureRow features() const override;
 
-    /** Adjust the daemon period at runtime (Fig. 10 sweeps). */
-    void setScanInterval(SimTime interval);
-
     const NimbleConfig &config() const { return cfg_; }
 
   private:
@@ -80,7 +75,6 @@ class NimblePolicy : public TieringPolicy
     Page *pickExchangeVictim(bool anon, TierRank tier);
 
     NimbleConfig cfg_;
-    std::vector<sim::DaemonId> daemonIds_;
 };
 
 }  // namespace policies

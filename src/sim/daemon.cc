@@ -7,7 +7,7 @@
 namespace mclock {
 namespace sim {
 
-DaemonId
+void
 DaemonScheduler::add(std::string name, SimTime interval,
                      std::function<void(SimTime)> fn)
 {
@@ -19,7 +19,6 @@ DaemonScheduler::add(std::string name, SimTime interval,
     e.fn = std::move(fn);
     daemons_.push_back(std::move(e));
     recomputeNextDue();
-    return daemons_.size() - 1;
 }
 
 void
@@ -29,7 +28,7 @@ DaemonScheduler::runDue(SimTime now)
         // Find the earliest due daemon and run it.
         Entry *due = nullptr;
         for (auto &e : daemons_) {
-            if (e.enabled && e.nextWake <= now &&
+            if (e.nextWake <= now &&
                 (!due || e.nextWake < due->nextWake)) {
                 due = &e;
             }
@@ -38,47 +37,17 @@ DaemonScheduler::runDue(SimTime now)
             break;
         const SimTime wake = due->nextWake;
         due->nextWake += due->interval;
-        ++due->invocations;
         due->fn(wake);
         recomputeNextDue();
     }
 }
 
 void
-DaemonScheduler::setInterval(DaemonId id, SimTime interval)
-{
-    MCLOCK_ASSERT(id < daemons_.size() && interval > 0);
-    Entry &e = daemons_[id];
-    // Keep the phase: the pending wake moves to lastWake + newInterval.
-    MCLOCK_ASSERT(e.nextWake >= e.interval);
-    e.nextWake = e.nextWake - e.interval + interval;
-    e.interval = interval;
-    recomputeNextDue();
-}
-
-void
-DaemonScheduler::setEnabled(DaemonId id, bool enabled)
-{
-    MCLOCK_ASSERT(id < daemons_.size());
-    daemons_[id].enabled = enabled;
-    recomputeNextDue();
-}
-
-std::uint64_t
-DaemonScheduler::invocations(DaemonId id) const
-{
-    MCLOCK_ASSERT(id < daemons_.size());
-    return daemons_[id].invocations;
-}
-
-void
 DaemonScheduler::recomputeNextDue()
 {
     nextDue_ = std::numeric_limits<SimTime>::max();
-    for (const auto &e : daemons_) {
-        if (e.enabled)
-            nextDue_ = std::min(nextDue_, e.nextWake);
-    }
+    for (const auto &e : daemons_)
+        nextDue_ = std::min(nextDue_, e.nextWake);
 }
 
 }  // namespace sim

@@ -22,9 +22,6 @@
 namespace mclock {
 namespace sim {
 
-/** Handle identifying a registered daemon. */
-using DaemonId = std::size_t;
-
 /** Registry and dispatcher for periodic daemons. */
 class DaemonScheduler
 {
@@ -35,10 +32,9 @@ class DaemonScheduler
      * @param name     diagnostic name ("kpromoted")
      * @param interval wake period in simulated ns
      * @param fn       body, invoked with the wake time
-     * @return handle usable with setInterval()/setEnabled()
      */
-    DaemonId add(std::string name, SimTime interval,
-                 std::function<void(SimTime)> fn);
+    void add(std::string name, SimTime interval,
+             std::function<void(SimTime)> fn);
 
     /** Earliest pending wake time, or SimTime max if none. */
     SimTime
@@ -54,13 +50,6 @@ class DaemonScheduler
      */
     void runDue(SimTime now);
 
-    /** Change a daemon's period (takes effect after its next wake). */
-    void setInterval(DaemonId id, SimTime interval);
-
-    void setEnabled(DaemonId id, bool enabled);
-
-    std::uint64_t invocations(DaemonId id) const;
-
   private:
     struct Entry
     {
@@ -68,8 +57,6 @@ class DaemonScheduler
         SimTime interval;
         SimTime nextWake;
         std::function<void(SimTime)> fn;
-        bool enabled = true;
-        std::uint64_t invocations = 0;
     };
 
     void recomputeNextDue();

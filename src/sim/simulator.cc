@@ -393,42 +393,23 @@ Simulator::promotePage(Page *page, ChargeMode mode)
     // destination tier's hard cap.
     if (!tenantPromoteAllowed(page, up))
         return false;
-    const MemCgroupId cg = page->memcg();
-    const unsigned maxAttempts =
-        faults_.enabled() ? cfg_.faults.maxRetries + 1 : 1;
-    for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
-        const NodeId dst =
-            mem_.pickNodeWithSpace(up, /*respectMin=*/false);
-        if (dst == kInvalidNode) {
-            // No free frame anywhere in the upper tier: the promotion
-            // failed before a migration could start.
-            vmstat().add(stats::VmItem::PgpromoteFail, srcNode);
-            return false;
-        }
-        const MigrateResult r = migrateOnce(page, dst, mode);
-        if (r.ok()) {
-            notePromoteSuccess(srcNode);
-            if (promoteBudget_ != kUnlimitedPromoteBudget)
-                --promoteBudget_;
-            // Quota credits, like the shard budget, are spent on
-            // completed promotions only — an aborted migration costs
-            // the tenant nothing. tenantPromoteAllowed() held a credit
-            // in reserve above, so the spend cannot fail here.
-            const bool credited = memcg_.consumePromoteCredit(cg);
-            MCLOCK_ASSERT(credited);
-            return true;
-        }
-        const bool retryable =
-            r.outcome == MigrateOutcome::Aborted && !r.persistent;
-        if (!retryable || attempt + 1 == maxAttempts) {
-            if (r.outcome == MigrateOutcome::Aborted)
-                notePromoteAbort(srcNode);
-            return false;
-        }
-        vmstat().add(stats::VmItem::PgmigrateRetry, srcNode);
-        chargeBackground(cfg_.faults.retryBackoffNs << attempt);
+    const MigrateResult r =
+        migrateToTier(page, up, /*respectMin=*/false, mode);
+    if (!r.ok()) {
+        if (r.outcome == MigrateOutcome::Aborted)
+            notePromoteAbort(srcNode);
+        return false;
     }
-    return false;
+    notePromoteSuccess(srcNode);
+    if (promoteBudget_ != kUnlimitedPromoteBudget)
+        --promoteBudget_;
+    // Quota credits, like the shard budget, are spent on completed
+    // promotions only — an aborted migration costs the tenant nothing.
+    // tenantPromoteAllowed() held a credit in reserve above, so the
+    // spend cannot fail here.
+    const bool credited = memcg_.consumePromoteCredit(page->memcg());
+    MCLOCK_ASSERT(credited);
+    return true;
 }
 
 bool
@@ -437,27 +418,37 @@ Simulator::demotePage(Page *page, ChargeMode mode)
     TierRank down;
     if (!mem_.lowerTier(pageTier(page), down))
         return false;
+    return migrateToTier(page, down, /*respectMin=*/true, mode).ok();
+}
+
+MigrateResult
+Simulator::migrateToTier(Page *page, TierRank tier, bool respectMin,
+                         ChargeMode mode)
+{
     const NodeId srcNode = page->node();
+    const stats::VmItem failItem = tier < pageTier(page)
+                                       ? stats::VmItem::PgpromoteFail
+                                       : stats::VmItem::PgdemoteFail;
     const unsigned maxAttempts =
         faults_.enabled() ? cfg_.faults.maxRetries + 1 : 1;
-    for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
-        const NodeId dst =
-            mem_.pickNodeWithSpace(down, /*respectMin=*/true);
+    for (unsigned attempt = 0;; ++attempt) {
+        const NodeId dst = mem_.pickNodeWithSpace(tier, respectMin);
         if (dst == kInvalidNode) {
-            vmstat().add(stats::VmItem::PgdemoteFail, srcNode);
-            return false;
+            // No free frame anywhere in the tier: the move failed
+            // before a migration could start.
+            vmstat().add(failItem, srcNode);
+            MigrateResult none;
+            none.outcome = MigrateOutcome::NoFrame;
+            return none;
         }
         const MigrateResult r = migrateOnce(page, dst, mode);
-        if (r.ok())
-            return true;
         const bool retryable =
             r.outcome == MigrateOutcome::Aborted && !r.persistent;
         if (!retryable || attempt + 1 == maxAttempts)
-            return false;
+            return r;
         vmstat().add(stats::VmItem::PgmigrateRetry, srcNode);
         chargeBackground(cfg_.faults.retryBackoffNs << attempt);
     }
-    return false;
 }
 
 bool

@@ -311,6 +311,14 @@ class Simulator
     void chargeMigration(SimTime cost, ChargeMode mode,
                          SimTime inlinePortion = 0);
     MigrateResult migrateOnce(Page *page, NodeId dst, ChargeMode mode);
+    /**
+     * Move @p page to a node of @p tier with a free frame, retrying a
+     * transient abort with exponential backoff while fault injection
+     * allows retries. An empty tier counts a promote or demote fail,
+     * by direction, and returns NoFrame.
+     */
+    MigrateResult migrateToTier(Page *page, TierRank tier, bool respectMin,
+                                ChargeMode mode);
     void notePromoteSuccess(NodeId node);
     void notePromoteAbort(NodeId node);
     void accessOnePage(Vaddr va, bool write, bool supervised);

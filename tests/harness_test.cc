@@ -46,10 +46,10 @@ expectIdentical(const ScenarioOutput &a, const ScenarioOutput &b)
 
 // --- Registry -----------------------------------------------------------
 
-TEST(ScenarioRegistry, ListsAllTwentyFourExperiments)
+TEST(ScenarioRegistry, ListsAllTwentyTwoExperiments)
 {
     const auto &all = allScenarios();
-    EXPECT_EQ(all.size(), 24u);
+    EXPECT_EQ(all.size(), 22u);
     std::set<std::string> names;
     for (const auto &sc : all)
         names.insert(sc.name);
@@ -59,8 +59,7 @@ TEST(ScenarioRegistry, ListsAllTwentyFourExperiments)
           "ablation_tracking_cost", "ablation_ratio", "ablation_llc",
           "tier3_ycsb_a", "tier3_ycsb_b", "tier3_pagerank",
           "faultinj_ycsb_a", "faultinj_pagerank",
-          "shard_bigmem", "shard_bigmem_budget", "shard_bigmem_x4",
-          "shard_bigmem_x8",
+          "shard_bigmem", "shard_bigmem_budget",
           "tenant_noisy_neighbor", "tenant_churn"}) {
         EXPECT_TRUE(names.count(expected))
             << "missing scenario " << expected;
@@ -107,17 +106,12 @@ TEST(ScenarioRegistry, EveryParamReadIsDeclared)
 
 TEST(ScenarioRegistry, GoldenEligibilityMatchesDeterminism)
 {
-    // tab01 is static metadata, and the shard_bigmem_x* variants only
-    // pin a worker width (their results are identical to shard_bigmem,
-    // so fixtures would be redundant); everything else must be in the
+    // tab01 is static metadata; everything else must be in the
     // golden suite.
     const auto names = goldenScenarioNames();
     EXPECT_EQ(names.size(), 21u);
-    for (const auto &name : names) {
+    for (const auto &name : names)
         EXPECT_NE(name, "tab01");
-        EXPECT_NE(name, "shard_bigmem_x4");
-        EXPECT_NE(name, "shard_bigmem_x8");
-    }
 }
 
 // --- RunContext ---------------------------------------------------------

@@ -173,10 +173,9 @@ TEST(NimbleTest, ExchangesWhenDramFull)
 TEST(NimbleTest, ScanIntervalAdjustable)
 {
     sim::Simulator sim(testMachine());
-    auto policy = std::make_unique<NimblePolicy>();
-    NimblePolicy *nimble = policy.get();
-    sim.setPolicy(std::move(policy));
-    nimble->setScanInterval(100_ms);
+    NimbleConfig cfg;
+    cfg.scanInterval = 100_ms;
+    sim.setPolicy(std::make_unique<NimblePolicy>(cfg));
     sim.compute(1_s);
     EXPECT_EQ(sim.vmstat().global(stats::VmItem::KpromotedWake), 10u);
 }

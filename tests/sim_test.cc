@@ -294,22 +294,6 @@ TEST(DaemonSchedulerTest, MultipleDaemonsInWakeOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 1, 2}));
 }
 
-TEST(DaemonSchedulerTest, DisableAndInterval)
-{
-    DaemonScheduler sched;
-    int fired = 0;
-    const DaemonId id = sched.add("d", 100, [&](SimTime) { ++fired; });
-    sched.setEnabled(id, false);
-    sched.runDue(1000);
-    EXPECT_EQ(fired, 0);
-    sched.setEnabled(id, true);
-    sched.setInterval(id, 500);
-    sched.runDue(1000);
-    EXPECT_GT(fired, 0);
-    EXPECT_EQ(sched.invocations(id),
-              static_cast<std::uint64_t>(fired));
-}
-
 // --- Metrics -------------------------------------------------------------------------
 
 TEST(MetricsTest, WindowBucketing)
