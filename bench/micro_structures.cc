@@ -31,11 +31,10 @@ namespace {
 void
 BM_LruListMove(benchmark::State &state)
 {
-    AddressSpace space;
     pfra::NodeLists lists;
     std::vector<std::unique_ptr<Page>> pages;
     for (int i = 0; i < 1024; ++i) {
-        pages.push_back(std::make_unique<Page>(&space, i, true));
+        pages.push_back(std::make_unique<Page>(i, true));
         lists.add(pages.back().get(), LruListKind::InactiveAnon);
     }
     std::size_t i = 0;
@@ -50,12 +49,11 @@ BENCHMARK(BM_LruListMove);
 void
 BM_ClockScanPass(benchmark::State &state)
 {
-    AddressSpace space;
     pfra::NodeLists lists;
     std::vector<std::unique_ptr<Page>> pages;
     const auto n = static_cast<std::size_t>(state.range(0));
     for (std::size_t i = 0; i < n; ++i) {
-        pages.push_back(std::make_unique<Page>(&space, i, true));
+        pages.push_back(std::make_unique<Page>(i, true));
         lists.add(pages.back().get(), LruListKind::ActiveAnon);
     }
     Rng rng(1);

@@ -105,7 +105,7 @@ void
 AutoTieringPolicy::onHintFault(Page *page)
 {
     const SimTime now = sim_->now();
-    page->setLastHintFault(now);
+    lastHintFault_[page->vpn()] = now;
     page->setHintFaultedSinceScan(true);
     if (!page->onLru() || page->locked())
         return;
@@ -165,6 +165,20 @@ AutoTieringPolicy::coldHorizon() const
     return std::max(cfg_.victimColdThreshold, passPeriod_);
 }
 
+SimTime
+AutoTieringPolicy::lastHintFault(const Page *page) const
+{
+    const auto it = lastHintFault_.find(page->vpn());
+    return it == lastHintFault_.end() ? 0 : it->second;
+}
+
+void
+AutoTieringPolicy::onPageFreed(Page *page)
+{
+    lastHintFault_.erase(page->vpn());
+    TieringPolicy::onPageFreed(page);
+}
+
 Page *
 AutoTieringPolicy::pickColdVictim(bool anon, SimTime now, TierRank tier)
 {
@@ -187,7 +201,7 @@ AutoTieringPolicy::pickColdVictim(bool anon, SimTime now, TierRank tier)
                         return pg;
                 } else {
                     // CPM: no hint fault within the recency horizon.
-                    if (now - pg->lastHintFault() >= coldHorizon()) {
+                    if (now - lastHintFault(pg) >= coldHorizon()) {
                         return pg;
                     }
                 }

@@ -25,6 +25,7 @@
 #define MCLOCK_POLICIES_AUTOTIERING_HH_
 
 #include <cstddef>
+#include <unordered_map>
 
 #include "base/types.hh"
 #include "base/units.hh"
@@ -89,6 +90,8 @@ class AutoTieringPolicy : public TieringPolicy
 
     void onHintFault(Page *page) override;
 
+    void onPageFreed(Page *page) override;
+
     /** OPM demotes history-cold pages under pressure; CPM has none. */
     void handlePressure(sim::Node &node) override;
 
@@ -111,6 +114,9 @@ class AutoTieringPolicy : public TieringPolicy
     /** Horizon separating warm from cold by hint-fault recency. */
     SimTime coldHorizon() const;
 
+    /** Time of @p page's most recent hint fault, or 0 if it had none. */
+    SimTime lastHintFault(const Page *page) const;
+
     /** Isolate + demote a page, reinserting on the lower tier's list. */
     bool demoteColdPage(Page *page);
 
@@ -125,6 +131,8 @@ class AutoTieringPolicy : public TieringPolicy
     PageNum cursor_ = 0;  ///< round-robin position of the poison pass
     /** Measured duration of one full poisoning pass over the space. */
     SimTime passPeriod_ = 0;
+    /** Most recent hint fault per vpn (CPM's victim recency). */
+    std::unordered_map<PageNum, SimTime> lastHintFault_;
 };
 
 }  // namespace policies

@@ -102,8 +102,7 @@ Simulator::unmapRegion(Vaddr start)
         Page *pg = space_.lookup(vpn);
         if (!pg)
             continue;
-        if (pg->onLru())
-            policy_->onPageFreed(pg);
+        policy_->onPageFreed(pg);
         MCLOCK_ASSERT(!pg->onLru());
         if (pg->resident()) {
             if (llc_)

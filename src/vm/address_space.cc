@@ -11,6 +11,13 @@ AddressSpace::mmap(std::size_t bytes, bool anon, const std::string &name,
                    MemCgroupId memcg)
 {
     MCLOCK_ASSERT(bytes > 0);
+    // Every vpn of the region must fit Page's 32-bit field.
+    constexpr Vaddr kVaLimit = (Page::kMaxVpn + 1) << kPageShift;
+    if (bytes > kVaLimit - nextFree_)
+        MCLOCK_FATAL("mmap of %zu bytes (\"%s\") passes the last vpn a "
+                     "Page can hold (0x%llx)",
+                     bytes, name.c_str(),
+                     static_cast<unsigned long long>(Page::kMaxVpn));
     const std::size_t rounded = (bytes + kPageSize - 1) & ~(kPageSize - 1);
     const Vaddr start = nextFree_;
     nextFree_ += rounded;
@@ -41,7 +48,7 @@ AddressSpace::createPage(PageNum vpn)
     MCLOCK_ASSERT(!pages_[vpn]);
     const Region *region = regionOf(vpn << kPageShift);
     MCLOCK_ASSERT(region != nullptr);
-    pages_[vpn] = arena_.create(this, vpn, region->anon);
+    pages_[vpn] = arena_.create(vpn, region->anon);
     pages_[vpn]->setMemcg(region->memcg);
     ++livePages_;
     return pages_[vpn];

@@ -9,13 +9,13 @@
  * that the hardware maintains in the process page table is folded in as
  * well, since our pages are singly mapped.
  *
- * Layout discipline (the access fast path touches every field below the
- * hook on every simulated memory access): all boolean page/PTE state is
- * packed into one flag word, exactly like the kernel's page->flags, and
- * the fields the per-access path reads/writes (placement, flags, access
- * stamps) lead the struct so one line fill covers them. Pages are
- * allocated from the address space's slab arena in first-touch order,
- * so sequential vpns sit contiguously in memory.
+ * Layout discipline: like the kernel's struct page, a Page is one
+ * 64-byte host cache line (aligned to it, so the address space's slab
+ * arena never splits one across two lines), and one line fill serves
+ * every field the access fast path reads or writes. All boolean
+ * page/PTE state is packed into one flag word, exactly like the
+ * kernel's page->flags. Pages are allocated from the arena in
+ * first-touch order, so sequential vpns sit contiguously in memory.
  */
 
 #ifndef MCLOCK_VM_PAGE_HH_
@@ -24,11 +24,10 @@
 #include <cstdint>
 
 #include "base/intrusive_list.hh"
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace mclock {
-
-class AddressSpace;
 
 /** Which per-node LRU list a page currently lives on. */
 enum class LruListKind : std::uint8_t {
@@ -70,19 +69,23 @@ isInactiveList(LruListKind kind)
 }
 
 /** struct page: flags, placement, and list linkage for one virtual page. */
-class Page
+class alignas(64) Page
 {
   public:
-    Page(AddressSpace *space, PageNum vpn, bool anon)
-        : space_(space), vpn_(vpn), flags_(anon ? kAnon : 0u)
-    {}
+    /** Largest vpn a Page can hold (AddressSpace::mmap enforces it). */
+    static constexpr PageNum kMaxVpn = UINT32_MAX;
+
+    Page(PageNum vpn, bool anon)
+        : flags_(anon ? kAnon : 0u), vpn_(static_cast<std::uint32_t>(vpn))
+    {
+        MCLOCK_ASSERT(vpn <= kMaxVpn);
+    }
 
     Page(const Page &) = delete;
     Page &operator=(const Page &) = delete;
 
-    AddressSpace *space() const { return space_; }
     PageNum vpn() const { return vpn_; }
-    Vaddr vaddr() const { return vpn_ << kPageShift; }
+    Vaddr vaddr() const { return PageNum{vpn_} << kPageShift; }
 
     /** File-backed vs anonymous mapping (fixed at creation). */
     bool isAnon() const { return flag(kAnon); }
@@ -99,7 +102,8 @@ class Page
     void
     placeOn(NodeId node, Paddr paddr)
     {
-        node_ = node;
+        MCLOCK_ASSERT(node >= 0 && node <= INT16_MAX);
+        node_ = static_cast<std::int16_t>(node);
         paddr_ = paddr;
     }
 
@@ -199,10 +203,6 @@ class Page
                                              (accessed ? 1u : 0u));
     }
 
-    /** Time of the most recent NUMA-hint fault (AutoTiering recency). */
-    SimTime lastHintFault() const { return lastHintFault_; }
-    void setLastHintFault(SimTime t) { lastHintFault_ = t; }
-
     /** Hint fault seen since the last profiling pass (OPM history). */
     bool hintFaultedSinceScan() const { return flag(kHintSinceScan); }
     void setHintFaultedSinceScan(bool v) { setFlag(kHintSinceScan, v); }
@@ -213,7 +213,12 @@ class Page
 
     /** Epoch of the most recent promotion (for re-access accounting). */
     std::uint64_t promotedEpoch() const { return promotedEpoch_; }
-    void setPromotedEpoch(std::uint64_t e) { promotedEpoch_ = e; }
+    void
+    setPromotedEpoch(std::uint64_t e)
+    {
+        MCLOCK_ASSERT(e <= UINT32_MAX);
+        promotedEpoch_ = static_cast<std::uint32_t>(e);
+    }
 
     /** Total memory-visible accesses (stats and AMP-LFU selection). */
     std::uint64_t accessCount() const { return accessCount_; }
@@ -245,22 +250,26 @@ class Page
             flags_ &= static_cast<std::uint16_t>(~bit);
     }
 
-    // Hot per-access fields first (placement, flags, stamps), policy
-    // scratch after, identity last.
-    AddressSpace *space_;
-    PageNum vpn_;
+    // The public lruHook leads (offset 0, list moves only). The fields
+    // the access path reads or writes follow (placement, stamps, memcg,
+    // flags), then list state, policy scratch and identity. Narrowed
+    // fields are checked where they are written; their accessors keep
+    // the wide types.
     Paddr paddr_ = 0;
     std::uint64_t llcLines_ = 0;
     SimTime lastAccess_ = 0;
     std::uint64_t accessCount_ = 0;
-    std::uint64_t promotedEpoch_ = 0;
-    SimTime lastHintFault_ = 0;
-    NodeId node_ = kInvalidNode;
+    std::uint32_t promotedEpoch_ = 0;
+    std::int16_t node_ = kInvalidNode;
     MemCgroupId memcg_ = kRootMemcg;
     std::uint16_t flags_;
     LruListKind list_ = LruListKind::None;
     std::uint8_t history_ = 0;
+    std::uint32_t vpn_;
 };
+
+static_assert(sizeof(Page) == 64 && alignof(Page) == 64,
+              "a Page is one host cache line");
 
 }  // namespace mclock
 

@@ -18,17 +18,22 @@ namespace {
  * is laid out by: all edges as given, then, when @p symmetrize is set,
  * all edges reversed. Walking the list twice gives each adjacency list
  * the same contents and order as appending the reversed copy would,
- * without the copy.
+ * without the copy. An entry's weight is its edge's entry in
+ * @p weights, or 1 when @p weights is empty.
  */
 template <typename Fn>
 void
-forEachEntry(const std::vector<Edge> &edges, bool symmetrize, Fn &&fn)
+forEachEntry(const std::vector<Edge> &edges,
+             const std::vector<Weight> &weights, bool symmetrize, Fn &&fn)
 {
-    for (const auto &e : edges)
-        fn(e.u, e.v, e.w);
+    const auto weightOf = [&weights](std::size_t i) {
+        return weights.empty() ? Weight{1} : weights[i];
+    };
+    for (std::size_t i = 0; i < edges.size(); ++i)
+        fn(edges[i].u, edges[i].v, weightOf(i));
     if (symmetrize) {
-        for (const auto &e : edges)
-            fn(e.v, e.u, e.w);
+        for (std::size_t i = 0; i < edges.size(); ++i)
+            fn(edges[i].v, edges[i].u, weightOf(i));
     }
 }
 
@@ -36,11 +41,15 @@ forEachEntry(const std::vector<Edge> &edges, bool symmetrize, Fn &&fn)
 
 std::unique_ptr<Graph>
 Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
-               const BuildOptions &opts)
+               const BuildOptions &opts, std::vector<Weight> edgeWeights)
 {
     // Deduplication reorders neighbours and would detach their weights.
     MCLOCK_ASSERT(!(opts.sortAndDedupNeighbors && opts.keepWeights),
                   "sortAndDedupNeighbors cannot keep weights");
+    MCLOCK_ASSERT(edgeWeights.size() ==
+                      (opts.keepWeights ? edges.size() : 0),
+                  "weights must be given, one per edge, exactly when "
+                  "keepWeights is set");
 
     // Determine the vertex count from the edge list.
     GNode maxId = 0;
@@ -49,16 +58,26 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
     const std::size_t n = static_cast<std::size_t>(maxId) + 1;
 
     if (opts.removeSelfLoops) {
-        edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                   [](const Edge &e) { return e.u == e.v; }),
-                    edges.end());
+        // Compact edges and their weights together, in order.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            if (edges[i].u == edges[i].v)
+                continue;
+            edges[kept] = edges[i];
+            if (!edgeWeights.empty())
+                edgeWeights[kept] = edgeWeights[i];
+            ++kept;
+        }
+        edges.resize(kept);
+        if (!edgeWeights.empty())
+            edgeWeights.resize(kept);
     }
 
     // Optional degree-descending relabel (GAPBS TC preprocessing).
     std::vector<GNode> relabel;
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
-        forEachEntry(edges, opts.symmetrize,
+        forEachEntry(edges, edgeWeights, opts.symmetrize,
                      [&degree](GNode u, GNode, Weight) { ++degree[u]; });
         std::vector<GNode> order(n);
         std::iota(order.begin(), order.end(), 0);
@@ -77,7 +96,7 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
 
     // Counting sort by source vertex into CSR.
     std::vector<std::uint64_t> offsets(n + 1, 0);
-    forEachEntry(edges, opts.symmetrize,
+    forEachEntry(edges, edgeWeights, opts.symmetrize,
                  [&offsets](GNode u, GNode, Weight) { ++offsets[u + 1]; });
     for (std::size_t i = 1; i <= n; ++i)
         offsets[i] += offsets[i - 1];
@@ -87,7 +106,7 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
     {
         std::vector<std::uint64_t> cursor(offsets.begin(),
                                           offsets.end() - 1);
-        forEachEntry(edges, opts.symmetrize,
+        forEachEntry(edges, edgeWeights, opts.symmetrize,
                      [&](GNode u, GNode v, Weight w) {
                          const std::uint64_t pos = cursor[u]++;
                          neighbors[pos] = v;
@@ -117,9 +136,10 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
         neighbors = std::move(deduped);
     }
 
-    // Free the edge list first: host peak is then the edge list plus
-    // one CSR, during the scatter.
+    // Free the edge list and its weights first: host peak is then the
+    // edge list plus one CSR, during the scatter.
     std::vector<Edge>().swap(edges);
+    std::vector<Weight>().swap(edgeWeights);
 
     // Materialise in simulated memory, in allocation order. This is the
     // load phase: offsets first (small, hot), then the neighbor stream,

@@ -46,11 +46,14 @@ class Builder
   public:
     /**
      * Build a Graph from @p edges with @p opts, allocating its arrays in
-     * @p sim's address space and stream-initialising them.
+     * @p sim's address space and stream-initialising them. With
+     * opts.keepWeights, @p weights holds one weight per edge, in edge
+     * order (assignWeights); without it, @p weights must be empty.
      */
     static std::unique_ptr<Graph> build(sim::Simulator &sim,
                                         std::vector<Edge> edges,
-                                        const BuildOptions &opts);
+                                        const BuildOptions &opts,
+                                        std::vector<Weight> weights = {});
 };
 
 }  // namespace gapbs

@@ -51,6 +51,7 @@ GapbsDriver::run(Kernel kernel)
     // report, but it fills DRAM first exactly like the real load).
     BuildOptions opts;
     std::vector<Edge> edges;
+    std::vector<Weight> weights;
     if (kernel == Kernel::TC) {
         edges = makeUniformEdges(cfg_.tcScale, cfg_.tcDegree, rng);
         opts.sortAndDedupNeighbors = true;
@@ -58,7 +59,7 @@ GapbsDriver::run(Kernel kernel)
     } else {
         edges = makeKroneckerEdges(cfg_.scale, cfg_.degree, rng);
         if (kernel == Kernel::SSSP) {
-            assignWeights(edges, cfg_.maxWeight, rng);
+            weights = assignWeights(edges, cfg_.maxWeight, rng);
             opts.keepWeights = true;
         }
     }
@@ -92,7 +93,8 @@ GapbsDriver::run(Kernel kernel)
             sim_.write(arena + off, 8);
     }
 
-    graph_ = Builder::build(sim_, std::move(edges), opts);
+    graph_ = Builder::build(sim_, std::move(edges), opts,
+                            std::move(weights));
 
     if (arena != 0)
         sim_.unmapRegion(arena);

@@ -51,7 +51,7 @@ makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
             u |= geAB << bit;
             v |= (geA ^ geAB ^ geABC) << bit;
         }
-        edges.push_back({u, v, 1});
+        edges.push_back({u, v});
     }
     return edges;
 }
@@ -66,17 +66,19 @@ makeUniformEdges(unsigned scale, unsigned degree, Rng &rng)
     edges.reserve(m);
     for (std::size_t i = 0; i < m; ++i) {
         edges.push_back({static_cast<GNode>(rng.nextRange(n)),
-                         static_cast<GNode>(rng.nextRange(n)), 1});
+                         static_cast<GNode>(rng.nextRange(n))});
     }
     return edges;
 }
 
-void
-assignWeights(std::vector<Edge> &edges, Weight maxWeight, Rng &rng)
+std::vector<Weight>
+assignWeights(const std::vector<Edge> &edges, Weight maxWeight, Rng &rng)
 {
     MCLOCK_ASSERT(maxWeight >= 1);
-    for (auto &e : edges)
-        e.w = static_cast<Weight>(1 + rng.nextRange(maxWeight));
+    std::vector<Weight> weights(edges.size());
+    for (auto &w : weights)
+        w = static_cast<Weight>(1 + rng.nextRange(maxWeight));
+    return weights;
 }
 
 }  // namespace gapbs

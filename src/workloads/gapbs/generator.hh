@@ -27,8 +27,12 @@ std::vector<Edge> makeKroneckerEdges(unsigned scale, unsigned degree,
 std::vector<Edge> makeUniformEdges(unsigned scale, unsigned degree,
                                    Rng &rng);
 
-/** Assign uniform random weights in [1, maxWeight] (GAPBS .wsg style). */
-void assignWeights(std::vector<Edge> &edges, Weight maxWeight, Rng &rng);
+/**
+ * Uniform random weights in [1, maxWeight] (GAPBS .wsg style), one per
+ * edge of @p edges and in edge order.
+ */
+std::vector<Weight> assignWeights(const std::vector<Edge> &edges,
+                                  Weight maxWeight, Rng &rng);
 
 }  // namespace gapbs
 }  // namespace workloads

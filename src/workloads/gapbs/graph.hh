@@ -25,13 +25,17 @@ using GNode = std::uint32_t;
 /** Edge weight. */
 using Weight = std::uint32_t;
 
-/** One directed edge of an edge list. */
+/**
+ * One directed edge of an edge list. Weights, which only SSSP reads,
+ * travel beside the list in their own vector (see Builder::build).
+ */
 struct Edge
 {
     GNode u;
     GNode v;
-    Weight w = 1;
 };
+
+static_assert(sizeof(Edge) == 8, "an edge is two vertex ids");
 
 /** Instrumented CSR graph. */
 class Graph

@@ -21,7 +21,6 @@
 #include "sim/machine.hh"
 #include "sim/sharded.hh"
 #include "sim/simulator.hh"
-#include "vm/address_space.hh"
 #include "vm/page.hh"
 
 namespace mclock {
@@ -45,7 +44,7 @@ class DebugVmTest : public ::testing::Test
     Page *
     makePage(PageNum vpn, bool anon = true, NodeId node = 0)
     {
-        pages_.push_back(std::make_unique<Page>(&space_, vpn, anon));
+        pages_.push_back(std::make_unique<Page>(vpn, anon));
         Page *pg = pages_.back().get();
         pg->placeOn(node, vpn << kPageShift);
         return pg;
@@ -60,7 +59,6 @@ class DebugVmTest : public ::testing::Test
         return false;
     }
 
-    AddressSpace space_;
     pfra::NodeLists lists_;
     VmChecker checker_;
     std::vector<Violation> seen_;

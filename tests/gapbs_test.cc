@@ -94,7 +94,7 @@ ifChainKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
                 v |= 1u << bit;
             }
         }
-        edges.push_back({u, v, 1});
+        edges.push_back({u, v});
     }
     return edges;
 }
@@ -112,7 +112,6 @@ TEST(GeneratorTest, KroneckerMatchesIfChainReference)
             for (std::size_t i = 0; i < got.size(); ++i) {
                 ASSERT_EQ(got[i].u, want[i].u) << "edge " << i;
                 ASSERT_EQ(got[i].v, want[i].v) << "edge " << i;
-                ASSERT_EQ(got[i].w, want[i].w) << "edge " << i;
             }
             // Both consumed the same number of draws.
             EXPECT_EQ(fast.next64(), ref.next64());
@@ -136,11 +135,49 @@ TEST(GeneratorTest, UniformIsNotSkewed)
 TEST(GeneratorTest, WeightsInRange)
 {
     Rng rng(4);
-    auto edges = makeUniformEdges(6, 4, rng);
-    assignWeights(edges, 64, rng);
-    for (const auto &e : edges) {
-        EXPECT_GE(e.w, 1u);
-        EXPECT_LE(e.w, 64u);
+    const auto edges = makeUniformEdges(6, 4, rng);
+    const auto weights = assignWeights(edges, 64, rng);
+    ASSERT_EQ(weights.size(), edges.size());
+    for (const Weight w : weights) {
+        EXPECT_GE(w, 1u);
+        EXPECT_LE(w, 64u);
+    }
+}
+
+/** An edge with its weight inside, as edge lists once carried it. */
+struct WeightedEdge
+{
+    GNode u;
+    GNode v;
+    Weight w;
+};
+
+/** assignWeights as the in-place loop over weighted edges it was. */
+void
+inPlaceWeights(std::vector<WeightedEdge> &edges, Weight maxWeight, Rng &rng)
+{
+    for (auto &e : edges)
+        e.w = static_cast<Weight>(1 + rng.nextRange(maxWeight));
+}
+
+TEST(GeneratorTest, WeightsMatchInPlaceReference)
+{
+    for (std::size_t count : {0u, 1u, 7u, 1000u, 65536u}) {
+        for (Weight maxWeight : {1u, 64u, 255u}) {
+            SCOPED_TRACE(::testing::Message() << "edges " << count
+                                              << " maxWeight " << maxWeight);
+            const std::vector<Edge> edges(count, Edge{0, 1});
+            std::vector<WeightedEdge> ref(count, WeightedEdge{0, 1, 1});
+            Rng fast(count + maxWeight), slow(count + maxWeight);
+            const auto weights = assignWeights(edges, maxWeight, fast);
+            inPlaceWeights(ref, maxWeight, slow);
+            ASSERT_EQ(weights.size(), count);
+            for (std::size_t i = 0; i < count; ++i)
+                ASSERT_EQ(weights[i], ref[i].w) << "edge " << i;
+            // Both consumed the same draws, so SSSP's source picks after
+            // them are unchanged.
+            EXPECT_EQ(fast.next64(), slow.next64());
+        }
     }
 }
 
@@ -186,10 +223,9 @@ TEST(BuilderTest, SortAndDedup)
 TEST(BuilderTest, KeepsWeights)
 {
     auto sim = makeSim();
-    std::vector<Edge> edges{{0, 1, 7}};
     BuildOptions opts;
     opts.keepWeights = true;
-    auto g = Builder::build(*sim, edges, opts);
+    auto g = Builder::build(*sim, {{0, 1}}, opts, {7});
     ASSERT_TRUE(g->weighted());
     EXPECT_EQ(g->weight(g->peekOffset(0)), 7u);
 }
@@ -213,7 +249,9 @@ TEST(BuilderTest, SelfLoopsOnlyGivesNoEntries)
         auto sim = makeSim();
         BuildOptions opts;
         opts.keepWeights = keepWeights;
-        auto g = Builder::build(*sim, {{0, 0, 1}, {1, 1, 1}}, opts);
+        auto g = Builder::build(
+            *sim, {{0, 0}, {1, 1}}, opts,
+            keepWeights ? std::vector<Weight>{1, 1} : std::vector<Weight>{});
         EXPECT_EQ(g->numVertices(), 2u);
         EXPECT_EQ(g->numEdges(), 0u);
         EXPECT_EQ(g->peekDegree(0), 0u);
@@ -237,18 +275,24 @@ struct ReferenceCsr
 /**
  * The builder with the symmetrised edge list materialised: reversed
  * edges are appended to the list before relabelling and the counting
- * sort.
+ * sort. Each edge carries its weight from @p weights inside it.
  */
 ReferenceCsr
-materialisedCsr(std::vector<Edge> edges, const BuildOptions &opts)
+materialisedCsr(const std::vector<Edge> &input,
+                const std::vector<Weight> &weights, const BuildOptions &opts)
 {
+    std::vector<WeightedEdge> edges;
+    for (std::size_t i = 0; i < input.size(); ++i)
+        edges.push_back({input[i].u, input[i].v, weights[i]});
     GNode maxId = 0;
     for (const auto &e : edges)
         maxId = std::max({maxId, e.u, e.v});
     const std::size_t n = static_cast<std::size_t>(maxId) + 1;
     if (opts.removeSelfLoops) {
         edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                   [](const Edge &e) { return e.u == e.v; }),
+                                   [](const WeightedEdge &e) {
+                                       return e.u == e.v;
+                                   }),
                     edges.end());
     }
     if (opts.symmetrize) {
@@ -341,8 +385,8 @@ expectSameRegions(sim::Simulator &a, sim::Simulator &b)
 TEST(BuilderTest, MatchesMaterialisedReference)
 {
     Rng rng(8);
-    auto edges = makeKroneckerEdges(8, 8, rng);
-    assignWeights(edges, 64, rng);
+    const auto edges = makeKroneckerEdges(8, 8, rng);
+    const auto weights = assignWeights(edges, 64, rng);
     // The input must exercise self-loop removal and deduplication.
     std::set<std::pair<GNode, GNode>> seen;
     std::size_t selfLoops = 0, duplicates = 0;
@@ -365,9 +409,11 @@ TEST(BuilderTest, MatchesMaterialisedReference)
             continue;  // rejected by Builder::build
         ++combos;
         SCOPED_TRACE(::testing::Message() << "option mask " << mask);
-        const ReferenceCsr want = materialisedCsr(edges, opts);
+        const ReferenceCsr want = materialisedCsr(edges, weights, opts);
         auto sim = makeSim();
-        auto g = Builder::build(*sim, edges, opts);
+        auto g = Builder::build(
+            *sim, edges, opts,
+            opts.keepWeights ? weights : std::vector<Weight>{});
         ASSERT_EQ(g->numVertices(), want.n);
         // The simulated side equals poke-filling fresh arrays in
         // offsets -> neighbors -> weights order.
@@ -402,8 +448,20 @@ TEST(BuilderDeathTest, DedupWithWeightsRejectedAtEntry)
     BuildOptions opts;
     opts.sortAndDedupNeighbors = true;
     opts.keepWeights = true;
-    EXPECT_DEATH(Builder::build(*sim, {{0, 1, 3}, {1, 2, 5}}, opts),
+    EXPECT_DEATH(Builder::build(*sim, {{0, 1}, {1, 2}}, opts, {3, 5}),
                  "sortAndDedupNeighbors cannot keep weights");
+}
+
+TEST(BuilderDeathTest, WeightsOnlyWithKeepWeightsAndOnePerEdge)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto sim = makeSim();
+    BuildOptions opts;
+    opts.keepWeights = true;
+    EXPECT_DEATH(Builder::build(*sim, {{0, 1}, {1, 2}}, opts, {3}),
+                 "one per edge");
+    EXPECT_DEATH(Builder::build(*sim, {{0, 1}}, BuildOptions{}, {3}),
+                 "one per edge");
 }
 
 // --- Kernels on a known graph --------------------------------------------------
@@ -417,12 +475,10 @@ class KernelTest : public ::testing::Test
         sim_ = makeSim();
         // Two components:
         //   0-1-2-3 path with a 1-3 chord; isolated pair 4-5.
-        std::vector<Edge> edges{{0, 1, 2},  {1, 2, 3},
-                                {2, 3, 1},  {1, 3, 10},
-                                {4, 5, 4}};
+        std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}, {1, 3}, {4, 5}};
         BuildOptions opts;
         opts.keepWeights = true;
-        graph_ = Builder::build(*sim_, edges, opts);
+        graph_ = Builder::build(*sim_, edges, opts, {2, 3, 1, 10, 4});
     }
 
     std::unique_ptr<sim::Simulator> sim_;
@@ -566,10 +622,10 @@ TEST(SsspOracleTest, MatchesDijkstraOnRandomGraph)
     auto sim = makeSim();
     Rng rng(17);
     auto edges = makeUniformEdges(7, 4, rng);  // 128 vertices
-    assignWeights(edges, 32, rng);
+    auto weights = assignWeights(edges, 32, rng);
     BuildOptions opts;
     opts.keepWeights = true;
-    auto g = Builder::build(*sim, edges, opts);
+    auto g = Builder::build(*sim, edges, opts, weights);
 
     const SsspResult r = sssp(*sim, *g, 0);
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -187,22 +188,36 @@ TEST(RunnerDeterminism, JobsJustAboveTheUnitCountMatchOneJob)
     expectIdentical(serial.output, wide.output);
 }
 
+/** One configuration the golden suite must be bit-identical under. */
+struct Variant
+{
+    unsigned jobs = 1, shards = 1;
+    bool stats = false, shardedOnly = false;
+};
+
+void
+PrintTo(const Variant &v, std::ostream *os)
+{
+    *os << "--jobs " << v.jobs << " --shards " << v.shards
+        << (v.stats ? " --stats" : "")
+        << (v.shardedOnly ? " (sharded scenarios)" : "");
+}
+
+class RunIdentity : public ::testing::TestWithParam<Variant>
+{};
+
 /**
  * The bit-identity proof for --jobs, --shards and --stats: every golden
  * scenario run at --jobs 1 --shards 1 has the same per-unit
  * fingerprints, summary, text and artifacts at --jobs 4 --shards 8 and
  * with --stats; the sharded ones (shard_*, tenant_*) also at --jobs 4
- * with 3 and 4 shard workers.
+ * with 3 and 4 shard workers. Each configuration is its own case with
+ * its own reference run, so ctest runs them side by side.
  */
-TEST(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
+TEST_P(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
 {
-    const struct Variant
-    {
-        unsigned jobs = 1, shards = 1;
-        bool stats = false, shardedOnly = false;
-    } variants[] = {{4, 8}, {4, 3, false, true}, {4, 4, false, true},
-                    {1, 1, true}};
-    const auto run = [](const Variant &v) {
+    const Variant v = GetParam();
+    const auto run = [&v](unsigned jobs, unsigned shards, bool stats) {
         std::vector<const Scenario *> selected;
         for (const std::string &name : goldenScenarioNames()) {
             if (!v.shardedOnly || name.rfind("shard_", 0) == 0 ||
@@ -210,32 +225,44 @@ TEST(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
                 selected.push_back(findScenario(name));
         }
         RunContext ctx = goldenContext();
-        ctx.shards = v.shards;
-        ctx.stats = v.stats;
-        return runScenarios(selected, quietOptions(v.jobs, ctx));
+        ctx.shards = shards;
+        ctx.stats = stats;
+        return runScenarios(selected, quietOptions(jobs, ctx));
     };
 
-    const RunReport reference = run({});
+    // The reference runs beside the variant: runs share no state.
+    auto pending = std::async(std::launch::async, run, 1u, 1u, false);
+    const RunReport wide = run(v.jobs, v.shards, v.stats);
+    const RunReport reference = pending.get();
+    ASSERT_EQ(reference.results.size(),
+              v.shardedOnly ? 4u : goldenScenarioNames().size());
     std::map<std::string, const ScenarioOutput *> byName;
     for (const auto &r : reference.results) {
         byName[r.name] = &r.output;
         EXPECT_EQ(r.output.fingerprints.size(), r.units) << r.name;
     }
-    const auto &fig05 = byName.at("fig05")->fingerprints;
-    EXPECT_NE(fig05.at("multiclock"), fig05.at("static"));
+    if (!v.shardedOnly) {
+        const auto &fig05 = byName.at("fig05")->fingerprints;
+        EXPECT_NE(fig05.at("multiclock"), fig05.at("static"));
+    }
 
-    for (const Variant &v : variants) {
-        const RunReport wide = run(v);
-        ASSERT_EQ(wide.results.size(),
-                  v.shardedOnly ? 4u : reference.results.size());
-        for (const auto &r : wide.results) {
-            SCOPED_TRACE(r.name + " at --jobs " + std::to_string(v.jobs) +
-                         " --shards " + std::to_string(v.shards) +
-                         (v.stats ? " --stats" : ""));
-            expectIdentical(*byName.at(r.name), r.output);
-        }
+    ASSERT_EQ(wide.results.size(), reference.results.size());
+    for (const auto &r : wide.results) {
+        SCOPED_TRACE(r.name);
+        expectIdentical(*byName.at(r.name), r.output);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, RunIdentity,
+    ::testing::Values(Variant{4, 8}, Variant{4, 3, false, true},
+                      Variant{4, 4, false, true}, Variant{1, 1, true}),
+    [](const ::testing::TestParamInfo<Variant> &info) {
+        const Variant &v = info.param;
+        return "jobs" + std::to_string(v.jobs) + "_shards" +
+               std::to_string(v.shards) + (v.stats ? "_stats" : "") +
+               (v.shardedOnly ? "_sharded" : "");
+    });
 
 TEST(Tier3Machine, StaticTieringOrdersTierLatencies)
 {

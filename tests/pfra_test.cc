@@ -12,7 +12,6 @@
 #include "pfra/lru_lists.hh"
 #include "pfra/vmscan.hh"
 #include "pfra/watermarks.hh"
-#include "vm/address_space.hh"
 #include "vm/page.hh"
 
 namespace mclock {
@@ -20,18 +19,17 @@ namespace pfra {
 namespace {
 
 std::unique_ptr<Page>
-makePage(AddressSpace &space, PageNum vpn, bool anon = true)
+makePage(PageNum vpn, bool anon = true)
 {
-    return std::make_unique<Page>(&space, vpn, anon);
+    return std::make_unique<Page>(vpn, anon);
 }
 
 // --- NodeLists -----------------------------------------------------------------
 
 TEST(NodeListsTest, AddSetsMembership)
 {
-    AddressSpace space;
     NodeLists lists;
-    auto pg = makePage(space, 0);
+    auto pg = makePage(0);
     lists.add(pg.get(), LruListKind::InactiveAnon);
     EXPECT_EQ(pg->list(), LruListKind::InactiveAnon);
     EXPECT_EQ(lists.inactiveSize(true), 1u);
@@ -41,9 +39,8 @@ TEST(NodeListsTest, AddSetsMembership)
 
 TEST(NodeListsTest, MoveBetweenLists)
 {
-    AddressSpace space;
     NodeLists lists;
-    auto pg = makePage(space, 0);
+    auto pg = makePage(0);
     lists.add(pg.get(), LruListKind::InactiveAnon);
     lists.moveTo(pg.get(), LruListKind::ActiveAnon);
     EXPECT_EQ(pg->list(), LruListKind::ActiveAnon);
@@ -57,10 +54,9 @@ TEST(NodeListsTest, MoveBetweenLists)
 
 TEST(NodeListsTest, AddToFrontAndBack)
 {
-    AddressSpace space;
     NodeLists lists;
-    auto a = makePage(space, 0);
-    auto b = makePage(space, 1);
+    auto a = makePage(0);
+    auto b = makePage(1);
     lists.add(a.get(), LruListKind::InactiveFile);
     lists.add(b.get(), LruListKind::InactiveFile, /*toFront=*/false);
     EXPECT_EQ(lists.list(LruListKind::InactiveFile).front(), a.get());
@@ -79,10 +75,9 @@ TEST(NodeListsTest, KindHelpers)
 
 TEST(NodeListsTest, RotateToFront)
 {
-    AddressSpace space;
     NodeLists lists;
-    auto a = makePage(space, 0);
-    auto b = makePage(space, 1);
+    auto a = makePage(0);
+    auto b = makePage(1);
     lists.add(a.get(), LruListKind::ActiveAnon);        // front
     lists.add(b.get(), LruListKind::ActiveAnon, false); // back
     lists.rotateToFront(b.get());
@@ -135,19 +130,18 @@ class VmscanTest : public ::testing::Test
     addPages(std::size_t n, LruListKind kind, bool anon = true)
     {
         for (std::size_t i = 0; i < n; ++i) {
-            pages_.push_back(makePage(space_, pages_.size(), anon));
+            pages_.push_back(makePage(pages_.size(), anon));
             lists_.add(pages_.back().get(), kind);
         }
     }
 
-    AddressSpace space_;
     NodeLists lists_;
     std::vector<std::unique_ptr<Page>> pages_;
 };
 
 TEST_F(VmscanTest, TestAndClearReferencedConsumesBothBits)
 {
-    auto pg = makePage(space_, 99);
+    auto pg = makePage(99);
     pg->setPteReferenced(true);
     pg->setReferenced(true);
     EXPECT_TRUE(testAndClearReferenced(pg.get()));

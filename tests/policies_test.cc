@@ -511,11 +511,13 @@ TEST(AutoTieringTest, WarmVictimsAreProtected)
     Paddr p;
     while (dram.allocFrame(p)) {
     }
-    // Mark every DRAM page recently hint-faulted.
+    // Mark every DRAM page recently hint-faulted. The policy keeps the
+    // stamp; DRAM pages have no tier to promote into, so the handler
+    // only records it.
     sim.compute(60_s);  // establish the pass period
     sim.space().forEachPage([&](Page *pg) {
         if (pg->resident() && sim.pageTier(pg) == TierKind::Dram)
-            pg->setLastHintFault(sim.now());
+            sim.policy().onHintFault(pg);
     });
     Page *hot = nullptr;
     sim.space().forEachPage([&](Page *pg) {

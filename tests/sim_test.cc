@@ -180,8 +180,7 @@ class MigrationTest : public ::testing::Test
     Page *
     makeResident(NodeId node, bool anon = true)
     {
-        pages_.push_back(
-            std::make_unique<Page>(&space_, pages_.size(), anon));
+        pages_.push_back(std::make_unique<Page>(pages_.size(), anon));
         Paddr pa;
         EXPECT_TRUE(mem_.node(node).allocFrame(pa));
         pages_.back()->placeOn(node, pa);
@@ -191,7 +190,6 @@ class MigrationTest : public ::testing::Test
     MemoryConfig cfg_;
     MemorySystem mem_;
     MigrationEngine engine_;
-    AddressSpace space_;
     std::vector<std::unique_ptr<Page>> pages_;
 };
 
@@ -312,8 +310,7 @@ TEST(MetricsTest, WindowBucketing)
 
 TEST(MetricsTest, ReaccessWithinNextRoundCounts)
 {
-    AddressSpace space;
-    Page pg(&space, 0, true);
+    Page pg(0, true);
     Metrics metrics(20_s);
     metrics.beginPromotionRound();
     metrics.recordPromotion(1_s, &pg);
@@ -326,8 +323,7 @@ TEST(MetricsTest, ReaccessWithinNextRoundCounts)
 
 TEST(MetricsTest, ReaccessTooLateDoesNotCount)
 {
-    AddressSpace space;
-    Page pg(&space, 0, true);
+    Page pg(0, true);
     Metrics metrics(20_s);
     metrics.recordPromotion(1_s, &pg);
     metrics.beginPromotionRound();
@@ -338,8 +334,7 @@ TEST(MetricsTest, ReaccessTooLateDoesNotCount)
 
 TEST(MetricsTest, ReaccessPercent)
 {
-    AddressSpace space;
-    Page a(&space, 0, true), b(&space, 1, true);
+    Page a(0, true), b(1, true);
     Metrics metrics(20_s);
     metrics.recordPromotion(1_s, &a);
     metrics.recordPromotion(1_s, &b);

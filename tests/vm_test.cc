@@ -16,8 +16,7 @@ namespace {
 
 TEST(PageTest, InitialState)
 {
-    AddressSpace space;
-    Page pg(&space, 12, /*anon=*/true);
+    Page pg(12, /*anon=*/true);
     EXPECT_EQ(pg.vpn(), 12u);
     EXPECT_EQ(pg.vaddr(), 12u * kPageSize);
     EXPECT_TRUE(pg.isAnon());
@@ -31,10 +30,16 @@ TEST(PageTest, InitialState)
     EXPECT_FALSE(pg.onLru());
 }
 
+TEST(PageTest, HoldsTheLargestVpn)
+{
+    Page pg(Page::kMaxVpn, true);
+    EXPECT_EQ(pg.vpn(), Page::kMaxVpn);
+    EXPECT_EQ(pg.vaddr(), Page::kMaxVpn << kPageShift);
+}
+
 TEST(PageTest, PlacementRoundTrip)
 {
-    AddressSpace space;
-    Page pg(&space, 0, true);
+    Page pg(0, true);
     pg.placeOn(2, 0x5000);
     EXPECT_TRUE(pg.resident());
     EXPECT_EQ(pg.node(), 2);
@@ -45,8 +50,7 @@ TEST(PageTest, PlacementRoundTrip)
 
 TEST(PageTest, TestAndClearPteReferenced)
 {
-    AddressSpace space;
-    Page pg(&space, 0, true);
+    Page pg(0, true);
     EXPECT_FALSE(pg.testAndClearPteReferenced());
     pg.setPteReferenced(true);
     EXPECT_TRUE(pg.testAndClearPteReferenced());
@@ -56,8 +60,7 @@ TEST(PageTest, TestAndClearPteReferenced)
 
 TEST(PageTest, HistoryShifting)
 {
-    AddressSpace space;
-    Page pg(&space, 0, true);
+    Page pg(0, true);
     pg.shiftHistory(true);
     pg.shiftHistory(false);
     pg.shiftHistory(true);
@@ -151,14 +154,23 @@ TEST(AddressSpaceTest, ForEachPageVisitsLivePages)
     EXPECT_EQ(count, 2);
 }
 
+TEST(AddressSpaceDeathTest, MmapRefusesVpnsPastPageField)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    AddressSpace space;
+    space.mmap(kPageSize);
+    // Refused before the vpn table grows: this region's last vpn is
+    // past Page::kMaxVpn (2^32 - 1).
+    EXPECT_DEATH(space.mmap(std::size_t{1} << 44), "passes the last vpn");
+}
+
 // --- SwapDevice ---------------------------------------------------------------
 
 TEST(SwapDeviceTest, AnonConsumesSlots)
 {
-    AddressSpace space;
     SwapDevice swap(2);
-    Page a(&space, 0, /*anon=*/true);
-    Page b(&space, 1, /*anon=*/true);
+    Page a(0, /*anon=*/true);
+    Page b(1, /*anon=*/true);
     EXPECT_TRUE(swap.hasSpace());
     swap.pageOut(&a);
     swap.pageOut(&b);
@@ -171,9 +183,8 @@ TEST(SwapDeviceTest, AnonConsumesSlots)
 
 TEST(SwapDeviceTest, FilePagesDontConsumeSlots)
 {
-    AddressSpace space;
     SwapDevice swap(1);
-    Page f(&space, 0, /*anon=*/false);
+    Page f(0, /*anon=*/false);
     swap.pageOut(&f);
     EXPECT_EQ(swap.usedSlots(), 0u);
     EXPECT_TRUE(swap.hasSpace());
@@ -181,9 +192,8 @@ TEST(SwapDeviceTest, FilePagesDontConsumeSlots)
 
 TEST(SwapDeviceTest, UnlimitedCapacity)
 {
-    AddressSpace space;
     SwapDevice swap(0);
-    Page a(&space, 0, true);
+    Page a(0, true);
     for (int i = 0; i < 100; ++i)
         EXPECT_TRUE(swap.hasSpace());
     swap.pageOut(&a);
@@ -192,10 +202,9 @@ TEST(SwapDeviceTest, UnlimitedCapacity)
 
 TEST(SwapDeviceTest, SlotFreedByPageInIsReusable)
 {
-    AddressSpace space;
     SwapDevice swap(1);
-    Page a(&space, 0, true);
-    Page b(&space, 1, true);
+    Page a(0, true);
+    Page b(1, true);
     swap.pageOut(&a);
     EXPECT_FALSE(swap.hasSpace());
     swap.pageIn(&a);
@@ -208,10 +217,9 @@ TEST(SwapDeviceTest, SlotFreedByPageInIsReusable)
 
 TEST(SwapDeviceTest, ExhaustionCycleKeepsCumulativeCounters)
 {
-    AddressSpace space;
     SwapDevice swap(2);
-    Page a(&space, 0, true);
-    Page b(&space, 1, true);
+    Page a(0, true);
+    Page b(1, true);
     // Three full out/in cycles through a 2-slot device: occupancy
     // returns to zero each cycle while the slot-free count accumulates.
     for (int cycle = 0; cycle < 3; ++cycle) {
@@ -228,9 +236,8 @@ TEST(SwapDeviceTest, ExhaustionCycleKeepsCumulativeCounters)
 
 TEST(SwapDeviceTest, PageInWithoutSlotIsHarmless)
 {
-    AddressSpace space;
     SwapDevice swap(1);
-    Page a(&space, 0, true);
+    Page a(0, true);
     // A file-backed-style page-in (or a page never swapped out) must
     // not underflow the slot accounting.
     swap.pageIn(&a);
