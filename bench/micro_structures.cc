@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot data structures: LRU
  * list operations, CLOCK scan passes, the LLC model, the zipfian
- * generator, and the simulator's end-to-end access path. These bound
- * the host-time cost of simulation and the simulated daemon overheads.
+ * generator, the simulator's end-to-end access path, and the GAPBS
+ * graph set-up. These bound the host-time cost of simulation and the
+ * simulated daemon overheads.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +23,8 @@
 #include "sim/simulator.hh"
 #include "vm/address_space.hh"
 #include "vm/page.hh"
+#include "workloads/gapbs/builder.hh"
+#include "workloads/gapbs/generator.hh"
 #include "workloads/zipf.hh"
 
 using namespace mclock;
@@ -182,5 +185,49 @@ BM_MigrationRoundTrip(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_MigrationRoundTrip);
+
+/** The Fig. 6 graph: Kronecker scale 16, degree 24 (~1.57M edges). */
+constexpr unsigned kGraphScale = 16, kGraphDegree = 24;
+
+void
+BM_KroneckerEdges(benchmark::State &state)
+{
+    for (auto _ : state) {
+        Rng rng(1);
+        const auto edges = workloads::gapbs::makeKroneckerEdges(
+            kGraphScale, kGraphDegree, rng);
+        benchmark::DoNotOptimize(edges.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (std::int64_t{1} << kGraphScale) * kGraphDegree);
+}
+BENCHMARK(BM_KroneckerEdges)->Unit(benchmark::kMillisecond);
+
+/** Builder::build of that graph into a fresh gapbsMachine() simulator. */
+void
+BM_BuildCsr(benchmark::State &state)
+{
+    namespace gapbs = workloads::gapbs;
+    Rng rng(1);
+    const auto edges =
+        gapbs::makeKroneckerEdges(kGraphScale, kGraphDegree, rng);
+    std::unique_ptr<sim::Simulator> sim;
+    std::unique_ptr<gapbs::Graph> graph;
+    for (auto _ : state) {
+        state.PauseTiming();
+        graph.reset();
+        sim = std::make_unique<sim::Simulator>(harness::gapbsMachine());
+        sim->setPolicy(policies::makePolicy("multiclock"));
+        std::vector<gapbs::Edge> input = edges;
+        state.ResumeTiming();
+        graph = gapbs::Builder::build(*sim, std::move(input),
+                                      gapbs::BuildOptions{});
+        benchmark::DoNotOptimize(graph.get());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_BuildCsr)->Unit(benchmark::kMillisecond);
 
 }  // namespace

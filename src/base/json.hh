@@ -38,6 +38,7 @@ class Json
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
+    bool isBool() const { return type_ == Type::Bool; }
     bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
     bool isObject() const { return type_ == Type::Object; }

@@ -28,15 +28,16 @@ class Rng
     next64()
     {
         const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-        const std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = std::rotl(s_[3], 45);
+        step(s_);
         return result;
     }
+
+    /**
+     * Move forward by exactly @p n draws, as @p n next64() calls would,
+     * in O(log n) polynomial steps plus one 256-step sum. Lets a stream
+     * be split into parts that start where the serial draw would.
+     */
+    void advance(std::uint64_t n);
 
     /** Uniform value in [0, bound) without modulo bias (bound > 0). */
     std::uint64_t nextRange(std::uint64_t bound);
@@ -62,6 +63,19 @@ class Rng
     Rng fork();
 
   private:
+    /** The xoshiro256 state transition (linear over GF(2)). */
+    static void
+    step(std::uint64_t (&s)[4])
+    {
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = std::rotl(s[3], 45);
+    }
+
     std::uint64_t s_[4];
 };
 

@@ -206,10 +206,13 @@ benchReportToJson(const BenchReport &report, const BenchOptions &opts,
     doc.set("bench_id", benchId);
     doc.set("schema", "mclock-bench-v2");
     std::string sha = "unknown";
+    Json dirty("unknown");
 #ifdef MCLOCK_SOURCE_DIR
     sha = readGitSha(MCLOCK_SOURCE_DIR);
+    dirty = readGitDirty(MCLOCK_SOURCE_DIR);
 #endif
     doc.set("git_sha", sha);
+    doc.set("git_dirty", std::move(dirty));
     doc.set("golden_profile", Json(opts.context.golden));
     doc.set("seed", static_cast<double>(opts.context.seed));
     doc.set("shards", static_cast<double>(opts.context.shards));

@@ -1,6 +1,9 @@
 #include "harness/manifest.hh"
 
+#include <sys/wait.h>
+
 #include <chrono>
+#include <cstdio>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -40,6 +43,20 @@ isoTimestampUtc()
     char buf[32];
     std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
     return buf;
+}
+
+/** @p s as one POSIX shell word. */
+std::string
+shellQuote(const std::string &s)
+{
+    std::string out = "'";
+    for (const char c : s) {
+        if (c == '\'')
+            out += "'\\''";
+        else
+            out += c;
+    }
+    return out + "'";
 }
 
 }  // namespace
@@ -86,6 +103,34 @@ readGitSha(const std::string &startDir)
         dir = parent;
     }
     return "unknown";
+}
+
+Json
+readGitDirty(const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    fs::path abs = fs::absolute(dir, ec).lexically_normal();
+    if (ec)
+        return Json("unknown");
+    if (!abs.has_filename())
+        abs = abs.parent_path();  // drop a trailing separator
+    const std::string cmd =
+        "GIT_CEILING_DIRECTORIES=" + shellQuote(abs.parent_path().string()) +
+        " git -C " + shellQuote(abs.string()) +
+        " --no-optional-locks status --porcelain --untracked-files=no"
+        " 2>/dev/null";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return Json("unknown");
+    bool changed = false;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+        changed = true;
+    const int status = pclose(pipe);
+    if (status == -1 || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+        return Json("unknown");
+    return Json(changed);
 }
 
 std::uint64_t
@@ -159,6 +204,11 @@ writeManifest(const RunReport &report, const RunnerOptions &opts)
         sha = readGitSha(MCLOCK_SOURCE_DIR);
 #endif
     manifest.set("git_sha", sha);
+#ifdef MCLOCK_SOURCE_DIR
+    manifest.set("git_dirty", readGitDirty(MCLOCK_SOURCE_DIR));
+#else
+    manifest.set("git_dirty", "unknown");
+#endif
     manifest.set("timestamp_utc", isoTimestampUtc());
     manifest.set("seed", static_cast<double>(opts.context.seed));
     manifest.set("golden_profile", Json(opts.context.golden));

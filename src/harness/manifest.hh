@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/json.hh"
 #include "harness/runner.hh"
 
 namespace mclock {
@@ -24,6 +25,15 @@ std::string hex64(std::uint64_t v);
  * walking up from @p startDir. @return "unknown" outside a repository.
  */
 std::string readGitSha(const std::string &startDir = ".");
+
+/**
+ * Whether the work tree at @p dir has modified tracked files: the
+ * output of one `git status --porcelain --untracked-files=no` there,
+ * looking no higher than @p dir for the repository. @return true or
+ * false, or "unknown" when git cannot run or @p dir is no work tree.
+ * Provenance only: never part of config_hash or a fingerprint.
+ */
+Json readGitDirty(const std::string &dir);
 
 /** FNV-1a hash of a scenario execution's configuration. */
 std::uint64_t configHash(const Scenario &scenario, const RunContext &ctx);

@@ -1,10 +1,12 @@
 #include "workloads/gapbs/builder.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
 #include "base/logging.hh"
+#include "base/parallel.hh"
 #include "sim/simulator.hh"
 
 namespace mclock {
@@ -13,35 +15,58 @@ namespace gapbs {
 
 namespace {
 
+/** Most parts the CSR count and scatter split into (each holds n cursors). */
+constexpr unsigned kMaxScatterParts = 4;
+
 /**
- * Visit every directed CSR entry (u, v, w) in the fixed order the CSR
- * is laid out by: all edges as given, then, when @p symmetrize is set,
- * all edges reversed. Walking the list twice gives each adjacency list
- * the same contents and order as appending the reversed copy would,
- * without the copy. An entry's weight is its edge's entry in
+ * Visit the directed CSR entries (u, v, w) at positions [begin, end) of
+ * the fixed order the CSR is laid out by: all edges as given (entry i is
+ * edge i), then, when the order is symmetrised, all edges reversed
+ * (entry m + i is edge i reversed). Walking the list twice gives each
+ * adjacency list the same contents and order as appending the reversed
+ * copy would, without the copy. An entry's weight is its edge's entry in
  * @p weights, or 1 when @p weights is empty.
  */
 template <typename Fn>
 void
-forEachEntry(const std::vector<Edge> &edges,
-             const std::vector<Weight> &weights, bool symmetrize, Fn &&fn)
+forEachEntryIn(const std::vector<Edge> &edges,
+               const std::vector<Weight> &weights, base::PartRange range,
+               Fn &&fn)
 {
     const auto weightOf = [&weights](std::size_t i) {
         return weights.empty() ? Weight{1} : weights[i];
     };
-    for (std::size_t i = 0; i < edges.size(); ++i)
+    const std::size_t m = edges.size();
+    for (std::size_t i = range.begin; i < std::min(range.end, m); ++i)
         fn(edges[i].u, edges[i].v, weightOf(i));
-    if (symmetrize) {
-        for (std::size_t i = 0; i < edges.size(); ++i)
-            fn(edges[i].v, edges[i].u, weightOf(i));
-    }
+    for (std::size_t i = std::max(range.begin, m); i < range.end; ++i)
+        fn(edges[i - m].v, edges[i - m].u, weightOf(i - m));
 }
 
 }  // namespace
 
-std::unique_ptr<Graph>
-Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
-               const BuildOptions &opts, std::vector<Weight> edgeWeights)
+std::size_t
+vertexCount(const std::vector<Edge> &edges)
+{
+    const unsigned parts = base::partCount(edges.size());
+    std::vector<GNode> maxIds(parts, 0);
+    base::runParts(parts, [&](unsigned p) {
+        const base::PartRange range = base::partRange(edges.size(), parts, p);
+        GNode maxId = 0;
+        for (std::size_t i = range.begin; i < range.end; ++i)
+            maxId = std::max({maxId, edges[i].u, edges[i].v});
+        maxIds[p] = maxId;
+    });
+    return static_cast<std::size_t>(
+               *std::max_element(maxIds.begin(), maxIds.end())) +
+           1;
+}
+
+namespace detail {
+
+Csr
+buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
+         std::vector<Weight> edgeWeights, unsigned parts)
 {
     // Deduplication reorders neighbours and would detach their weights.
     MCLOCK_ASSERT(!(opts.sortAndDedupNeighbors && opts.keepWeights),
@@ -50,12 +75,10 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
                       (opts.keepWeights ? edges.size() : 0),
                   "weights must be given, one per edge, exactly when "
                   "keepWeights is set");
+    MCLOCK_ASSERT(parts > 0);
 
-    // Determine the vertex count from the edge list.
-    GNode maxId = 0;
-    for (const auto &e : edges)
-        maxId = std::max({maxId, e.u, e.v});
-    const std::size_t n = static_cast<std::size_t>(maxId) + 1;
+    Csr csr;
+    const std::size_t n = csr.n = vertexCount(edges);
 
     if (opts.removeSelfLoops) {
         // Compact edges and their weights together, in order.
@@ -72,20 +95,21 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
         if (!edgeWeights.empty())
             edgeWeights.resize(kept);
     }
+    const std::size_t entries =
+        (opts.symmetrize ? 2 : 1) * edges.size();
 
     // Optional degree-descending relabel (GAPBS TC preprocessing).
-    std::vector<GNode> relabel;
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
-        forEachEntry(edges, edgeWeights, opts.symmetrize,
-                     [&degree](GNode u, GNode, Weight) { ++degree[u]; });
+        forEachEntryIn(edges, edgeWeights, {0, entries},
+                       [&degree](GNode u, GNode, Weight) { ++degree[u]; });
         std::vector<GNode> order(n);
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(),
                   [&degree](GNode a, GNode b) {
                       return degree[a] > degree[b];
                   });
-        relabel.assign(n, 0);
+        std::vector<GNode> relabel(n, 0);
         for (std::size_t rank = 0; rank < n; ++rank)
             relabel[order[rank]] = static_cast<GNode>(rank);
         for (auto &e : edges) {
@@ -94,36 +118,57 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
         }
     }
 
-    // Counting sort by source vertex into CSR.
-    std::vector<std::uint64_t> offsets(n + 1, 0);
-    forEachEntry(edges, edgeWeights, opts.symmetrize,
-                 [&offsets](GNode u, GNode, Weight) { ++offsets[u + 1]; });
-    for (std::size_t i = 1; i <= n; ++i)
-        offsets[i] += offsets[i - 1];
-    const std::uint64_t entries = offsets[n];
-    std::vector<GNode> neighbors(entries);
-    std::vector<Weight> weights(opts.keepWeights ? entries : 0);
-    {
-        std::vector<std::uint64_t> cursor(offsets.begin(),
-                                          offsets.end() - 1);
-        forEachEntry(edges, edgeWeights, opts.symmetrize,
-                     [&](GNode u, GNode v, Weight w) {
-                         const std::uint64_t pos = cursor[u]++;
-                         neighbors[pos] = v;
-                         if (opts.keepWeights)
-                             weights[pos] = w;
-                     });
+    // Stable counting sort by source vertex, in parts of the entry
+    // order. cursors[p * n + u] first counts part p's entries of u, then
+    // holds the CSR position of part p's next entry of u: part p's
+    // entries of u land after part p-1's, as in one serial pass.
+    MCLOCK_ASSERT(entries <= UINT32_MAX,
+                  "%zu CSR entries; cursors are 32-bit", entries);
+    std::vector<std::uint32_t> cursors(std::size_t{parts} * n, 0);
+    base::runParts(parts, [&](unsigned p) {
+        std::uint32_t *count = cursors.data() + std::size_t{p} * n;
+        forEachEntryIn(edges, edgeWeights,
+                       base::partRange(entries, parts, p),
+                       [count](GNode u, GNode, Weight) { ++count[u]; });
+    });
+    std::uint32_t pos = 0;
+    for (std::size_t u = 0; u < n; ++u) {
+        for (std::size_t at = u; at < cursors.size(); at += n)
+            pos += std::exchange(cursors[at], pos);
     }
+    csr.neighbors.resize(entries);
+    csr.weights.resize(opts.keepWeights ? entries : 0);
+    base::runParts(parts, [&](unsigned p) {
+        std::uint32_t *cursor = cursors.data() + std::size_t{p} * n;
+        forEachEntryIn(edges, edgeWeights,
+                       base::partRange(entries, parts, p),
+                       [&](GNode u, GNode v, Weight w) {
+                           const std::uint32_t at = cursor[u]++;
+                           csr.neighbors[at] = v;
+                           if (opts.keepWeights)
+                               csr.weights[at] = w;
+                       });
+    });
+    // Free the edge list and its weights before the offsets exist: host
+    // peak is then the edge list, the neighbours (and weights) and the
+    // cursors, during the scatter. The last part's cursors end where
+    // each adjacency list ends.
+    std::vector<Edge>().swap(edges);
+    std::vector<Weight>().swap(edgeWeights);
+    const std::uint32_t *ends = cursors.data() + std::size_t{parts - 1} * n;
+    csr.offsets.assign(n + 1, 0);
+    std::copy(ends, ends + n, csr.offsets.begin() + 1);
+    std::vector<std::uint32_t>().swap(cursors);
 
     if (opts.sortAndDedupNeighbors) {
         std::vector<GNode> deduped;
-        deduped.reserve(neighbors.size());
+        deduped.reserve(csr.neighbors.size());
         std::vector<std::uint64_t> newOffsets(n + 1, 0);
         for (std::size_t u = 0; u < n; ++u) {
             const auto begin =
-                neighbors.begin() + static_cast<long>(offsets[u]);
-            const auto end =
-                neighbors.begin() + static_cast<long>(offsets[u + 1]);
+                csr.neighbors.begin() + static_cast<long>(csr.offsets[u]);
+            const auto end = csr.neighbors.begin() +
+                             static_cast<long>(csr.offsets[u + 1]);
             std::sort(begin, end);
             const std::size_t before = deduped.size();
             for (auto it = begin; it != end; ++it) {
@@ -132,27 +177,37 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
             }
             newOffsets[u + 1] = deduped.size();
         }
-        offsets = std::move(newOffsets);
-        neighbors = std::move(deduped);
+        csr.offsets = std::move(newOffsets);
+        csr.neighbors = std::move(deduped);
     }
+    return csr;
+}
 
-    // Free the edge list and its weights first: host peak is then the
-    // edge list plus one CSR, during the scatter.
-    std::vector<Edge>().swap(edges);
-    std::vector<Weight>().swap(edgeWeights);
+}  // namespace detail
+
+std::unique_ptr<Graph>
+Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
+               const BuildOptions &opts, std::vector<Weight> edgeWeights)
+{
+    const std::size_t entries = (opts.symmetrize ? 2 : 1) * edges.size();
+    detail::Csr csr =
+        detail::buildCsr(std::move(edges), opts, std::move(edgeWeights),
+                         base::partCount(entries, kMaxScatterParts));
 
     // Materialise in simulated memory, in allocation order. This is the
     // load phase: offsets first (small, hot), then the neighbor stream,
     // then weights. The host vectors move into the graph uncopied.
     auto graph = std::make_unique<Graph>();
-    graph->numVertices_ = n;
-    graph->numEdges_ = neighbors.size();
-    graph->offsets_.allocate(sim, std::move(offsets), "gapbs-offsets");
+    graph->numVertices_ = csr.n;
+    graph->numEdges_ = csr.neighbors.size();
+    graph->offsets_.allocate(sim, std::move(csr.offsets), "gapbs-offsets");
     graph->offsets_.streamInit();
-    graph->neighbors_.allocate(sim, std::move(neighbors), "gapbs-neighbors");
+    graph->neighbors_.allocate(sim, std::move(csr.neighbors),
+                               "gapbs-neighbors");
     graph->neighbors_.streamInit();
     if (opts.keepWeights) {
-        graph->weights_.allocate(sim, std::move(weights), "gapbs-weights");
+        graph->weights_.allocate(sim, std::move(csr.weights),
+                                 "gapbs-weights");
         graph->weights_.streamInit();
     }
     return graph;

@@ -11,6 +11,8 @@
 #ifndef MCLOCK_WORKLOADS_GAPBS_BUILDER_HH_
 #define MCLOCK_WORKLOADS_GAPBS_BUILDER_HH_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -40,6 +42,34 @@ struct BuildOptions
     bool keepWeights = false;
 };
 
+/**
+ * One plus the largest vertex id in @p edges (1 for no edges): the
+ * vertex count GAPBS infers from an edge list. Long lists are scanned
+ * in parts on several host threads.
+ */
+std::size_t vertexCount(const std::vector<Edge> &edges);
+
+namespace detail {
+
+/** A CSR on the host, before it is materialised in simulated memory. */
+struct Csr
+{
+    std::size_t n = 0;
+    std::vector<std::uint64_t> offsets;
+    std::vector<GNode> neighbors;
+    std::vector<Weight> weights;
+};
+
+/**
+ * Builder::build's host work with its count and scatter split into
+ * exactly @p parts (> 0), whatever the host: the seam the part-count
+ * identity tests use. Every part count gives the same CSR.
+ */
+Csr buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
+             std::vector<Weight> weights, unsigned parts);
+
+}  // namespace detail
+
 /** Builds an instrumented CSR graph inside a simulator. */
 class Builder
 {
@@ -49,6 +79,8 @@ class Builder
      * @p sim's address space and stream-initialising them. With
      * opts.keepWeights, @p weights holds one weight per edge, in edge
      * order (assignWeights); without it, @p weights must be empty.
+     * Large graphs are counted and scattered on several host threads;
+     * the simulated side runs on the calling thread alone.
      */
     static std::unique_ptr<Graph> build(sim::Simulator &sim,
                                         std::vector<Edge> edges,

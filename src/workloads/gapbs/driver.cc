@@ -1,7 +1,5 @@
 #include "workloads/gapbs/driver.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "sim/simulator.hh"
@@ -69,10 +67,7 @@ GapbsDriver::run(Kernel kernel)
     // spills to PM). Reserve DRAM for the kernel's per-trial arrays by
     // first-touching an arena of the same size before the graph build,
     // and release it afterwards so the arrays inherit those frames.
-    GNode maxId = 0;
-    for (const auto &e : edges)
-        maxId = std::max({maxId, e.u, e.v});
-    const std::size_t n = static_cast<std::size_t>(maxId) + 1;
+    const std::size_t n = vertexCount(edges);
     std::size_t arenaBytes = 0;
     switch (kernel) {
       case Kernel::BFS: arenaBytes = n * 4; break;

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "base/logging.hh"
+#include "base/parallel.hh"
 
 namespace mclock {
 namespace workloads {
@@ -28,10 +29,22 @@ std::vector<Edge>
 makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
 {
     MCLOCK_ASSERT(scale > 0 && scale < 31);
+    const std::size_t m = (std::size_t{1} << scale) * degree;
+    return detail::kroneckerEdgesInParts(scale, degree, rng,
+                                         base::partCount(m));
+}
+
+namespace detail {
+
+std::vector<Edge>
+kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
+                      unsigned parts)
+{
+    MCLOCK_ASSERT(scale > 0 && scale < 31);
+    MCLOCK_ASSERT(parts > 0);
     const std::size_t n = std::size_t{1} << scale;
     const std::size_t m = n * degree;
-    std::vector<Edge> edges;
-    edges.reserve(m);
+    std::vector<Edge> edges(m);
     // Graph500 RMAT quadrant probabilities. A draw r picks quadrant
     // (0,0) if r < a, (0,1) if r < a+b, (1,0) if r < a+b+c, else (1,1);
     // the integer thresholds make the same choice bit for bit.
@@ -39,22 +52,35 @@ makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
     const std::uint64_t tA = rawThreshold(a);
     const std::uint64_t tAB = rawThreshold(a + b);
     const std::uint64_t tABC = rawThreshold(a + b + c);
-    for (std::size_t i = 0; i < m; ++i) {
-        GNode u = 0, v = 0;
-        for (unsigned bit = 0; bit < scale; ++bit) {
-            const std::uint64_t k = rng.next64() >> 11;
-            const GNode geA = k >= tA;
-            const GNode geAB = k >= tAB;
-            const GNode geABC = k >= tABC;
-            // The thresholds nest: u is set in quadrants (1,0) and
-            // (1,1), v in (0,1) and (1,1).
-            u |= geAB << bit;
-            v |= (geA ^ geAB ^ geABC) << bit;
+    // Every edge takes exactly `scale` draws, so the part starting at
+    // edge i starts i * scale draws into the serial stream.
+    const Rng start = rng;
+    base::runParts(parts, [&](unsigned p) {
+        const base::PartRange range = base::partRange(m, parts, p);
+        Rng local = start;
+        local.advance(range.begin * scale);
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+            GNode u = 0, v = 0;
+            for (unsigned bit = 0; bit < scale; ++bit) {
+                const std::uint64_t k = local.next64() >> 11;
+                const GNode geA = k >= tA;
+                const GNode geAB = k >= tAB;
+                const GNode geABC = k >= tABC;
+                // The thresholds nest: u is set in quadrants (1,0) and
+                // (1,1), v in (0,1) and (1,1).
+                u |= geAB << bit;
+                v |= (geA ^ geAB ^ geABC) << bit;
+            }
+            edges[i] = {u, v};
         }
-        edges.push_back({u, v});
-    }
+        // The last part ends where the serial draw ends.
+        if (p == parts - 1)
+            rng = local;
+    });
     return edges;
 }
+
+}  // namespace detail
 
 std::vector<Edge>
 makeUniformEdges(unsigned scale, unsigned degree, Rng &rng)

@@ -19,7 +19,11 @@ namespace mclock {
 namespace workloads {
 namespace gapbs {
 
-/** Kronecker (RMAT) edge list: 2^scale vertices, degree*2^scale edges. */
+/**
+ * Kronecker (RMAT) edge list: 2^scale vertices, degree*2^scale edges.
+ * Large lists are drawn in parts on several host threads; the list and
+ * @p rng's final state are those of one serial draw.
+ */
 std::vector<Edge> makeKroneckerEdges(unsigned scale, unsigned degree,
                                      Rng &rng);
 
@@ -33,6 +37,18 @@ std::vector<Edge> makeUniformEdges(unsigned scale, unsigned degree,
  */
 std::vector<Weight> assignWeights(const std::vector<Edge> &edges,
                                   Weight maxWeight, Rng &rng);
+
+namespace detail {
+
+/**
+ * makeKroneckerEdges drawn in exactly @p parts contiguous parts (> 0),
+ * whatever the host: the seam the part-count identity tests use. Part
+ * k jumps its copy of @p rng to its first edge's draw (Rng::advance).
+ */
+std::vector<Edge> kroneckerEdgesInParts(unsigned scale, unsigned degree,
+                                        Rng &rng, unsigned parts);
+
+}  // namespace detail
 
 }  // namespace gapbs
 }  // namespace workloads

@@ -15,6 +15,7 @@
 #include "base/flat_map.hh"
 #include "base/hash.hh"
 #include "base/intrusive_list.hh"
+#include "base/parallel.hh"
 #include "base/rng.hh"
 #include "base/types.hh"
 #include "base/units.hh"
@@ -76,6 +77,43 @@ TEST(RngTest, DifferentSeedsDiffer)
     EXPECT_LT(same, 2);
 }
 
+/** The next four draws of @p rng: equal for equal states. */
+std::vector<std::uint64_t>
+nextDraws(Rng rng)
+{
+    return {rng.next64(), rng.next64(), rng.next64(), rng.next64()};
+}
+
+TEST(RngTest, AdvanceMatchesSingleSteps)
+{
+    const std::vector<std::uint64_t> jumps = {
+        0, 1, 2, 255, 256, 257, 1000, 123457, 6291456 + 17};
+    for (std::uint64_t seed : {1u, 42u, 0xdeadbeefu}) {
+        Rng stepped(seed);
+        std::uint64_t at = 0;
+        for (std::uint64_t n : jumps) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " n " << n);
+            for (; at < n; ++at)
+                stepped.next64();
+            Rng jumped(seed);
+            jumped.advance(n);
+            EXPECT_EQ(nextDraws(jumped), nextDraws(stepped));
+        }
+    }
+    // Jumps too long to step compose: a then b lands where a + b does.
+    const std::uint64_t a = (1ull << 40) - 3, b = (1ull << 40) + 12345;
+    Rng twice(9), once(9);
+    twice.advance(a);
+    twice.advance(b);
+    once.advance(a + b);
+    EXPECT_EQ(nextDraws(twice), nextDraws(once));
+    Rng next = once;
+    next.advance(1);
+    once.next64();
+    EXPECT_EQ(nextDraws(next), nextDraws(once));
+}
+
 TEST(RngTest, RangeIsBounded)
 {
     Rng rng(7);
@@ -126,6 +164,39 @@ TEST(RngTest, ForkIsIndependent)
             ++same;
     }
     EXPECT_LT(same, 2);
+}
+
+// --- Parallel parts --------------------------------------------------------
+
+TEST(ParallelTest, PartRangesTileTheItemsInOrder)
+{
+    for (std::size_t items : {0u, 1u, 5u, 4096u, 4099u}) {
+        for (unsigned parts : {1u, 2u, 3u, 4u, 7u, 16u}) {
+            std::size_t next = 0;
+            for (unsigned p = 0; p < parts; ++p) {
+                const base::PartRange r = base::partRange(items, parts, p);
+                EXPECT_EQ(r.begin, next);
+                EXPECT_LE(r.end - r.begin, items / parts + 1);
+                next = r.end;
+            }
+            EXPECT_EQ(next, items);
+        }
+    }
+}
+
+TEST(ParallelTest, PartCountStaysSerialBelowTheFloor)
+{
+    EXPECT_EQ(base::partCount(0), 1u);
+    EXPECT_EQ(base::partCount(2 * base::kMinItemsPerPart - 1), 1u);
+    EXPECT_LE(base::partCount(std::size_t{1} << 40, 3), 3u);
+    EXPECT_EQ(base::partCount(std::size_t{1} << 40, 0), 1u);
+}
+
+TEST(ParallelTest, RunPartsRunsEveryPartOnce)
+{
+    std::vector<unsigned> runs(9, 0);
+    base::runParts(9, [&runs](unsigned p) { ++runs[p]; });
+    EXPECT_EQ(runs, std::vector<unsigned>(9, 1));
 }
 
 // --- FNV-1a ----------------------------------------------------------------

@@ -98,6 +98,8 @@ TEST(BenchJsonTest, DocumentSchema)
     EXPECT_EQ(doc["bench_id"].asString(), "BENCH_TEST");
     EXPECT_EQ(doc["schema"].asString(), "mclock-bench-v2");
     EXPECT_TRUE(doc["git_sha"].isString());
+    EXPECT_TRUE(doc["git_dirty"].isBool() ||
+                doc["git_dirty"].asString() == "unknown");
     EXPECT_FALSE(doc.contains("jobs"));
     EXPECT_EQ(doc["repeat"].asNumber(), 2.0);
     EXPECT_EQ(doc["warmup"].asNumber(), 0.0);

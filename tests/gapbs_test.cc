@@ -119,6 +119,30 @@ TEST(GeneratorTest, KroneckerMatchesIfChainReference)
     }
 }
 
+TEST(GeneratorTest, KroneckerIdenticalAtEveryPartCount)
+{
+    // A 4-edge graph also runs with more parts than edges.
+    for (const auto &[scale, degree] : {std::pair{10u, 4u}, {1u, 2u}}) {
+        const std::size_t m = (std::size_t{1} << scale) * degree;
+        for (unsigned parts : {1u, 2u, 3u, 4u, 7u, 16u,
+                               static_cast<unsigned>(m) + 3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "scale " << scale << " parts " << parts);
+            Rng split(0x5eed), ref(0x5eed);
+            const auto got =
+                detail::kroneckerEdgesInParts(scale, degree, split, parts);
+            const auto want = ifChainKroneckerEdges(scale, degree, ref);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].u, want[i].u) << "edge " << i;
+                ASSERT_EQ(got[i].v, want[i].v) << "edge " << i;
+            }
+            // The caller's Rng ends where the serial draw ends.
+            EXPECT_EQ(split.next64(), ref.next64());
+        }
+    }
+}
+
 TEST(GeneratorTest, UniformIsNotSkewed)
 {
     Rng rng(3);
@@ -263,21 +287,12 @@ TEST(BuilderTest, SelfLoopsOnlyGivesNoEntries)
     EXPECT_EQ(g->numEdges(), 0u);
 }
 
-/** Host-side CSR as Builder lays it out. */
-struct ReferenceCsr
-{
-    std::size_t n = 0;
-    std::vector<std::uint64_t> offsets;
-    std::vector<GNode> neighbors;
-    std::vector<Weight> weights;
-};
-
 /**
  * The builder with the symmetrised edge list materialised: reversed
  * edges are appended to the list before relabelling and the counting
  * sort. Each edge carries its weight from @p weights inside it.
  */
-ReferenceCsr
+detail::Csr
 materialisedCsr(const std::vector<Edge> &input,
                 const std::vector<Weight> &weights, const BuildOptions &opts)
 {
@@ -318,7 +333,7 @@ materialisedCsr(const std::vector<Edge> &input,
             e.v = relabel[e.v];
         }
     }
-    ReferenceCsr csr;
+    detail::Csr csr;
     csr.n = n;
     csr.offsets.assign(n + 1, 0);
     for (const auto &e : edges)
@@ -409,7 +424,19 @@ TEST(BuilderTest, MatchesMaterialisedReference)
             continue;  // rejected by Builder::build
         ++combos;
         SCOPED_TRACE(::testing::Message() << "option mask " << mask);
-        const ReferenceCsr want = materialisedCsr(edges, weights, opts);
+        const detail::Csr want = materialisedCsr(edges, weights, opts);
+        // The host CSR is the same at every part count of its count and
+        // scatter, including uneven parts across the reversed half.
+        for (unsigned parts : {1u, 3u, 4u}) {
+            SCOPED_TRACE(::testing::Message() << parts << " parts");
+            const detail::Csr got = detail::buildCsr(
+                edges, opts,
+                opts.keepWeights ? weights : std::vector<Weight>{}, parts);
+            EXPECT_EQ(got.n, want.n);
+            EXPECT_EQ(got.offsets, want.offsets);
+            EXPECT_EQ(got.neighbors, want.neighbors);
+            EXPECT_EQ(got.weights, want.weights);
+        }
         auto sim = makeSim();
         auto g = Builder::build(
             *sim, edges, opts,

@@ -21,6 +21,7 @@
 
 #include "base/json.hh"
 #include "harness/invariants.hh"
+#include "harness/manifest.hh"
 #include "harness/profiles.hh"
 #include "harness/scenario_common.hh"
 #include "policies/factory.hh"
@@ -531,6 +532,9 @@ TEST(Runner, WritesArtifactsIntoOutDir)
     const Json doc = Json::parse(buf.str(), &err);
     ASSERT_TRUE(doc.isObject()) << err;
     EXPECT_TRUE(doc.contains("git_sha"));
+    // true/false, or "unknown" where git cannot run on the checkout.
+    EXPECT_TRUE(doc["git_dirty"].isBool() ||
+                doc["git_dirty"].asString() == "unknown");
     EXPECT_TRUE(doc.contains("seed"));
     ASSERT_TRUE(doc["scenarios"].isArray());
     ASSERT_EQ(doc["scenarios"].asArray().size(), 1u);
@@ -542,6 +546,19 @@ TEST(Runner, WritesArtifactsIntoOutDir)
     ASSERT_EQ(fingerprints.size(), 4u);  // one per fig02 unit
     for (const auto &[unit, fp] : fingerprints)
         EXPECT_EQ(fp.asString().size(), 16u) << unit;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Manifest, GitDirtyIsUnknownOutsideAWorkTree)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "mclock_harness_test_no_git";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ASSERT_FALSE(std::filesystem::exists(dir / ".git"));
+    const Json dirty = readGitDirty(dir.string());
+    ASSERT_TRUE(dirty.isString());
+    EXPECT_EQ(dirty.asString(), "unknown");
     std::filesystem::remove_all(dir);
 }
 
