@@ -116,8 +116,8 @@ listScenarios()
                     sc.title.c_str());
         if (!sc.params.empty()) {
             std::string keys;
-            for (const auto &key : sc.params)
-                keys += " " + key;
+            for (const ParamSpec &p : sc.params)
+                keys += " " + p.key + " (" + p.describe() + ")";
             std::printf("%-24s --param keys:%s\n", "", keys.c_str());
         }
         ++count;
@@ -319,13 +319,25 @@ main(int argc, char **argv)
         return 0;
     }
     const auto selected = filterScenarios(filter);
-    for (const auto &param : ctx.params) {
-        const std::string &key = param.first;
-        if (std::none_of(selected.begin(), selected.end(),
-                         [&key](const Scenario *sc) {
-                             return std::count(sc->params.begin(),
-                                               sc->params.end(), key) > 0;
-                         })) {
+    for (const auto &[key, value] : ctx.params) {
+        bool read = false;
+        for (const Scenario *sc : selected) {
+            for (const ParamSpec &p : sc->params) {
+                if (p.key != key)
+                    continue;
+                read = true;
+                if (!p.accepts(value)) {
+                    std::fprintf(stderr,
+                                 "bad --param %s=%llu (want %s) for "
+                                 "scenario %s\n",
+                                 key.c_str(),
+                                 static_cast<unsigned long long>(value),
+                                 p.describe().c_str(), sc->name.c_str());
+                    return 2;
+                }
+            }
+        }
+        if (!read) {
             std::fprintf(stderr,
                          "unknown --param '%s': no selected scenario "
                          "reads it (see --list)\n",

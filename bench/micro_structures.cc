@@ -219,7 +219,7 @@ BM_BuildCsr(benchmark::State &state)
         graph.reset();
         sim = std::make_unique<sim::Simulator>(harness::gapbsMachine());
         sim->setPolicy(policies::makePolicy("multiclock"));
-        std::vector<gapbs::Edge> input = edges;
+        gapbs::EdgeList input = edges;
         state.ResumeTiming();
         graph = gapbs::Builder::build(*sim, std::move(input),
                                       gapbs::BuildOptions{});

@@ -1,19 +1,22 @@
 /**
  * @file
- * Split host-side work into contiguous parts and run them on threads.
+ * Split host-side work into contiguous parts, or into fixed chunks
+ * claimed on demand, and run them on threads.
  *
  * Graph set-up (the Kronecker draw, the CSR count and scatter) holds no
  * simulated state, so it may spread over the host's cores. Every caller
- * writes each part's results to a place fixed by the part's range and
- * the inputs alone, so the output does not depend on how many parts ran:
- * the part count is an execution width, like --jobs, and nothing to
- * configure. Below a size floor the work runs on the calling thread.
+ * writes each part's or chunk's results to a place fixed by its range
+ * and the inputs alone, so the output does not depend on how many
+ * threads ran or which thread took which chunk: the part count is an
+ * execution width, like --jobs, and nothing to configure. Below a size
+ * floor the work runs on the calling thread.
  */
 
 #ifndef MCLOCK_BASE_PARALLEL_HH_
 #define MCLOCK_BASE_PARALLEL_HH_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -72,6 +75,32 @@ runParts(unsigned parts, const Fn &fn)
     for (unsigned p = 1; p < parts; ++p)
         helpers.emplace_back([&fn, p] { fn(p); });
     fn(0u);
+}
+
+/**
+ * Run @p fn(range) once for every chunk of [0, @p items) cut into
+ * @p chunkItems-item ranges (the last one shorter), on at most
+ * @p parts threads (runParts). Threads claim the chunks in order from
+ * one counter until none is left, so a slow thread takes fewer of them
+ * instead of holding up the rest; which thread runs a chunk is not
+ * fixed, so @p fn may depend on the range alone.
+ */
+template <typename Fn>
+void
+runChunks(std::size_t items, std::size_t chunkItems, unsigned parts,
+          const Fn &fn)
+{
+    const std::size_t chunks = (items + chunkItems - 1) / chunkItems;
+    std::atomic<std::size_t> next{0};
+    const auto threads = static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min<std::size_t>(chunks, parts)));
+    runParts(threads, [&](unsigned) {
+        for (std::size_t c = next.fetch_add(1); c < chunks;
+             c = next.fetch_add(1)) {
+            const std::size_t begin = c * chunkItems;
+            fn(PartRange{begin, std::min(items, begin + chunkItems)});
+        }
+    });
 }
 
 }  // namespace base

@@ -182,6 +182,11 @@ writeManifest(const RunReport &report, const RunnerOptions &opts)
         for (const auto &[unit, fp] : r.output.fingerprints)
             fingerprints.set(unit, hex64(fp));
         entry.set("fingerprints", std::move(fingerprints));
+        // Per-unit trace events lost to ring overwrites.
+        Json dropped{Json::Object{}};
+        for (const auto &[unit, n] : r.output.traceDropped)
+            dropped.set(unit, static_cast<double>(n));
+        entry.set("trace_dropped", std::move(dropped));
         // Per-tenant QoS metrics for multi-tenant scenarios
         // ("<unit>.<tenant>.<metric>"); omitted when the scenario
         // created no memory cgroups.

@@ -54,6 +54,8 @@ finishUnit(const RunContext &ctx, const std::vector<sim::Simulator *> &sims,
     rec.vmstat = merged.stats().snapshot();
     rec.perfAppOps = appOps;
     rec.perfSimAccesses = merged.totalAccesses();
+    for (const sim::Simulator *s : sims)
+        rec.traceDropped += s->trace().dropped();
     rec.fingerprint = hostFingerprint(clock, merged.windows());
     if (ctx.stats) {
         rec.traceEvents = trace.events();
@@ -153,6 +155,7 @@ mergeRecords(const std::vector<RunUnit> &units,
         for (const auto &[key, value] : rec.tenantMetrics)
             out.tenantMetrics[prefix + "." + key] = value;
         out.fingerprints[prefix] = rec.fingerprint;
+        out.traceDropped[prefix] = rec.traceDropped;
         if (!rec.samplerCsv.empty()) {
             out.statsArtifacts.push_back(
                 {prefix + "_vmstat.csv", rec.samplerCsv});

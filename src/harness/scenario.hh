@@ -34,6 +34,39 @@
 namespace mclock {
 namespace harness {
 
+/**
+ * One --param key a scenario reads and the values it accepts: whole
+ * numbers in [min, max] but not in @c except. The CLI refuses any other
+ * value (exit 2) before a unit runs, so a scenario never sees a count
+ * it cannot run (a zero record count, an epoch count of zero that runs
+ * nothing, a trial count past 32 bits).
+ */
+struct ParamSpec
+{
+    std::string key;
+    std::uint64_t min = 0;
+    std::uint64_t max = UINT64_MAX;
+    /** Values inside [min, max] refused all the same. */
+    std::vector<std::uint64_t> except = {};
+    /** The accepted values in words; "min..max" when empty. */
+    std::string accepted = {};
+
+    bool
+    accepts(std::uint64_t v) const
+    {
+        return v >= min && v <= max &&
+               std::find(except.begin(), except.end(), v) == except.end();
+    }
+
+    std::string
+    describe() const
+    {
+        return accepted.empty()
+                   ? std::to_string(min) + ".." + std::to_string(max)
+                   : accepted;
+    }
+};
+
 /** Flat named metrics produced by one run unit (or one scenario). */
 using MetricMap = std::map<std::string, double>;
 
@@ -74,14 +107,17 @@ struct RunContext
      * the runner; param() panics on any other key. nullptr outside the
      * runner checks nothing.
      */
-    const std::vector<std::string> *declared = nullptr;
+    const std::vector<ParamSpec> *declared = nullptr;
 
     /** Override lookup with default. */
     std::uint64_t
     param(const std::string &name, std::uint64_t dflt) const
     {
-        if (declared && std::find(declared->begin(), declared->end(),
-                                  name) == declared->end()) {
+        if (declared &&
+            std::none_of(declared->begin(), declared->end(),
+                         [&name](const ParamSpec &p) {
+                             return p.key == name;
+                         })) {
             MCLOCK_PANIC("scenario reads undeclared --param '%s'",
                          name.c_str());
         }
@@ -161,6 +197,14 @@ struct RunRecord
     std::uint64_t perfSimAccesses = 0;
 
     /**
+     * Trace events the host's simulators overwrote in their rings
+     * (TraceBuffer::dropped, summed over shards): how much of the run
+     * a trace.jsonl export is missing. Written per unit to
+     * run_manifest.json; in no fingerprint.
+     */
+    std::uint64_t traceDropped = 0;
+
+    /**
      * Exact digest of the unit's simulated results, not of the --stats
      * exports: finishUnit() hashes the host's final clock and window
      * series, and the runner seals that with unitFingerprint() once the
@@ -214,6 +258,9 @@ struct ScenarioOutput
     /** Each unit's RunRecord::fingerprint, by unit name. */
     std::map<std::string, std::uint64_t> fingerprints;
 
+    /** Each unit's RunRecord::traceDropped, by unit name. */
+    std::map<std::string, std::uint64_t> traceDropped;
+
     /**
      * One fingerprint over @c fingerprints: what --check-golden prints
      * and a BENCH report records per scenario.
@@ -229,8 +276,11 @@ struct Scenario
     std::string workload;  ///< workload family ("ycsb", "gapbs", ...)
     std::vector<std::string> policies;  ///< policies compared (metadata)
 
-    /** The --param keys the scenario reads; the CLI rejects others. */
-    std::vector<std::string> params;
+    /**
+     * The --param keys the scenario reads and their ranges; the CLI
+     * rejects other keys and out-of-range values.
+     */
+    std::vector<ParamSpec> params;
 
     /** Included in the golden regression suite (deterministic only). */
     bool goldenEligible = true;

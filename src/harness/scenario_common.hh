@@ -163,6 +163,19 @@ shardedMachine(const RunContext &ctx, std::size_t dram, std::size_t pmem)
     return cfg;
 }
 
+/**
+ * Most operations a --param op count accepts: beyond any scenario's
+ * full scale by far, and small enough that no product of counts a
+ * scenario forms leaves 64 bits.
+ */
+inline constexpr std::uint64_t kMaxParamOps = 1'000'000'000;
+
+/** --param ops: operations per YCSB phase or per shard epoch. */
+inline const ParamSpec kOpsParam{"ops", 1, kMaxParamOps};
+
+/** --param epochs: request epochs of a sharded unit (0 would run none). */
+inline const ParamSpec kEpochsParam{"epochs", 1, 1000};
+
 /** YCSB workload at the context's scale; --param ops overrides the
  *  per-phase op count, and the key stream is seeded from @p slot. */
 inline workloads::YcsbConfig

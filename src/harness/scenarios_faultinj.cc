@@ -132,7 +132,7 @@ faultinjScenario(const char *name, const char *title, const char *workload,
                  RunRecord (*run)(const RunContext &, const std::string &,
                                   unsigned),
                  const char *metric, const char *metricLabel,
-                 std::vector<std::string> params)
+                 std::vector<ParamSpec> params)
 {
     Scenario sc;
     sc.name = name;
@@ -200,7 +200,7 @@ makeFaultinjScenarios()
     return {faultinjScenario(
                 "faultinj_ycsb_a",
                 "YCSB-A under injected migration faults (rate sweep)",
-                "ycsb", faultinjYcsb, "kops", "kops/s", {"ops"}),
+                "ycsb", faultinjYcsb, "kops", "kops/s", {kOpsParam}),
             faultinjScenario(
                 "faultinj_pagerank",
                 "GAPBS PageRank under injected migration faults",

@@ -59,7 +59,7 @@ fig06Scenario()
     sc.title = "Fig. 6: GAPBS execution time normalised to static "
                "tiering";
     sc.workload = "gapbs";
-    sc.params = {"trials"};
+    sc.params = {{"trials", 1, 1000}};
     sc.policies = policies::tieredPolicyNames();
     sc.expand = [sc](const RunContext &) {
         std::vector<RunUnit> units;
@@ -131,7 +131,7 @@ fig07Scenario()
     sc.name = "fig07";
     sc.title = "Fig. 7: Memory-mode comparison (YCSB + PageRank)";
     sc.workload = "ycsb+gapbs";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = {"static", "multiclock", "memory-mode"};
     sc.expand = [](const RunContext &) {
         std::vector<RunUnit> units;

@@ -157,7 +157,10 @@ shardScenario(const std::string &name, const std::string &title,
     sc.title = title;
     sc.workload = "kvstore";
     sc.policies = kShardPolicies;
-    sc.params = {"records", "epochs", "ops", "promote_budget"};
+    sc.params = {{"records", 1, 100000},
+                 kEpochsParam,
+                 kOpsParam,
+                 {"promote_budget"}};
     sc.expand = [promoteBudget](const RunContext &) {
         std::vector<RunUnit> units;
         for (const auto &policy : kShardPolicies) {

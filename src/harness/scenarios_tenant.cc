@@ -293,8 +293,11 @@ noisyNeighborScenario()
     sc.title = "Tenant isolation vs. a churning noisy neighbor";
     sc.workload = "kvstore";
     sc.policies = {"multiclock"};
-    sc.params = {"victim_records", "thrasher_records", "epochs",
-                 "victim_ops", "thrasher_ops"};
+    sc.params = {{"victim_records", 1, 100000},
+                 {"thrasher_records", 1, 100000},
+                 kEpochsParam,
+                 {"victim_ops", 1, kMaxParamOps},
+                 {"thrasher_ops", 1, kMaxParamOps}};
     sc.goldenEligible = true;
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
@@ -485,7 +488,8 @@ churnScenario()
     sc.title = "Tenant arrival/departure waves under caps and swap";
     sc.workload = "synthetic";
     sc.policies = kChurnUnits;
-    sc.params = {"tenant_pages", "sweeps"};
+    // Past 1024 pages the tenants overflow the host's swap.
+    sc.params = {{"tenant_pages", 1, 1024}, {"sweeps", 1, 1000}};
     sc.goldenEligible = true;
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;

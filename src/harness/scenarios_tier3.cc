@@ -102,7 +102,7 @@ Scenario
 tier3Scenario(const char *name, const char *title, const char *workload,
               RunRecord (*run)(const RunContext &, const std::string &),
               const char *metric, const char *metricLabel,
-              std::vector<std::string> params)
+              std::vector<ParamSpec> params)
 {
     Scenario sc;
     sc.name = name;
@@ -162,11 +162,11 @@ makeTier3Scenarios()
     return {tier3Scenario("tier3_ycsb_a",
                           "Three-tier YCSB-A throughput (DRAM/CXL/PM)",
                           "ycsb", tier3Ycsb<workloads::YcsbWorkload::A>,
-                          "kops", "kops/s", {"ops"}),
+                          "kops", "kops/s", {kOpsParam}),
             tier3Scenario("tier3_ycsb_b",
                           "Three-tier YCSB-B throughput (DRAM/CXL/PM)",
                           "ycsb", tier3Ycsb<workloads::YcsbWorkload::B>,
-                          "kops", "kops/s", {"ops"}),
+                          "kops", "kops/s", {kOpsParam}),
             tier3Scenario("tier3_pagerank",
                           "Three-tier GAPBS PageRank (DRAM/CXL/PM)",
                           "gapbs", tier3Pagerank, "seconds", "seconds",

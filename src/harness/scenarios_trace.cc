@@ -59,7 +59,7 @@ fig01Scenario()
     sc.name = "fig01";
     sc.title = "Fig. 1: page access heatmaps (50 pages x time)";
     sc.workload = "synthetic";
-    sc.params = {"seconds"};
+    sc.params = {{"seconds", 1, 3600}};
     sc.policies = {"static"};
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
@@ -132,7 +132,7 @@ fig02Scenario()
     sc.title = "Fig. 2: observation/performance window frequency "
                "analysis";
     sc.workload = "synthetic";
-    sc.params = {"seconds", "window-s"};
+    sc.params = {{"seconds", 1, 3600}, {"window-s", 1, 3600}};
     sc.policies = {"static"};
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;

@@ -101,7 +101,7 @@ fig05Scenario()
     sc.name = "fig05";
     sc.title = "Fig. 5: YCSB throughput normalised to static tiering";
     sc.workload = "ycsb";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = policies::tieredPolicyNames();
     sc.expand = [sc](const RunContext &) {
         std::vector<RunUnit> units;
@@ -173,7 +173,7 @@ fig08Scenario()
     sc.name = "fig08";
     sc.title = "Fig. 8: pages promoted per 20 s window, YCSB-A";
     sc.workload = "ycsb";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = {"multiclock", "nimble"};
     sc.expand = [sc](const RunContext &) {
         return phaseUnits(sc.policies, 4000000, 120000);
@@ -220,7 +220,7 @@ fig09Scenario()
     sc.title = "Fig. 9: re-access % of recently promoted pages, "
                "YCSB-A";
     sc.workload = "ycsb";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = {"multiclock", "nimble"};
     sc.expand = [sc](const RunContext &) {
         return phaseUnits(sc.policies, 4000000, 120000);
@@ -328,7 +328,7 @@ fig10Scenario()
     sc.name = "fig10";
     sc.title = "Fig. 10: scan-interval sensitivity, YCSB-A throughput";
     sc.workload = "ycsb";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = {"multiclock", "nimble"};
     sc.expand = [sc](const RunContext &) {
         std::vector<SweepPoint> points;
@@ -388,7 +388,7 @@ speedupSweepScenario(const SpeedupSweep &s)
     sc.name = s.name;
     sc.title = s.title;
     sc.workload = "ycsb";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = {"static", "multiclock"};
     sc.expand = [sc, s](const RunContext &ctx) {
         return sweepUnits(sc.policies, s.points(ctx.golden), s.fullOps,
@@ -472,18 +472,14 @@ llcPoints(bool golden)
 
 // --- Ablations D1 and D2 ------------------------------------------------
 
-/** --param workload: A/B/C/D/F/W; E does not run on the KV store. */
+/**
+ * --param workload: 0-3, 5, 6 for A/B/C/D/F/W (E does not run on the KV
+ * store); the declared range refuses every other value.
+ */
 YcsbWorkload
 promoteListWorkload(const RunContext &ctx)
 {
-    const std::uint64_t w = ctx.param("workload", 0);
-    if (w > static_cast<std::uint64_t>(YcsbWorkload::W) ||
-        w == static_cast<std::uint64_t>(YcsbWorkload::E)) {
-        MCLOCK_FATAL("ablation_promote_list: bad --param workload=%llu "
-                     "(want 0=A 1=B 2=C 3=D 5=F 6=W)",
-                     static_cast<unsigned long long>(w));
-    }
-    return static_cast<YcsbWorkload>(w);
+    return static_cast<YcsbWorkload>(ctx.param("workload", 0));
 }
 
 Scenario
@@ -493,7 +489,8 @@ ablationPromoteListScenario()
     sc.name = "ablation_promote_list";
     sc.title = "Ablation D1: page-selection mechanism";
     sc.workload = "ycsb";
-    sc.params = {"ops", "workload"};
+    sc.params = {kOpsParam,
+                 {"workload", 0, 6, {4}, "0=A 1=B 2=C 3=D 5=F 6=W"}};
     sc.policies = {"multiclock", "nimble", "amp-lru", "amp-lfu",
                    "amp-random"};
     sc.expand = [sc](const RunContext &ctx) {
@@ -543,7 +540,7 @@ ablationTrackingCostScenario()
     sc.name = "ablation_tracking_cost";
     sc.title = "Ablation D2: access-tracking mechanism cost";
     sc.workload = "ycsb";
-    sc.params = {"ops"};
+    sc.params = {kOpsParam};
     sc.policies = policies::tieredPolicyNames();
     sc.expand = [sc](const RunContext &) {
         return phaseUnits(sc.policies, 1200000, 60000);

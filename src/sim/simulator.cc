@@ -182,10 +182,10 @@ Simulator::compute(SimTime duration)
 {
     const SimTime target = now_ + duration;
     while (daemons_.nextDue() <= target) {
-        now_ = std::max(now_, daemons_.nextDue());
+        advance(std::max(now_, daemons_.nextDue()) - now_);
         daemons_.runDue(now_);
     }
-    now_ = std::max(now_, target);
+    advance(std::max(now_, target) - now_);
 }
 
 TierRank
@@ -198,7 +198,7 @@ Simulator::pageTier(const Page *page) const
 void
 Simulator::chargeInline(SimTime t)
 {
-    now_ += t;
+    advance(t);
     vmstat().add(stats::VmItem::InlineOverheadNs, kInvalidNode, t);
 }
 
@@ -207,7 +207,7 @@ Simulator::chargeBackground(SimTime t)
 {
     const auto charged = static_cast<SimTime>(
         static_cast<double>(t) * cfg_.mem.backgroundInterference);
-    now_ += charged;
+    advance(charged);
     vmstat().add(stats::VmItem::BackgroundWorkNs, kInvalidNode, t);
 }
 
@@ -662,7 +662,7 @@ Simulator::accessOnePage(Vaddr va, bool write, bool supervised)
     if (llcHit) {
         if (pg->memcg() != kRootMemcg) [[unlikely]]
             memcg_.recordLatency(pg->memcg(), cfg_.cache.hitLatency);
-        now_ += cfg_.cache.hitLatency;
+        advance(cfg_.cache.hitLatency);
         return;
     }
 
@@ -689,7 +689,7 @@ Simulator::accessOnePage(Vaddr va, bool write, bool supervised)
     if (pg->memcg() != kRootMemcg) [[unlikely]]
         memcg_.recordLatency(pg->memcg(), lat);
     metrics_.recordMemLatency(tier, lat);
-    now_ += lat;
+    advance(lat);
 }
 
 Page *

@@ -308,6 +308,12 @@ class Simulator
 #endif
 
   private:
+    /**
+     * Move simulated time forward by @p dt ns: the one write to now_
+     * (lint rule R7), so every ns passes one choke point.
+     */
+    void advance(SimTime dt) { now_ += dt; }
+
     void chargeMigration(SimTime cost, ChargeMode mode,
                          SimTime inlinePortion = 0);
     MigrateResult migrateOnce(Page *page, NodeId dst, ChargeMode mode);

@@ -24,29 +24,32 @@ constexpr unsigned kMaxScatterParts = 4;
  * edge i), then, when the order is symmetrised, all edges reversed
  * (entry m + i is edge i reversed). Walking the list twice gives each
  * adjacency list the same contents and order as appending the reversed
- * copy would, without the copy. An entry's weight is its edge's entry in
+ * copy would, without the copy. With @p skipSelfLoops, u == v entries
+ * are passed over, which leaves the rest in the order a list compacted
+ * beforehand would give. An entry's weight is its edge's entry in
  * @p weights, or 1 when @p weights is empty.
  */
 template <typename Fn>
 void
-forEachEntryIn(const std::vector<Edge> &edges,
-               const std::vector<Weight> &weights, base::PartRange range,
-               Fn &&fn)
+forEachEntryIn(const EdgeList &edges, const std::vector<Weight> &weights,
+               bool skipSelfLoops, base::PartRange range, Fn &&fn)
 {
-    const auto weightOf = [&weights](std::size_t i) {
-        return weights.empty() ? Weight{1} : weights[i];
+    const auto visit = [&](GNode u, GNode v, std::size_t i) {
+        if (skipSelfLoops && u == v) [[unlikely]]
+            return;
+        fn(u, v, weights.empty() ? Weight{1} : weights[i]);
     };
     const std::size_t m = edges.size();
     for (std::size_t i = range.begin; i < std::min(range.end, m); ++i)
-        fn(edges[i].u, edges[i].v, weightOf(i));
+        visit(edges[i].u, edges[i].v, i);
     for (std::size_t i = std::max(range.begin, m); i < range.end; ++i)
-        fn(edges[i - m].v, edges[i - m].u, weightOf(i - m));
+        visit(edges[i - m].v, edges[i - m].u, i - m);
 }
 
 }  // namespace
 
 std::size_t
-vertexCount(const std::vector<Edge> &edges)
+vertexCount(const EdgeList &edges)
 {
     const unsigned parts = base::partCount(edges.size());
     std::vector<GNode> maxIds(parts, 0);
@@ -65,7 +68,7 @@ vertexCount(const std::vector<Edge> &edges)
 namespace detail {
 
 Csr
-buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
+buildCsr(EdgeList edges, const BuildOptions &opts,
          std::vector<Weight> edgeWeights, unsigned parts)
 {
     // Deduplication reorders neighbours and would detach their weights.
@@ -79,29 +82,14 @@ buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
 
     Csr csr;
     const std::size_t n = csr.n = vertexCount(edges);
-
-    if (opts.removeSelfLoops) {
-        // Compact edges and their weights together, in order.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-            if (edges[i].u == edges[i].v)
-                continue;
-            edges[kept] = edges[i];
-            if (!edgeWeights.empty())
-                edgeWeights[kept] = edgeWeights[i];
-            ++kept;
-        }
-        edges.resize(kept);
-        if (!edgeWeights.empty())
-            edgeWeights.resize(kept);
-    }
-    const std::size_t entries =
-        (opts.symmetrize ? 2 : 1) * edges.size();
+    // Entry positions walked, self-loops included.
+    const std::size_t walked = (opts.symmetrize ? 2 : 1) * edges.size();
+    const bool skip = opts.removeSelfLoops;
 
     // Optional degree-descending relabel (GAPBS TC preprocessing).
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
-        forEachEntryIn(edges, edgeWeights, {0, entries},
+        forEachEntryIn(edges, edgeWeights, skip, {0, walked},
                        [&degree](GNode u, GNode, Weight) { ++degree[u]; });
         std::vector<GNode> order(n);
         std::iota(order.begin(), order.end(), 0);
@@ -122,26 +110,27 @@ buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
     // order. cursors[p * n + u] first counts part p's entries of u, then
     // holds the CSR position of part p's next entry of u: part p's
     // entries of u land after part p-1's, as in one serial pass.
-    MCLOCK_ASSERT(entries <= UINT32_MAX,
-                  "%zu CSR entries; cursors are 32-bit", entries);
+    MCLOCK_ASSERT(walked <= UINT32_MAX,
+                  "%zu CSR entries; cursors are 32-bit", walked);
     std::vector<std::uint32_t> cursors(std::size_t{parts} * n, 0);
     base::runParts(parts, [&](unsigned p) {
         std::uint32_t *count = cursors.data() + std::size_t{p} * n;
-        forEachEntryIn(edges, edgeWeights,
-                       base::partRange(entries, parts, p),
+        forEachEntryIn(edges, edgeWeights, skip,
+                       base::partRange(walked, parts, p),
                        [count](GNode u, GNode, Weight) { ++count[u]; });
     });
-    std::uint32_t pos = 0;
+    std::uint32_t entries = 0;
     for (std::size_t u = 0; u < n; ++u) {
         for (std::size_t at = u; at < cursors.size(); at += n)
-            pos += std::exchange(cursors[at], pos);
+            entries += std::exchange(cursors[at], entries);
     }
+    // Unwritten until scattered: the parts first-touch the CSR.
     csr.neighbors.resize(entries);
     csr.weights.resize(opts.keepWeights ? entries : 0);
     base::runParts(parts, [&](unsigned p) {
         std::uint32_t *cursor = cursors.data() + std::size_t{p} * n;
-        forEachEntryIn(edges, edgeWeights,
-                       base::partRange(entries, parts, p),
+        forEachEntryIn(edges, edgeWeights, skip,
+                       base::partRange(walked, parts, p),
                        [&](GNode u, GNode v, Weight w) {
                            const std::uint32_t at = cursor[u]++;
                            csr.neighbors[at] = v;
@@ -153,7 +142,7 @@ buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
     // peak is then the edge list, the neighbours (and weights) and the
     // cursors, during the scatter. The last part's cursors end where
     // each adjacency list ends.
-    std::vector<Edge>().swap(edges);
+    EdgeList().swap(edges);
     std::vector<Weight>().swap(edgeWeights);
     const std::uint32_t *ends = cursors.data() + std::size_t{parts - 1} * n;
     csr.offsets.assign(n + 1, 0);
@@ -161,9 +150,9 @@ buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
     std::vector<std::uint32_t>().swap(cursors);
 
     if (opts.sortAndDedupNeighbors) {
-        std::vector<GNode> deduped;
+        base::DefaultInitVector<GNode> deduped;
         deduped.reserve(csr.neighbors.size());
-        std::vector<std::uint64_t> newOffsets(n + 1, 0);
+        base::DefaultInitVector<std::uint64_t> newOffsets(n + 1, 0);
         for (std::size_t u = 0; u < n; ++u) {
             const auto begin =
                 csr.neighbors.begin() + static_cast<long>(csr.offsets[u]);
@@ -186,7 +175,7 @@ buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
 }  // namespace detail
 
 std::unique_ptr<Graph>
-Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
+Builder::build(sim::Simulator &sim, EdgeList edges,
                const BuildOptions &opts, std::vector<Weight> edgeWeights)
 {
     const std::size_t entries = (opts.symmetrize ? 2 : 1) * edges.size();

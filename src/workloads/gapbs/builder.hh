@@ -47,17 +47,20 @@ struct BuildOptions
  * vertex count GAPBS infers from an edge list. Long lists are scanned
  * in parts on several host threads.
  */
-std::size_t vertexCount(const std::vector<Edge> &edges);
+std::size_t vertexCount(const EdgeList &edges);
 
 namespace detail {
 
-/** A CSR on the host, before it is materialised in simulated memory. */
+/**
+ * A CSR on the host, before it is materialised in simulated memory. Its
+ * arrays are the host copies the graph's InstrumentedArrays adopt.
+ */
 struct Csr
 {
     std::size_t n = 0;
-    std::vector<std::uint64_t> offsets;
-    std::vector<GNode> neighbors;
-    std::vector<Weight> weights;
+    InstrumentedArray<std::uint64_t>::Host offsets;
+    InstrumentedArray<GNode>::Host neighbors;
+    InstrumentedArray<Weight>::Host weights;
 };
 
 /**
@@ -65,7 +68,7 @@ struct Csr
  * exactly @p parts (> 0), whatever the host: the seam the part-count
  * identity tests use. Every part count gives the same CSR.
  */
-Csr buildCsr(std::vector<Edge> edges, const BuildOptions &opts,
+Csr buildCsr(EdgeList edges, const BuildOptions &opts,
              std::vector<Weight> weights, unsigned parts);
 
 }  // namespace detail
@@ -83,7 +86,7 @@ class Builder
      * the simulated side runs on the calling thread alone.
      */
     static std::unique_ptr<Graph> build(sim::Simulator &sim,
-                                        std::vector<Edge> edges,
+                                        EdgeList edges,
                                         const BuildOptions &opts,
                                         std::vector<Weight> weights = {});
 };

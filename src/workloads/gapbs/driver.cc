@@ -48,7 +48,7 @@ GapbsDriver::run(Kernel kernel)
     // Load phase: build the graph in simulated memory (untimed in the
     // report, but it fills DRAM first exactly like the real load).
     BuildOptions opts;
-    std::vector<Edge> edges;
+    EdgeList edges;
     std::vector<Weight> weights;
     if (kernel == Kernel::TC) {
         edges = makeUniformEdges(cfg_.tcScale, cfg_.tcDegree, rng);

@@ -25,7 +25,7 @@ rawThreshold(double p)
 
 }  // namespace
 
-std::vector<Edge>
+EdgeList
 makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
 {
     MCLOCK_ASSERT(scale > 0 && scale < 31);
@@ -36,7 +36,7 @@ makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
 
 namespace detail {
 
-std::vector<Edge>
+EdgeList
 kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
                       unsigned parts)
 {
@@ -44,7 +44,9 @@ kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
     MCLOCK_ASSERT(parts > 0);
     const std::size_t n = std::size_t{1} << scale;
     const std::size_t m = n * degree;
-    std::vector<Edge> edges(m);
+    // Unwritten until its chunk is drawn: each chunk first-touches its
+    // own pages.
+    EdgeList edges(m);
     // Graph500 RMAT quadrant probabilities. A draw r picks quadrant
     // (0,0) if r < a, (0,1) if r < a+b, (1,0) if r < a+b+c, else (1,1);
     // the integer thresholds make the same choice bit for bit.
@@ -52,11 +54,10 @@ kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
     const std::uint64_t tA = rawThreshold(a);
     const std::uint64_t tAB = rawThreshold(a + b);
     const std::uint64_t tABC = rawThreshold(a + b + c);
-    // Every edge takes exactly `scale` draws, so the part starting at
+    // Every edge takes exactly `scale` draws, so the chunk starting at
     // edge i starts i * scale draws into the serial stream.
     const Rng start = rng;
-    base::runParts(parts, [&](unsigned p) {
-        const base::PartRange range = base::partRange(m, parts, p);
+    base::runChunks(m, kEdgesPerChunk, parts, [&](base::PartRange range) {
         Rng local = start;
         local.advance(range.begin * scale);
         for (std::size_t i = range.begin; i < range.end; ++i) {
@@ -73,8 +74,8 @@ kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
             }
             edges[i] = {u, v};
         }
-        // The last part ends where the serial draw ends.
-        if (p == parts - 1)
+        // The last chunk ends where the serial draw ends.
+        if (range.end == m)
             rng = local;
     });
     return edges;
@@ -82,13 +83,13 @@ kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
 
 }  // namespace detail
 
-std::vector<Edge>
+EdgeList
 makeUniformEdges(unsigned scale, unsigned degree, Rng &rng)
 {
     MCLOCK_ASSERT(scale > 0 && scale < 31);
     const std::size_t n = std::size_t{1} << scale;
     const std::size_t m = n * degree;
-    std::vector<Edge> edges;
+    EdgeList edges;
     edges.reserve(m);
     for (std::size_t i = 0; i < m; ++i) {
         edges.push_back({static_cast<GNode>(rng.nextRange(n)),
@@ -98,7 +99,7 @@ makeUniformEdges(unsigned scale, unsigned degree, Rng &rng)
 }
 
 std::vector<Weight>
-assignWeights(const std::vector<Edge> &edges, Weight maxWeight, Rng &rng)
+assignWeights(const EdgeList &edges, Weight maxWeight, Rng &rng)
 {
     MCLOCK_ASSERT(maxWeight >= 1);
     std::vector<Weight> weights(edges.size());

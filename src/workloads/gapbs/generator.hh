@@ -10,6 +10,7 @@
 #ifndef MCLOCK_WORKLOADS_GAPBS_GENERATOR_HH_
 #define MCLOCK_WORKLOADS_GAPBS_GENERATOR_HH_
 
+#include <cstddef>
 #include <vector>
 
 #include "base/rng.hh"
@@ -21,32 +22,35 @@ namespace gapbs {
 
 /**
  * Kronecker (RMAT) edge list: 2^scale vertices, degree*2^scale edges.
- * Large lists are drawn in parts on several host threads; the list and
+ * Large lists are drawn in chunks on several host threads; the list and
  * @p rng's final state are those of one serial draw.
  */
-std::vector<Edge> makeKroneckerEdges(unsigned scale, unsigned degree,
-                                     Rng &rng);
+EdgeList makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng);
 
 /** Uniform random edge list with the same sizing. */
-std::vector<Edge> makeUniformEdges(unsigned scale, unsigned degree,
-                                   Rng &rng);
+EdgeList makeUniformEdges(unsigned scale, unsigned degree, Rng &rng);
 
 /**
  * Uniform random weights in [1, maxWeight] (GAPBS .wsg style), one per
  * edge of @p edges and in edge order.
  */
-std::vector<Weight> assignWeights(const std::vector<Edge> &edges,
-                                  Weight maxWeight, Rng &rng);
+std::vector<Weight> assignWeights(const EdgeList &edges, Weight maxWeight,
+                                  Rng &rng);
 
 namespace detail {
 
+/** Edges per chunk of the Kronecker draw. */
+inline constexpr std::size_t kEdgesPerChunk = std::size_t{1} << 15;
+
 /**
- * makeKroneckerEdges drawn in exactly @p parts contiguous parts (> 0),
- * whatever the host: the seam the part-count identity tests use. Part
- * k jumps its copy of @p rng to its first edge's draw (Rng::advance).
+ * makeKroneckerEdges drawn on exactly @p parts threads (> 0), whatever
+ * the host: the seam the part-count identity tests use. The threads
+ * claim kEdgesPerChunk-edge chunks in turn (base::runChunks); each
+ * chunk jumps a copy of @p rng to its first edge's draw (Rng::advance),
+ * and the last chunk leaves @p rng where the serial draw ends.
  */
-std::vector<Edge> kroneckerEdgesInParts(unsigned scale, unsigned degree,
-                                        Rng &rng, unsigned parts);
+EdgeList kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
+                               unsigned parts);
 
 }  // namespace detail
 

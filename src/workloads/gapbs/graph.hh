@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "base/default_init_vector.hh"
 #include "workloads/instrumented_array.hh"
 
 namespace mclock {
@@ -36,6 +37,12 @@ struct Edge
 };
 
 static_assert(sizeof(Edge) == 8, "an edge is two vertex ids");
+
+/**
+ * An edge list. Sizing one leaves its edges unwritten, so the parts
+ * that fill it first-touch their own ranges.
+ */
+using EdgeList = base::DefaultInitVector<Edge>;
 
 /** Instrumented CSR graph. */
 class Graph

@@ -14,8 +14,8 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "base/default_init_vector.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "sim/simulator.hh"
@@ -28,19 +28,26 @@ template <typename T>
 class InstrumentedArray
 {
   public:
+    /**
+     * The host copy's type: filled by whoever builds it (a moved-in
+     * vector is never zero-filled first).
+     */
+    using Host = base::DefaultInitVector<T>;
+
     InstrumentedArray() = default;
 
-    /** Allocate @p n elements in @p sim's address space. */
+    /** Allocate @p n zero-filled elements in @p sim's address space. */
     InstrumentedArray(sim::Simulator &sim, std::size_t n,
                       const std::string &name)
     {
         allocate(sim, n, name);
     }
 
+    /** Allocate @p n zero-filled elements in @p sim's address space. */
     void
     allocate(sim::Simulator &sim, std::size_t n, const std::string &name)
     {
-        allocate(sim, std::vector<T>(n), name);
+        allocate(sim, Host(n, T{}), name);
     }
 
     /**
@@ -48,8 +55,7 @@ class InstrumentedArray
      * region of its size. An empty array is allocated but maps nothing.
      */
     void
-    allocate(sim::Simulator &sim, std::vector<T> data,
-             const std::string &name)
+    allocate(sim::Simulator &sim, Host data, const std::string &name)
     {
         MCLOCK_ASSERT(sim_ == nullptr);
         sim_ = &sim;
@@ -66,7 +72,7 @@ class InstrumentedArray
             if (!data_.empty())
                 sim_->unmapRegion(base_);
             sim_ = nullptr;
-            std::vector<T>().swap(data_);
+            Host().swap(data_);
         }
     }
 
@@ -139,7 +145,7 @@ class InstrumentedArray
     }
 
     sim::Simulator *sim_ = nullptr;
-    std::vector<T> data_;
+    Host data_;
     Vaddr base_ = 0;
 };
 

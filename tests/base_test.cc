@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -197,6 +198,35 @@ TEST(ParallelTest, RunPartsRunsEveryPartOnce)
     std::vector<unsigned> runs(9, 0);
     base::runParts(9, [&runs](unsigned p) { ++runs[p]; });
     EXPECT_EQ(runs, std::vector<unsigned>(9, 1));
+}
+
+TEST(ParallelTest, RunChunksRunsEveryChunkOnceAndTilesTheItems)
+{
+    constexpr std::size_t kChunk = 64;
+    for (std::size_t items : {0u, 1u, 64u, 65u, 1000u, 4096u}) {
+        for (unsigned parts : {1u, 2u, 3u, 4u, 16u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << items << " items, " << parts << " threads");
+            const std::size_t chunks = (items + kChunk - 1) / kChunk;
+            // Each chunk writes only its own slot, so no lock is needed.
+            std::vector<base::PartRange> seen(chunks, {0, 0});
+            std::vector<std::atomic<unsigned>> runs(chunks);
+            base::runChunks(items, kChunk, parts,
+                            [&](base::PartRange r) {
+                                EXPECT_EQ(r.begin % kChunk, 0u);
+                                runs[r.begin / kChunk].fetch_add(1);
+                                seen[r.begin / kChunk] = r;
+                            });
+            std::size_t next = 0;
+            for (std::size_t c = 0; c < chunks; ++c) {
+                EXPECT_EQ(runs[c].load(), 1u) << "chunk " << c;
+                EXPECT_EQ(seen[c].begin, next) << "chunk " << c;
+                EXPECT_EQ(seen[c].end, std::min(items, next + kChunk));
+                next = seen[c].end;
+            }
+            EXPECT_EQ(next, items);
+        }
+    }
 }
 
 // --- FNV-1a ----------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "base/parallel.hh"
 #include "base/units.hh"
 #include "policies/static_tiering.hh"
 #include "sim/machine.hh"
@@ -72,11 +73,11 @@ TEST(GeneratorTest, KroneckerIsSkewed)
 }
 
 /** The RMAT generator as a nextDouble() draw and an if-chain. */
-std::vector<Edge>
+EdgeList
 ifChainKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
 {
     const std::size_t m = (std::size_t{1} << scale) * degree;
-    std::vector<Edge> edges;
+    EdgeList edges;
     edges.reserve(m);
     const double a = 0.57, b = 0.19, c = 0.19;
     for (std::size_t i = 0; i < m; ++i) {
@@ -121,8 +122,11 @@ TEST(GeneratorTest, KroneckerMatchesIfChainReference)
 
 TEST(GeneratorTest, KroneckerIdenticalAtEveryPartCount)
 {
-    // A 4-edge graph also runs with more parts than edges.
-    for (const auto &[scale, degree] : {std::pair{10u, 4u}, {1u, 2u}}) {
+    // A 4-edge graph also runs with more parts than edges; 13x13 gives
+    // 3.25 chunks, so the last chunk is a short one.
+    static_assert((std::size_t{13} << 13) % detail::kEdgesPerChunk != 0);
+    for (const auto &[scale, degree] :
+         {std::pair{10u, 4u}, {1u, 2u}, {13u, 13u}}) {
         const std::size_t m = (std::size_t{1} << scale) * degree;
         for (unsigned parts : {1u, 2u, 3u, 4u, 7u, 16u,
                                static_cast<unsigned>(m) + 3}) {
@@ -190,7 +194,7 @@ TEST(GeneratorTest, WeightsMatchInPlaceReference)
         for (Weight maxWeight : {1u, 64u, 255u}) {
             SCOPED_TRACE(::testing::Message() << "edges " << count
                                               << " maxWeight " << maxWeight);
-            const std::vector<Edge> edges(count, Edge{0, 1});
+            const EdgeList edges(count, Edge{0, 1});
             std::vector<WeightedEdge> ref(count, WeightedEdge{0, 1, 1});
             Rng fast(count + maxWeight), slow(count + maxWeight);
             const auto weights = assignWeights(edges, maxWeight, fast);
@@ -211,7 +215,7 @@ TEST(BuilderTest, TinyGraphCsr)
 {
     auto sim = makeSim();
     // Path 0-1-2 plus edge 1-3.
-    std::vector<Edge> edges{{0, 1}, {1, 2}, {1, 3}};
+    EdgeList edges{{0, 1}, {1, 2}, {1, 3}};
     BuildOptions opts;  // symmetrize on
     auto g = Builder::build(*sim, edges, opts);
     EXPECT_EQ(g->numVertices(), 4u);
@@ -225,7 +229,7 @@ TEST(BuilderTest, TinyGraphCsr)
 TEST(BuilderTest, RemovesSelfLoops)
 {
     auto sim = makeSim();
-    std::vector<Edge> edges{{0, 0}, {0, 1}, {1, 1}};
+    EdgeList edges{{0, 0}, {0, 1}, {1, 1}};
     BuildOptions opts;
     auto g = Builder::build(*sim, edges, opts);
     EXPECT_EQ(g->numEdges(), 2u);  // only 0-1 both ways
@@ -234,7 +238,7 @@ TEST(BuilderTest, RemovesSelfLoops)
 TEST(BuilderTest, SortAndDedup)
 {
     auto sim = makeSim();
-    std::vector<Edge> edges{{0, 1}, {0, 1}, {0, 2}, {0, 1}};
+    EdgeList edges{{0, 1}, {0, 1}, {0, 2}, {0, 1}};
     BuildOptions opts;
     opts.symmetrize = false;
     opts.sortAndDedupNeighbors = true;
@@ -258,33 +262,12 @@ TEST(BuilderTest, RelabelByDegreePutsHubsFirst)
 {
     auto sim = makeSim();
     // Star around vertex 3 plus an extra edge.
-    std::vector<Edge> edges{{3, 0}, {3, 1}, {3, 2}, {0, 1}};
+    EdgeList edges{{3, 0}, {3, 1}, {3, 2}, {0, 1}};
     BuildOptions opts;
     opts.relabelByDegree = true;
     auto g = Builder::build(*sim, edges, opts);
     // The hub (old vertex 3, degree 3) becomes vertex 0.
     EXPECT_EQ(g->peekDegree(0), 3u);
-}
-
-TEST(BuilderTest, SelfLoopsOnlyGivesNoEntries)
-{
-    for (const bool keepWeights : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "keepWeights " << keepWeights);
-        auto sim = makeSim();
-        BuildOptions opts;
-        opts.keepWeights = keepWeights;
-        auto g = Builder::build(
-            *sim, {{0, 0}, {1, 1}}, opts,
-            keepWeights ? std::vector<Weight>{1, 1} : std::vector<Weight>{});
-        EXPECT_EQ(g->numVertices(), 2u);
-        EXPECT_EQ(g->numEdges(), 0u);
-        EXPECT_EQ(g->peekDegree(0), 0u);
-        EXPECT_EQ(g->weighted(), keepWeights);
-    }
-    auto sim = makeSim();
-    auto g = Builder::build(*sim, {}, BuildOptions{});
-    EXPECT_EQ(g->numVertices(), 1u);
-    EXPECT_EQ(g->numEdges(), 0u);
 }
 
 /**
@@ -293,7 +276,7 @@ TEST(BuilderTest, SelfLoopsOnlyGivesNoEntries)
  * sort. Each edge carries its weight from @p weights inside it.
  */
 detail::Csr
-materialisedCsr(const std::vector<Edge> &input,
+materialisedCsr(const EdgeList &input,
                 const std::vector<Weight> &weights, const BuildOptions &opts)
 {
     std::vector<WeightedEdge> edges;
@@ -351,8 +334,8 @@ materialisedCsr(const std::vector<Edge> &input,
             csr.weights[pos] = e.w;
     }
     if (opts.sortAndDedupNeighbors) {
-        std::vector<GNode> deduped;
-        std::vector<std::uint64_t> newOffsets(n + 1, 0);
+        InstrumentedArray<GNode>::Host deduped;
+        InstrumentedArray<std::uint64_t>::Host newOffsets(n + 1, 0);
         for (std::size_t u = 0; u < n; ++u) {
             const auto begin = csr.neighbors.begin() +
                                static_cast<long>(csr.offsets[u]);
@@ -372,11 +355,149 @@ materialisedCsr(const std::vector<Edge> &input,
     return csr;
 }
 
+/** The option sets Builder::build accepts (dedup drops weights). */
+std::vector<BuildOptions>
+everyBuildOption()
+{
+    std::vector<BuildOptions> all;
+    for (unsigned mask = 0; mask < 32; ++mask) {
+        BuildOptions opts;
+        opts.symmetrize = mask & 1;
+        opts.removeSelfLoops = mask & 2;
+        opts.sortAndDedupNeighbors = mask & 4;
+        opts.relabelByDegree = mask & 8;
+        opts.keepWeights = mask & 16;
+        if (!(opts.sortAndDedupNeighbors && opts.keepWeights))
+            all.push_back(opts);
+    }
+    return all;
+}
+
+std::string
+describe(const BuildOptions &opts)
+{
+    return "symmetrize " + std::to_string(opts.symmetrize) +
+           " removeSelfLoops " + std::to_string(opts.removeSelfLoops) +
+           " dedup " + std::to_string(opts.sortAndDedupNeighbors) +
+           " relabel " + std::to_string(opts.relabelByDegree) +
+           " weights " + std::to_string(opts.keepWeights);
+}
+
+/**
+ * detail::buildCsr of @p edges under every accepted option set, at 1-4
+ * parts, equals materialisedCsr.
+ */
+void
+expectCsrMatchesReference(const EdgeList &edges,
+                          const std::vector<Weight> &weights)
+{
+    for (const BuildOptions &opts : everyBuildOption()) {
+        SCOPED_TRACE(describe(opts));
+        const detail::Csr want = materialisedCsr(edges, weights, opts);
+        for (unsigned parts : {1u, 2u, 3u, 4u}) {
+            SCOPED_TRACE(::testing::Message() << parts << " parts");
+            const detail::Csr got = detail::buildCsr(
+                edges, opts,
+                opts.keepWeights ? weights : std::vector<Weight>{}, parts);
+            EXPECT_EQ(got.n, want.n);
+            EXPECT_EQ(got.offsets, want.offsets);
+            EXPECT_EQ(got.neighbors, want.neighbors);
+            EXPECT_EQ(got.weights, want.weights);
+        }
+    }
+}
+
+TEST(BuilderTest, SelfLoopsOnPartBoundariesMatchReference)
+{
+    // 61 edges (a prime, so the parts are uneven): self-loops on both
+    // sides of every boundary between parts of the forward or the
+    // symmetrised entry order, at 1-4 parts.
+    constexpr std::size_t m = 61;
+    EdgeList edges;
+    std::vector<Weight> weights;
+    for (std::size_t i = 0; i < m; ++i) {
+        edges.push_back({static_cast<GNode>(i % 9),
+                         static_cast<GNode>((i * 5 + 1) % 11)});
+        weights.push_back(static_cast<Weight>(i + 1));
+    }
+    std::set<std::size_t> loops;
+    for (std::size_t walked : {m, 2 * m}) {
+        for (unsigned parts : {1u, 2u, 3u, 4u}) {
+            for (unsigned p = 0; p < parts; ++p) {
+                const base::PartRange r = base::partRange(walked, parts, p);
+                // The edges of the entries just before and at each
+                // boundary (entry e >= m is edge e - m reversed).
+                for (std::size_t at : {r.begin, r.end}) {
+                    loops.insert((at + m - 1) % m);
+                    loops.insert(at % m);
+                }
+            }
+        }
+    }
+    for (const std::size_t i : loops)
+        edges[i].v = edges[i].u;
+    ASSERT_GT(loops.size(), 8u);
+    ASSERT_LT(loops.size(), m);
+    expectCsrMatchesReference(edges, weights);
+}
+
+TEST(BuilderTest, ChunkBoundarySelfLoopsMatchReference)
+{
+    // A drawn list of more than one chunk, with self-loops forced at the
+    // first and last edge of every chunk of the draw.
+    Rng rng(21);
+    EdgeList edges = makeKroneckerEdges(11, 17, rng);
+    ASSERT_GT(edges.size(), detail::kEdgesPerChunk);
+    for (std::size_t c = 0; c < edges.size(); c += detail::kEdgesPerChunk) {
+        for (std::size_t i :
+             {c, std::min(edges.size(), c + detail::kEdgesPerChunk) - 1})
+            edges[i].v = edges[i].u;
+    }
+    const auto weights = assignWeights(edges, 64, rng);
+    expectCsrMatchesReference(edges, weights);
+}
+
+TEST(BuilderTest, SelfLoopsOnlyGivesNoEntries)
+{
+    for (const bool keepWeights : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "keepWeights " << keepWeights);
+        auto sim = makeSim();
+        BuildOptions opts;
+        opts.keepWeights = keepWeights;
+        auto g = Builder::build(
+            *sim, {{0, 0}, {1, 1}}, opts,
+            keepWeights ? std::vector<Weight>{1, 1} : std::vector<Weight>{});
+        EXPECT_EQ(g->numVertices(), 2u);
+        EXPECT_EQ(g->numEdges(), 0u);
+        EXPECT_EQ(g->peekDegree(0), 0u);
+        EXPECT_EQ(g->weighted(), keepWeights);
+    }
+    auto sim = makeSim();
+    auto g = Builder::build(*sim, {}, BuildOptions{});
+    EXPECT_EQ(g->numVertices(), 1u);
+    EXPECT_EQ(g->numEdges(), 0u);
+
+    // Host CSR at every part count and option set, against the reference.
+    const EdgeList loops{{0, 0}, {3, 3}, {1, 1}, {3, 3}, {2, 2}};
+    const std::vector<Weight> weights{5, 4, 3, 2, 1};
+    expectCsrMatchesReference(loops, weights);
+    BuildOptions opts;
+    opts.keepWeights = true;
+    for (unsigned parts : {1u, 2u, 3u, 4u}) {
+        const detail::Csr csr = detail::buildCsr(loops, opts, weights, parts);
+        EXPECT_EQ(csr.n, 4u);
+        EXPECT_EQ(csr.offsets, InstrumentedArray<std::uint64_t>::Host(5, 0));
+        EXPECT_TRUE(csr.neighbors.empty());
+        EXPECT_TRUE(csr.weights.empty());
+    }
+}
+
 /** Materialise @p values through a size-only allocation and poke(). */
 template <typename T>
 void
 pokeAndStream(InstrumentedArray<T> &arr, sim::Simulator &sim,
-              const std::vector<T> &values, const std::string &name)
+              const typename InstrumentedArray<T>::Host &values,
+              const std::string &name)
 {
     arr.allocate(sim, values.size(), name);
     for (std::size_t i = 0; i < values.size(); ++i)
@@ -412,31 +533,14 @@ TEST(BuilderTest, MatchesMaterialisedReference)
     ASSERT_GT(selfLoops, 0u);
     ASSERT_GT(duplicates, 0u);
 
-    unsigned combos = 0;
-    for (unsigned mask = 0; mask < 32; ++mask) {
-        BuildOptions opts;
-        opts.symmetrize = mask & 1;
-        opts.removeSelfLoops = mask & 2;
-        opts.sortAndDedupNeighbors = mask & 4;
-        opts.relabelByDegree = mask & 8;
-        opts.keepWeights = mask & 16;
-        if (opts.sortAndDedupNeighbors && opts.keepWeights)
-            continue;  // rejected by Builder::build
-        ++combos;
-        SCOPED_TRACE(::testing::Message() << "option mask " << mask);
+    // The host CSR is the same at every part count of its count and
+    // scatter, including uneven parts across the reversed half.
+    expectCsrMatchesReference(edges, weights);
+    const std::vector<BuildOptions> options = everyBuildOption();
+    EXPECT_EQ(options.size(), 24u);
+    for (const BuildOptions &opts : options) {
+        SCOPED_TRACE(describe(opts));
         const detail::Csr want = materialisedCsr(edges, weights, opts);
-        // The host CSR is the same at every part count of its count and
-        // scatter, including uneven parts across the reversed half.
-        for (unsigned parts : {1u, 3u, 4u}) {
-            SCOPED_TRACE(::testing::Message() << parts << " parts");
-            const detail::Csr got = detail::buildCsr(
-                edges, opts,
-                opts.keepWeights ? weights : std::vector<Weight>{}, parts);
-            EXPECT_EQ(got.n, want.n);
-            EXPECT_EQ(got.offsets, want.offsets);
-            EXPECT_EQ(got.neighbors, want.neighbors);
-            EXPECT_EQ(got.weights, want.weights);
-        }
         auto sim = makeSim();
         auto g = Builder::build(
             *sim, edges, opts,
@@ -465,7 +569,6 @@ TEST(BuilderTest, MatchesMaterialisedReference)
         for (std::size_t e = 0; e < want.weights.size(); ++e)
             ASSERT_EQ(g->peekWeight(e), want.weights[e]) << "entry " << e;
     }
-    EXPECT_EQ(combos, 24u);
 }
 
 TEST(BuilderDeathTest, DedupWithWeightsRejectedAtEntry)
@@ -502,7 +605,7 @@ class KernelTest : public ::testing::Test
         sim_ = makeSim();
         // Two components:
         //   0-1-2-3 path with a 1-3 chord; isolated pair 4-5.
-        std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}, {1, 3}, {4, 5}};
+        EdgeList edges{{0, 1}, {1, 2}, {2, 3}, {1, 3}, {4, 5}};
         BuildOptions opts;
         opts.keepWeights = true;
         graph_ = Builder::build(*sim_, edges, opts, {2, 3, 1, 10, 4});
@@ -558,7 +661,7 @@ TEST_F(KernelTest, BetweennessPathCenter)
 {
     auto sim = makeSim();
     // Path 0-1-2: vertex 1 carries all pairwise shortest paths.
-    std::vector<Edge> edges{{0, 1}, {1, 2}};
+    EdgeList edges{{0, 1}, {1, 2}};
     BuildOptions opts;
     auto g = Builder::build(*sim, edges, opts);
     // Run from every vertex deterministically by sampling 3 sources
@@ -573,7 +676,7 @@ TEST(TcTest, CountsKnownTriangles)
 {
     auto sim = makeSim();
     // A triangle 0-1-2 plus a pendant edge 2-3.
-    std::vector<Edge> edges{{0, 1}, {1, 2}, {0, 2}, {2, 3}};
+    EdgeList edges{{0, 1}, {1, 2}, {0, 2}, {2, 3}};
     BuildOptions opts;
     opts.sortAndDedupNeighbors = true;
     auto g = Builder::build(*sim, edges, opts);
@@ -584,7 +687,7 @@ TEST(TcTest, CountsKnownTriangles)
 TEST(TcTest, TwoTriangles)
 {
     auto sim = makeSim();
-    std::vector<Edge> edges{{0, 1}, {1, 2}, {0, 2},
+    EdgeList edges{{0, 1}, {1, 2}, {0, 2},
                             {2, 3}, {3, 4}, {2, 4}};
     BuildOptions opts;
     opts.sortAndDedupNeighbors = true;
@@ -596,7 +699,7 @@ TEST(TcTest, TwoTriangles)
 TEST(TcTest, CompleteGraphK5)
 {
     auto sim = makeSim();
-    std::vector<Edge> edges;
+    EdgeList edges;
     for (GNode u = 0; u < 5; ++u) {
         for (GNode v = u + 1; v < 5; ++v)
             edges.push_back({u, v});
@@ -614,7 +717,7 @@ TEST(BcOracleTest, ExactValuesOnPathGraph)
     // Path 0-1-2-3: exact (unnormalised, both directions) BC is
     // vertex1 = vertex2 = 2 + 2 = ... computed by Brandes from all
     // sources: BC(1) = BC(2) = 4, endpoints 0.
-    std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}};
+    EdgeList edges{{0, 1}, {1, 2}, {2, 3}};
     BuildOptions opts;
     auto g = Builder::build(*sim, edges, opts);
     const BcResult r = betweennessFromSources(*sim, *g, {0, 1, 2, 3});
@@ -633,7 +736,7 @@ TEST(BcOracleTest, StarCenterCarriesAllPairs)
     auto sim = makeSim();
     // Star: center 0 with leaves 1..4. Every leaf pair's path passes
     // through the center: 4*3 = 12 ordered pairs.
-    std::vector<Edge> edges{{0, 1}, {0, 2}, {0, 3}, {0, 4}};
+    EdgeList edges{{0, 1}, {0, 2}, {0, 3}, {0, 4}};
     BuildOptions opts;
     auto g = Builder::build(*sim, edges, opts);
     const BcResult r =

@@ -39,6 +39,7 @@ void
 expectIdentical(const ScenarioOutput &a, const ScenarioOutput &b)
 {
     EXPECT_EQ(a.fingerprints, b.fingerprints);
+    EXPECT_EQ(a.traceDropped, b.traceDropped);
     EXPECT_EQ(a.text, b.text);
     EXPECT_EQ(a.summary, b.summary);
     EXPECT_TRUE(a.artifacts == b.artifacts);
@@ -150,11 +151,27 @@ TEST(RunContext, ParamLookup)
 
 TEST(RunContext, ReadingAnUndeclaredParamPanics)
 {
-    const std::vector<std::string> keys{"ops"};
+    const std::vector<ParamSpec> keys{{"ops", 1, 10}};
     RunContext ctx;
     ctx.declared = &keys;
     EXPECT_EQ(ctx.param("ops", 9), 9u);
     EXPECT_DEATH(ctx.param("trials", 1), "undeclared --param 'trials'");
+}
+
+TEST(ParamSpec, AcceptsItsRangeMinusItsExceptions)
+{
+    const ParamSpec ops{"ops", 1, 10};
+    EXPECT_FALSE(ops.accepts(0));
+    EXPECT_TRUE(ops.accepts(1));
+    EXPECT_TRUE(ops.accepts(10));
+    EXPECT_FALSE(ops.accepts(11));
+    EXPECT_EQ(ops.describe(), "1..10");
+    const ParamSpec workload{"workload", 0, 6, {4}, "not E"};
+    EXPECT_TRUE(workload.accepts(3));
+    EXPECT_FALSE(workload.accepts(4));
+    EXPECT_TRUE(workload.accepts(5));
+    EXPECT_EQ(workload.describe(), "not E");
+    EXPECT_TRUE(ParamSpec{"any"}.accepts(UINT64_MAX));
 }
 
 // --- Determinism --------------------------------------------------------
@@ -245,6 +262,8 @@ TEST_P(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
     if (!v.shardedOnly) {
         const auto &fig05 = byName.at("fig05")->fingerprints;
         EXPECT_NE(fig05.at("multiclock"), fig05.at("static"));
+        // A golden YCSB run overflows the 4096-event trace ring.
+        EXPECT_GT(byName.at("fig05")->traceDropped.at("multiclock"), 0u);
     }
 
     ASSERT_EQ(wide.results.size(), reference.results.size());
@@ -546,6 +565,10 @@ TEST(Runner, WritesArtifactsIntoOutDir)
     ASSERT_EQ(fingerprints.size(), 4u);  // one per fig02 unit
     for (const auto &[unit, fp] : fingerprints)
         EXPECT_EQ(fp.asString().size(), 16u) << unit;
+    const auto &dropped = entry["trace_dropped"].asObject();
+    ASSERT_EQ(dropped.size(), 4u);
+    for (const auto &[unit, n] : dropped)
+        EXPECT_TRUE(n.isNumber()) << unit;
     std::filesystem::remove_all(dir);
 }
 

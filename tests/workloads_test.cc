@@ -278,7 +278,7 @@ TEST(InstrumentedArrayTest, MovedInVectorIsAdoptedAndMatchesPokedTwin)
         host[i] = i * 7;
 
     auto moved = makeSim();
-    std::vector<std::uint64_t> copy(host);
+    InstrumentedArray<std::uint64_t>::Host copy(host.begin(), host.end());
     const std::uint64_t *buffer = copy.data();
     InstrumentedArray<std::uint64_t> a;
     a.allocate(*moved, std::move(copy), "arr");
@@ -309,11 +309,24 @@ TEST(InstrumentedArrayTest, MovedInVectorIsAdoptedAndMatchesPokedTwin)
         ASSERT_EQ(a.peek(i), b.peek(i));
 }
 
+TEST(InstrumentedArrayTest, SizedAllocationIsZeroFilled)
+{
+    // The second array likely reuses the first one's freed host buffer.
+    auto sim = makeSim();
+    InstrumentedArray<int> arr(*sim, 4096, "dirty");
+    for (std::size_t i = 0; i < arr.size(); ++i)
+        arr.poke(i, -1);
+    arr.release();
+    arr.allocate(*sim, 4096, "clean");
+    for (std::size_t i = 0; i < arr.size(); ++i)
+        ASSERT_EQ(arr.peek(i), 0) << "element " << i;
+}
+
 TEST(InstrumentedArrayTest, EmptyArrayMapsNothing)
 {
     auto sim = makeSim();
     InstrumentedArray<int> arr;
-    arr.allocate(*sim, std::vector<int>{}, "empty");
+    arr.allocate(*sim, InstrumentedArray<int>::Host{}, "empty");
     EXPECT_TRUE(arr.allocated());
     EXPECT_EQ(arr.size(), 0u);
     EXPECT_TRUE(sim->space().regions().empty());

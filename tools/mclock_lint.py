@@ -52,6 +52,12 @@ allowlist for the audited exceptions:
       baseline SSE2 on x86-64 for that reason. There is no allowlist:
       a new ISA path is a design change, not an audited exception.
 
+  R7-clock-write  Simulated time moves at one choke point: the only
+      write to `now_` under src/ is inside a function named `advance`
+      (Simulator::advance). Any other assignment, compound assignment
+      or increment of `now_` is an error, so a future time ledger
+      sees every ns. There is no allowlist.
+
 Every allowlist annotation must carry a non-empty reason inside the
 parentheses; a bare annotation is itself an error.
 
@@ -59,7 +65,7 @@ Usage:
   mclock_lint.py [--root DIR] [--rules R1,R2,... | all]
                  [--compile-commands PATH] [--files FILE...]
 
-With --files, the text rules (R1-R3, R5, R6) run on exactly those files
+With --files, the text rules (R1-R3, R5-R7) run on exactly those files
 (fixture mode); otherwise the file list is derived from the
 compilation database (TUs under src/ plus their sibling headers). R4
 always analyzes the tree at --root. Exit 0 clean, 1 on findings.
@@ -306,6 +312,57 @@ def rule_r6(src, findings):
                     f"ISA (SSE2 on x86-64)"))
 
 
+# --- R7: the one clock write ------------------------------------------
+
+R7_WRITE_RE = re.compile(
+    r"(?:\+\+|--)\s*now_\b"
+    r"|\bnow_\s*(?:\+\+|--|(?:[-+*/%&|^]|<<|>>)?=(?!=))")
+# A declaration's initialiser (`SimTime now_ = 0;`) writes nothing.
+R7_DECL_RE = re.compile(r"[\w>]\s+$")
+# String and character literals, whose braces open no block.
+R7_LITERAL_RE = re.compile(r"\"(?:\\.|[^\"\\])*\"|'(?:\\.|[^'\\])*'")
+# The head of a function body: a name, its parameter list, then `{`.
+R7_FUNC_HEAD_RE = re.compile(
+    r"(\w+)\s*\([^(){};]*\)\s*(?:const\s*)?(?:noexcept\s*)?$")
+
+
+def r7_writes(segment):
+    return any(not R7_DECL_RE.search(segment[:m.start()])
+               for m in R7_WRITE_RE.finditer(segment))
+
+
+def rule_r7(src, findings):
+    if not src.display.startswith("src/"):
+        return
+    code = strip_comments_keep_lines(src.lines)
+    # Enclosing blocks, innermost last, each tagged with the name of
+    # the function its `{` opens (None for any other block).
+    stack = []
+    head = ""
+    for i, line in enumerate(code, 1):
+        line = R7_LITERAL_RE.sub('""', line)
+        pos = 0
+        for m in re.finditer(r"[{};]", line + ";"):
+            segment = line[pos:m.start()]
+            if r7_writes(segment) and "advance" not in stack:
+                findings.append(Finding(
+                    "R7-clock-write", src.display, i,
+                    "write to now_ outside advance(): simulated time "
+                    "moves only through Simulator::advance, its one "
+                    "choke point"))
+            if m.start() == len(line):
+                head += segment + " "
+                break
+            head += segment
+            if m.group() == "{":
+                fn = R7_FUNC_HEAD_RE.search(head.strip())
+                stack.append(fn.group(1) if fn else None)
+            elif m.group() == "}" and stack:
+                stack.pop()
+            head = ""
+            pos = m.end()
+
+
 # --- shared annotation handling ----------------------------------------
 
 
@@ -471,6 +528,7 @@ TEXT_RULES = {
     "R3": ("R3-nodiscard", rule_r3),
     "R5": ("R5-thread-spawn", rule_r5),
     "R6": ("R6-isa-dispatch", rule_r6),
+    "R7": ("R7-clock-write", rule_r7),
 }
 
 
@@ -479,7 +537,7 @@ def main():
     ap.add_argument("--root", default=".", type=pathlib.Path,
                     help="repository root (default: cwd)")
     ap.add_argument("--rules", default="all",
-                    help="comma list of R1,...,R6 (default: all)")
+                    help="comma list of R1,...,R7 (default: all)")
     ap.add_argument("--compile-commands", type=pathlib.Path, default=None,
                     help="compilation database "
                          "(default: <root>/build/compile_commands.json)")
@@ -490,12 +548,12 @@ def main():
     root = args.root
 
     if args.rules == "all":
-        selected = {"R1", "R2", "R3", "R4", "R5", "R6"}
+        selected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7"}
     else:
         selected = set()
         for token in args.rules.split(","):
             token = token.strip().split("-")[0].upper()
-            if token not in ("R1", "R2", "R3", "R4", "R5", "R6"):
+            if token not in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
                 ap.error(f"unknown rule {token!r}")
             selected.add(token)
 
