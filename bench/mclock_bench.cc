@@ -218,7 +218,7 @@ goldenPass(const std::string &dir, const std::string &filter,
 int
 main(int argc, char **argv)
 {
-    bool list = false, golden = false, manifest = true, quiet = false;
+    bool list = false, manifest = true, quiet = false;
     bool updateGolden = false, checkGolden = false, bench = false;
     std::string filter, outDir = ".";
     std::string goldenDir = defaultGoldenDir();
@@ -279,7 +279,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--golden") {
-            golden = true;
+            ctx.golden = true;
         } else if (arg == "--stats") {
             ctx.stats = true;
         } else if (arg == "--no-manifest") {
@@ -345,6 +345,15 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    for (const Scenario *sc : selected) {
+        const std::string why =
+            sc->checkParams ? sc->checkParams(ctx) : std::string();
+        if (!why.empty()) {
+            std::fprintf(stderr, "bad --param for scenario %s: %s\n",
+                         sc->name.c_str(), why.c_str());
+            return 2;
+        }
+    }
     if (updateGolden || checkGolden) {
         // The golden pass runs at the fixtures' pinned seed and scale
         // and writes no artifacts, so it would ignore these.
@@ -390,7 +399,6 @@ main(int argc, char **argv)
         bo.kernel = {[&calibration] { return calibration.measureS(); },
                      perfbench::Calibration::kReferenceS};
         bo.context = ctx;
-        bo.context.golden = golden;
 
         if (benchOut.empty())
             benchOut = (std::filesystem::path(outDir) / "BENCH.json").string();
@@ -440,7 +448,6 @@ main(int argc, char **argv)
     opts.writeManifest = manifest;
     opts.quiet = quiet;
     opts.context = ctx;
-    opts.context.golden = golden;
 
     const RunReport report = runScenarios(selected, opts);
     if (!quiet) {

@@ -1,8 +1,8 @@
 /**
  * @file
  * The simulator's one splitmix64 finaliser and one FNV-1a accumulator.
- * Seeds, FlatMap64 slots, YCSB keys, config hashes and unit fingerprints
- * all derive from them, so neither may change by a single bit.
+ * Seeds, YCSB keys, config hashes and unit fingerprints all derive
+ * from them, so neither may change by a single bit.
  */
 
 #ifndef MCLOCK_BASE_HASH_HH_

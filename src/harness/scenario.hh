@@ -282,6 +282,14 @@ struct Scenario
      */
     std::vector<ParamSpec> params;
 
+    /**
+     * Checks the --param values together once each is in its range;
+     * returns why they cannot run, or "" when they can. The CLI refuses
+     * a non-empty answer (exit 2) before any unit runs. Unset: no
+     * combination is refused.
+     */
+    std::function<std::string(const RunContext &)> checkParams;
+
     /** Included in the golden regression suite (deterministic only). */
     bool goldenEligible = true;
 

@@ -33,13 +33,26 @@ struct SyntheticRun
     workloads::SyntheticConfig cfg;
 };
 
+/** Traced simulated seconds of a fig01/fig02 unit. */
+std::uint64_t
+syntheticSeconds(const RunContext &ctx)
+{
+    return ctx.param("seconds", ctx.golden ? 12 : 120);
+}
+
+/** Length of each fig02 observation and performance window. */
+std::uint64_t
+windowSeconds(const RunContext &ctx)
+{
+    return ctx.param("window-s", 2);
+}
+
 /** Trace @p profile on static tiering (the fig01/fig02 unit host). */
 RunRecord
 runSynthetic(const RunContext &ctx, workloads::SyntheticProfile profile,
              SyntheticRun &out)
 {
-    const std::uint64_t seconds =
-        ctx.param("seconds", ctx.golden ? 12 : 120);
+    const std::uint64_t seconds = syntheticSeconds(ctx);
     out.cfg.numPages = ctx.golden ? 600 : 2000;
     out.cfg.duration = seconds * 1_s;
     out.cfg.seed = ctx.derivedSeed(3, out.cfg.seed);
@@ -134,6 +147,18 @@ fig02Scenario()
     sc.workload = "synthetic";
     sc.params = {{"seconds", 1, 3600}, {"window-s", 1, 3600}};
     sc.policies = {"static"};
+    // An observation window and the performance window after it must
+    // both fit into the trace; otherwise no page has a performance
+    // window and every mean reads 0.
+    sc.checkParams = [](const RunContext &ctx) {
+        const std::uint64_t seconds = syntheticSeconds(ctx);
+        const std::uint64_t window = windowSeconds(ctx);
+        if (2 * window <= seconds)
+            return std::string();
+        return "window-s=" + std::to_string(window) +
+               " does not fit twice into seconds=" +
+               std::to_string(seconds);
+    };
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
         for (auto profile : kProfiles) {
@@ -141,8 +166,7 @@ fig02Scenario()
             units.push_back({name, [profile, ctx](const RunContext &) {
                 SyntheticRun run;
                 RunRecord rec = runSynthetic(ctx, profile, run);
-                const SimTime window =
-                    1_s * ctx.param("window-s", 2);
+                const SimTime window = 1_s * windowSeconds(ctx);
                 const auto r =
                     trace::analyzeWindows(run.trace, window, window);
                 rec.metrics["single_mean"] = r.singleMeanPerfAccesses;

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/flat_map.hh"
 #include "base/types.hh"
 #include "base/units.hh"
 
@@ -49,10 +48,21 @@ struct KvStoreConfig
     MemCgroupId memcg = kRootMemcg;
 };
 
-/** Slab-allocated hash-table KV store issuing simulated accesses. */
+/**
+ * Slab-allocated hash-table KV store issuing simulated accesses.
+ *
+ * Keys are record numbers (YCSB's keyOf(recno) is recno; the shard and
+ * tenant scenarios use 0..records), so the host-side index is a dense
+ * table indexed by key, not a hash map. put() refuses a key at or past
+ * kKeyLimit, so a sparse key dies loudly instead of allocating a table
+ * of gigabytes.
+ */
 class KvStore
 {
   public:
+    /** Keys must lie below this (2^26 keys: a table of at most 1 GiB). */
+    static constexpr std::uint64_t kKeyLimit = 1ull << 26;
+
     KvStore(sim::Simulator &sim, KvStoreConfig cfg = {});
 
     /** Insert or overwrite @p key with a value of @p valueBytes. */
@@ -67,33 +77,37 @@ class KvStore
     /** Delete @p key; the item's slab slot is recycled. */
     bool remove(std::uint64_t key);
 
-    std::size_t itemCount() const { return index_.size(); }
+    std::size_t itemCount() const { return itemCount_; }
 
     /** Total simulated bytes mmap'ed for slabs + hash table. */
     std::size_t footprintBytes() const { return footprint_; }
 
   private:
+    /** One key's slab slot; also a free-list entry. */
     struct Item
     {
-        Vaddr addr;
-        std::size_t bytes;  ///< header + value
+        Vaddr addr = 0;           ///< 0: the key is absent
+        std::uint32_t bytes = 0;  ///< header + value
     };
+    static_assert(sizeof(Item) == 16);
+
+    /** @p key's item, or nullptr when it is absent. */
+    const Item *find(std::uint64_t key) const;
 
     /** Address of @p key's bucket slot in the hash-table array. */
     Vaddr bucketAddr(std::uint64_t key) const;
 
-    /** Allocate a slab slot of at least @p bytes. */
+    /** Allocate a slab slot of at least @p bytes; never address 0. */
     Vaddr allocItem(std::size_t bytes);
 
     sim::Simulator &sim_;
     KvStoreConfig cfg_;
     Vaddr buckets_;
     // Host-side index only (the simulated hash table is the bucket
-    // array above); flat map because one find() per op dominated the
-    // YCSB profile under std::unordered_map.
-    FlatMap64<Item> index_;
-    std::vector<Vaddr> freeSlots_;   ///< recycled item slots (single class)
-    std::size_t freeSlotBytes_ = 0;  ///< size class of recycled slots
+    // array above): items_[key], grown by put().
+    std::vector<Item> items_;
+    std::size_t itemCount_ = 0;
+    std::vector<Item> freeSlots_;  ///< recycled slots and their sizes
     Vaddr chunkCursor_ = 0;
     std::size_t chunkRemaining_ = 0;
     std::size_t footprint_ = 0;

@@ -8,12 +8,10 @@
 
 #include <atomic>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "base/arena.hh"
 #include "base/csv.hh"
-#include "base/flat_map.hh"
 #include "base/hash.hh"
 #include "base/intrusive_list.hh"
 #include "base/parallel.hh"
@@ -482,105 +480,6 @@ TEST(SlabArenaTest, ChurnPropertyAgainstLiveSet)
     }
     for (const auto &[ptr, v] : live)
         EXPECT_EQ(*ptr, v);
-}
-
-// --- FlatMap64 --------------------------------------------------------------
-
-TEST(FlatMap64Test, EmplaceFindErase)
-{
-    FlatMap64<int> map;
-    EXPECT_TRUE(map.empty());
-    EXPECT_EQ(map.find(42), nullptr);
-
-    auto [slot, inserted] = map.emplace(42, 7);
-    EXPECT_TRUE(inserted);
-    EXPECT_EQ(*slot, 7);
-    EXPECT_EQ(map.size(), 1u);
-
-    // Duplicate emplace finds the existing entry, does not overwrite.
-    auto [again, insertedAgain] = map.emplace(42, 99);
-    EXPECT_FALSE(insertedAgain);
-    EXPECT_EQ(*again, 7);
-    EXPECT_EQ(map.size(), 1u);
-
-    ASSERT_NE(map.find(42), nullptr);
-    EXPECT_EQ(*map.find(42), 7);
-    EXPECT_TRUE(map.erase(42));
-    EXPECT_FALSE(map.erase(42));
-    EXPECT_EQ(map.find(42), nullptr);
-    EXPECT_TRUE(map.empty());
-}
-
-TEST(FlatMap64Test, CapacityRoundsUpToPowerOfTwo)
-{
-    EXPECT_EQ(FlatMap64<int>().capacity(), 64u);
-    EXPECT_EQ(FlatMap64<int>(1).capacity(), 16u);  // floor
-    EXPECT_EQ(FlatMap64<int>(100).capacity(), 128u);
-    EXPECT_EQ(FlatMap64<int>(128).capacity(), 128u);
-}
-
-TEST(FlatMap64Test, GrowthPreservesAllEntries)
-{
-    FlatMap64<std::uint64_t> map(16);
-    for (std::uint64_t k = 0; k < 10000; ++k)
-        ASSERT_TRUE(map.emplace(k * 0x10001, k).second);
-    EXPECT_EQ(map.size(), 10000u);
-    EXPECT_EQ(map.capacity() & (map.capacity() - 1), 0u);
-    for (std::uint64_t k = 0; k < 10000; ++k) {
-        auto *v = map.find(k * 0x10001);
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(*v, k);
-    }
-}
-
-TEST(FlatMap64Test, TombstoneChurnStaysBounded)
-{
-    // Insert/erase the same small working set far more times than the
-    // table has slots: tombstone purging must keep lookups terminating
-    // and the capacity from growing without bound.
-    FlatMap64<int> map(16);
-    for (int round = 0; round < 10000; ++round) {
-        const std::uint64_t k = 1000 + round % 8;
-        map.emplace(k, round);
-        ASSERT_TRUE(map.erase(k));
-    }
-    EXPECT_TRUE(map.empty());
-    EXPECT_LE(map.capacity(), 64u);
-}
-
-TEST(FlatMap64Test, ChurnPropertyAgainstUnorderedMap)
-{
-    // Reference-model property test: a random op stream applied to both
-    // FlatMap64 and std::unordered_map must agree on every result.
-    FlatMap64<std::uint64_t> map;
-    std::unordered_map<std::uint64_t, std::uint64_t> ref;
-    Rng rng(2026);
-    for (int step = 0; step < 20000; ++step) {
-        const std::uint64_t key = rng.nextRange(512);
-        const double op = rng.nextDouble();
-        if (op < 0.5) {
-            const auto got = map.emplace(key, static_cast<std::uint64_t>(step));
-            const auto want =
-                ref.emplace(key, static_cast<std::uint64_t>(step));
-            ASSERT_EQ(got.second, want.second);
-            ASSERT_EQ(*got.first, want.first->second);
-        } else if (op < 0.8) {
-            ASSERT_EQ(map.erase(key), ref.erase(key) > 0);
-        } else {
-            const auto *got = map.find(key);
-            const auto it = ref.find(key);
-            ASSERT_EQ(got != nullptr, it != ref.end());
-            if (got) {
-                ASSERT_EQ(*got, it->second);
-            }
-        }
-        ASSERT_EQ(map.size(), ref.size());
-    }
-    for (const auto &[k, v] : ref) {
-        const auto *got = map.find(k);
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(*got, v);
-    }
 }
 
 }  // namespace

@@ -397,6 +397,85 @@ TEST(KvStoreTest, FootprintGrowsWithItems)
     EXPECT_GT(store.footprintBytes(), before + 1_MiB);
 }
 
+TEST(KvStoreTest, RecycledSlotMustFitItem)
+{
+    // Freed 156-byte slots must not take 1056-byte items: every live
+    // item and every stranded small slot needs slab bytes of its own.
+    auto sim = makeSim();
+    KvStore store(*sim);
+    const std::size_t empty = store.footprintBytes();
+    const std::size_t header = KvStoreConfig{}.itemHeaderBytes;
+    for (std::uint64_t k = 0; k < 2000; ++k)
+        store.put(k, 100);
+    for (std::uint64_t k = 0; k < 2000; ++k)
+        ASSERT_TRUE(store.remove(k));
+    const std::size_t afterSmall = store.footprintBytes();
+    for (std::uint64_t k = 0; k < 2000; ++k)
+        store.put(k, 1000);
+    EXPECT_GT(store.footprintBytes(), afterSmall);
+    EXPECT_GE(store.footprintBytes() - empty,
+              2000 * (header + 100) + 2000 * (header + 1000));
+}
+
+TEST(KvStoreTest, KeyZeroRoundTrips)
+{
+    auto sim = makeSim();
+    KvStore store(*sim);
+    EXPECT_FALSE(store.get(0));
+    store.put(0, 100);
+    EXPECT_TRUE(store.get(0));
+    EXPECT_TRUE(store.readModifyWrite(0));
+    EXPECT_TRUE(store.remove(0));
+    EXPECT_FALSE(store.get(0));
+    EXPECT_EQ(store.itemCount(), 0u);
+}
+
+TEST(KvStoreTest, KeysInGapAndPastEndMiss)
+{
+    auto sim = makeSim();
+    KvStore store(*sim);
+    store.put(3, 100);
+    constexpr std::uint64_t kFar = 100000;
+    store.put(kFar, 100);
+    for (std::uint64_t k = 4; k < kFar; ++k)
+        ASSERT_FALSE(store.get(k)) << "key " << k;
+    EXPECT_TRUE(store.get(3));
+    EXPECT_TRUE(store.get(kFar));
+    EXPECT_FALSE(store.get(kFar + 1));
+    EXPECT_FALSE(store.readModifyWrite(kFar + 1));
+    EXPECT_FALSE(store.remove(kFar + 1));
+    EXPECT_FALSE(store.get(KvStore::kKeyLimit));
+    EXPECT_EQ(store.itemCount(), 2u);
+}
+
+TEST(KvStoreTest, ItemCountTracksPutOverwriteRemove)
+{
+    auto sim = makeSim();
+    KvStore store(*sim);
+    store.put(5, 100);
+    store.put(9, 100);
+    EXPECT_EQ(store.itemCount(), 2u);
+    store.put(5, 100);  // overwrite
+    EXPECT_EQ(store.itemCount(), 2u);
+    EXPECT_TRUE(store.remove(5));
+    EXPECT_FALSE(store.remove(5));
+    EXPECT_EQ(store.itemCount(), 1u);
+    store.put(5, 100);  // re-put
+    EXPECT_EQ(store.itemCount(), 2u);
+    EXPECT_TRUE(store.remove(9));
+    EXPECT_TRUE(store.remove(5));
+    EXPECT_EQ(store.itemCount(), 0u);
+}
+
+TEST(KvStoreDeathTest, KeyAtLimitRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto sim = makeSim();
+    KvStore store(*sim);
+    EXPECT_DEATH(store.put(KvStore::kKeyLimit, 100),
+                 "KvStore keys are record numbers below 2\\^26");
+}
+
 // --- YCSB ------------------------------------------------------------------------
 
 YcsbConfig
