@@ -139,27 +139,6 @@ Simulator::writeSupervised(Vaddr va, std::size_t bytes)
 }
 
 void
-Simulator::stream(const MemOp *ops, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const MemOp &op = ops[i];
-        switch (op.kind) {
-          case MemOp::Kind::Read:
-            ++appOps_;
-            dispatchAccess(op.va, op.bytes, false);
-            break;
-          case MemOp::Kind::Write:
-            ++appOps_;
-            dispatchAccess(op.va, op.bytes, true);
-            break;
-          case MemOp::Kind::Compute:
-            compute(static_cast<SimTime>(op.va));
-            break;
-        }
-    }
-}
-
-void
 Simulator::accessRange(Vaddr va, std::size_t bytes, bool write,
                        bool supervised)
 {

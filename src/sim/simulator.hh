@@ -97,53 +97,11 @@ class Simulator
     /** Pure CPU work: advances time, dispatching daemons on the way. */
     void compute(SimTime duration);
 
-    /** One queued operation for batched access streaming. */
-    struct MemOp
-    {
-        enum class Kind : std::uint8_t {
-            Read,     ///< unsupervised load (va, bytes)
-            Write,    ///< unsupervised store (va, bytes)
-            Compute,  ///< CPU work; va carries the duration in ns
-        };
-
-        Vaddr va = 0;
-        std::uint32_t bytes = 0;
-        Kind kind = Kind::Read;
-
-        static MemOp
-        load(Vaddr va, std::uint32_t bytes = 8)
-        {
-            return {va, bytes, Kind::Read};
-        }
-
-        static MemOp
-        store(Vaddr va, std::uint32_t bytes = 8)
-        {
-            return {va, bytes, Kind::Write};
-        }
-
-        static MemOp
-        cpu(SimTime duration)
-        {
-            return {static_cast<Vaddr>(duration), 0, Kind::Compute};
-        }
-    };
-
-    /**
-     * Process @p n queued operations in program order. Semantically
-     * identical to issuing the equivalent read()/write()/compute()
-     * calls one by one; the batch form keeps the access loop inside
-     * one translation unit so the per-op call overhead is amortised.
-     * Workloads accumulate one logical operation's accesses and flush
-     * them at the op boundary.
-     */
-    void stream(const MemOp *ops, std::size_t n);
-
     SimTime now() const { return now_; }
 
     /**
      * Application-issued memory operations so far: one per
-     * read()/write() (supervised or not) or per Read/Write MemOp.
+     * read()/write() (supervised or not).
      * Wall-clock benchmarking reports this as "ops"; it is not part of
      * any golden-compared metric.
      */

@@ -56,105 +56,83 @@ KvStore::allocItem(std::size_t bytes)
     return addr;
 }
 
-// Each operation queues its CPU time and at most three simulated
-// accesses into one stream() call. The items_ lookup and slab
-// allocation (plain host work plus time-free mmaps) run before the
-// stream without changing anything the simulator observes.
+// Each operation charges its CPU time, then issues at most three
+// simulated accesses. The items_ lookup and slab allocation (plain host
+// work plus time-free mmaps) change nothing the simulator observes, so
+// they sit wherever the code reads best.
 void
 KvStore::put(std::uint64_t key, std::size_t valueBytes)
 {
     MCLOCK_ASSERT(key < kKeyLimit,
                   "KvStore keys are record numbers below 2^26");
-    using MemOp = sim::Simulator::MemOp;
-    MemOp ops[4];
-    std::size_t n = 0;
-    ops[n++] = MemOp::cpu(cfg_.cpuPerOp);
-    ops[n++] = MemOp::load(bucketAddr(key), sizeof(std::uint64_t));
+    const std::size_t bytes = cfg_.itemHeaderBytes + valueBytes;
+    MCLOCK_ASSERT(bytes <= UINT32_MAX);
+    sim_.compute(cfg_.cpuPerOp);
+    const Vaddr bucket = bucketAddr(key);
+    sim_.read(bucket, sizeof(std::uint64_t));
     if (key >= items_.size())
         items_.resize(key + 1);
     Item &it = items_[key];
-    if (it.addr != 0) {
+    if (it.addr != 0 && bytes <= it.bytes) {
         // Overwrite in place: read header, write value.
-        ops[n++] = MemOp::load(
-            it.addr,
-            static_cast<std::uint32_t>(cfg_.itemHeaderBytes));
-        ops[n++] = MemOp::store(
-            it.addr + cfg_.itemHeaderBytes,
-            static_cast<std::uint32_t>(valueBytes));
-    } else {
-        const std::size_t bytes = cfg_.itemHeaderBytes + valueBytes;
-        MCLOCK_ASSERT(bytes <= UINT32_MAX);
-        const Vaddr addr = allocItem(bytes);
-        // Link into the chain, then write header + value.
-        ops[n++] = MemOp::store(bucketAddr(key),
-                                sizeof(std::uint64_t));
-        ops[n++] = MemOp::store(addr,
-                                static_cast<std::uint32_t>(bytes));
-        it = Item{addr, static_cast<std::uint32_t>(bytes)};
-        ++itemCount_;
+        sim_.read(it.addr, cfg_.itemHeaderBytes);
+        sim_.write(it.addr + cfg_.itemHeaderBytes, valueBytes);
+        return;
     }
-    sim_.stream(ops, n);
+    // A new key, or a value that outgrew its slot. Allocate before
+    // freeing the old slot, so an earlier freed slot that fits can be
+    // recycled but the too-small old one cannot.
+    const Vaddr addr = allocItem(bytes);
+    if (it.addr != 0)
+        freeSlots_.push_back(it);
+    else
+        ++itemCount_;
+    it = Item{addr, static_cast<std::uint32_t>(bytes)};
+    // Link into the chain, then write header + value.
+    sim_.write(bucket, sizeof(std::uint64_t));
+    sim_.write(addr, bytes);
 }
 
 bool
 KvStore::get(std::uint64_t key)
 {
-    using MemOp = sim::Simulator::MemOp;
-    MemOp ops[3];
-    std::size_t n = 0;
-    ops[n++] = MemOp::cpu(cfg_.cpuPerOp);
-    ops[n++] = MemOp::load(bucketAddr(key), sizeof(std::uint64_t));
+    sim_.compute(cfg_.cpuPerOp);
+    sim_.read(bucketAddr(key), sizeof(std::uint64_t));
     const Item *it = find(key);
-    const bool hit = it != nullptr;
-    if (hit) {
-        // Read header (key comparison) then the value.
-        ops[n++] = MemOp::load(it->addr, it->bytes);
-    }
-    sim_.stream(ops, n);
-    return hit;
+    if (!it)
+        return false;
+    // Read header (key comparison) then the value.
+    sim_.read(it->addr, it->bytes);
+    return true;
 }
 
 bool
 KvStore::readModifyWrite(std::uint64_t key)
 {
-    using MemOp = sim::Simulator::MemOp;
-    MemOp ops[4];
-    std::size_t n = 0;
-    ops[n++] = MemOp::cpu(cfg_.cpuPerOp);
-    ops[n++] = MemOp::load(bucketAddr(key), sizeof(std::uint64_t));
+    sim_.compute(cfg_.cpuPerOp);
+    sim_.read(bucketAddr(key), sizeof(std::uint64_t));
     const Item *it = find(key);
-    const bool hit = it != nullptr;
-    if (hit) {
-        ops[n++] = MemOp::load(it->addr, it->bytes);
-        ops[n++] = MemOp::store(
-            it->addr + cfg_.itemHeaderBytes,
-            static_cast<std::uint32_t>(it->bytes -
-                                       cfg_.itemHeaderBytes));
-    }
-    sim_.stream(ops, n);
-    return hit;
+    if (!it)
+        return false;
+    sim_.read(it->addr, it->bytes);
+    sim_.write(it->addr + cfg_.itemHeaderBytes,
+               it->bytes - cfg_.itemHeaderBytes);
+    return true;
 }
 
 bool
 KvStore::remove(std::uint64_t key)
 {
-    using MemOp = sim::Simulator::MemOp;
-    MemOp ops[3];
-    std::size_t n = 0;
-    ops[n++] = MemOp::cpu(cfg_.cpuPerOp);
-    ops[n++] = MemOp::store(bucketAddr(key), sizeof(std::uint64_t));
+    sim_.compute(cfg_.cpuPerOp);
+    sim_.write(bucketAddr(key), sizeof(std::uint64_t));
     const Item *it = find(key);
-    const bool hit = it != nullptr;
-    if (hit) {
-        ops[n++] = MemOp::store(
-            it->addr,
-            static_cast<std::uint32_t>(cfg_.itemHeaderBytes));  // unlink
-        freeSlots_.push_back(*it);
-        items_[key] = Item{};
-        --itemCount_;
-    }
-    sim_.stream(ops, n);
-    return hit;
+    if (!it)
+        return false;
+    sim_.write(it->addr, cfg_.itemHeaderBytes);  // unlink
+    freeSlots_.push_back(*it);
+    items_[key] = Item{};
+    --itemCount_;
+    return true;
 }
 
 }  // namespace workloads

@@ -65,7 +65,11 @@ class KvStore
 
     KvStore(sim::Simulator &sim, KvStoreConfig cfg = {});
 
-    /** Insert or overwrite @p key with a value of @p valueBytes. */
+    /**
+     * Insert or overwrite @p key with a value of @p valueBytes. An
+     * overwrite that fits the key's slot stays in place; a larger one
+     * moves the item to a new slot and frees the old one.
+     */
     void put(std::uint64_t key, std::size_t valueBytes);
 
     /** Read @p key; returns false on miss. */

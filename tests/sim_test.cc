@@ -6,13 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
+#include <memory>
 #include <vector>
 
-#include "base/rng.hh"
 #include "base/units.hh"
-#include "policies/factory.hh"
 #include "policies/static_tiering.hh"
 #include "sim/daemon.hh"
 #include "sim/machine.hh"
@@ -650,136 +647,6 @@ TEST(SimulatorTest, TwoSocketMachineAllocatesAcrossNodes)
     EXPECT_GT(perNode[1], 0u);
     EXPECT_GT(perNode[2] + perNode[3], 0u);
 }
-
-// --- stream() contract ------------------------------------------------------------
-
-/**
- * One seeded op list mixing everything stream() accepts: 8 B loads and
- * stores (70% on a hot set that ends up in PM), multi-block and
- * page-crossing ranges, and Compute ops long enough to cross daemon
- * deadlines.
- */
-std::vector<Simulator::MemOp>
-mixedOps(Vaddr base, std::size_t pages, std::size_t n, std::uint64_t seed)
-{
-    using MemOp = Simulator::MemOp;
-    Rng rng(seed);
-    std::vector<MemOp> ops;
-    // First touch in address order overflows DRAM; kswapd demotes the
-    // oldest, lowest pages to PM, which is where the hot set sits.
-    for (std::size_t p = 0; p < pages; ++p)
-        ops.push_back(MemOp::store(base + p * kPageSize));
-    const std::size_t hot = pages / 8;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t kind = rng.nextRange(100);
-        if (kind >= 92) {
-            ops.push_back(MemOp::cpu(1 + rng.nextRange(2_ms)));
-            continue;
-        }
-        const std::size_t page = rng.nextBool(0.7)
-                                     ? rng.nextRange(hot)
-                                     : rng.nextRange(pages - 1);
-        const Vaddr va = base + page * kPageSize +
-                         (rng.next64() & (kPageSize - 1) & ~7ull);
-        if (kind < 45) {
-            ops.push_back(MemOp::load(va));
-        } else if (kind < 80) {
-            ops.push_back(MemOp::store(va));
-        } else {
-            // 513 B to 3.5 KiB: always spans 512 B blocks, and crosses
-            // into the next page (never past the region: the last page
-            // is not drawn) when it starts late in this one.
-            const auto bytes =
-                static_cast<std::uint32_t>(513 + rng.nextRange(3072));
-            ops.push_back(kind < 86 ? MemOp::load(va, bytes)
-                                    : MemOp::store(va, bytes));
-        }
-    }
-    return ops;
-}
-
-/**
- * Simulator::stream() must be indistinguishable from issuing the same
- * ops through read()/write()/compute() one call at a time. Workloads
- * issue their accesses through stream(), so this is the contract any
- * change to either entry point has to keep. Parameterised over tiering
- * policies with different migration paths (daemon promotion, exchange,
- * fault-path promotion).
- */
-class SimulatorTest : public ::testing::TestWithParam<const char *>
-{
-};
-
-TEST_P(SimulatorTest, StreamMatchesPerOpCalls)
-{
-    using MemOp = Simulator::MemOp;
-    constexpr std::size_t kPages = 1024;  // twice the DRAM tier
-    policies::PolicyOptions popts;
-    popts.scanInterval = 1_ms;
-    auto makeHost = [&] {
-        auto sim = std::make_unique<Simulator>(tinyTestMachine());
-        sim->setPolicy(policies::makePolicy(GetParam(), popts));
-        return sim;
-    };
-    auto streamed = makeHost();
-    auto perOp = makeHost();
-    const Vaddr base = streamed->mmap(kPages * kPageSize);
-    ASSERT_EQ(perOp->mmap(kPages * kPageSize), base);
-    const auto ops = mixedOps(base, kPages, 40000, 0x5eed);
-
-    Rng chunk(7);
-    for (std::size_t i = 0; i < ops.size();) {
-        const std::size_t n = std::min<std::size_t>(
-            ops.size() - i, 1 + chunk.nextRange(64));
-        streamed->stream(ops.data() + i, n);
-        i += n;
-    }
-    for (const MemOp &op : ops) {
-        switch (op.kind) {
-          case MemOp::Kind::Read:
-            perOp->read(op.va, op.bytes);
-            break;
-          case MemOp::Kind::Write:
-            perOp->write(op.va, op.bytes);
-            break;
-          case MemOp::Kind::Compute:
-            perOp->compute(static_cast<SimTime>(op.va));
-            break;
-        }
-    }
-
-    EXPECT_EQ(streamed->now(), perOp->now());
-    EXPECT_EQ(streamed->appOps(), perOp->appOps());
-    EXPECT_EQ(streamed->vmstat().snapshot(), perOp->vmstat().snapshot());
-    const Metrics &a = streamed->metrics();
-    const Metrics &b = perOp->metrics();
-    EXPECT_EQ(a.totalAccesses(), b.totalAccesses());
-    EXPECT_EQ(a.totalReaccessed(), b.totalReaccessed());
-    for (TierRank rank = 0; rank < 2; ++rank) {
-        EXPECT_EQ(a.totalTierAccesses(rank), b.totalTierAccesses(rank));
-        EXPECT_EQ(a.totalTierLatency(rank), b.totalTierLatency(rank));
-    }
-    ASSERT_NE(streamed->llc(), nullptr);
-    EXPECT_EQ(streamed->llc()->hits(), perOp->llc()->hits());
-    EXPECT_EQ(streamed->llc()->misses(), perOp->llc()->misses());
-
-    // Non-vacuity: the ops really drove migration in both directions,
-    // and daemons woke between (and inside) stream chunks.
-    const stats::VmStat &vm = streamed->vmstat();
-    EXPECT_GT(vm.global(stats::VmItem::PgpromoteSuccess), 0u);
-    EXPECT_GT(vm.global(stats::VmItem::Pgdemote), 0u);
-    EXPECT_GT(vm.global(stats::VmItem::KpromotedWake), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(TieringPolicies, SimulatorTest,
-                         ::testing::Values("multiclock", "nimble",
-                                           "at-cpm"),
-                         [](const auto &info) {
-                             std::string name = info.param;
-                             std::replace(name.begin(), name.end(), '-',
-                                          '_');
-                             return name;
-                         });
 
 }  // namespace
 }  // namespace sim

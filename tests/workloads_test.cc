@@ -467,6 +467,70 @@ TEST(KvStoreTest, ItemCountTracksPutOverwriteRemove)
     EXPECT_EQ(store.itemCount(), 0u);
 }
 
+TEST(KvStoreTest, GrownValueMovesToNewSlot)
+{
+    // A value that outgrows its slot moves: the slab grows instead of
+    // the store writing past the slot into its neighbours, and the old
+    // slots go back to the free list.
+    auto sim = makeSim();
+    KvStore store(*sim);
+    for (std::uint64_t k = 0; k < 2000; ++k)
+        store.put(k, 100);
+    const std::size_t small = store.footprintBytes();
+    for (std::uint64_t k = 0; k < 2000; ++k)
+        store.put(k, 1000);
+    EXPECT_GT(store.footprintBytes(), small);
+    EXPECT_EQ(store.itemCount(), 2000u);
+    const std::size_t grown = store.footprintBytes();
+    for (std::uint64_t k = 2000; k < 4000; ++k)
+        store.put(k, 100);  // each reuses a freed 156-byte slot
+    EXPECT_EQ(store.footprintBytes(), grown);
+    EXPECT_EQ(store.itemCount(), 4000u);
+}
+
+TEST(KvStoreTest, EachOpHasItsAccessShape)
+{
+    // Twin hosts that differ only in cpuPerOp: every op must issue its
+    // fixed number of accesses and charge cpuPerOp exactly once.
+    struct Cost
+    {
+        std::uint64_t accesses;
+        SimTime ns;
+    };
+    auto run = [](SimTime cpuPerOp) {
+        auto sim = makeSim();
+        KvStoreConfig cfg;
+        cfg.cpuPerOp = cpuPerOp;
+        KvStore store(*sim, cfg);
+        std::vector<Cost> costs;
+        auto op = [&](auto &&fn) {
+            const std::uint64_t ops = sim->appOps();
+            const SimTime start = sim->now();
+            fn();
+            costs.push_back({sim->appOps() - ops, sim->now() - start});
+        };
+        op([&] { store.put(1, 100); });  // insert
+        op([&] { store.put(1, 100); });  // overwrite in place
+        op([&] { store.put(1, 400); });  // overwrite, grown
+        op([&] { EXPECT_TRUE(store.get(1)); });
+        op([&] { EXPECT_FALSE(store.get(2)); });
+        op([&] { EXPECT_TRUE(store.readModifyWrite(1)); });
+        op([&] { EXPECT_TRUE(store.remove(1)); });
+        return costs;
+    };
+    const std::vector<std::uint64_t> shape = {3, 3, 3, 2, 1, 3, 2};
+    const SimTime cpu = KvStoreConfig{}.cpuPerOp;
+    const std::vector<Cost> withCpu = run(cpu);
+    const std::vector<Cost> noCpu = run(0);
+    ASSERT_EQ(withCpu.size(), shape.size());
+    ASSERT_EQ(noCpu.size(), shape.size());
+    for (std::size_t i = 0; i < shape.size(); ++i) {
+        EXPECT_EQ(withCpu[i].accesses, shape[i]) << "op " << i;
+        EXPECT_EQ(noCpu[i].accesses, shape[i]) << "op " << i;
+        EXPECT_EQ(withCpu[i].ns - noCpu[i].ns, cpu) << "op " << i;
+    }
+}
+
 TEST(KvStoreDeathTest, KeyAtLimitRejected)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
