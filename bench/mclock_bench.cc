@@ -197,8 +197,8 @@ goldenPass(const std::string &dir, const std::string &filter,
             ++failures;
         }
     }
-    std::printf("%zu scenario(s), %.2fs wall\n", report.results.size(),
-                report.wallSeconds);
+    std::printf("%zu scenario(s), %zu unit(s) run, %.2fs wall\n",
+                report.results.size(), report.unitsRun, report.wallSeconds);
     if (!report.clean()) {
         std::fprintf(stderr, "invariant violations detected\n");
         return 1;
@@ -451,8 +451,10 @@ main(int argc, char **argv)
 
     const RunReport report = runScenarios(selected, opts);
     if (!quiet) {
-        std::fprintf(stderr, "\n%zu scenario(s), %.2fs wall\n",
-                     report.results.size(), report.wallSeconds);
+        std::fprintf(stderr,
+                     "\n%zu scenario(s), %zu unit(s) run, %.2fs wall\n",
+                     report.results.size(), report.unitsRun,
+                     report.wallSeconds);
     }
     return report.clean() ? 0 : 1;
 }

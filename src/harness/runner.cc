@@ -5,100 +5,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <thread>
 
 #include "base/logging.hh"
-#include "base/sync.hh"
+#include "base/parallel.hh"
 #include "harness/manifest.hh"
 
 namespace mclock {
 namespace harness {
-
-namespace {
-
-/**
- * Fixed-size pool draining a closed work queue. All queue/counter
- * state is guarded by mu_ and statically checked (base/sync.hh):
- * every access outside the lock is a compile error under
- * -Wthread-safety, so the lock scopes below are the whole story.
- */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(unsigned workers)
-    {
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this] { workerLoop(); });
-    }
-
-    ~ThreadPool()
-    {
-        {
-            base::MutexLock lock(mu_);
-            closed_ = true;
-        }
-        cv_.notifyAll();
-        for (auto &t : threads_)
-            t.join();
-    }
-
-    void
-    submit(std::function<void()> task) MCLOCK_EXCLUDES(mu_)
-    {
-        {
-            base::MutexLock lock(mu_);
-            queue_.push(std::move(task));
-            ++pending_;
-        }
-        cv_.notifyOne();
-    }
-
-    /** Block until every submitted task has finished. */
-    void
-    drain() MCLOCK_EXCLUDES(mu_)
-    {
-        base::MutexLock lock(mu_);
-        while (pending_ != 0)
-            done_.wait(mu_);
-    }
-
-  private:
-    void
-    workerLoop() MCLOCK_EXCLUDES(mu_)
-    {
-        for (;;) {
-            std::function<void()> task;
-            {
-                base::MutexLock lock(mu_);
-                while (!closed_ && queue_.empty())
-                    cv_.wait(mu_);
-                if (queue_.empty())
-                    return;  // closed and drained
-                task = std::move(queue_.front());
-                queue_.pop();
-            }
-            task();
-            {
-                base::MutexLock lock(mu_);
-                if (--pending_ == 0)
-                    done_.notifyAll();
-            }
-        }
-    }
-
-    base::Mutex mu_;
-    base::CondVar cv_;    ///< work available (or pool closed)
-    base::CondVar done_;  ///< pending_ hit zero
-    std::queue<std::function<void()>> queue_ MCLOCK_GUARDED_BY(mu_);
-    std::size_t pending_ MCLOCK_GUARDED_BY(mu_) = 0;
-    bool closed_ MCLOCK_GUARDED_BY(mu_) = false;
-    // mclock-lint: thread-ok(the --jobs pool: poolWidth() workers, joined by the destructor; each runs whole units)
-    std::vector<std::thread> threads_;
-};
-
-}  // namespace
 
 unsigned
 poolWidth(unsigned requested, unsigned hardware, std::size_t units)
@@ -117,57 +31,68 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
 
     // Expand everything up front so units from different scenarios
     // share the pool (the slowest scenario no longer serializes). Each
-    // scenario runs under its own context, which checks every param()
-    // read against the keys the scenario declares.
+    // scenario expands under its own context, which checks every
+    // param() read against the keys the scenario declares.
     struct Expanded
     {
         const Scenario *scenario;
         RunContext context;
         std::vector<RunUnit> units;
-        std::vector<RunRecord> records;
+        std::vector<std::size_t> slots;  ///< each unit's index in specs
     };
     std::vector<Expanded> expanded;
-    expanded.reserve(scenarios.size());
-    std::size_t unitCount = 0;
     for (const Scenario *sc : scenarios) {
-        Expanded e;
-        e.scenario = sc;
-        e.context = opts.context;
-        e.context.declared = &sc->params;
-        e.units = sc->expand(e.context);
-        e.records.resize(e.units.size());
-        unitCount += e.units.size();
-        expanded.push_back(std::move(e));
+        RunContext context = opts.context;
+        context.declared = &sc->params;
+        std::vector<RunUnit> units = sc->expand(context);
+        expanded.push_back({sc, std::move(context), std::move(units), {}});
     }
 
-    {
-        ThreadPool pool(poolWidth(
-            opts.jobs, std::thread::hardware_concurrency(), unitCount));
-        for (auto &e : expanded) {
-            for (std::size_t u = 0; u < e.units.size(); ++u) {
-                RunUnit *unit = &e.units[u];
-                RunRecord *slot = &e.records[u];
-                const RunContext *ctx = &e.context;
-                pool.submit([unit, slot, ctx] {
-                    *slot = unit->run(*ctx);
-                    slot->fingerprint = unitFingerprint(*slot);
-                });
-            }
+    // Each distinct spec runs once; every scenario that lists it gets
+    // its record. A unit reads no --param (its spec holds them all), so
+    // its context declares none.
+    std::vector<const UnitSpec *> specs;
+    for (auto &e : expanded) {
+        for (const auto &unit : e.units) {
+            const auto at = std::find_if(
+                specs.begin(), specs.end(),
+                [&unit](const UnitSpec *s) { return *s == unit.spec; });
+            e.slots.push_back(static_cast<std::size_t>(at - specs.begin()));
+            if (at == specs.end())
+                specs.push_back(&unit.spec);
         }
-        pool.drain();
     }
+    const std::vector<ParamSpec> noParams;
+    RunContext unitContext = opts.context;
+    unitContext.declared = &noParams;
+    // Workers claim the specs one at a time, so a slow unit does not
+    // hold up the rest.
+    std::vector<RunRecord> records(specs.size());
+    base::runChunks(
+        specs.size(), 1,
+        poolWidth(opts.jobs, std::thread::hardware_concurrency(),
+                  specs.size()),
+        [&](base::PartRange range) {
+            RunRecord &rec = records[range.begin];
+            rec = runUnit(unitContext, *specs[range.begin]);
+            rec.fingerprint = unitFingerprint(rec);
+        });
 
     RunReport report;
-    for (auto &e : expanded) {
+    report.unitsRun = specs.size();
+    for (const auto &e : expanded) {
+        std::vector<RunRecord> unitRecords;
+        for (std::size_t slot : e.slots)
+            unitRecords.push_back(records[slot]);
         ScenarioResult result;
         result.name = e.scenario->name;
         result.units = e.units.size();
-        for (const auto &rec : e.records) {
+        for (const auto &rec : unitRecords) {
             result.appOps += rec.perfAppOps;
             result.simAccesses += rec.perfSimAccesses;
         }
-        result.output = mergeRecords(e.units, e.records);
-        e.scenario->reduce(e.context, e.records, result.output);
+        result.output = mergeRecords(e.units, unitRecords);
+        e.scenario->reduce(e.context, unitRecords, result.output);
         if (!opts.quiet) {
             std::fputs(result.output.text.c_str(), stdout);
             std::fflush(stdout);
@@ -198,10 +123,7 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
                 // '/' appears in compound unit names (fig06's
                 // "policy/kernel"); flatten for the filesystem.
                 std::string name = r.name + "_" + a.filename;
-                for (char &c : name) {
-                    if (c == '/')
-                        c = '_';
-                }
+                std::replace(name.begin(), name.end(), '/', '_');
                 writeFile(std::filesystem::path(opts.outDir) / name,
                           a.contents);
             }

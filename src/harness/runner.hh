@@ -2,11 +2,12 @@
  * @file
  * Parallel scenario runner.
  *
- * Expands the selected scenarios into run units, executes all units on
- * a fixed-size thread pool (each unit owns its Simulator, so units are
- * embarrassingly parallel), then reduces every scenario single-threaded
- * in registry order. Results are therefore bit-identical for any job
- * count, including 1.
+ * Expands the selected scenarios into run units, executes each distinct
+ * unit spec once on a fixed-size thread pool (each unit owns its
+ * Simulator, so units are embarrassingly parallel), then reduces every
+ * scenario single-threaded in registry order. Results are therefore
+ * bit-identical for any job count, including 1, and a scenario's
+ * output does not depend on which other scenarios ran beside it.
  */
 
 #ifndef MCLOCK_HARNESS_RUNNER_HH_
@@ -47,6 +48,8 @@ struct ScenarioResult
 struct RunReport
 {
     std::vector<ScenarioResult> results;
+    /** Units executed: the distinct specs over all scenarios' units. */
+    std::size_t unitsRun = 0;
     double wallSeconds = 0.0;
     bool
     clean() const

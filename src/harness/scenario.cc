@@ -39,6 +39,21 @@ unitFingerprint(const RunRecord &rec)
     return h.value();
 }
 
+/** A spec without a workload simulates nothing. */
+static RunRecord
+runWorkload(const RunContext &, const HostSpec &, std::monostate)
+{
+    return {};
+}
+
+RunRecord
+runUnit(const RunContext &ctx, const UnitSpec &spec)
+{
+    return std::visit(
+        [&](const auto &w) { return runWorkload(ctx, spec.host, w); },
+        spec.workload);
+}
+
 void
 finishUnit(const RunContext &ctx, const std::vector<sim::Simulator *> &sims,
            const sim::Metrics &merged, SimTime clock, std::uint64_t appOps,

@@ -5,16 +5,17 @@
  * Every experiment (paper figure, table, or ablation) is described as
  * data: a Scenario names the workload, the policies compared, the
  * default seed, and two functions — expand(), which turns the scenario
- * into independent RunUnits (one Simulator instance each, safe to
- * execute on any thread), and reduce(), which adds the scenario's
- * human-readable table, CSV artifacts, and derived summary keys to the
- * runner's merge of the units' records (the flat metric summary used
- * by the golden-run regression suite).
+ * into RunUnits, each a name and a plain-data UnitSpec (host plus
+ * workload, every parameter resolved), and reduce(), which adds the
+ * scenario's human-readable table, CSV artifacts, and derived summary
+ * keys to the runner's merge of the units' records (the flat metric
+ * summary used by the golden-run regression suite).
  *
- * Determinism contract: a unit must derive all randomness from the
- * RunContext (seed + params), must not touch global mutable state, and
- * must not perform I/O — artifacts are returned in memory and written
- * by the runner after all units complete, in registry order.
+ * Determinism contract: a unit's results are a function of its spec
+ * and the run context's seed alone. runUnit() owns one Simulator (or
+ * one sharded host) per call, touches no global mutable state and
+ * performs no I/O, so the runner may execute specs on any thread, and
+ * runs two equal specs once.
  */
 
 #ifndef MCLOCK_HARNESS_SCENARIO_HH_
@@ -25,11 +26,15 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
+#include "harness/profiles.hh"
 #include "stats/tracepoint.hh"
+#include "trace/heatmap.hh"
+#include "workloads/synthetic.hh"
 
 namespace mclock {
 namespace harness {
@@ -217,13 +222,137 @@ struct RunRecord
  *  count, bit for bit. */
 std::uint64_t unitFingerprint(const RunRecord &rec);
 
-/** One independently executable simulation; owns its Simulator. */
+/** The host of one unit: machine, policy and its options. */
+struct HostSpec
+{
+    std::string policy;
+    /** The whole machine; a sharded unit partitions it. */
+    sim::MachineConfig machine;
+    policies::PolicyOptions opts = benchPolicyOptions();
+    bool operator==(const HostSpec &) const = default;
+};
+
+/** The metric keys a YCSB unit records from its phases. */
+enum class YcsbKeys
+{
+    PhaseTput,  ///< "tput.<phase>" for every phase, and migrations
+    FirstTput,  ///< "tput_a": the first phase's ops/s
+    Windows,    ///< kops, tracking costs, per-window promotion series
+    Tiers,      ///< kops, migrations, swap-outs, per-tier accesses
+    Faults,     ///< kops and the fault-injection counters
+};
+
+/** Load @c ycsb's records, then run @c phases in order. */
+struct YcsbUnit
+{
+    workloads::YcsbConfig ycsb;
+    std::vector<workloads::YcsbWorkload> phases;
+    YcsbKeys keys;
+    bool operator==(const YcsbUnit &) const = default;
+};
+
+/** The metric keys a GAPBS unit records besides "seconds". */
+enum class GapbsKeys
+{
+    None,
+    Tiers,   ///< migrations and per-tier accesses
+    Faults,  ///< the fault-injection counters
+};
+
+/** Run @c kernel's trials on @c graph; "seconds" is the trial mean. */
+struct GapbsUnit
+{
+    workloads::gapbs::GapbsConfig graph;
+    workloads::gapbs::Kernel kernel;
+    GapbsKeys keys = GapbsKeys::None;
+    bool operator==(const GapbsUnit &) const = default;
+};
+
+/** Trace @c profile and reduce the trace to its Fig. 1 heatmap. */
+struct HeatmapUnit
+{
+    workloads::SyntheticProfile profile;
+    workloads::SyntheticConfig synthetic;
+    trace::HeatmapConfig heatmap;
+    bool operator==(const HeatmapUnit &) const = default;
+};
+
+/** Trace @c profile and run the Fig. 2 analysis over @c window. */
+struct WindowUnit
+{
+    workloads::SyntheticProfile profile;
+    workloads::SyntheticConfig synthetic;
+    SimTime window;
+    bool operator==(const WindowUnit &) const = default;
+};
+
+/**
+ * A KV store per shard: epoch 0 loads @c records keys, then @c epochs
+ * YCSB-A epochs issue @c opsPerEpoch ops each. One seed per shard; the
+ * seed count is the shard count.
+ */
+struct ShardKvUnit
+{
+    std::uint64_t promoteBudget;  ///< ShardOptions::epochPromoteBudget
+    std::uint64_t records, epochs, opsPerEpoch;
+    std::vector<std::uint64_t> seeds;
+    bool operator==(const ShardKvUnit &) const = default;
+};
+
+/** Which tenants a noisy-neighbor unit hosts and how they are limited. */
+enum class TenantMix
+{
+    Baseline,  ///< victim alone, unconstrained
+    Isolated,  ///< victim + thrasher, caps/quota/low protection on
+    Shared,    ///< victim + thrasher, accounting only
+};
+
+/** A victim and (unless Baseline) a thrasher KV tenant per shard. */
+struct TenantMixUnit
+{
+    TenantMix mix;
+    std::uint64_t victimRecords, thrasherRecords, epochs;
+    std::uint64_t victimOps, thrasherOps;  ///< per shard per epoch
+    /** Request seeds, one of each per shard. */
+    std::vector<std::uint64_t> victimSeeds, thrasherSeeds;
+    bool operator==(const TenantMixUnit &) const = default;
+};
+
+/** Tenant arrival/departure waves of @c pages-page heaps per shard. */
+struct ChurnUnit
+{
+    std::uint64_t pages, sweeps;  ///< sweeps per tenant per epoch
+    std::vector<std::uint64_t> seeds;  ///< one per shard
+    bool operator==(const ChurnUnit &) const = default;
+};
+
+/**
+ * What one unit simulates, as plain data: its host and one workload
+ * shape (std::monostate simulates nothing). Two units are the same
+ * unit exactly when their specs compare equal.
+ */
+struct UnitSpec
+{
+    HostSpec host;
+    std::variant<std::monostate, YcsbUnit, GapbsUnit, HeatmapUnit,
+                 WindowUnit, ShardKvUnit, TenantMixUnit, ChurnUnit>
+        workload;
+    bool operator==(const UnitSpec &) const = default;
+};
+
+/** One unit of a scenario: its spec under the scenario's name for it. */
 struct RunUnit
 {
     /** Stable name used as the metric prefix (e.g. "multiclock"). */
     std::string name;
-    std::function<RunRecord(const RunContext &)> run;
+    UnitSpec spec;
 };
+
+/**
+ * Simulate @p spec under @p ctx's seed, --stats and --shards: the
+ * unit's record before the runner seals its fingerprint.
+ */
+RunRecord runUnit(const RunContext &ctx, const UnitSpec &spec);
 
 /** Everything a scenario execution yields. */
 struct ScenarioOutput
@@ -293,6 +422,11 @@ struct Scenario
     /** Included in the golden regression suite (deterministic only). */
     bool goldenEligible = true;
 
+    /**
+     * The scenario's units, every --param, scale choice and sub-seed
+     * resolved into their specs. A unit another selected scenario also
+     * lists runs once, and both get its record.
+     */
     std::function<std::vector<RunUnit>(const RunContext &)> expand;
 
     /**

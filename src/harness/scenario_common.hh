@@ -54,17 +54,6 @@ appendf(std::string &out, const char *fmt, ...)
     va_end(ap2);
 }
 
-/**
- * Wire the run context into a machine about to be instantiated: the
- * base seed, and the vmstat sampler in --stats mode.
- */
-inline void
-applyStatsContext(sim::MachineConfig &machine, const RunContext &ctx)
-{
-    machine.seed = ctx.seed;
-    machine.stats.sampler = ctx.stats;
-}
-
 /** A unit's fingerprint before sealing: @p clock and every window field. */
 std::uint64_t hostFingerprint(SimTime clock,
                               const std::vector<sim::MetricsWindow> &windows);
@@ -83,14 +72,6 @@ void finishUnit(const RunContext &ctx,
                 std::uint64_t appOps, const stats::TraceBuffer &trace,
                 RunRecord &rec);
 
-/** The host of one single-host unit: machine, policy and its options. */
-struct HostSpec
-{
-    std::string policy;
-    sim::MachineConfig machine;
-    policies::PolicyOptions opts = benchPolicyOptions();
-};
-
 /** @p policy on the YCSB machine (golden or full scale). */
 inline HostSpec
 ycsbHost(const RunContext &ctx, const std::string &policy)
@@ -98,19 +79,32 @@ ycsbHost(const RunContext &ctx, const std::string &policy)
     return {policy, ctx.golden ? goldenYcsbMachine() : ycsbMachine()};
 }
 
+/** derivedSeed(@p slot + s, @p fixtureSeed + s) for each of @p shards. */
+inline std::vector<std::uint64_t>
+shardSeeds(const RunContext &ctx, unsigned shards, std::uint64_t slot,
+           std::uint64_t fixtureSeed)
+{
+    std::vector<std::uint64_t> seeds;
+    for (unsigned s = 0; s < shards; ++s)
+        seeds.push_back(ctx.derivedSeed(slot + s, fixtureSeed + s));
+    return seeds;
+}
+
 /**
- * The runner of every single-host scenario unit: applies the context
- * to @p host's machine, builds the Simulator, installs the policy and
- * calls body(sim, rec), which drives the workload and adds the unit's
- * own metric keys. The body returns the workload object it drove;
- * that object, and every region it still maps, lives until
- * finishUnit() has filed the violations and exported the counters.
+ * The runner of every single-host scenario unit: gives @p host's
+ * machine the context's seed and --stats sampler, builds the Simulator,
+ * installs the policy and calls body(sim, rec), which drives the
+ * workload and adds the unit's own metric keys. The body returns the
+ * workload object it drove; that object, and every region it still
+ * maps, lives until finishUnit() has filed the violations and exported
+ * the counters.
  */
 template <typename Body>
 RunRecord
 runHost(const RunContext &ctx, HostSpec host, Body &&body)
 {
-    applyStatsContext(host.machine, ctx);
+    host.machine.seed = ctx.seed;
+    host.machine.stats.sampler = ctx.stats;
     RunRecord rec;
     sim::Simulator sim(host.machine);
     sim.setPolicy(policies::makePolicy(host.policy, host.opts));
@@ -122,19 +116,23 @@ runHost(const RunContext &ctx, HostSpec host, Body &&body)
 
 /**
  * The sharded counterpart of runHost: @p host.machine is the whole
- * machine, partitioned into @p opts.shards shards that each run
- * @p host.policy. body(sharded, rec) sets up the per-shard workload,
- * calls sharded.run() and adds the unit's keys; the workload object it
+ * machine, partitioned into @p shards shards that each run
+ * @p host.policy on ctx.shards worker threads under @p promoteBudget.
+ * body(sharded, rec) sets up the per-shard workload, calls
+ * sharded.run() and adds the unit's keys; the workload object it
  * returns lives until finishUnit() has checked every shard.
  */
 template <typename Body>
 RunRecord
-runSharded(const RunContext &ctx, HostSpec host, sim::ShardOptions opts,
-           Body &&body)
+runSharded(const RunContext &ctx, HostSpec host, std::size_t shards,
+           std::uint64_t promoteBudget, Body &&body)
 {
-    applyStatsContext(host.machine, ctx);
+    host.machine.seed = ctx.seed;
+    host.machine.stats.sampler = ctx.stats;
     RunRecord rec;
-    sim::ShardedSimulator sharded(host.machine, opts);
+    sim::ShardedSimulator sharded(
+        host.machine,
+        {static_cast<unsigned>(shards), ctx.shards, promoteBudget});
     std::vector<sim::Simulator *> sims;
     for (unsigned s = 0; s < sharded.shards(); ++s) {
         sharded.shard(s).setPolicy(
@@ -195,27 +193,24 @@ inline const std::vector<workloads::YcsbWorkload> kPaperSequence = {
     workloads::YcsbWorkload::C, workloads::YcsbWorkload::F,
     workloads::YcsbWorkload::W, workloads::YcsbWorkload::D};
 
-/** Adds a YCSB unit's metric keys from its host and phase results. */
-using YcsbReport =
-    std::function<void(sim::Simulator &,
-                       const std::vector<workloads::YcsbResult> &,
-                       RunRecord &)>;
+/** runUnit's body for each workload shape (one per definition file). */
+RunRecord runWorkload(const RunContext &, const HostSpec &, const YcsbUnit &);
+RunRecord runWorkload(const RunContext &, const HostSpec &, const GapbsUnit &);
+RunRecord runWorkload(const RunContext &, const HostSpec &,
+                      const HeatmapUnit &);
+RunRecord runWorkload(const RunContext &, const HostSpec &,
+                      const WindowUnit &);
+RunRecord runWorkload(const RunContext &, const HostSpec &,
+                      const ShardKvUnit &);
+RunRecord runWorkload(const RunContext &, const HostSpec &,
+                      const TenantMixUnit &);
+RunRecord runWorkload(const RunContext &, const HostSpec &, const ChurnUnit &);
 
-/** The YCSB unit: load, then run @p phases in order on @p host. */
-RunRecord runYcsb(const RunContext &ctx, const HostSpec &host,
-                  const workloads::YcsbConfig &ycsb,
-                  const std::vector<workloads::YcsbWorkload> &phases,
-                  const YcsbReport &report);
+/** "tier<r>.accesses" / "tier<r>.avg_ns" for every tier of @p sim. */
+void addTierMetrics(sim::Simulator &sim, RunRecord &rec);
 
-/**
- * The GAPBS unit: run @p kernel on @p host, record "seconds" (mean
- * simulated time per trial), then let @p report add its keys.
- */
-RunRecord runGapbs(
-    const RunContext &ctx, const HostSpec &host,
-    const workloads::gapbs::GapbsConfig &graph,
-    workloads::gapbs::Kernel kernel,
-    const std::function<void(sim::Simulator &, RunRecord &)> &report = {});
+/** Migration totals and the fault-injection counters of @p sim. */
+void addFaultMetrics(sim::Simulator &sim, RunRecord &rec);
 
 /** "promotions" / "demotions": the host's migration totals. */
 inline void

@@ -24,6 +24,26 @@
 namespace mclock {
 namespace harness {
 
+void
+addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
+{
+    using stats::VmItem;
+    const auto &vm = sim.vmstat();
+    addMigrationMetrics(vm, rec);
+    rec.metrics["aborts"] =
+        static_cast<double>(vm.global(VmItem::PgmigrateAbort));
+    rec.metrics["retries"] =
+        static_cast<double>(vm.global(VmItem::PgmigrateRetry));
+    rec.metrics["rollbacks"] =
+        static_cast<double>(vm.global(VmItem::PgmigrateRollback));
+    rec.metrics["throttles"] =
+        static_cast<double>(vm.global(VmItem::PgpromoteThrottled));
+    rec.metrics["promote_fail"] =
+        static_cast<double>(vm.global(VmItem::PgpromoteFail));
+    rec.metrics["poisoned"] =
+        static_cast<double>(sim.faultInjector().poisonedPages());
+}
+
 namespace {
 
 /** Injected failure rates swept, in percent (copy-phase). */
@@ -72,45 +92,19 @@ faultUnitName(const std::string &policy, unsigned ratePct)
     return policy + "-f" + std::to_string(ratePct);
 }
 
-/** Fault/migration counters every faultinj unit reports. */
-void
-addFaultMetrics(sim::Simulator &sim, RunRecord &rec)
-{
-    using stats::VmItem;
-    const auto &vm = sim.vmstat();
-    addMigrationMetrics(vm, rec);
-    rec.metrics["aborts"] =
-        static_cast<double>(vm.global(VmItem::PgmigrateAbort));
-    rec.metrics["retries"] =
-        static_cast<double>(vm.global(VmItem::PgmigrateRetry));
-    rec.metrics["rollbacks"] =
-        static_cast<double>(vm.global(VmItem::PgmigrateRollback));
-    rec.metrics["throttles"] =
-        static_cast<double>(vm.global(VmItem::PgpromoteThrottled));
-    rec.metrics["promote_fail"] =
-        static_cast<double>(vm.global(VmItem::PgpromoteFail));
-    rec.metrics["poisoned"] =
-        static_cast<double>(sim.faultInjector().poisonedPages());
-}
-
-/** YCSB-A at one sweep point: throughput plus the fault metrics. */
-RunRecord
+/** YCSB-A at one sweep point with the fault keys. */
+UnitSpec
 faultinjYcsb(const RunContext &ctx, const std::string &policy,
              unsigned ratePct)
 {
     HostSpec host = ycsbHost(ctx, policy);
     host.machine.faults = faultinjConfig(ratePct);
-    return runYcsb(
-        ctx, host, ycsbWorkload(ctx, 800000, 40000, 3),
-        {workloads::YcsbWorkload::A},
-        [](sim::Simulator &sim, const auto &results, RunRecord &rec) {
-            rec.metrics["kops"] = results[0].throughputOpsPerSec() / 1e3;
-            addFaultMetrics(sim, rec);
-        });
+    return {host, YcsbUnit{ycsbWorkload(ctx, 800000, 40000, 3),
+                           {workloads::YcsbWorkload::A}, YcsbKeys::Faults}};
 }
 
-/** PageRank at one sweep point: trial time plus the fault metrics. */
-RunRecord
+/** PageRank at one sweep point with the fault keys. */
+UnitSpec
 faultinjPagerank(const RunContext &ctx, const std::string &policy,
                  unsigned ratePct)
 {
@@ -119,17 +113,17 @@ faultinjPagerank(const RunContext &ctx, const std::string &policy,
     host.machine.faults = faultinjConfig(ratePct);
     auto graph = ctx.golden ? goldenGapbsConfig() : gapbsBenchConfig();
     graph.seed = ctx.derivedSeed(4, graph.seed);
-    return runGapbs(ctx, host, graph, workloads::gapbs::Kernel::PR,
-                    addFaultMetrics);
+    return {host,
+            GapbsUnit{graph, workloads::gapbs::Kernel::PR, GapbsKeys::Faults}};
 }
 
 /**
- * A faultinj_* scenario: one @p run unit per (policy, rate) point,
+ * A faultinj_* scenario: one @p unit per (policy, rate) point,
  * reduced to a policy x rate table of @p metric and the fault counters.
  */
 Scenario
 faultinjScenario(const char *name, const char *title, const char *workload,
-                 RunRecord (*run)(const RunContext &, const std::string &,
+                 UnitSpec (*unit)(const RunContext &, const std::string &,
                                   unsigned),
                  const char *metric, const char *metricLabel,
                  std::vector<ParamSpec> params)
@@ -140,14 +134,12 @@ faultinjScenario(const char *name, const char *title, const char *workload,
     sc.workload = workload;
     sc.policies = kFaultPolicies;
     sc.params = std::move(params);
-    sc.expand = [run](const RunContext &) {
+    sc.expand = [unit](const RunContext &ctx) {
         std::vector<RunUnit> units;
         for (const auto &policy : kFaultPolicies) {
             for (unsigned rate : kFaultRates) {
-                units.push_back({faultUnitName(policy, rate),
-                                 [policy, rate, run](const RunContext &ctx) {
-                    return run(ctx, policy, rate);
-                }});
+                units.push_back(
+                    {faultUnitName(policy, rate), unit(ctx, policy, rate)});
             }
         }
         return units;

@@ -18,17 +18,19 @@ namespace mclock {
 namespace harness {
 
 RunRecord
-runGapbs(const RunContext &ctx, const HostSpec &host,
-         const workloads::gapbs::GapbsConfig &graph,
-         workloads::gapbs::Kernel kernel,
-         const std::function<void(sim::Simulator &, RunRecord &)> &report)
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const GapbsUnit &unit)
 {
     return runHost(ctx, host, [&](sim::Simulator &sim, RunRecord &rec) {
         auto driver =
-            std::make_unique<workloads::gapbs::GapbsDriver>(sim, graph);
-        rec.metrics["seconds"] = driver->run(kernel).avgTrialSeconds();
-        if (report)
-            report(sim, rec);
+            std::make_unique<workloads::gapbs::GapbsDriver>(sim, unit.graph);
+        rec.metrics["seconds"] = driver->run(unit.kernel).avgTrialSeconds();
+        if (unit.keys == GapbsKeys::Tiers) {
+            addMigrationMetrics(sim.vmstat(), rec);
+            addTierMetrics(sim, rec);
+        } else if (unit.keys == GapbsKeys::Faults) {
+            addFaultMetrics(sim, rec);
+        }
         return driver;
     });
 }
@@ -61,19 +63,15 @@ fig06Scenario()
     sc.workload = "gapbs";
     sc.params = {{"trials", 1, 1000}};
     sc.policies = policies::tieredPolicyNames();
-    sc.expand = [sc](const RunContext &) {
+    sc.expand = [sc](const RunContext &ctx) {
         std::vector<RunUnit> units;
         for (const auto &policy : sc.policies) {
             for (Kernel k : kKernels) {
-                const std::string name =
-                    policy + "/" + workloads::gapbs::kernelName(k);
-                units.push_back({name, [policy, k](const RunContext &ctx) {
-                    return runGapbs(
-                        ctx,
-                        {policy, ctx.golden ? goldenGapbsMachine()
-                                            : gapbsMachine()},
-                        fig06Config(ctx), k);
-                }});
+                units.push_back(
+                    {policy + "/" + workloads::gapbs::kernelName(k),
+                     {{policy, ctx.golden ? goldenGapbsMachine()
+                                          : gapbsMachine()},
+                      GapbsUnit{fig06Config(ctx), k}}});
             }
         }
         return units;
@@ -133,53 +131,46 @@ fig07Scenario()
     sc.workload = "ycsb+gapbs";
     sc.params = {kOpsParam};
     sc.policies = {"static", "multiclock", "memory-mode"};
-    sc.expand = [](const RunContext &) {
+    sc.expand = [](const RunContext &ctx) {
+        sim::MachineConfig ycsbTiered = memModeTieredMachine();
+        if (ctx.golden) {
+            ycsbTiered.nodes = {{TierKind::Dram, 4_MiB},
+                                {TierKind::Pmem, 24_MiB}};
+            ycsbTiered.cache.sizeBytes = 64_KiB;
+            ycsbTiered.metricsWindow = 20_ms;
+        }
+        // Workload sized ~4x DRAM (paper: Memory-mode uses all DRAM as
+        // cache, so a competitive comparison needs footprint >> cache):
+        // ~16 MiB golden, ~64 MiB full.
+        auto ycsb = ycsbWorkload(ctx, 1200000, 40000, 1);
+        ycsb.recordCount = ctx.golden ? 16000 : 60000;
+
+        sim::MachineConfig prTiered =
+            ctx.golden ? goldenGapbsMachine() : gapbsMachine();
+        prTiered.nodes = {{TierKind::Dram, ctx.golden ? 2_MiB : 8_MiB},
+                          {TierKind::Pmem, ctx.golden ? 12_MiB : 48_MiB}};
+        workloads::gapbs::GapbsConfig pr;
+        if (ctx.golden) {
+            pr = goldenGapbsConfig();
+            pr.prIters = 4;
+        } else {
+            pr.scale = 16;  // footprint ~4x the 8 MiB DRAM
+            pr.degree = 20;
+            pr.trials = 2;
+            pr.prIters = 6;
+        }
+
         std::vector<RunUnit> units;
         for (const std::string policy : kFig07Policies) {
             units.push_back({"ycsb_a/" + policy,
-                             [policy](const RunContext &ctx) {
-                sim::MachineConfig tiered = memModeTieredMachine();
-                if (ctx.golden) {
-                    tiered.nodes = {{TierKind::Dram, 4_MiB},
-                                    {TierKind::Pmem, 24_MiB}};
-                    tiered.cache.sizeBytes = 64_KiB;
-                    tiered.metricsWindow = 20_ms;
-                }
-                // Workload sized ~4x DRAM (paper: Memory-mode uses all
-                // DRAM as cache, so a competitive comparison needs
-                // footprint >> cache): ~16 MiB golden, ~64 MiB full.
-                auto ycsb = ycsbWorkload(ctx, 1200000, 40000, 1);
-                ycsb.recordCount = ctx.golden ? 16000 : 60000;
-                return runYcsb(
-                    ctx, fig07Host(policy, tiered), ycsb, kPaperSequence,
-                    [](sim::Simulator &, const auto &results,
-                       RunRecord &rec) {
-                        rec.metrics["tput_a"] =
-                            results[0].throughputOpsPerSec();
-                    });
-            }});
+                             {fig07Host(policy, ycsbTiered),
+                              YcsbUnit{ycsb, kPaperSequence,
+                                       YcsbKeys::FirstTput}}});
         }
         for (const std::string policy : kFig07Policies) {
             units.push_back({"pagerank/" + policy,
-                             [policy](const RunContext &ctx) {
-                sim::MachineConfig tiered =
-                    ctx.golden ? goldenGapbsMachine() : gapbsMachine();
-                tiered.nodes = {
-                    {TierKind::Dram, ctx.golden ? 2_MiB : 8_MiB},
-                    {TierKind::Pmem, ctx.golden ? 12_MiB : 48_MiB}};
-                workloads::gapbs::GapbsConfig pr;
-                if (ctx.golden) {
-                    pr = goldenGapbsConfig();
-                    pr.prIters = 4;
-                } else {
-                    pr.scale = 16;  // footprint ~4x the 8 MiB DRAM
-                    pr.degree = 20;
-                    pr.trials = 2;
-                    pr.prIters = 6;
-                }
-                return runGapbs(ctx, fig07Host(policy, tiered), pr,
-                                Kernel::PR);
-            }});
+                             {fig07Host(policy, prTiered),
+                              GapbsUnit{pr, Kernel::PR}}});
         }
         return units;
     };

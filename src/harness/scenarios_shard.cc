@@ -60,93 +60,6 @@ struct ShardWorkload
     std::unique_ptr<workloads::KvStore> store;
 };
 
-/**
- * Run one policy unit on the 8-shard host: epoch 0 is the per-shard
- * load phase, the remaining epochs are YCSB-A request batches.
- *
- * The whole host is 8x the golden YCSB shard shape: every shard gets a
- * goldenYcsbMachine()-sized slice (4 MiB DRAM + 24 MiB PM full scale),
- * so per-shard tiering dynamics match the proven YCSB golden profile.
- * Golden runs scale the host down 4x.
- */
-RunRecord
-runShardUnit(const RunContext &ctx, const std::string &policy,
-             const sim::ShardOptions &opts)
-{
-    // Per-shard KV records (footprint ~2.5x the shard's DRAM slice),
-    // request epochs after the load epoch, and YCSB-A operations per
-    // shard per request epoch.
-    const std::uint64_t records =
-        ctx.param("records", ctx.golden ? 2400 : 9600);
-    const std::uint64_t epochs = ctx.param("epochs", ctx.golden ? 4 : 8);
-    const std::uint64_t opsPerEpoch =
-        ctx.param("ops", ctx.golden ? 5000 : 60000);
-    constexpr std::size_t kValueBytes = 1024;
-
-    const HostSpec host{policy,
-                        shardedMachine(ctx, ctx.golden ? 8_MiB : 32_MiB,
-                                       ctx.golden ? 48_MiB : 192_MiB)};
-    return runSharded(ctx, host, opts, [&](sim::ShardedSimulator &sharded,
-                                           RunRecord &rec) {
-        std::vector<std::unique_ptr<ShardWorkload>> shards(sharded.shards());
-        for (unsigned s = 0; s < sharded.shards(); ++s) {
-            shards[s] = std::make_unique<ShardWorkload>(
-                sharded.shard(s), records,
-                ctx.derivedSeed(16 + s, 0xbead5eed00ull + s));
-        }
-
-        sharded.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {
-            ShardWorkload &w = *shards[s];
-            if (epoch == 0) {
-                // Load phase: fill the store in key order, spilling cold
-                // records into PM exactly as the YCSB scenarios do.
-                for (std::uint64_t k = 0; k < w.records; ++k)
-                    w.store->put(k, kValueBytes);
-                return true;
-            }
-            // YCSB-A: 50/50 read-update over the scrambled-zipfian keys.
-            for (std::uint64_t i = 0; i < opsPerEpoch; ++i) {
-                const std::uint64_t key = w.zipf.next(w.rng);
-                if (w.rng.nextRange(100) < 50)
-                    w.store->get(key);
-                else
-                    w.store->put(key, kValueBytes);
-            }
-            return epoch < epochs;  // epoch `epochs` is the last one
-        });
-
-        const sim::Metrics merged = sharded.mergedMetrics();
-        const double accesses =
-            static_cast<double>(merged.totalAccesses());
-        rec.metrics["accesses"] = accesses;
-        rec.metrics["tier0_share"] =
-            accesses == 0.0
-                ? 0.0
-                : static_cast<double>(merged.totalTierAccesses(0)) /
-                      accesses;
-        addMigrationMetrics(merged.stats(), rec);
-        rec.metrics["epochs"] = static_cast<double>(sharded.epochs());
-        rec.metrics["merged_events"] =
-            static_cast<double>(sharded.events().size());
-        rec.metrics["deferred"] = static_cast<double>(
-            merged.stats().global(VmItem::PgpromoteDeferred));
-        rec.metrics["makespan_ms"] =
-            static_cast<double>(sharded.makespan()) / 1e6;
-
-        // Shard balance: the extremes of per-shard served accesses.
-        std::uint64_t minAcc = ~0ull, maxAcc = 0;
-        for (unsigned s = 0; s < sharded.shards(); ++s) {
-            const std::uint64_t a =
-                sharded.shard(s).metrics().totalAccesses();
-            minAcc = std::min(minAcc, a);
-            maxAcc = std::max(maxAcc, a);
-        }
-        rec.metrics["min_shard_accesses"] = static_cast<double>(minAcc);
-        rec.metrics["max_shard_accesses"] = static_cast<double>(maxAcc);
-        return shards;
-    });
-}
-
 /** Expand/reduce shared by the whole family. */
 Scenario
 shardScenario(const std::string &name, const std::string &title,
@@ -161,16 +74,23 @@ shardScenario(const std::string &name, const std::string &title,
                  kEpochsParam,
                  kOpsParam,
                  {"promote_budget"}};
-    sc.expand = [promoteBudget](const RunContext &) {
+    // The whole host is 8x the golden YCSB shard shape: every shard
+    // gets a goldenYcsbMachine()-sized slice (4 MiB DRAM + 24 MiB PM
+    // full scale), so per-shard tiering dynamics match the proven YCSB
+    // golden profile. Golden runs scale the host down 4x. Each shard
+    // loads a KV store ~2.5x its DRAM slice.
+    sc.expand = [promoteBudget](const RunContext &ctx) {
+        const ShardKvUnit kv{
+            ctx.param("promote_budget", promoteBudget),
+            ctx.param("records", ctx.golden ? 2400 : 9600),
+            ctx.param("epochs", ctx.golden ? 4 : 8),
+            ctx.param("ops", ctx.golden ? 5000 : 60000),
+            shardSeeds(ctx, kShardCount, 16, 0xbead5eed00ull)};
+        const auto machine = shardedMachine(ctx, ctx.golden ? 8_MiB : 32_MiB,
+                                            ctx.golden ? 48_MiB : 192_MiB);
         std::vector<RunUnit> units;
-        for (const auto &policy : kShardPolicies) {
-            units.push_back({policy, [=](const RunContext &ctx) {
-                const sim::ShardOptions opts{
-                    kShardCount, ctx.shards,
-                    ctx.param("promote_budget", promoteBudget)};
-                return runShardUnit(ctx, policy, opts);
-            }});
-        }
+        for (const auto &policy : kShardPolicies)
+            units.push_back({policy, {{policy, machine}, kv}});
         return units;
     };
     sc.reduce = [sc](const RunContext &,
@@ -204,6 +124,75 @@ shardScenario(const std::string &name, const std::string &title,
 }
 
 }  // namespace
+
+/**
+ * One policy unit on the sharded host: epoch 0 is the per-shard load
+ * phase, the remaining epochs are YCSB-A request batches.
+ */
+RunRecord
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const ShardKvUnit &unit)
+{
+    constexpr std::size_t kValueBytes = 1024;
+    return runSharded(ctx, host, unit.seeds.size(), unit.promoteBudget,
+                      [&](sim::ShardedSimulator &sharded, RunRecord &rec) {
+        std::vector<std::unique_ptr<ShardWorkload>> shards(sharded.shards());
+        for (unsigned s = 0; s < sharded.shards(); ++s) {
+            shards[s] = std::make_unique<ShardWorkload>(
+                sharded.shard(s), unit.records, unit.seeds[s]);
+        }
+
+        sharded.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {
+            ShardWorkload &w = *shards[s];
+            if (epoch == 0) {
+                // Load phase: fill the store in key order, spilling cold
+                // records into PM exactly as the YCSB scenarios do.
+                for (std::uint64_t k = 0; k < w.records; ++k)
+                    w.store->put(k, kValueBytes);
+                return true;
+            }
+            // YCSB-A: 50/50 read-update over the scrambled-zipfian keys.
+            for (std::uint64_t i = 0; i < unit.opsPerEpoch; ++i) {
+                const std::uint64_t key = w.zipf.next(w.rng);
+                if (w.rng.nextRange(100) < 50)
+                    w.store->get(key);
+                else
+                    w.store->put(key, kValueBytes);
+            }
+            return epoch < unit.epochs;  // epoch `epochs` is the last one
+        });
+
+        const sim::Metrics merged = sharded.mergedMetrics();
+        const double accesses =
+            static_cast<double>(merged.totalAccesses());
+        rec.metrics["accesses"] = accesses;
+        rec.metrics["tier0_share"] =
+            accesses == 0.0
+                ? 0.0
+                : static_cast<double>(merged.totalTierAccesses(0)) /
+                      accesses;
+        addMigrationMetrics(merged.stats(), rec);
+        rec.metrics["epochs"] = static_cast<double>(sharded.epochs());
+        rec.metrics["merged_events"] =
+            static_cast<double>(sharded.events().size());
+        rec.metrics["deferred"] = static_cast<double>(
+            merged.stats().global(VmItem::PgpromoteDeferred));
+        rec.metrics["makespan_ms"] =
+            static_cast<double>(sharded.makespan()) / 1e6;
+
+        // Shard balance: the extremes of per-shard served accesses.
+        std::uint64_t minAcc = ~0ull, maxAcc = 0;
+        for (unsigned s = 0; s < sharded.shards(); ++s) {
+            const std::uint64_t a =
+                sharded.shard(s).metrics().totalAccesses();
+            minAcc = std::min(minAcc, a);
+            maxAcc = std::max(maxAcc, a);
+        }
+        rec.metrics["min_shard_accesses"] = static_cast<double>(minAcc);
+        rec.metrics["max_shard_accesses"] = static_cast<double>(maxAcc);
+        return shards;
+    });
+}
 
 std::vector<Scenario>
 makeShardScenarios()

@@ -80,28 +80,9 @@ mergeHist(LatencyHist &into, const MemCgroup &cg)
 
 // --- tenant_noisy_neighbor -------------------------------------------------
 
-/** Which tenants a noisy-neighbor unit hosts and how they are limited. */
-enum class TenantMix
-{
-    Baseline,  ///< victim alone, unconstrained
-    Isolated,  ///< victim + thrasher, caps/quota/low protection on
-    Shared,    ///< victim + thrasher, accounting only
-};
-
+/** The noisy-neighbor unit names, in TenantMix order. */
 const std::vector<std::string> kNoisyUnits = {"baseline", "isolated",
                                               "shared"};
-
-std::uint64_t
-victimRecords(const RunContext &ctx)
-{
-    return ctx.param("victim_records", ctx.golden ? 600 : 1200);
-}
-
-std::uint64_t
-thrasherRecords(const RunContext &ctx)
-{
-    return ctx.param("thrasher_records", ctx.golden ? 3000 : 6000);
-}
 
 /** One shard's tenants: cgroups, stores, and request generators. */
 struct TenantShard
@@ -116,10 +97,9 @@ struct TenantShard
     std::unique_ptr<workloads::ScrambledZipfianGenerator> thrasherZipf;
 };
 
-/** Build one shard's tenant mix (coordinator thread, before run()). */
+/** Build shard @p s's tenants (coordinator thread, before run()). */
 TenantShard
-makeTenantShard(sim::Simulator &sim, TenantMix mix, const RunContext &ctx,
-                unsigned s)
+makeTenantShard(sim::Simulator &sim, const TenantMixUnit &unit, unsigned s)
 {
     TenantShard t;
 
@@ -127,7 +107,7 @@ makeTenantShard(sim::Simulator &sim, TenantMix mix, const RunContext &ctx,
     // isolated mix, so global reclaim never touches its pages while
     // the thrasher has anything unprotected resident.
     MemCgroupLimits victimLimits;
-    if (mix == TenantMix::Isolated)
+    if (unit.mix == TenantMix::Isolated)
         victimLimits.lowPages = {320};
     t.victimId = sim.memcg().create("victim", victimLimits);
 
@@ -135,18 +115,18 @@ makeTenantShard(sim::Simulator &sim, TenantMix mix, const RunContext &ctx,
     kv.hashBuckets = 1u << 12;
     kv.memcg = t.victimId;
     t.victim = std::make_unique<workloads::KvStore>(sim, kv);
-    t.victimRng = Rng(ctx.derivedSeed(32 + s, 0xfeed5eed00ull + s));
+    t.victimRng = Rng(unit.victimSeeds[s]);
     t.victimZipf = std::make_unique<workloads::ScrambledZipfianGenerator>(
-        victimRecords(ctx));
+        unit.victimRecords);
 
-    if (mix == TenantMix::Baseline)
+    if (unit.mix == TenantMix::Baseline)
         return t;
 
     // Thrasher limits: in the isolated mix a hard DRAM cap plus a
     // small per-epoch promotion quota; in the shared mix nothing — the
     // cgroup exists purely so its latencies/charges are observable.
     MemCgroupLimits thrasherLimits;
-    if (mix == TenantMix::Isolated) {
+    if (unit.mix == TenantMix::Isolated) {
         thrasherLimits.maxPages = {96};
         thrasherLimits.promoteQuantum = 8;
     }
@@ -154,135 +134,11 @@ makeTenantShard(sim::Simulator &sim, TenantMix mix, const RunContext &ctx,
 
     kv.memcg = t.thrasherId;
     t.thrasher = std::make_unique<workloads::KvStore>(sim, kv);
-    t.thrasherRng = Rng(ctx.derivedSeed(48 + s, 0xfade5eed00ull + s));
+    t.thrasherRng = Rng(unit.thrasherSeeds[s]);
     t.thrasherZipf =
         std::make_unique<workloads::ScrambledZipfianGenerator>(
-            thrasherRecords(ctx));
+            unit.thrasherRecords);
     return t;
-}
-
-/**
- * One noisy-neighbor unit. The whole host has 2 MiB DRAM / 8 MiB PM
- * per shard golden: the victim (~0.7 MiB) fits in DRAM with room to
- * spare, the thrasher (~3.2 MiB) cannot.
- */
-RunRecord
-runNoisyUnit(TenantMix mix, const RunContext &ctx)
-{
-    constexpr std::size_t kValueBytes = 1024;
-    const std::uint64_t vRecords = victimRecords(ctx);
-    const std::uint64_t tRecords = thrasherRecords(ctx);
-    const std::uint64_t epochs = ctx.param("epochs", ctx.golden ? 4 : 8);
-    const std::uint64_t vOps =
-        ctx.param("victim_ops", ctx.golden ? 6000 : 24000);
-    const std::uint64_t tOps =
-        ctx.param("thrasher_ops", ctx.golden ? 9000 : 36000);
-
-    const HostSpec host{"multiclock",
-                        shardedMachine(ctx, ctx.golden ? 8_MiB : 16_MiB,
-                                       ctx.golden ? 32_MiB : 64_MiB)};
-    return runSharded(ctx, host, {kTenantShards, ctx.shards},
-                      [&](sim::ShardedSimulator &sharded, RunRecord &rec) {
-        std::vector<TenantShard> tenants(sharded.shards());
-        for (unsigned s = 0; s < sharded.shards(); ++s)
-            tenants[s] = makeTenantShard(sharded.shard(s), mix, ctx, s);
-
-        sharded.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {
-            TenantShard &t = tenants[s];
-            if (epoch == 0) {
-                // Load phase: victim first (born in DRAM), then the
-                // thrasher spills past the DRAM watermark exactly as a
-                // late-arriving bulk tenant would.
-                for (std::uint64_t k = 0; k < vRecords; ++k)
-                    t.victim->put(k, kValueBytes);
-                if (t.thrasher) {
-                    for (std::uint64_t k = 0; k < tRecords; ++k)
-                        t.thrasher->put(k, kValueBytes);
-                }
-                return true;
-            }
-            // Request epochs. The victim runs a stable zipfian YCSB-A
-            // mix; the thrasher's popularity churns every epoch (rotating
-            // key offset), so it keeps manufacturing new promotion
-            // candidates — the noisy-neighbor pressure under test.
-            for (std::uint64_t i = 0; i < vOps; ++i) {
-                const std::uint64_t key = t.victimZipf->next(t.victimRng);
-                if (t.victimRng.nextRange(100) < 50)
-                    t.victim->get(key);
-                else
-                    t.victim->put(key, kValueBytes);
-            }
-            if (t.thrasher) {
-                const std::uint64_t churn = (epoch - 1) * 797;
-                for (std::uint64_t i = 0; i < tOps; ++i) {
-                    const std::uint64_t key =
-                        (t.thrasherZipf->next(t.thrasherRng) + churn) %
-                        tRecords;
-                    if (t.thrasherRng.nextRange(100) < 50)
-                        t.thrasher->get(key);
-                    else
-                        t.thrasher->put(key, kValueBytes);
-                }
-            }
-            return epoch < epochs;
-        });
-
-        // Exact cross-shard percentiles: merge the per-shard histograms
-        // (one MemCgroupManager per shard) before taking p99.
-        LatencyHist victimHist, thrasherHist;
-        std::uint64_t victimAccesses = 0, thrasherAccesses = 0;
-        double victimLatSum = 0.0;
-        for (unsigned s = 0; s < sharded.shards(); ++s) {
-            sim::Simulator &sim = sharded.shard(s);
-            const TenantShard &t = tenants[s];
-            if (const MemCgroup *cg = sim.memcg().find(t.victimId)) {
-                mergeHist(victimHist, *cg);
-                victimAccesses += cg->accesses();
-                victimLatSum +=
-                    cg->meanLatency() * static_cast<double>(cg->accesses());
-            }
-            if (const MemCgroup *cg = sim.memcg().find(t.thrasherId)) {
-                mergeHist(thrasherHist, *cg);
-                thrasherAccesses += cg->accesses();
-            }
-        }
-
-        const stats::VmStat vmstat = sharded.mergedVmstat();
-        const double victimP99 = static_cast<double>(histP99(victimHist));
-        rec.metrics["victim_p99_ns"] = victimP99;
-        rec.metrics["victim_mean_ns"] =
-            victimAccesses == 0
-                ? 0.0
-                : victimLatSum / static_cast<double>(victimAccesses);
-        rec.metrics["victim_accesses"] =
-            static_cast<double>(victimAccesses);
-        rec.metrics["thrasher_p99_ns"] =
-            static_cast<double>(histP99(thrasherHist));
-        rec.metrics["thrasher_accesses"] =
-            static_cast<double>(thrasherAccesses);
-        addMigrationMetrics(vmstat, rec);
-        rec.metrics["tenant_demotions"] =
-            static_cast<double>(vmstat.global(VmItem::PgtenantDemote));
-        rec.metrics["promote_deferred"] = static_cast<double>(
-            vmstat.global(VmItem::PgtenantPromoteDeferred));
-        rec.metrics["alloc_fallbacks"] = static_cast<double>(
-            vmstat.global(VmItem::PgtenantAllocFallback));
-        rec.metrics["limit_reclaims"] =
-            static_cast<double>(vmstat.global(VmItem::MemcgLimitReclaim));
-
-        rec.tenantMetrics["victim.p99_latency_ns"] = victimP99;
-        rec.tenantMetrics["victim.mean_latency_ns"] =
-            rec.metrics["victim_mean_ns"];
-        rec.tenantMetrics["victim.accesses"] =
-            static_cast<double>(victimAccesses);
-        if (thrasherAccesses > 0) {
-            rec.tenantMetrics["thrasher.p99_latency_ns"] =
-                rec.metrics["thrasher_p99_ns"];
-            rec.tenantMetrics["thrasher.accesses"] =
-                static_cast<double>(thrasherAccesses);
-        }
-        return tenants;
-    });
 }
 
 Scenario
@@ -300,16 +156,23 @@ noisyNeighborScenario()
                  {"thrasher_ops", 1, kMaxParamOps}};
     sc.goldenEligible = true;
     sc.expand = [](const RunContext &ctx) {
+        const auto machine = shardedMachine(ctx, ctx.golden ? 8_MiB : 16_MiB,
+                                            ctx.golden ? 32_MiB : 64_MiB);
+        TenantMixUnit unit{
+            TenantMix::Baseline,
+            ctx.param("victim_records", ctx.golden ? 600 : 1200),
+            ctx.param("thrasher_records", ctx.golden ? 3000 : 6000),
+            ctx.param("epochs", ctx.golden ? 4 : 8),
+            ctx.param("victim_ops", ctx.golden ? 6000 : 24000),
+            ctx.param("thrasher_ops", ctx.golden ? 9000 : 36000),
+            shardSeeds(ctx, kTenantShards, 32, 0xfeed5eed00ull),
+            shardSeeds(ctx, kTenantShards, 48, 0xfade5eed00ull)};
         std::vector<RunUnit> units;
-        const TenantMix mixes[] = {TenantMix::Baseline,
-                                   TenantMix::Isolated,
-                                   TenantMix::Shared};
-        for (std::size_t i = 0; i < kNoisyUnits.size(); ++i) {
-            const TenantMix mix = mixes[i];
-            units.push_back({kNoisyUnits[i],
-                             [mix, ctx](const RunContext &) {
-                return runNoisyUnit(mix, ctx);
-            }});
+        for (TenantMix mix : {TenantMix::Baseline, TenantMix::Isolated,
+                              TenantMix::Shared}) {
+            unit.mix = mix;
+            units.push_back({kNoisyUnits[static_cast<std::size_t>(mix)],
+                             {{"multiclock", machine}, unit}});
         }
         return units;
     };
@@ -379,6 +242,171 @@ struct ChurnTenant
     bool departed = false;
 };
 
+Scenario
+churnScenario()
+{
+    Scenario sc;
+    sc.name = "tenant_churn";
+    sc.title = "Tenant arrival/departure waves under caps and swap";
+    sc.workload = "synthetic";
+    sc.policies = kChurnUnits;
+    // Past 1024 pages the tenants overflow the host's swap.
+    sc.params = {{"tenant_pages", 1, 1024}, {"sweeps", 1, 1000}};
+    sc.goldenEligible = true;
+    sc.expand = [](const RunContext &ctx) {
+        const ChurnUnit churn{
+            ctx.param("tenant_pages", 384),
+            ctx.param("sweeps", ctx.golden ? 2 : 4),
+            shardSeeds(ctx, kTenantShards, 64, 0xc0ffee5eed00ull)};
+        std::vector<RunUnit> units;
+        for (const auto &policy : kChurnUnits) {
+            HostSpec host{policy, shardedMachine(ctx, 4_MiB, 8_MiB)};
+            host.machine.swapPages = 16384;
+            units.push_back({policy, {host, churn}});
+        }
+        return units;
+    };
+    sc.reduce = [sc](const RunContext &,
+                     const std::vector<RunRecord> &records,
+                     ScenarioOutput &out) {
+        appendf(out.text, "=== %s ===\n", sc.title.c_str());
+        appendf(out.text,
+                "%llu waves x %llu-epoch lifetimes over %u shards\n",
+                static_cast<unsigned long long>(kChurnWaves),
+                static_cast<unsigned long long>(kTenantLife),
+                kTenantShards);
+        const std::vector<Column> columns = {
+            {"policy", "policy", 12},
+            {"swap_outs", "swap_outs", 9},
+            {"alloc_fallbacks", "fallbacks", 10},
+            {"limit_reclaims", "reclaims", 9},
+            {"demotions", "demotions", 10},
+            {"slot_releases", "releases", 9},
+            {"leaked_charges", "leaked", 8}};
+        Table table(columns);
+        for (std::size_t i = 0; i < records.size(); ++i)
+            table.row(kChurnUnits[i], metricCells(columns, records[i].metrics));
+        out.text += table.text();
+    };
+    return sc;
+}
+
+}  // namespace
+
+/**
+ * One noisy-neighbor unit. The whole host has 2 MiB DRAM / 8 MiB PM
+ * per shard golden: the victim (~0.7 MiB) fits in DRAM with room to
+ * spare, the thrasher (~3.2 MiB) cannot.
+ */
+RunRecord
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const TenantMixUnit &unit)
+{
+    constexpr std::size_t kValueBytes = 1024;
+    return runSharded(ctx, host, unit.victimSeeds.size(), 0,
+                      [&](sim::ShardedSimulator &sharded, RunRecord &rec) {
+        std::vector<TenantShard> tenants(sharded.shards());
+        for (unsigned s = 0; s < sharded.shards(); ++s)
+            tenants[s] = makeTenantShard(sharded.shard(s), unit, s);
+
+        sharded.run([&](sim::Simulator &, unsigned s, std::uint64_t epoch) {
+            TenantShard &t = tenants[s];
+            if (epoch == 0) {
+                // Load phase: victim first (born in DRAM), then the
+                // thrasher spills past the DRAM watermark exactly as a
+                // late-arriving bulk tenant would.
+                for (std::uint64_t k = 0; k < unit.victimRecords; ++k)
+                    t.victim->put(k, kValueBytes);
+                if (t.thrasher) {
+                    for (std::uint64_t k = 0; k < unit.thrasherRecords; ++k)
+                        t.thrasher->put(k, kValueBytes);
+                }
+                return true;
+            }
+            // Request epochs. The victim runs a stable zipfian YCSB-A
+            // mix; the thrasher's popularity churns every epoch (rotating
+            // key offset), so it keeps manufacturing new promotion
+            // candidates — the noisy-neighbor pressure under test.
+            for (std::uint64_t i = 0; i < unit.victimOps; ++i) {
+                const std::uint64_t key = t.victimZipf->next(t.victimRng);
+                if (t.victimRng.nextRange(100) < 50)
+                    t.victim->get(key);
+                else
+                    t.victim->put(key, kValueBytes);
+            }
+            if (t.thrasher) {
+                const std::uint64_t churn = (epoch - 1) * 797;
+                for (std::uint64_t i = 0; i < unit.thrasherOps; ++i) {
+                    const std::uint64_t key =
+                        (t.thrasherZipf->next(t.thrasherRng) + churn) %
+                        unit.thrasherRecords;
+                    if (t.thrasherRng.nextRange(100) < 50)
+                        t.thrasher->get(key);
+                    else
+                        t.thrasher->put(key, kValueBytes);
+                }
+            }
+            return epoch < unit.epochs;
+        });
+
+        // Exact cross-shard percentiles: merge the per-shard histograms
+        // (one MemCgroupManager per shard) before taking p99.
+        LatencyHist victimHist, thrasherHist;
+        std::uint64_t victimAccesses = 0, thrasherAccesses = 0;
+        double victimLatSum = 0.0;
+        for (unsigned s = 0; s < sharded.shards(); ++s) {
+            sim::Simulator &sim = sharded.shard(s);
+            const TenantShard &t = tenants[s];
+            if (const MemCgroup *cg = sim.memcg().find(t.victimId)) {
+                mergeHist(victimHist, *cg);
+                victimAccesses += cg->accesses();
+                victimLatSum +=
+                    cg->meanLatency() * static_cast<double>(cg->accesses());
+            }
+            if (const MemCgroup *cg = sim.memcg().find(t.thrasherId)) {
+                mergeHist(thrasherHist, *cg);
+                thrasherAccesses += cg->accesses();
+            }
+        }
+
+        const stats::VmStat vmstat = sharded.mergedVmstat();
+        const double victimP99 = static_cast<double>(histP99(victimHist));
+        rec.metrics["victim_p99_ns"] = victimP99;
+        rec.metrics["victim_mean_ns"] =
+            victimAccesses == 0
+                ? 0.0
+                : victimLatSum / static_cast<double>(victimAccesses);
+        rec.metrics["victim_accesses"] =
+            static_cast<double>(victimAccesses);
+        rec.metrics["thrasher_p99_ns"] =
+            static_cast<double>(histP99(thrasherHist));
+        rec.metrics["thrasher_accesses"] =
+            static_cast<double>(thrasherAccesses);
+        addMigrationMetrics(vmstat, rec);
+        rec.metrics["tenant_demotions"] =
+            static_cast<double>(vmstat.global(VmItem::PgtenantDemote));
+        rec.metrics["promote_deferred"] = static_cast<double>(
+            vmstat.global(VmItem::PgtenantPromoteDeferred));
+        rec.metrics["alloc_fallbacks"] = static_cast<double>(
+            vmstat.global(VmItem::PgtenantAllocFallback));
+        rec.metrics["limit_reclaims"] =
+            static_cast<double>(vmstat.global(VmItem::MemcgLimitReclaim));
+
+        rec.tenantMetrics["victim.p99_latency_ns"] = victimP99;
+        rec.tenantMetrics["victim.mean_latency_ns"] =
+            rec.metrics["victim_mean_ns"];
+        rec.tenantMetrics["victim.accesses"] =
+            static_cast<double>(victimAccesses);
+        if (thrasherAccesses > 0) {
+            rec.tenantMetrics["thrasher.p99_latency_ns"] =
+                rec.metrics["thrasher_p99_ns"];
+            rec.tenantMetrics["thrasher.accesses"] =
+                static_cast<double>(thrasherAccesses);
+        }
+        return tenants;
+    });
+}
+
 /**
  * One churn unit. The whole host has 1 MiB DRAM / 2 MiB PM per shard
  * and ample swap: three concurrent 1.5 MiB tenants over-commit the
@@ -386,20 +414,14 @@ struct ChurnTenant
  * then tear regions down with slots still held.
  */
 RunRecord
-runChurnUnit(const std::string &policy, const RunContext &ctx)
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const ChurnUnit &unit)
 {
-    const std::uint64_t pages = ctx.param("tenant_pages", 384);
-    const std::uint64_t sweeps = ctx.param("sweeps", ctx.golden ? 2 : 4);
     const std::uint64_t lastEpoch = kChurnWaves - 1 + kTenantLife;
-
-    HostSpec host{policy, shardedMachine(ctx, 4_MiB, 8_MiB)};
-    host.machine.swapPages = 16384;
-    return runSharded(ctx, host, {kTenantShards, ctx.shards},
+    return runSharded(ctx, host, unit.seeds.size(), 0,
                       [&](sim::ShardedSimulator &sharded, RunRecord &rec) {
         std::vector<std::vector<ChurnTenant>> waves(sharded.shards());
-        std::vector<Rng> rngs(sharded.shards());
-        for (unsigned s = 0; s < sharded.shards(); ++s)
-            rngs[s] = Rng(ctx.derivedSeed(64 + s, 0xc0ffee5eed00ull + s));
+        std::vector<Rng> rngs(unit.seeds.begin(), unit.seeds.end());
 
         sharded.run([&](sim::Simulator &sim, unsigned s,
                         std::uint64_t epoch) {
@@ -429,7 +451,7 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
                 limits.promoteQuantum = 16;
                 t.id = sim.memcg().create(
                     "wave" + std::to_string(epoch), limits);
-                t.region = sim.mmap(pages * kPageSize, /*anon=*/true,
+                t.region = sim.mmap(unit.pages * kPageSize, /*anon=*/true,
                                     "tenant-heap", t.id);
                 tenants.push_back(t);
             }
@@ -440,12 +462,12 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
             for (const auto &t : tenants) {
                 if (t.departed)
                     continue;
-                for (std::uint64_t pass = 0; pass < sweeps; ++pass) {
-                    for (std::uint64_t p = 0; p < pages; ++p)
+                for (std::uint64_t pass = 0; pass < unit.sweeps; ++pass) {
+                    for (std::uint64_t p = 0; p < unit.pages; ++p)
                         sim.write(t.region + p * kPageSize, 8);
-                    for (std::uint64_t i = 0; i < pages / 4; ++i) {
+                    for (std::uint64_t i = 0; i < unit.pages / 4; ++i) {
                         sim.read(t.region +
-                                     rng.nextRange(pages) * kPageSize,
+                                     rng.nextRange(unit.pages) * kPageSize,
                                  8);
                     }
                 }
@@ -479,53 +501,6 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
         return waves;
     });
 }
-
-Scenario
-churnScenario()
-{
-    Scenario sc;
-    sc.name = "tenant_churn";
-    sc.title = "Tenant arrival/departure waves under caps and swap";
-    sc.workload = "synthetic";
-    sc.policies = kChurnUnits;
-    // Past 1024 pages the tenants overflow the host's swap.
-    sc.params = {{"tenant_pages", 1, 1024}, {"sweeps", 1, 1000}};
-    sc.goldenEligible = true;
-    sc.expand = [](const RunContext &ctx) {
-        std::vector<RunUnit> units;
-        for (const auto &policy : kChurnUnits) {
-            units.push_back({policy, [policy, ctx](const RunContext &) {
-                return runChurnUnit(policy, ctx);
-            }});
-        }
-        return units;
-    };
-    sc.reduce = [sc](const RunContext &,
-                     const std::vector<RunRecord> &records,
-                     ScenarioOutput &out) {
-        appendf(out.text, "=== %s ===\n", sc.title.c_str());
-        appendf(out.text,
-                "%llu waves x %llu-epoch lifetimes over %u shards\n",
-                static_cast<unsigned long long>(kChurnWaves),
-                static_cast<unsigned long long>(kTenantLife),
-                kTenantShards);
-        const std::vector<Column> columns = {
-            {"policy", "policy", 12},
-            {"swap_outs", "swap_outs", 9},
-            {"alloc_fallbacks", "fallbacks", 10},
-            {"limit_reclaims", "reclaims", 9},
-            {"demotions", "demotions", 10},
-            {"slot_releases", "releases", 9},
-            {"leaked_charges", "leaked", 8}};
-        Table table(columns);
-        for (std::size_t i = 0; i < records.size(); ++i)
-            table.row(kChurnUnits[i], metricCells(columns, records[i].metrics));
-        out.text += table.text();
-    };
-    return sc;
-}
-
-}  // namespace
 
 std::vector<Scenario>
 makeTenantScenarios()

@@ -21,26 +21,6 @@
 namespace mclock {
 namespace harness {
 
-namespace {
-
-using stats::VmItem;
-
-/** Every factory policy that runs on a multi-tier machine. */
-const std::vector<std::string> &
-tier3Policies()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> out;
-        for (const auto &name : policies::policyNames()) {
-            if (name != "memory-mode")
-                out.push_back(name);
-        }
-        return out;
-    }();
-    return names;
-}
-
-/** Per-tier access/latency totals, keyed "tier<r>.accesses|avg_ns". */
 void
 addTierMetrics(sim::Simulator &sim, RunRecord &rec)
 {
@@ -57,50 +37,55 @@ addTierMetrics(sim::Simulator &sim, RunRecord &rec)
     }
 }
 
+namespace {
+
+/** Every factory policy that runs on a multi-tier machine. */
+const std::vector<std::string> &
+tier3Policies()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const auto &name : policies::policyNames()) {
+            if (name != "memory-mode")
+                out.push_back(name);
+        }
+        return out;
+    }();
+    return names;
+}
+
 /** Rank labels for the three-tier table (ranks of the tier3 machines). */
 constexpr const char *kTierLabels[3] = {"dram", "cxl", "pm"};
 
-/** YCSB phase @p W: throughput, migration and per-tier metrics. */
+/** YCSB phase @p W with the per-tier keys. */
 template <workloads::YcsbWorkload W>
-RunRecord
+UnitSpec
 tier3Ycsb(const RunContext &ctx, const std::string &policy)
 {
-    return runYcsb(
-        ctx,
-        {policy, ctx.golden ? goldenTier3YcsbMachine() : tier3YcsbMachine()},
-        ycsbWorkload(ctx, 1200000, 60000, 1), {W},
-        [](sim::Simulator &sim, const auto &results, RunRecord &rec) {
-            rec.metrics["kops"] = results[0].throughputOpsPerSec() / 1e3;
-            addMigrationMetrics(sim.vmstat(), rec);
-            rec.metrics["swap_outs"] = static_cast<double>(
-                sim.vmstat().global(VmItem::Pswpout));
-            addTierMetrics(sim, rec);
-        });
+    return {{policy,
+             ctx.golden ? goldenTier3YcsbMachine() : tier3YcsbMachine()},
+            YcsbUnit{ycsbWorkload(ctx, 1200000, 60000, 1), {W},
+                     YcsbKeys::Tiers}};
 }
 
-/** PageRank: trial time, migration and per-tier metrics. */
-RunRecord
+/** PageRank with the per-tier keys. */
+UnitSpec
 tier3Pagerank(const RunContext &ctx, const std::string &policy)
 {
     auto graph = ctx.golden ? goldenGapbsConfig() : gapbsBenchConfig();
     graph.seed = ctx.derivedSeed(2, graph.seed);
-    return runGapbs(
-        ctx,
-        {policy, ctx.golden ? goldenTier3GapbsMachine() : tier3GapbsMachine()},
-        graph, workloads::gapbs::Kernel::PR,
-        [](sim::Simulator &sim, RunRecord &rec) {
-            addMigrationMetrics(sim.vmstat(), rec);
-            addTierMetrics(sim, rec);
-        });
+    return {{policy,
+             ctx.golden ? goldenTier3GapbsMachine() : tier3GapbsMachine()},
+            GapbsUnit{graph, workloads::gapbs::Kernel::PR, GapbsKeys::Tiers}};
 }
 
 /**
- * A tier3_* scenario: one @p run unit per policy, reduced to a policy
+ * A tier3_* scenario: one @p unit per policy, reduced to a policy
  * table of @p metric with the per-tier access breakdown.
  */
 Scenario
 tier3Scenario(const char *name, const char *title, const char *workload,
-              RunRecord (*run)(const RunContext &, const std::string &),
+              UnitSpec (*unit)(const RunContext &, const std::string &),
               const char *metric, const char *metricLabel,
               std::vector<ParamSpec> params)
 {
@@ -110,13 +95,10 @@ tier3Scenario(const char *name, const char *title, const char *workload,
     sc.workload = workload;
     sc.policies = tier3Policies();
     sc.params = std::move(params);
-    sc.expand = [sc, run](const RunContext &) {
+    sc.expand = [sc, unit](const RunContext &ctx) {
         std::vector<RunUnit> units;
-        for (const auto &policy : sc.policies) {
-            units.push_back({policy, [policy, run](const RunContext &ctx) {
-                return run(ctx, policy);
-            }});
-        }
+        for (const auto &policy : sc.policies)
+            units.push_back({policy, unit(ctx, policy)});
         return units;
     };
     sc.reduce = [sc, metric, metricLabel](

@@ -26,13 +26,6 @@ const workloads::SyntheticProfile kProfiles[] = {
     workloads::SyntheticProfile::Lusearch,
 };
 
-/** Shared synthetic-run setup for fig01/fig02 units. */
-struct SyntheticRun
-{
-    trace::AccessTrace trace;
-    workloads::SyntheticConfig cfg;
-};
-
 /** Traced simulated seconds of a fig01/fig02 unit. */
 std::uint64_t
 syntheticSeconds(const RunContext &ctx)
@@ -47,20 +40,27 @@ windowSeconds(const RunContext &ctx)
     return ctx.param("window-s", 2);
 }
 
-/** Trace @p profile on static tiering (the fig01/fig02 unit host). */
-RunRecord
-runSynthetic(const RunContext &ctx, workloads::SyntheticProfile profile,
-             SyntheticRun &out)
+/** The fig01/fig02 synthetic run at the context's scale and seed. */
+workloads::SyntheticConfig
+syntheticConfig(const RunContext &ctx)
 {
-    const std::uint64_t seconds = syntheticSeconds(ctx);
-    out.cfg.numPages = ctx.golden ? 600 : 2000;
-    out.cfg.duration = seconds * 1_s;
-    out.cfg.seed = ctx.derivedSeed(3, out.cfg.seed);
-    return runHost(ctx, ycsbHost(ctx, "static"),
-                   [&](sim::Simulator &sim, RunRecord &) {
+    workloads::SyntheticConfig cfg;
+    cfg.numPages = ctx.golden ? 600 : 2000;
+    cfg.duration = syntheticSeconds(ctx) * 1_s;
+    cfg.seed = ctx.derivedSeed(3, cfg.seed);
+    return cfg;
+}
+
+/** Trace @p profile under @p cfg on @p host into @p trace. */
+RunRecord
+runSynthetic(const RunContext &ctx, const HostSpec &host,
+             workloads::SyntheticProfile profile,
+             const workloads::SyntheticConfig &cfg, trace::AccessTrace &trace)
+{
+    return runHost(ctx, host, [&](sim::Simulator &sim, RunRecord &) {
         auto workload = std::make_unique<workloads::SyntheticWorkload>(
-            sim, profile, out.cfg);
-        workload->run(out.trace);
+            sim, profile, cfg);
+        workload->run(trace);
         return workload;
     });
 }
@@ -75,51 +75,16 @@ fig01Scenario()
     sc.params = {{"seconds", 1, 3600}};
     sc.policies = {"static"};
     sc.expand = [](const RunContext &ctx) {
+        trace::HeatmapConfig heatmap;
+        heatmap.sampledPages = 50;
+        heatmap.timeBuckets = 64;
+        heatmap.seed = ctx.derivedSeed(7, heatmap.seed);
         std::vector<RunUnit> units;
         for (auto profile : kProfiles) {
-            const char *name = workloads::syntheticProfileName(profile);
-            units.push_back({name, [profile, name,
-                                    ctx](const RunContext &) {
-                SyntheticRun run;
-                RunRecord rec = runSynthetic(ctx, profile, run);
-
-                trace::HeatmapConfig hmCfg;
-                hmCfg.sampledPages = 50;
-                hmCfg.timeBuckets = 64;
-                hmCfg.seed = ctx.derivedSeed(7, hmCfg.seed);
-                const trace::Heatmap hm = trace::Heatmap::build(
-                    run.trace, run.cfg.numPages, hmCfg);
-
-                appendf(rec.text,
-                        "\n--- (%s): %zu traced accesses ---\n", name,
-                        run.trace.size());
-                std::ostringstream render;
-                hm.render(render);
-                rec.text += render.str();
-
-                CsvWriter csv;
-                hm.writeCsv(csv);
-                rec.artifacts.push_back(
-                    {std::string("fig01_") + name + ".csv", csv.str()});
-                appendf(rec.text, "wrote fig01_%s.csv\n", name);
-
-                // Regression summary: trace volume plus a positional
-                // checksum of the heat matrix (order-sensitive).
-                rec.metrics["traced"] =
-                    static_cast<double>(run.trace.size());
-                std::uint64_t sum = 0, fnv = 0xcbf29ce484222325ull;
-                for (std::size_t r = 0; r < hm.numRows(); ++r) {
-                    for (std::size_t b = 0; b < hm.numBuckets(); ++b) {
-                        const std::uint64_t c = hm.count(r, b);
-                        sum += c;
-                        fnv = (fnv ^ c) * 0x100000001b3ull;
-                    }
-                }
-                rec.metrics["heat_sum"] = static_cast<double>(sum);
-                rec.metrics["heat_checksum"] =
-                    static_cast<double>(fnv % 1000000007ull);
-                return rec;
-            }});
+            units.push_back({workloads::syntheticProfileName(profile),
+                             {ycsbHost(ctx, "static"),
+                              HeatmapUnit{profile, syntheticConfig(ctx),
+                                          heatmap}}});
         }
         return units;
     };
@@ -162,22 +127,10 @@ fig02Scenario()
     sc.expand = [](const RunContext &ctx) {
         std::vector<RunUnit> units;
         for (auto profile : kProfiles) {
-            const char *name = workloads::syntheticProfileName(profile);
-            units.push_back({name, [profile, ctx](const RunContext &) {
-                SyntheticRun run;
-                RunRecord rec = runSynthetic(ctx, profile, run);
-                const SimTime window = 1_s * windowSeconds(ctx);
-                const auto r =
-                    trace::analyzeWindows(run.trace, window, window);
-                rec.metrics["single_mean"] = r.singleMeanPerfAccesses;
-                rec.metrics["multi_mean"] = r.multiMeanPerfAccesses;
-                rec.metrics["ratio"] = r.ratio();
-                rec.metrics["single_samples"] =
-                    static_cast<double>(r.singleSamples);
-                rec.metrics["multi_samples"] =
-                    static_cast<double>(r.multiSamples);
-                return rec;
-            }});
+            units.push_back({workloads::syntheticProfileName(profile),
+                             {ycsbHost(ctx, "static"),
+                              WindowUnit{profile, syntheticConfig(ctx),
+                                         1_s * windowSeconds(ctx)}}});
         }
         return units;
     };
@@ -221,43 +174,90 @@ tab01Scenario()
                    "at-opm",  "nimble",     "amp-lru",
                    "multiclock", "memory-mode"};
     sc.goldenEligible = false;  // static metadata, nothing to regress
-    sc.expand = [sc](const RunContext &) {
-        std::vector<RunUnit> units;
-        units.push_back({"table", [sc](const RunContext &) {
-            RunRecord rec;
-            appendf(rec.text,
-                    "=== Table I: comparison of tiering techniques "
-                    "===\n");
-            appendf(rec.text,
-                    "%-18s %-22s %-26s %-11s %-6s %-9s %-10s %-18s "
-                    "%-s\n",
-                    "Tiering", "Tracking", "Promotion", "Demotion",
-                    "NUMA", "SpaceOvh", "General", "Evaluation",
-                    "Key insight");
-            for (const auto &name : sc.policies) {
-                const auto policy = policies::makePolicy(name, 1_MiB);
-                const auto row = policy->features();
-                appendf(rec.text,
-                        "%-18s %-22s %-26s %-11s %-6s %-9s %-10s "
-                        "%-18s %-s\n",
-                        row.tiering.c_str(), row.tracking.c_str(),
-                        row.promotion.c_str(), row.demotion.c_str(),
-                        row.numaAware.c_str(),
-                        row.spaceOverhead.c_str(),
-                        row.generality.c_str(), row.evaluation.c_str(),
-                        row.keyInsight.c_str());
-            }
-            return rec;
-        }});
-        return units;
+    // One unit that simulates nothing: the table is the policies'
+    // own description of themselves.
+    sc.expand = [](const RunContext &) {
+        return std::vector<RunUnit>{{"table", {}}};
     };
-    // The merged unit texts are the whole table.
-    sc.reduce = [](const RunContext &, const std::vector<RunRecord> &,
-                   ScenarioOutput &) {};
+    sc.reduce = [sc](const RunContext &, const std::vector<RunRecord> &,
+                     ScenarioOutput &out) {
+        appendf(out.text,
+                "=== Table I: comparison of tiering techniques ===\n");
+        appendf(out.text,
+                "%-18s %-22s %-26s %-11s %-6s %-9s %-10s %-18s %-s\n",
+                "Tiering", "Tracking", "Promotion", "Demotion", "NUMA",
+                "SpaceOvh", "General", "Evaluation", "Key insight");
+        for (const auto &name : sc.policies) {
+            const auto row = policies::makePolicy(name, 1_MiB)->features();
+            appendf(out.text,
+                    "%-18s %-22s %-26s %-11s %-6s %-9s %-10s %-18s %-s\n",
+                    row.tiering.c_str(), row.tracking.c_str(),
+                    row.promotion.c_str(), row.demotion.c_str(),
+                    row.numaAware.c_str(), row.spaceOverhead.c_str(),
+                    row.generality.c_str(), row.evaluation.c_str(),
+                    row.keyInsight.c_str());
+        }
+    };
     return sc;
 }
 
 }  // namespace
+
+RunRecord
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const HeatmapUnit &unit)
+{
+    trace::AccessTrace trace;
+    RunRecord rec =
+        runSynthetic(ctx, host, unit.profile, unit.synthetic, trace);
+    const trace::Heatmap hm = trace::Heatmap::build(
+        trace, unit.synthetic.numPages, unit.heatmap);
+    const char *name = workloads::syntheticProfileName(unit.profile);
+
+    appendf(rec.text, "\n--- (%s): %zu traced accesses ---\n", name,
+            trace.size());
+    std::ostringstream render;
+    hm.render(render);
+    rec.text += render.str();
+
+    CsvWriter csv;
+    hm.writeCsv(csv);
+    rec.artifacts.push_back(
+        {std::string("fig01_") + name + ".csv", csv.str()});
+    appendf(rec.text, "wrote fig01_%s.csv\n", name);
+
+    // Regression summary: trace volume plus a positional checksum of
+    // the heat matrix (order-sensitive).
+    rec.metrics["traced"] = static_cast<double>(trace.size());
+    std::uint64_t sum = 0, fnv = 0xcbf29ce484222325ull;
+    for (std::size_t r = 0; r < hm.numRows(); ++r) {
+        for (std::size_t b = 0; b < hm.numBuckets(); ++b) {
+            const std::uint64_t c = hm.count(r, b);
+            sum += c;
+            fnv = (fnv ^ c) * 0x100000001b3ull;
+        }
+    }
+    rec.metrics["heat_sum"] = static_cast<double>(sum);
+    rec.metrics["heat_checksum"] =
+        static_cast<double>(fnv % 1000000007ull);
+    return rec;
+}
+
+RunRecord
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const WindowUnit &unit)
+{
+    trace::AccessTrace trace;
+    RunRecord rec =
+        runSynthetic(ctx, host, unit.profile, unit.synthetic, trace);
+    const auto r = trace::analyzeWindows(trace, unit.window, unit.window);
+    rec.metrics["single_mean"] = r.singleMeanPerfAccesses;
+    rec.metrics["multi_mean"] = r.multiMeanPerfAccesses;
+    rec.metrics["ratio"] = r.ratio();
+    rec.metrics["single_samples"] = static_cast<double>(r.singleSamples);
+    rec.metrics["multi_samples"] = static_cast<double>(r.multiSamples);
+    return rec;
+}
 
 std::vector<Scenario>
 makeTraceScenarios()

@@ -17,78 +17,78 @@
 namespace mclock {
 namespace harness {
 
-RunRecord
-runYcsb(const RunContext &ctx, const HostSpec &host,
-        const workloads::YcsbConfig &ycsb,
-        const std::vector<workloads::YcsbWorkload> &phases,
-        const YcsbReport &report)
-{
-    return runHost(ctx, host, [&](sim::Simulator &sim, RunRecord &rec) {
-        auto driver = std::make_unique<workloads::YcsbDriver>(sim, ycsb);
-        driver->load();
-        std::vector<workloads::YcsbResult> results;
-        for (workloads::YcsbWorkload w : phases)
-            results.push_back(driver->run(w));
-        report(sim, results, rec);
-        return driver;
-    });
-}
-
 namespace {
 
 using stats::VmItem;
 using workloads::YcsbWorkload;
 
-/** Load + one phase; the metrics Figs. 8-10 and the ablations read. */
-RunRecord
-runPhase(const RunContext &ctx, const HostSpec &host,
-         std::uint64_t fullOps, std::uint64_t goldenOps, YcsbWorkload w)
+/** The keys of @p keys from the host and its phase @p results. */
+void
+addYcsbKeys(sim::Simulator &sim, YcsbKeys keys,
+            const std::vector<workloads::YcsbResult> &results,
+            RunRecord &rec)
 {
-    const auto report = [](sim::Simulator &sim, const auto &r,
-                           RunRecord &rec) {
-        const auto &vm = sim.vmstat();
-        rec.metrics["kops"] = r[0].throughputOpsPerSec() / 1e3;
-        addMigrationMetrics(sim.vmstat(), rec);
-        rec.metrics["reaccessed"] =
-            static_cast<double>(sim.metrics().totalReaccessed());
-        rec.metrics["hint_faults"] =
-            static_cast<double>(vm.global(VmItem::PghintFault));
-        rec.metrics["scanned_pages"] =
-            static_cast<double>(vm.global(VmItem::PgscanCharged));
-        rec.metrics["inline_overhead_ns"] =
-            static_cast<double>(vm.global(VmItem::InlineOverheadNs));
-        rec.metrics["background_work_ns"] =
-            static_cast<double>(vm.global(VmItem::BackgroundWorkNs));
-        rec.metrics["swap_outs"] =
-            static_cast<double>(vm.global(VmItem::Pswpout));
-        const auto &windows = sim.metrics().windows();
-        rec.metrics["windows"] = static_cast<double>(windows.size());
-        char key[48];
-        for (std::size_t i = 0; i < windows.size(); ++i) {
-            std::snprintf(key, sizeof(key), "w%03zu.promotions", i);
-            rec.metrics[key] = static_cast<double>(windows[i].promotions);
-            std::snprintf(key, sizeof(key), "w%03zu.reaccessed", i);
-            rec.metrics[key] =
-                static_cast<double>(windows[i].promotedReaccessed);
-        }
-    };
-    return runYcsb(ctx, host, ycsbWorkload(ctx, fullOps, goldenOps, 1),
-                   {w}, report);
+    const auto &vm = sim.vmstat();
+    if (keys == YcsbKeys::PhaseTput) {
+        for (const auto &r : results)
+            rec.metrics["tput." + r.workload] = r.throughputOpsPerSec();
+        addMigrationMetrics(vm, rec);
+        return;
+    }
+    if (keys == YcsbKeys::FirstTput) {
+        rec.metrics["tput_a"] = results[0].throughputOpsPerSec();
+        return;
+    }
+    rec.metrics["kops"] = results[0].throughputOpsPerSec() / 1e3;
+    if (keys == YcsbKeys::Faults) {
+        addFaultMetrics(sim, rec);
+        return;
+    }
+    addMigrationMetrics(vm, rec);
+    rec.metrics["swap_outs"] =
+        static_cast<double>(vm.global(VmItem::Pswpout));
+    if (keys == YcsbKeys::Tiers) {
+        addTierMetrics(sim, rec);
+        return;
+    }
+    rec.metrics["reaccessed"] =
+        static_cast<double>(sim.metrics().totalReaccessed());
+    rec.metrics["hint_faults"] =
+        static_cast<double>(vm.global(VmItem::PghintFault));
+    rec.metrics["scanned_pages"] =
+        static_cast<double>(vm.global(VmItem::PgscanCharged));
+    rec.metrics["inline_overhead_ns"] =
+        static_cast<double>(vm.global(VmItem::InlineOverheadNs));
+    rec.metrics["background_work_ns"] =
+        static_cast<double>(vm.global(VmItem::BackgroundWorkNs));
+    const auto &windows = sim.metrics().windows();
+    rec.metrics["windows"] = static_cast<double>(windows.size());
+    char key[48];
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        std::snprintf(key, sizeof(key), "w%03zu.promotions", i);
+        rec.metrics[key] = static_cast<double>(windows[i].promotions);
+        std::snprintf(key, sizeof(key), "w%03zu.reaccessed", i);
+        rec.metrics[key] =
+            static_cast<double>(windows[i].promotedReaccessed);
+    }
 }
 
-/** One unit per policy, each running phase @p w on the YCSB host. */
+/** Load + phase @p w with the Windows keys: Figs. 8-10, ablations. */
+YcsbUnit
+phaseWorkload(const RunContext &ctx, std::uint64_t fullOps,
+              std::uint64_t goldenOps, YcsbWorkload w = YcsbWorkload::A)
+{
+    return {ycsbWorkload(ctx, fullOps, goldenOps, 1), {w}, YcsbKeys::Windows};
+}
+
+/** One unit per policy, each running @p workload on the YCSB host. */
 std::vector<RunUnit>
-phaseUnits(const std::vector<std::string> &policies,
-           std::uint64_t fullOps, std::uint64_t goldenOps,
-           YcsbWorkload w = YcsbWorkload::A)
+ycsbUnits(const RunContext &ctx, const std::vector<std::string> &policies,
+          const YcsbUnit &workload)
 {
     std::vector<RunUnit> units;
-    for (const auto &policy : policies) {
-        units.push_back({policy, [=](const RunContext &ctx) {
-            return runPhase(ctx, ycsbHost(ctx, policy), fullOps,
-                            goldenOps, w);
-        }});
-    }
+    for (const auto &policy : policies)
+        units.push_back({policy, {ycsbHost(ctx, policy), workload}});
     return units;
 }
 
@@ -103,24 +103,10 @@ fig05Scenario()
     sc.workload = "ycsb";
     sc.params = {kOpsParam};
     sc.policies = policies::tieredPolicyNames();
-    sc.expand = [sc](const RunContext &) {
-        std::vector<RunUnit> units;
-        for (const auto &policy : sc.policies) {
-            units.push_back({policy, [policy](const RunContext &ctx) {
-                return runYcsb(
-                    ctx, ycsbHost(ctx, policy),
-                    ycsbWorkload(ctx, 1200000, 60000, 1), kPaperSequence,
-                    [](sim::Simulator &sim, const auto &results,
-                       RunRecord &rec) {
-                        for (const auto &r : results) {
-                            rec.metrics["tput." + r.workload] =
-                                r.throughputOpsPerSec();
-                        }
-                        addMigrationMetrics(sim.vmstat(), rec);
-                    });
-            }});
-        }
-        return units;
+    sc.expand = [sc](const RunContext &ctx) {
+        return ycsbUnits(ctx, sc.policies,
+                         {ycsbWorkload(ctx, 1200000, 60000, 1),
+                          kPaperSequence, YcsbKeys::PhaseTput});
     };
     sc.reduce = [sc](const RunContext &ctx,
                      const std::vector<RunRecord> &records,
@@ -175,8 +161,8 @@ fig08Scenario()
     sc.workload = "ycsb";
     sc.params = {kOpsParam};
     sc.policies = {"multiclock", "nimble"};
-    sc.expand = [sc](const RunContext &) {
-        return phaseUnits(sc.policies, 4000000, 120000);
+    sc.expand = [sc](const RunContext &ctx) {
+        return ycsbUnits(ctx, sc.policies, phaseWorkload(ctx, 4000000, 120000));
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -222,8 +208,8 @@ fig09Scenario()
     sc.workload = "ycsb";
     sc.params = {kOpsParam};
     sc.policies = {"multiclock", "nimble"};
-    sc.expand = [sc](const RunContext &) {
-        return phaseUnits(sc.policies, 4000000, 120000);
+    sc.expand = [sc](const RunContext &ctx) {
+        return ycsbUnits(ctx, sc.policies, phaseWorkload(ctx, 4000000, 120000));
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -291,20 +277,17 @@ struct SweepPoint
  * "<policy>/<label>", point-major: records[i * policies + p].
  */
 std::vector<RunUnit>
-sweepUnits(const std::vector<std::string> &policies,
+sweepUnits(const RunContext &ctx, const std::vector<std::string> &policies,
            const std::vector<SweepPoint> &points, std::uint64_t fullOps,
            std::uint64_t goldenOps)
 {
     std::vector<RunUnit> units;
     for (const auto &point : points) {
         for (const auto &policy : policies) {
+            HostSpec host = ycsbHost(ctx, policy);
+            point.apply(host);
             units.push_back({policy + "/" + point.label,
-                             [=](const RunContext &ctx) {
-                HostSpec host = ycsbHost(ctx, policy);
-                point.apply(host);
-                return runPhase(ctx, host, fullOps, goldenOps,
-                                YcsbWorkload::A);
-            }});
+                             {host, phaseWorkload(ctx, fullOps, goldenOps)}});
         }
     }
     return units;
@@ -330,7 +313,7 @@ fig10Scenario()
     sc.workload = "ycsb";
     sc.params = {kOpsParam};
     sc.policies = {"multiclock", "nimble"};
-    sc.expand = [sc](const RunContext &) {
+    sc.expand = [sc](const RunContext &ctx) {
         std::vector<SweepPoint> points;
         for (const auto &point : kIntervals) {
             const SimTime interval = scaledTime(point.paperValue);
@@ -338,7 +321,7 @@ fig10Scenario()
                 host.opts.scanInterval = interval;
             }});
         }
-        return sweepUnits(sc.policies, points, 1500000, 60000);
+        return sweepUnits(ctx, sc.policies, points, 1500000, 60000);
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -391,8 +374,8 @@ speedupSweepScenario(const SpeedupSweep &s)
     sc.params = {kOpsParam};
     sc.policies = {"static", "multiclock"};
     sc.expand = [sc, s](const RunContext &ctx) {
-        return sweepUnits(sc.policies, s.points(ctx.golden), s.fullOps,
-                          s.goldenOps);
+        return sweepUnits(ctx, sc.policies, s.points(ctx.golden),
+                          s.fullOps, s.goldenOps);
     };
     sc.reduce = [s](const RunContext &ctx,
                     const std::vector<RunRecord> &records,
@@ -494,8 +477,9 @@ ablationPromoteListScenario()
     sc.policies = {"multiclock", "nimble", "amp-lru", "amp-lfu",
                    "amp-random"};
     sc.expand = [sc](const RunContext &ctx) {
-        return phaseUnits(sc.policies, 1200000, 60000,
-                          promoteListWorkload(ctx));
+        return ycsbUnits(
+            ctx, sc.policies,
+            phaseWorkload(ctx, 1200000, 60000, promoteListWorkload(ctx)));
     };
     sc.reduce = [sc](const RunContext &ctx,
                      const std::vector<RunRecord> &records,
@@ -542,8 +526,8 @@ ablationTrackingCostScenario()
     sc.workload = "ycsb";
     sc.params = {kOpsParam};
     sc.policies = policies::tieredPolicyNames();
-    sc.expand = [sc](const RunContext &) {
-        return phaseUnits(sc.policies, 1200000, 60000);
+    sc.expand = [sc](const RunContext &ctx) {
+        return ycsbUnits(ctx, sc.policies, phaseWorkload(ctx, 1200000, 60000));
     };
     sc.reduce = [sc](const RunContext &,
                      const std::vector<RunRecord> &records,
@@ -577,6 +561,21 @@ ablationTrackingCostScenario()
 }
 
 }  // namespace
+
+RunRecord
+runWorkload(const RunContext &ctx, const HostSpec &host,
+            const YcsbUnit &unit)
+{
+    return runHost(ctx, host, [&](sim::Simulator &sim, RunRecord &rec) {
+        auto driver = std::make_unique<workloads::YcsbDriver>(sim, unit.ycsb);
+        driver->load();
+        std::vector<workloads::YcsbResult> results;
+        for (workloads::YcsbWorkload w : unit.phases)
+            results.push_back(driver->run(w));
+        addYcsbKeys(sim, unit.keys, results, rec);
+        return driver;
+    });
+}
 
 std::vector<Scenario>
 makeYcsbScenarios()

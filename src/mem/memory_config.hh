@@ -31,6 +31,8 @@ struct TierTiming
     double readBandwidth;
     /** Sustained copy bandwidth in bytes/ns (== GB/s) for writes. */
     double writeBandwidth;
+
+    bool operator==(const TierTiming &) const = default;
 };
 
 /** One entry of the rank-ordered tier table. */
@@ -38,6 +40,8 @@ struct TierDesc
 {
     std::string name;   ///< Human-readable tier name ("DRAM", "CXL", ...).
     TierTiming timing;  ///< Access timing for this tier.
+
+    bool operator==(const TierDesc &) const = default;
 };
 
 /** Full timing model for the machine. */
@@ -111,6 +115,8 @@ struct MemoryConfig
 
     /** Total cost of migrating one page from @p src to @p dst. */
     SimTime pageMigrationCost(TierRank src, TierRank dst) const;
+
+    bool operator==(const MemoryConfig &) const = default;
 };
 
 /** LLC filter-cache parameters; models the on-chip cache hierarchy. */
@@ -121,6 +127,8 @@ struct CacheConfig
     unsigned ways = 16;
     unsigned lineBytes = 64;
     SimTime hitLatency = 5_ns;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 }  // namespace mclock

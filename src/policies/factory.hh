@@ -35,6 +35,8 @@ struct PolicyOptions
     double poisonPagesPerSec = 8192.0;
     /** DRAM capacity handed to Memory-mode as its memory-side cache. */
     std::size_t dramCacheBytes = 0;
+
+    bool operator==(const PolicyOptions &) const = default;
 };
 
 /** Construct a policy by name; fatal on unknown names. */

@@ -80,6 +80,8 @@ struct FaultConfig
 
     /** Promotion cooldown once throttled (two scan intervals). */
     SimTime throttleCooldownNs = 8'000'000ull;
+
+    bool operator==(const FaultConfig &) const = default;
 };
 
 /** What the injector decided for one migration transaction. */

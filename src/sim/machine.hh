@@ -31,6 +31,8 @@ struct StatsConfig
 {
     /** Register the periodic vmstat sampler daemon. */
     bool sampler = false;
+
+    bool operator==(const StatsConfig &) const = default;
 };
 
 /** Everything needed to instantiate a Simulator. */
@@ -59,6 +61,8 @@ struct MachineConfig
         }
         return total;
     }
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /**

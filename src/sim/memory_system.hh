@@ -29,6 +29,8 @@ struct NodeSpec
 {
     TierRank tier;
     std::size_t bytes;
+
+    bool operator==(const NodeSpec &) const = default;
 };
 
 /** Owns the nodes and answers tier-ordering queries. */

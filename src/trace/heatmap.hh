@@ -27,6 +27,8 @@ struct HeatmapConfig
     std::size_t sampledPages = 50;  ///< paper: 50 sampled pages
     std::size_t timeBuckets = 60;
     std::uint64_t seed = 7;
+
+    bool operator==(const HeatmapConfig &) const = default;
 };
 
 /** Sampled-page x time-bucket access-frequency matrix. */

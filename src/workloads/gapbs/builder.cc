@@ -21,21 +21,20 @@ constexpr unsigned kMaxScatterParts = 4;
 /**
  * Visit the directed CSR entries (u, v, w) at positions [begin, end) of
  * the fixed order the CSR is laid out by: all edges as given (entry i is
- * edge i), then, when the order is symmetrised, all edges reversed
- * (entry m + i is edge i reversed). Walking the list twice gives each
- * adjacency list the same contents and order as appending the reversed
- * copy would, without the copy. With @p skipSelfLoops, u == v entries
- * are passed over, which leaves the rest in the order a list compacted
- * beforehand would give. An entry's weight is its edge's entry in
- * @p weights, or 1 when @p weights is empty.
+ * edge i), then all edges reversed (entry m + i is edge i reversed).
+ * Walking the list twice gives each adjacency list the same contents
+ * and order as appending the reversed copy would, without the copy.
+ * u == v entries are passed over, which leaves the rest in the order a
+ * list compacted beforehand would give. An entry's weight is its edge's
+ * entry in @p weights, or 1 when @p weights is empty.
  */
 template <typename Fn>
 void
 forEachEntryIn(const EdgeList &edges, const std::vector<Weight> &weights,
-               bool skipSelfLoops, base::PartRange range, Fn &&fn)
+               base::PartRange range, Fn &&fn)
 {
     const auto visit = [&](GNode u, GNode v, std::size_t i) {
-        if (skipSelfLoops && u == v) [[unlikely]]
+        if (u == v) [[unlikely]]
             return;
         fn(u, v, weights.empty() ? Weight{1} : weights[i]);
     };
@@ -83,13 +82,12 @@ buildCsr(EdgeList edges, const BuildOptions &opts,
     Csr csr;
     const std::size_t n = csr.n = vertexCount(edges);
     // Entry positions walked, self-loops included.
-    const std::size_t walked = (opts.symmetrize ? 2 : 1) * edges.size();
-    const bool skip = opts.removeSelfLoops;
+    const std::size_t walked = 2 * edges.size();
 
     // Optional degree-descending relabel (GAPBS TC preprocessing).
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
-        forEachEntryIn(edges, edgeWeights, skip, {0, walked},
+        forEachEntryIn(edges, edgeWeights, {0, walked},
                        [&degree](GNode u, GNode, Weight) { ++degree[u]; });
         std::vector<GNode> order(n);
         std::iota(order.begin(), order.end(), 0);
@@ -115,7 +113,7 @@ buildCsr(EdgeList edges, const BuildOptions &opts,
     std::vector<std::uint32_t> cursors(std::size_t{parts} * n, 0);
     base::runParts(parts, [&](unsigned p) {
         std::uint32_t *count = cursors.data() + std::size_t{p} * n;
-        forEachEntryIn(edges, edgeWeights, skip,
+        forEachEntryIn(edges, edgeWeights,
                        base::partRange(walked, parts, p),
                        [count](GNode u, GNode, Weight) { ++count[u]; });
     });
@@ -129,7 +127,7 @@ buildCsr(EdgeList edges, const BuildOptions &opts,
     csr.weights.resize(opts.keepWeights ? entries : 0);
     base::runParts(parts, [&](unsigned p) {
         std::uint32_t *cursor = cursors.data() + std::size_t{p} * n;
-        forEachEntryIn(edges, edgeWeights, skip,
+        forEachEntryIn(edges, edgeWeights,
                        base::partRange(walked, parts, p),
                        [&](GNode u, GNode v, Weight w) {
                            const std::uint32_t at = cursor[u]++;
@@ -178,7 +176,7 @@ std::unique_ptr<Graph>
 Builder::build(sim::Simulator &sim, EdgeList edges,
                const BuildOptions &opts, std::vector<Weight> edgeWeights)
 {
-    const std::size_t entries = (opts.symmetrize ? 2 : 1) * edges.size();
+    const std::size_t entries = 2 * edges.size();
     detail::Csr csr =
         detail::buildCsr(std::move(edges), opts, std::move(edgeWeights),
                          base::partCount(entries, kMaxScatterParts));

@@ -27,13 +27,12 @@ class Simulator;
 namespace workloads {
 namespace gapbs {
 
-/** Builder options. */
+/**
+ * Builder options. Every graph is undirected: both directions of each
+ * edge are inserted, and u==v edges are dropped.
+ */
 struct BuildOptions
 {
-    /** Insert both directions of every edge (undirected semantics). */
-    bool symmetrize = true;
-    /** Drop u==v edges. */
-    bool removeSelfLoops = true;
     /** Sort each adjacency list ascending and drop duplicates (TC). */
     bool sortAndDedupNeighbors = false;
     /** Relabel vertices by decreasing degree (TC's preprocessing). */

@@ -50,6 +50,8 @@ struct GapbsConfig
      */
     unsigned tcScale = 14;
     unsigned tcDegree = 10;
+
+    bool operator==(const GapbsConfig &) const = default;
 };
 
 /** Result of one kernel benchmark. */

@@ -64,6 +64,8 @@ struct SyntheticConfig
     SimTime step = 20_ms;      ///< generator time step
     SimTime cpuPerStep = 5_us; ///< think time per step
     std::uint64_t seed = 3;
+
+    bool operator==(const SyntheticConfig &) const = default;
 };
 
 /** Drives a synthetic profile through a simulator, tracing each access. */

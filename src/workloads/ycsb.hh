@@ -44,6 +44,8 @@ struct YcsbConfig
     std::uint64_t opsPerWorkload = 1500000;
     double zipfTheta = 0.99;
     std::uint64_t seed = 1;
+
+    bool operator==(const YcsbConfig &) const = default;
 };
 
 /** Result of one workload execution phase. */

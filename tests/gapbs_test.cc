@@ -216,10 +216,10 @@ TEST(BuilderTest, TinyGraphCsr)
     auto sim = makeSim();
     // Path 0-1-2 plus edge 1-3.
     EdgeList edges{{0, 1}, {1, 2}, {1, 3}};
-    BuildOptions opts;  // symmetrize on
+    BuildOptions opts;
     auto g = Builder::build(*sim, edges, opts);
     EXPECT_EQ(g->numVertices(), 4u);
-    EXPECT_EQ(g->numEdges(), 6u);  // symmetrized
+    EXPECT_EQ(g->numEdges(), 6u);  // both directions
     EXPECT_EQ(g->peekDegree(0), 1u);
     EXPECT_EQ(g->peekDegree(1), 3u);
     EXPECT_EQ(g->peekDegree(2), 1u);
@@ -240,7 +240,6 @@ TEST(BuilderTest, SortAndDedup)
     auto sim = makeSim();
     EdgeList edges{{0, 1}, {0, 1}, {0, 2}, {0, 1}};
     BuildOptions opts;
-    opts.symmetrize = false;
     opts.sortAndDedupNeighbors = true;
     auto g = Builder::build(*sim, edges, opts);
     EXPECT_EQ(g->peekDegree(0), 2u);
@@ -271,9 +270,10 @@ TEST(BuilderTest, RelabelByDegreePutsHubsFirst)
 }
 
 /**
- * The builder with the symmetrised edge list materialised: reversed
- * edges are appended to the list before relabelling and the counting
- * sort. Each edge carries its weight from @p weights inside it.
+ * The builder with the symmetrised edge list materialised: self-loops
+ * are erased and reversed edges appended to the list before relabelling
+ * and the counting sort. Each edge carries its weight from @p weights
+ * inside it.
  */
 detail::Csr
 materialisedCsr(const EdgeList &input,
@@ -286,18 +286,14 @@ materialisedCsr(const EdgeList &input,
     for (const auto &e : edges)
         maxId = std::max({maxId, e.u, e.v});
     const std::size_t n = static_cast<std::size_t>(maxId) + 1;
-    if (opts.removeSelfLoops) {
-        edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                   [](const WeightedEdge &e) {
-                                       return e.u == e.v;
-                                   }),
-                    edges.end());
-    }
-    if (opts.symmetrize) {
-        const std::size_t orig = edges.size();
-        for (std::size_t i = 0; i < orig; ++i)
-            edges.push_back({edges[i].v, edges[i].u, edges[i].w});
-    }
+    edges.erase(std::remove_if(edges.begin(), edges.end(),
+                               [](const WeightedEdge &e) {
+                                   return e.u == e.v;
+                               }),
+                edges.end());
+    const std::size_t orig = edges.size();
+    for (std::size_t i = 0; i < orig; ++i)
+        edges.push_back({edges[i].v, edges[i].u, edges[i].w});
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
         for (const auto &e : edges)
@@ -360,13 +356,11 @@ std::vector<BuildOptions>
 everyBuildOption()
 {
     std::vector<BuildOptions> all;
-    for (unsigned mask = 0; mask < 32; ++mask) {
+    for (unsigned mask = 0; mask < 8; ++mask) {
         BuildOptions opts;
-        opts.symmetrize = mask & 1;
-        opts.removeSelfLoops = mask & 2;
-        opts.sortAndDedupNeighbors = mask & 4;
-        opts.relabelByDegree = mask & 8;
-        opts.keepWeights = mask & 16;
+        opts.sortAndDedupNeighbors = mask & 1;
+        opts.relabelByDegree = mask & 2;
+        opts.keepWeights = mask & 4;
         if (!(opts.sortAndDedupNeighbors && opts.keepWeights))
             all.push_back(opts);
     }
@@ -376,9 +370,7 @@ everyBuildOption()
 std::string
 describe(const BuildOptions &opts)
 {
-    return "symmetrize " + std::to_string(opts.symmetrize) +
-           " removeSelfLoops " + std::to_string(opts.removeSelfLoops) +
-           " dedup " + std::to_string(opts.sortAndDedupNeighbors) +
+    return "dedup " + std::to_string(opts.sortAndDedupNeighbors) +
            " relabel " + std::to_string(opts.relabelByDegree) +
            " weights " + std::to_string(opts.keepWeights);
 }
@@ -410,8 +402,8 @@ expectCsrMatchesReference(const EdgeList &edges,
 TEST(BuilderTest, SelfLoopsOnPartBoundariesMatchReference)
 {
     // 61 edges (a prime, so the parts are uneven): self-loops on both
-    // sides of every boundary between parts of the forward or the
-    // symmetrised entry order, at 1-4 parts.
+    // sides of every boundary between parts of the symmetrised entry
+    // order, at 1-4 parts.
     constexpr std::size_t m = 61;
     EdgeList edges;
     std::vector<Weight> weights;
@@ -421,16 +413,14 @@ TEST(BuilderTest, SelfLoopsOnPartBoundariesMatchReference)
         weights.push_back(static_cast<Weight>(i + 1));
     }
     std::set<std::size_t> loops;
-    for (std::size_t walked : {m, 2 * m}) {
-        for (unsigned parts : {1u, 2u, 3u, 4u}) {
-            for (unsigned p = 0; p < parts; ++p) {
-                const base::PartRange r = base::partRange(walked, parts, p);
-                // The edges of the entries just before and at each
-                // boundary (entry e >= m is edge e - m reversed).
-                for (std::size_t at : {r.begin, r.end}) {
-                    loops.insert((at + m - 1) % m);
-                    loops.insert(at % m);
-                }
+    for (unsigned parts : {1u, 2u, 3u, 4u}) {
+        for (unsigned p = 0; p < parts; ++p) {
+            const base::PartRange r = base::partRange(2 * m, parts, p);
+            // The edges of the entries just before and at each boundary
+            // (entry e >= m is edge e - m reversed).
+            for (std::size_t at : {r.begin, r.end}) {
+                loops.insert((at + m - 1) % m);
+                loops.insert(at % m);
             }
         }
     }
@@ -537,7 +527,7 @@ TEST(BuilderTest, MatchesMaterialisedReference)
     // scatter, including uneven parts across the reversed half.
     expectCsrMatchesReference(edges, weights);
     const std::vector<BuildOptions> options = everyBuildOption();
-    EXPECT_EQ(options.size(), 24u);
+    EXPECT_EQ(options.size(), 6u);
     for (const BuildOptions &opts : options) {
         SCOPED_TRACE(describe(opts));
         const detail::Csr want = materialisedCsr(edges, weights, opts);

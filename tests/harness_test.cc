@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <set>
@@ -307,11 +308,10 @@ TEST(Tier3Machine, StaticTieringOrdersTierLatencies)
 }
 
 /**
- * Thread-pool churn regression: repeated pool construction/teardown
- * and job counts up to and past the unit count (the pool is clamped to
- * one thread per unit) exercise the submit/drain/shutdown windows of
- * the runner's
- * ThreadPool under maximal interleaving pressure. The functional
+ * Thread-pool churn regression: repeated runs at job counts up to and
+ * past the unit count (the pool is clamped to one thread per unit)
+ * exercise the runner's unit claiming and thread start/join windows
+ * under maximal interleaving pressure. The functional
  * assertion is bit-identical output; under the tsan preset this test
  * is also the data-race regression net for the --jobs harness and the
  * per-unit stats aggregation it feeds.
@@ -429,6 +429,7 @@ TEST(UnitFinish, SingleAndShardedRunnersFillTheSameRecord)
 {
     RunContext ctx = goldenContext();
     ctx.stats = true;
+    ctx.shards = 2;  // worker threads of the sharded host
     const RunRecord single = runHost(
         ctx, ycsbHost(ctx, "multiclock"),
         [](sim::Simulator &sim, RunRecord &) {
@@ -436,7 +437,7 @@ TEST(UnitFinish, SingleAndShardedRunnersFillTheSameRecord)
         });
     const RunRecord sharded = runSharded(
         ctx, {"multiclock", shardedMachine(ctx, 8_MiB, 32_MiB)},
-        {/*shards=*/4, /*workers=*/2},
+        /*shards=*/4, /*promoteBudget=*/0,
         [](sim::ShardedSimulator &host, RunRecord &) {
             host.run([](sim::Simulator &sim, unsigned s, std::uint64_t) {
                 touchPages(sim, s == 1);
@@ -497,6 +498,271 @@ TEST(UnitFingerprint, EveryResultFieldChangesIt)
         std::bit_cast<std::uint64_t>(1.5) ^ 1);  // lowest mantissa bit
     EXPECT_NE(fingerprint(1000, windows, metric), base);
     EXPECT_NE(fingerprint(1001, windows, rec), base);
+}
+
+// --- Unit specs ---------------------------------------------------------
+
+/** Converts to any field type; only named in unevaluated contexts. */
+struct AnyField
+{
+    template <typename T>
+    operator T() const;
+};
+
+/** How many fields the aggregate @p T has: the most AnyFields it takes. */
+template <typename T, typename... Fields>
+constexpr std::size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+/**
+ * Each of @p perturb changes one field of the @p T that @p part picks
+ * out of @p base, and the changed spec must differ from @p base. One
+ * perturbation per field of @p T, so a field added without one fails
+ * here before it can silently merge two different units.
+ */
+template <typename T>
+void
+expectEveryFieldCompared(const UnitSpec &base, T &(*part)(UnitSpec &),
+                         const std::vector<std::function<void(T &)>> &perturb)
+{
+    EXPECT_EQ(perturb.size(), fieldCount<T>());
+    for (std::size_t i = 0; i < perturb.size(); ++i) {
+        UnitSpec changed = base;
+        perturb[i](part(changed));
+        EXPECT_FALSE(changed == base) << "field " << i << " is not compared";
+    }
+}
+
+TEST(UnitSpec, EveryFieldTakesPartInEquality)
+{
+    UnitSpec base{{"multiclock", goldenYcsbMachine()}, YcsbUnit{}};
+    base.host.machine.faults.tierErrorMultiplier = {1.0, 2.0};
+    EXPECT_TRUE(base == UnitSpec(base));
+    expectEveryFieldCompared<UnitSpec>(
+        base, [](UnitSpec &u) -> UnitSpec & { return u; },
+        {[](auto &u) { u.host.policy = "nimble"; },
+         [](auto &u) { u.workload = GapbsUnit{}; }});
+    expectEveryFieldCompared<HostSpec>(
+        base, [](UnitSpec &u) -> HostSpec & { return u.host; },
+        {[](auto &h) { h.policy += "x"; },
+         [](auto &h) { h.machine.seed += 1; },
+         [](auto &h) { h.opts.nrScan += 1; }});
+    expectEveryFieldCompared<sim::MachineConfig>(
+        base,
+        [](UnitSpec &u) -> sim::MachineConfig & { return u.host.machine; },
+        {[](auto &m) { m.mem.swapLatency += 1; },
+         [](auto &m) { m.cache.ways += 1; },
+         [](auto &m) { m.nodes.pop_back(); },
+         [](auto &m) { m.seed += 1; },
+         [](auto &m) { m.swapPages += 1; },
+         [](auto &m) { m.metricsWindow += 1; },
+         [](auto &m) { m.stats.sampler = !m.stats.sampler; },
+         [](auto &m) { m.faults.enabled = !m.faults.enabled; }});
+    expectEveryFieldCompared<MemoryConfig>(
+        base, [](UnitSpec &u) -> MemoryConfig & { return u.host.machine.mem; },
+        {[](auto &m) { m.tiers.pop_back(); },
+         [](auto &m) { m.minorFaultLatency += 1; },
+         [](auto &m) { m.hintFaultLatency += 1; },
+         [](auto &m) { m.migrationFixedCost += 1; },
+         [](auto &m) { m.swapLatency += 1; },
+         [](auto &m) { m.scanPerPageCost += 1; },
+         [](auto &m) { m.faultPathMigrationMultiplier += 0.5; },
+         [](auto &m) { m.backgroundInterference += 0.5; }});
+    expectEveryFieldCompared<TierDesc>(
+        base,
+        [](UnitSpec &u) -> TierDesc & { return u.host.machine.mem.tiers[1]; },
+        {[](auto &t) { t.name += "x"; },
+         [](auto &t) { t.timing.loadLatency += 1; }});
+    expectEveryFieldCompared<TierTiming>(
+        base,
+        [](UnitSpec &u) -> TierTiming & {
+            return u.host.machine.mem.tiers[1].timing;
+        },
+        {[](auto &t) { t.loadLatency += 1; },
+         [](auto &t) { t.storeLatency += 1; },
+         [](auto &t) { t.readBandwidth += 0.5; },
+         [](auto &t) { t.writeBandwidth += 0.5; }});
+    expectEveryFieldCompared<CacheConfig>(
+        base, [](UnitSpec &u) -> CacheConfig & { return u.host.machine.cache; },
+        {[](auto &c) { c.enabled = !c.enabled; },
+         [](auto &c) { c.sizeBytes *= 2; },
+         [](auto &c) { c.ways *= 2; },
+         [](auto &c) { c.lineBytes *= 2; },
+         [](auto &c) { c.hitLatency += 1; }});
+    expectEveryFieldCompared<sim::NodeSpec>(
+        base,
+        [](UnitSpec &u) -> sim::NodeSpec & { return u.host.machine.nodes[1]; },
+        {[](auto &n) { n.tier += 1; }, [](auto &n) { n.bytes *= 2; }});
+    expectEveryFieldCompared<sim::StatsConfig>(
+        base,
+        [](UnitSpec &u) -> sim::StatsConfig & { return u.host.machine.stats; },
+        {[](auto &s) { s.sampler = !s.sampler; }});
+    expectEveryFieldCompared<sim::FaultConfig>(
+        base,
+        [](UnitSpec &u) -> sim::FaultConfig & { return u.host.machine.faults; },
+        {[](auto &f) { f.enabled = !f.enabled; },
+         [](auto &f) { f.seed += 1; },
+         [](auto &f) { f.copyFailProb += 0.5; },
+         [](auto &f) { f.shootdownFailProb += 0.5; },
+         [](auto &f) { f.remapFailProb += 0.5; },
+         [](auto &f) { f.persistentProb += 0.5; },
+         [](auto &f) { f.tierErrorMultiplier[1] += 0.5; },
+         [](auto &f) { f.maxRetries += 1; },
+         [](auto &f) { f.retryBackoffNs += 1; },
+         [](auto &f) { f.throttleThreshold += 1; },
+         [](auto &f) { f.throttleCooldownNs += 1; }});
+    expectEveryFieldCompared<policies::PolicyOptions>(
+        base,
+        [](UnitSpec &u) -> policies::PolicyOptions & { return u.host.opts; },
+        {[](auto &o) { o.scanInterval += 1; },
+         [](auto &o) { o.nrScan += 1; },
+         [](auto &o) { o.poisonPagesPerSec += 0.5; },
+         [](auto &o) { o.dramCacheBytes += 1; }});
+}
+
+TEST(UnitSpec, EveryWorkloadFieldTakesPartInEquality)
+{
+    using workloads::SyntheticProfile;
+    using workloads::YcsbWorkload;
+    using workloads::gapbs::Kernel;
+    const HostSpec host{"static", goldenYcsbMachine()};
+    const auto ycsb = [](UnitSpec &u) -> YcsbUnit & {
+        return std::get<YcsbUnit>(u.workload);
+    };
+    const UnitSpec ycsbBase{host, YcsbUnit{{}, {YcsbWorkload::A},
+                                           YcsbKeys::Windows}};
+    expectEveryFieldCompared<YcsbUnit>(
+        ycsbBase, ycsb,
+        {[](auto &w) { w.ycsb.seed += 1; },
+         [](auto &w) { w.phases.push_back(YcsbWorkload::B); },
+         [](auto &w) { w.keys = YcsbKeys::Tiers; }});
+    expectEveryFieldCompared<workloads::YcsbConfig>(
+        ycsbBase,
+        [](UnitSpec &u) -> workloads::YcsbConfig & {
+            return std::get<YcsbUnit>(u.workload).ycsb;
+        },
+        {[](auto &c) { c.recordCount += 1; },
+         [](auto &c) { c.valueBytes += 1; },
+         [](auto &c) { c.opsPerWorkload += 1; },
+         [](auto &c) { c.zipfTheta += 0.5; },
+         [](auto &c) { c.seed += 1; }});
+
+    const UnitSpec gapbsBase{host, GapbsUnit{{}, Kernel::PR}};
+    expectEveryFieldCompared<GapbsUnit>(
+        gapbsBase,
+        [](UnitSpec &u) -> GapbsUnit & {
+            return std::get<GapbsUnit>(u.workload);
+        },
+        {[](auto &w) { w.graph.seed += 1; },
+         [](auto &w) { w.kernel = Kernel::BFS; },
+         [](auto &w) { w.keys = GapbsKeys::Faults; }});
+    expectEveryFieldCompared<workloads::gapbs::GapbsConfig>(
+        gapbsBase,
+        [](UnitSpec &u) -> workloads::gapbs::GapbsConfig & {
+            return std::get<GapbsUnit>(u.workload).graph;
+        },
+        {[](auto &g) { g.scale += 1; },
+         [](auto &g) { g.degree += 1; },
+         [](auto &g) { g.trials += 1; },
+         [](auto &g) { g.prIters += 1; },
+         [](auto &g) { g.bcSources += 1; },
+         [](auto &g) { g.maxWeight += 1; },
+         [](auto &g) { g.seed += 1; },
+         [](auto &g) { g.tcScale += 1; },
+         [](auto &g) { g.tcDegree += 1; }});
+
+    const UnitSpec heatmapBase{host,
+                               HeatmapUnit{SyntheticProfile::Rubis, {}, {}}};
+    expectEveryFieldCompared<HeatmapUnit>(
+        heatmapBase,
+        [](UnitSpec &u) -> HeatmapUnit & {
+            return std::get<HeatmapUnit>(u.workload);
+        },
+        {[](auto &w) { w.profile = SyntheticProfile::Xalan; },
+         [](auto &w) { w.synthetic.seed += 1; },
+         [](auto &w) { w.heatmap.seed += 1; }});
+    expectEveryFieldCompared<workloads::SyntheticConfig>(
+        heatmapBase,
+        [](UnitSpec &u) -> workloads::SyntheticConfig & {
+            return std::get<HeatmapUnit>(u.workload).synthetic;
+        },
+        {[](auto &c) { c.numPages += 1; },
+         [](auto &c) { c.duration += 1; },
+         [](auto &c) { c.step += 1; },
+         [](auto &c) { c.cpuPerStep += 1; },
+         [](auto &c) { c.seed += 1; }});
+    expectEveryFieldCompared<trace::HeatmapConfig>(
+        heatmapBase,
+        [](UnitSpec &u) -> trace::HeatmapConfig & {
+            return std::get<HeatmapUnit>(u.workload).heatmap;
+        },
+        {[](auto &c) { c.sampledPages += 1; },
+         [](auto &c) { c.timeBuckets += 1; },
+         [](auto &c) { c.seed += 1; }});
+
+    expectEveryFieldCompared<WindowUnit>(
+        {host, WindowUnit{SyntheticProfile::Rubis, {}, 1_s}},
+        [](UnitSpec &u) -> WindowUnit & {
+            return std::get<WindowUnit>(u.workload);
+        },
+        {[](auto &w) { w.profile = SyntheticProfile::Xalan; },
+         [](auto &w) { w.synthetic.seed += 1; },
+         [](auto &w) { w.window += 1; }});
+    expectEveryFieldCompared<ShardKvUnit>(
+        {host, ShardKvUnit{0, 100, 2, 50, {1, 2}}},
+        [](UnitSpec &u) -> ShardKvUnit & {
+            return std::get<ShardKvUnit>(u.workload);
+        },
+        {[](auto &w) { w.promoteBudget += 1; },
+         [](auto &w) { w.records += 1; },
+         [](auto &w) { w.epochs += 1; },
+         [](auto &w) { w.opsPerEpoch += 1; },
+         [](auto &w) { w.seeds[1] += 1; }});
+    expectEveryFieldCompared<TenantMixUnit>(
+        {host,
+         TenantMixUnit{TenantMix::Shared, 10, 20, 2, 30, 40, {1}, {2}}},
+        [](UnitSpec &u) -> TenantMixUnit & {
+            return std::get<TenantMixUnit>(u.workload);
+        },
+        {[](auto &w) { w.mix = TenantMix::Isolated; },
+         [](auto &w) { w.victimRecords += 1; },
+         [](auto &w) { w.thrasherRecords += 1; },
+         [](auto &w) { w.epochs += 1; },
+         [](auto &w) { w.victimOps += 1; },
+         [](auto &w) { w.thrasherOps += 1; },
+         [](auto &w) { w.victimSeeds[0] += 1; },
+         [](auto &w) { w.thrasherSeeds[0] += 1; }});
+    expectEveryFieldCompared<ChurnUnit>(
+        {host, ChurnUnit{32, 1, {1, 2}}},
+        [](UnitSpec &u) -> ChurnUnit & {
+            return std::get<ChurnUnit>(u.workload);
+        },
+        {[](auto &w) { w.pages += 1; },
+         [](auto &w) { w.sweeps += 1; },
+         [](auto &w) { w.seeds.pop_back(); }});
+}
+
+TEST(RunnerSharing, ScenariosListingOneSpecRunItOnce)
+{
+    // fig08 and fig09 are two figures over the same two units.
+    const RunContext ctx = goldenContext();
+    const std::vector<const Scenario *> both{findScenario("fig08"),
+                                             findScenario("fig09")};
+    const RunReport shared = runScenarios(both, quietOptions(2, ctx));
+    EXPECT_EQ(shared.unitsRun, 2u);
+    for (const auto &result : shared.results) {
+        EXPECT_EQ(result.units, 2u);
+        const RunReport solo =
+            runScenarios({findScenario(result.name)}, quietOptions(2, ctx));
+        EXPECT_EQ(solo.unitsRun, 2u);
+        expectIdentical(solo.results.front().output, result.output);
+    }
 }
 
 // --- Report table -------------------------------------------------------
