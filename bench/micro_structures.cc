@@ -178,9 +178,13 @@ BM_MigrationRoundTrip(benchmark::State &state)
     sim.write(base);
     Page *pg = sim.space().lookup(pageNumOf(base));
     sim.policy().onPageFreed(pg);  // isolate
+    // Each committed move places the page on an LRU list: isolate it
+    // again before the next one.
     for (auto _ : state) {
         sim.demotePage(pg, sim::Simulator::ChargeMode::Background);
+        sim.policy().onPageFreed(pg);
         sim.promotePage(pg, sim::Simulator::ChargeMode::Background);
+        sim.policy().onPageFreed(pg);
     }
     state.SetItemsProcessed(state.iterations() * 2);
 }

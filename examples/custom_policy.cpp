@@ -76,15 +76,12 @@ class SecondChancePromoter : public policies::TieringPolicy
                     // Second consecutive referenced scan: promote.
                     pg->setReferenced(false);
                     lists.remove(pg);
-                    if (sim_->promotePage(
-                            pg,
-                            sim::Simulator::ChargeMode::Background)) {
-                        // Fig. 4 arrival: hot on the DRAM active list.
-                        policies::placeMigrated(*sim_, pg,
-                                                /*active=*/true);
-                        continue;
-                    }
-                    lists.add(pg, kind);
+                    // A committed promotion leaves the page hot on
+                    // the DRAM active list (Fig. 4); a failed one
+                    // leaves it isolated, so put it back.
+                    if (!sim_->promotePage(
+                            pg, sim::Simulator::ChargeMode::Background))
+                        lists.add(pg, kind);
                 } else {
                     pg->setReferenced(true);
                     lists.rotateToFront(pg);

@@ -190,9 +190,7 @@ Kpromoted::shrinkPromoteList(sim::Node &node, bool anon, std::size_t budget,
             ok = sim_.promotePage(pg, sim::Simulator::ChargeMode::Background);
         }
         if (ok) {
-            // Arrive hot on the upper tier's active list.
-            pg->setPromoteFlag(false);
-            policies::placeMigrated(sim_, pg, /*active=*/true);
+            // The Simulator placed it on the upper tier's active list.
             ++promotedNow;
         } else {
             // Not migratable (e.g. locked, or no space even after

@@ -140,7 +140,6 @@ MultiClockPolicy::demoteFromTier(TierRank tier, std::size_t target)
                 if (idle && demoted < target &&
                     sim_->demotePage(
                         pg, sim::Simulator::ChargeMode::Background)) {
-                    policies::placeMigrated(*sim_, pg, /*active=*/false);
                     ++demoted;
                 } else {
                     // Still warm, out of budget, or no space below:

@@ -89,8 +89,14 @@ shardScenario(const std::string &name, const std::string &title,
         const auto machine = shardedMachine(ctx, ctx.golden ? 8_MiB : 32_MiB,
                                             ctx.golden ? 48_MiB : 192_MiB);
         std::vector<RunUnit> units;
-        for (const auto &policy : kShardPolicies)
-            units.push_back({policy, {{policy, machine}, kv}});
+        for (const auto &policy : kShardPolicies) {
+            ShardKvUnit unit = kv;
+            // static never promotes, so no budget changes what it
+            // simulates: drop it so every budget shares one record.
+            if (policy == "static")
+                unit.promoteBudget = 0;
+            units.push_back({policy, {{policy, machine}, unit}});
+        }
         return units;
     };
     sc.reduce = [sc](const RunContext &,

@@ -27,7 +27,6 @@
  * determinism contract never changes results.
  */
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -47,28 +46,6 @@ using stats::VmItem;
 
 /** Fixed semantic partition count (see file comment). */
 constexpr unsigned kTenantShards = 4;
-
-/** Exact latency histogram merged over shards. */
-using LatencyHist = std::map<SimTime, std::uint64_t>;
-
-/** p99 of a merged histogram, same rule as MemCgroup::p99Latency. */
-SimTime
-histP99(const LatencyHist &hist)
-{
-    std::uint64_t total = 0;
-    for (const auto &[lat, count] : hist)
-        total += count;
-    if (total == 0)
-        return 0;
-    const std::uint64_t need = (total * 99 + 99) / 100;
-    std::uint64_t cum = 0;
-    for (const auto &[lat, count] : hist) {
-        cum += count;
-        if (cum >= need)
-            return lat;
-    }
-    return hist.rbegin()->first;
-}
 
 /** Merge one tenant's shard-local histogram into @p into. */
 void
@@ -370,7 +347,7 @@ runWorkload(const RunContext &ctx, const HostSpec &host,
         }
 
         const stats::VmStat vmstat = sharded.mergedVmstat();
-        const double victimP99 = static_cast<double>(histP99(victimHist));
+        const double victimP99 = static_cast<double>(latencyP99(victimHist));
         rec.metrics["victim_p99_ns"] = victimP99;
         rec.metrics["victim_mean_ns"] =
             victimAccesses == 0
@@ -379,7 +356,7 @@ runWorkload(const RunContext &ctx, const HostSpec &host,
         rec.metrics["victim_accesses"] =
             static_cast<double>(victimAccesses);
         rec.metrics["thrasher_p99_ns"] =
-            static_cast<double>(histP99(thrasherHist));
+            static_cast<double>(latencyP99(thrasherHist));
         rec.metrics["thrasher_accesses"] =
             static_cast<double>(thrasherAccesses);
         addMigrationMetrics(vmstat, rec);

@@ -104,12 +104,10 @@ AmpPolicy::tick(SimTime now)
             ok = sim_->promotePage(
                 pg, sim::Simulator::ChargeMode::Background);
         }
-        if (ok) {
-            placeMigrated(*sim_, pg, /*active=*/true);
+        if (ok)
             ++promoted;
-        } else {
+        else
             lists.add(pg, pfra::NodeLists::activeKind(pg->isAnon()));
-        }
     }
 
     // Decay: halve LFU counts every pass so stale popularity ages out

@@ -126,7 +126,6 @@ AutoTieringPolicy::onHintFault(Page *page)
         srcLists.remove(page);
         if (sim_->migratePage(page, dst,
                               sim::Simulator::ChargeMode::FaultPath)) {
-            placeMigrated(*sim_, page, /*active=*/true);
             sim_->vmstat().add(stats::VmItem::NumaPagesMigrated, dst);
             return;
         }
@@ -146,11 +145,8 @@ AutoTieringPolicy::onHintFault(Page *page)
     auto &victimLists = mem.node(victim->node()).lists();
     srcLists.remove(page);
     victimLists.remove(victim);
-    if (sim_->exchangePages(page, victim,
-                            sim::Simulator::ChargeMode::FaultPath)) {
-        placeMigrated(*sim_, page, /*active=*/true);
-        placeMigrated(*sim_, victim, /*active=*/false);
-    } else {
+    if (!sim_->exchangePages(page, victim,
+                             sim::Simulator::ChargeMode::FaultPath)) {
         srcLists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
         victimLists.add(victim,
                         pfra::NodeLists::inactiveKind(victim->isAnon()));
@@ -216,10 +212,8 @@ AutoTieringPolicy::demoteColdPage(Page *page)
 {
     auto &lists = sim_->memory().node(page->node()).lists();
     lists.remove(page);
-    if (sim_->demotePage(page, sim::Simulator::ChargeMode::Background)) {
-        placeMigrated(*sim_, page, /*active=*/false);
+    if (sim_->demotePage(page, sim::Simulator::ChargeMode::Background))
         return true;
-    }
     lists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
     return false;
 }

@@ -76,7 +76,6 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
         // the upper tier has no free frames.
         lists.remove(pg);
         if (sim_->promotePage(pg, sim::Simulator::ChargeMode::Background)) {
-            placeMigrated(*sim_, pg, /*active=*/true);
             ++promoted;
             continue;
         }
@@ -85,8 +84,6 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
             auto &victimLists = mem.node(victim->node()).lists();
             victimLists.remove(victim);
             if (sim_->exchangePages(pg, victim, sim::Simulator::ChargeMode::Background)) {
-                placeMigrated(*sim_, pg, /*active=*/true);
-                placeMigrated(*sim_, victim, /*active=*/false);
                 ++promoted;
                 continue;
             }
@@ -103,7 +100,6 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
                 sim_->maybeReclaim(mem.node(id));
             if (sim_->promotePage(pg,
                                   sim::Simulator::ChargeMode::Background)) {
-                placeMigrated(*sim_, pg, /*active=*/true);
                 ++promoted;
                 continue;
             }

@@ -12,17 +12,6 @@ namespace mclock {
 namespace policies {
 
 void
-placeMigrated(sim::Simulator &sim, Page *page, bool active)
-{
-    page->setActive(active);
-    page->setReferenced(false);
-    const bool anon = page->isAnon();
-    sim.memory().node(page->node()).lists().add(
-        page, active ? pfra::NodeLists::activeKind(anon)
-                     : pfra::NodeLists::inactiveKind(anon));
-}
-
-void
 TieringPolicy::attach(sim::Simulator &sim)
 {
     sim_ = &sim;
@@ -170,13 +159,10 @@ TieringPolicy::reclaimPass(sim::Node &node, std::size_t &remaining,
             remaining, stats.scanned ? stats.scanned : 1);
         for (Page *pg : victims) {
             reclaimed = true;
-            if (hasLower &&
-                sim_->demotePage(
-                    pg, sim::Simulator::ChargeMode::Background)) {
-                placeMigrated(*sim_, pg, /*active=*/false);
-            } else {
+            if (!hasLower ||
+                !sim_->demotePage(pg,
+                                  sim::Simulator::ChargeMode::Background))
                 sim_->evictPage(pg);
-            }
         }
     }
     return reclaimed;

@@ -59,17 +59,6 @@ struct FeatureRow
     std::string keyInsight;
 };
 
-/**
- * The Fig. 4 arrival rule for a page a migration just moved: set
- * PG_active to @p active, clear PG_referenced, and add the page at the
- * head of its new node's active list (a promoted page, or the hot side
- * of an exchange) or inactive list (a demoted page, or an exchange
- * victim). Every successful promote, demote and exchange in src/core
- * and src/policies places its page through here. A free function so
- * that core::Kpromoted, which is not a policy, can use it.
- */
-void placeMigrated(sim::Simulator &sim, Page *page, bool active);
-
 /** Abstract base for all tiering policies. */
 class TieringPolicy
 {

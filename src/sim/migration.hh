@@ -85,9 +85,9 @@ class MigrationEngine
      * consumed; on an abort it holds the partial work burned before the
      * failing phase (both charged by the caller, inline or background
      * depending on context). The page's LRU membership is untouched —
-     * callers manage list moves, and on an abort the page is still
-     * resident on its source node, so callers return it to its source
-     * list. A migration to the page's own node is a no-op (SameNode),
+     * the Simulator places a committed page, and on an abort the page
+     * is still resident on its source node, isolated for its caller.
+     * A migration to the page's own node is a no-op (SameNode),
      * reported before the locked/unevictable check so a locked page
      * headed nowhere is not a counted failure.
      */

@@ -235,21 +235,9 @@ Simulator::migrateOnce(Page *page, NodeId dst, ChargeMode mode)
     SimTime cost = 0;
     const MigrateResult r = migration_.migrate(page, dst, cost);
     if (!r.ok()) {
-        if (r.outcome == MigrateOutcome::Aborted) {
-            // The burned partial work still costs time. Only aborts
-            // that reached the shootdown sent IPIs (the inline part).
-            const SimTime inlinePart =
-                r.phase == FaultPhase::Copy
-                    ? 0
-                    : cfg_.mem.migrationFixedCost / 2;
-            chargeMigration(cost, mode, inlinePart);
-            vmstat().add(stats::VmItem::PgmigrateAbort, srcNode);
-            if (r.phase != FaultPhase::Copy)
-                vmstat().add(stats::VmItem::PgmigrateRollback, srcNode);
-            trace_.record(stats::TraceEventType::MigrationAbort, srcNode,
-                          page->vpn(),
-                          static_cast<std::uint64_t>(r.phase));
-        }
+        if (r.outcome == MigrateOutcome::Aborted)
+            chargeAbort(r, cost, mode, cfg_.mem.migrationFixedCost / 2,
+                        page, srcNode);
         if (dir < 0)
             vmstat().add(stats::VmItem::PgpromoteFail, srcNode);
         else if (dir > 0)
@@ -264,26 +252,67 @@ Simulator::migrateOnce(Page *page, NodeId dst, ChargeMode mode)
     if (dstTier != srcTier)
         memcg_.transfer(page->memcg(), srcTier, dstTier);
     if (dstTier < srcTier) {
-        metrics_.recordPromotion(now_, page);
         // Kernel convention: pgpromote_success lands on the target node.
-        vmstat().add(stats::VmItem::PgpromoteSuccess, dst);
+        notePromoted(page, dst);
         if (shardLog_) {
             shardLog_->append(ShardEventKind::Promote, now_, page->vpn(),
                               static_cast<std::uint64_t>(dst));
         }
     } else if (dstTier > srcTier) {
-        metrics_.recordDemotion(now_);
-        vmstat().add(stats::VmItem::Pgdemote, srcNode);
-        if (page->memcg() != kRootMemcg)
-            vmstat().add(stats::VmItem::PgtenantDemote, srcNode);
+        noteDemoted(page, srcNode);
         if (shardLog_) {
             shardLog_->append(ShardEventKind::Demote, now_, page->vpn(),
                               static_cast<std::uint64_t>(dst));
         }
     }
+    placeArrival(page, /*active=*/dstTier < srcTier);
     trace_.record(stats::TraceEventType::MigrationComplete, srcNode,
                   page->vpn(), static_cast<std::uint64_t>(dst));
     return r;
+}
+
+void
+Simulator::chargeAbort(const MigrateResult &r, SimTime cost,
+                       ChargeMode mode, SimTime shootdownInline,
+                       const Page *page, NodeId node)
+{
+    // The burned partial work still costs time. Only aborts that
+    // reached the shootdown sent IPIs (the inline part).
+    const bool copyPhase = r.phase == FaultPhase::Copy;
+    chargeMigration(cost, mode, copyPhase ? 0 : shootdownInline);
+    vmstat().add(stats::VmItem::PgmigrateAbort, node);
+    if (!copyPhase)
+        vmstat().add(stats::VmItem::PgmigrateRollback, node);
+    trace_.record(stats::TraceEventType::MigrationAbort, node, page->vpn(),
+                  static_cast<std::uint64_t>(r.phase));
+}
+
+void
+Simulator::notePromoted(Page *page, NodeId node)
+{
+    metrics_.recordPromotion(now_, page);
+    vmstat().add(stats::VmItem::PgpromoteSuccess, node);
+}
+
+void
+Simulator::noteDemoted(const Page *page, NodeId node)
+{
+    metrics_.recordDemotion(now_);
+    vmstat().add(stats::VmItem::Pgdemote, node);
+    if (page->memcg() != kRootMemcg)
+        vmstat().add(stats::VmItem::PgtenantDemote, node);
+}
+
+void
+Simulator::placeArrival(Page *page, bool active)
+{
+    page->setActive(active);
+    page->setReferenced(false);
+    page->setPromoteFlag(false);
+    const bool anon = page->isAnon();
+    mem_.node(page->node()).lists().add(
+        page, active ? pfra::NodeLists::activeKind(anon)
+                     : pfra::NodeLists::inactiveKind(anon));
 }
 
 bool
@@ -442,19 +471,10 @@ Simulator::exchangePages(Page *hot, Page *cold, ChargeMode mode)
     SimTime cost = 0;
     const MigrateResult r = migration_.exchange(hot, cold, cost);
     if (!r.ok()) {
-        if (r.outcome == MigrateOutcome::Aborted) {
-            const SimTime inlinePart =
-                r.phase == FaultPhase::Copy
-                    ? 0
-                    : cfg_.mem.migrationFixedCost * 17 / 20;
-            chargeMigration(cost, mode, inlinePart);
-            vmstat().add(stats::VmItem::PgmigrateAbort, hotNode);
-            if (r.phase != FaultPhase::Copy)
-                vmstat().add(stats::VmItem::PgmigrateRollback, hotNode);
-            trace_.record(stats::TraceEventType::MigrationAbort, hotNode,
-                          hot->vpn(),
-                          static_cast<std::uint64_t>(r.phase));
-        }
+        if (r.outcome == MigrateOutcome::Aborted)
+            chargeAbort(r, cost, mode,
+                        cfg_.mem.migrationFixedCost * 17 / 20, hot,
+                        hotNode);
         return false;
     }
     chargeMigration(cost, mode, cfg_.mem.migrationFixedCost * 17 / 10);
@@ -479,17 +499,15 @@ Simulator::exchangePages(Page *hot, Page *cold, ChargeMode mode)
         // the pgdemote (the demoted page's source).
         const NodeId upperNode = hotSrc > coldSrc ? coldNode : hotNode;
         vmstat().add(stats::VmItem::Pgexchange, hotNode);
-        metrics_.recordPromotion(now_, upPage);
-        vmstat().add(stats::VmItem::PgpromoteSuccess, upperNode);
-        metrics_.recordDemotion(now_);
-        vmstat().add(stats::VmItem::Pgdemote, upperNode);
-        if (downPage->memcg() != kRootMemcg)
-            vmstat().add(stats::VmItem::PgtenantDemote, upperNode);
+        notePromoted(upPage, upperNode);
+        noteDemoted(downPage, upperNode);
         if (shardLog_) {
             shardLog_->append(ShardEventKind::Exchange, now_,
                               upPage->vpn(), downPage->vpn());
         }
     }
+    placeArrival(hot, /*active=*/true);
+    placeArrival(cold, /*active=*/false);
     trace_.record(stats::TraceEventType::MigrationComplete, hotNode,
                   hot->vpn(), static_cast<std::uint64_t>(coldNode));
     return true;
@@ -584,16 +602,10 @@ Simulator::memcgReclaimTier(MemCgroup &cg, TierRank tier,
                 pg->testAndClearPteReferenced();
                 pg->setReferenced(false);
                 lists.remove(pg);
-                if (demotePage(pg, ChargeMode::Background)) {
+                if (demotePage(pg, ChargeMode::Background))
                     ++demoted;
-                    pg->setActive(false);
-                    mem_.node(pg->node()).lists().add(
-                        pg, pfra::NodeLists::inactiveKind(anon));
-                } else {
-                    // No space below: put the page back untouched.
-                    lists.add(pg,
-                              pfra::NodeLists::inactiveKind(anon));
-                }
+                else  // no space below: put the page back
+                    lists.add(pg, pfra::NodeLists::inactiveKind(anon));
             }
         }
     }

@@ -170,21 +170,24 @@ class Simulator
     /**
      * Migrate an isolated page (not on any LRU list) to @p dst, charging
      * the cost and recording promotion/demotion metrics by direction.
-     * One transaction, no retries: an injected abort fails the call (the
-     * page stays resident on its source node).
+     * A commit places the page at the head of @p dst's active list if
+     * it moved up a tier, else its inactive list (Fig. 4 arrival).
+     * One transaction, no retries: a failure, injected aborts included,
+     * leaves the page isolated on its source node for the caller.
      */
     bool migratePage(Page *page, NodeId dst, ChargeMode mode);
 
     /**
      * Migrate an isolated page one tier up, picking the destination node
-     * with the most space. Fails when no higher tier or no free frame.
+     * with the most space, and place it as migratePage() does. Fails
+     * when no higher tier or no free frame.
      * With fault injection enabled, transient aborts are retried with
      * exponential backoff (cfg.faults.maxRetries), and a node whose
      * promotions keep aborting is throttled for a cooldown window.
      */
     bool promotePage(Page *page, ChargeMode mode);
 
-    /** Migrate an isolated page one tier down (same retry policy). */
+    /** Migrate an isolated page one tier down (same retry and placement). */
     bool demotePage(Page *page, ChargeMode mode);
 
     /**
@@ -204,7 +207,11 @@ class Simulator
      */
     bool tenantPromoteAllowed(const Page *page, TierRank dstTier);
 
-    /** Two-sided exchange of two isolated pages (Nimble). */
+    /**
+     * Two-sided exchange of two isolated pages (Nimble). A commit places
+     * @p hot on the active and @p cold on the inactive list of its new
+     * node; a failure leaves both isolated.
+     */
     bool exchangePages(Page *hot, Page *cold, ChargeMode mode);
 
     /**
@@ -275,6 +282,23 @@ class Simulator
     void chargeMigration(SimTime cost, ChargeMode mode,
                          SimTime inlinePortion = 0);
     MigrateResult migrateOnce(Page *page, NodeId dst, ChargeMode mode);
+    /**
+     * An aborted transaction's epilogue: charge the burned @p cost
+     * (@p shootdownInline of it inline unless the copy phase failed)
+     * and count and trace the abort on @p node.
+     */
+    void chargeAbort(const MigrateResult &r, SimTime cost, ChargeMode mode,
+                     SimTime shootdownInline, const Page *page,
+                     NodeId node);
+    /** Count a committed promotion of @p page on @p node. */
+    void notePromoted(Page *page, NodeId node);
+    /** Count a committed demotion of @p page on @p node. */
+    void noteDemoted(const Page *page, NodeId node);
+    /**
+     * The Fig. 4 arrival rule, its one author: head of the new node's
+     * active or inactive list, PG_referenced and PagePromote clear.
+     */
+    void placeArrival(Page *page, bool active);
     /**
      * Move @p page to a node of @p tier with a free frame, retrying a
      * transient abort with exponential backoff while fault injection

@@ -75,21 +75,23 @@ MemCgroup::consumePromoteCredit()
 }
 
 SimTime
-MemCgroup::p99Latency() const
+latencyP99(const LatencyHist &hist)
 {
-    if (accesses_ == 0)
+    std::uint64_t total = 0;
+    for (const auto &[lat, count] : hist)
+        total += count;
+    if (total == 0)
         return 0;
     // Smallest latency L with CDF(L) >= 0.99: integer arithmetic only,
     // so the result is exact and platform-independent.
-    const std::uint64_t need =
-        (accesses_ * 99 + 99) / 100;  // ceil(0.99 * accesses)
+    const std::uint64_t need = (total * 99 + 99) / 100;  // ceil(0.99 n)
     std::uint64_t cum = 0;
-    for (const auto &[lat, count] : latencyHist_) {
+    for (const auto &[lat, count] : hist) {
         cum += count;
         if (cum >= need)
             return lat;
     }
-    return latencyHist_.rbegin()->first;
+    return hist.rbegin()->first;
 }
 
 double

@@ -64,6 +64,15 @@ struct MemCgroupLimits
     std::uint64_t promoteQuantum = 0;
 };
 
+/** Exact access-latency histogram: latency -> access count. */
+using LatencyHist = std::map<SimTime, std::uint64_t>;
+
+/**
+ * Exact p99 of @p hist: the smallest latency whose cumulative count
+ * reaches 99% of all accesses (0 for an empty histogram).
+ */
+SimTime latencyP99(const LatencyHist &hist);
+
 /** One tenant's control group: charges, limits, and QoS counters. */
 class MemCgroup
 {
@@ -159,12 +168,11 @@ class MemCgroup
     std::uint64_t accesses() const { return accesses_; }
 
     /**
-     * Exact p99 access latency: the smallest recorded latency whose
-     * cumulative count reaches 99% of all accesses (0 with no
-     * accesses). Access latencies form a small discrete set (cache
-     * hit, DRAM, PM, fault paths), so the histogram stays tiny.
+     * Exact p99 access latency (latencyP99() of latencyHist()).
+     * Access latencies form a small discrete set (cache hit, DRAM, PM,
+     * fault paths), so the histogram stays tiny.
      */
-    SimTime p99Latency() const;
+    SimTime p99Latency() const { return latencyP99(latencyHist_); }
 
     /** Mean access latency in ns (0 with no accesses). */
     double meanLatency() const;
@@ -174,11 +182,7 @@ class MemCgroup
      * multi-host scenarios (one manager per shard) can merge tenant
      * histograms and compute exact cross-shard percentiles.
      */
-    const std::map<SimTime, std::uint64_t> &
-    latencyHist() const
-    {
-        return latencyHist_;
-    }
+    const LatencyHist &latencyHist() const { return latencyHist_; }
 
   private:
     MemCgroupId id_;
@@ -189,8 +193,7 @@ class MemCgroup
     /** Remaining promotion credits this epoch. */
     std::uint64_t promoteDeficit_ = 0;
     std::uint64_t accesses_ = 0;
-    /** latency -> access count; exact percentiles, tiny key set. */
-    std::map<SimTime, std::uint64_t> latencyHist_;
+    LatencyHist latencyHist_;
 };
 
 /**

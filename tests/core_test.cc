@@ -42,21 +42,19 @@ class MultiClockTest : public ::testing::Test
         return sim_->space().lookup(pageNumOf(a));
     }
 
-    /** Force a page onto the PM node (isolate, demote, re-enqueue). */
+    /**
+     * Force a page onto the PM node: isolate and demote it, which
+     * leaves it on PM's inactive list.
+     */
     void
     moveToPmem(Page *pg)
     {
-        auto &mem = sim_->memory();
-        mem.node(pg->node()).lists().remove(pg);
+        sim_->memory().node(pg->node()).lists().remove(pg);
         ASSERT_TRUE(sim_->demotePage(
             pg, sim::Simulator::ChargeMode::Background));
-        pg->setActive(false);
-        pg->setReferenced(false);
         // Drop the accessed bit left over from the faulting touch so
         // each test drives reference state explicitly.
         pg->setPteReferenced(false);
-        mem.node(pg->node()).lists().add(
-            pg, pfra::NodeLists::inactiveKind(pg->isAnon()));
     }
 
     /**
@@ -398,9 +396,8 @@ TEST_F(MultiClockTest, PromoteBudgetCapsMigrationsPerWake)
             pg, sim::Simulator::ChargeMode::Background));
         pg->setReferenced(true);
         pg->setPteReferenced(false);
-        // A demoted page re-enters on inactive; walk it up the legal
+        // A demoted page arrives on inactive; walk it up the legal
         // Fig. 4 path to the promote list.
-        pmem.lists().add(pg, pfra::NodeLists::inactiveKind(true));
         pmem.lists().moveTo(pg, pfra::NodeLists::activeKind(true));
         pg->setPromoteFlag(true);
         pmem.lists().moveTo(pg, pfra::NodeLists::promoteKind(true));

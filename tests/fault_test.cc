@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "base/units.hh"
-#include "pfra/lru_lists.hh"
 #include "policies/static_tiering.hh"
 #include "sim/fault_injector.hh"
 #include "sim/machine.hh"
@@ -197,19 +196,6 @@ isolatedPmPages(sim::Simulator &sim, std::size_t want)
     return out;
 }
 
-/**
- * Re-enqueue a freshly promoted page the way kpromoted does: promoted
- * pages arrive hot on the destination node's *active* list (Fig. 4),
- * never the inactive one.
- */
-void
-enqueuePromoted(sim::Simulator &sim, Page *pg)
-{
-    pg->setActive(true);
-    sim.memory().node(pg->node()).lists().add(
-        pg, pfra::NodeLists::activeKind(pg->isAnon()));
-}
-
 TEST(TransactionalMigration, AbortRollsBackCleanly)
 {
     FaultConfig faults;
@@ -278,11 +264,8 @@ TEST(TransactionalMigration, RetryRecoversTransientAborts)
     std::size_t promoted = 0;
     for (Page *pg : pages) {
         if (sim->promotePage(pg,
-                             sim::Simulator::ChargeMode::Background)) {
+                             sim::Simulator::ChargeMode::Background))
             ++promoted;
-            // Return to a list so invariants hold if extended later.
-            enqueuePromoted(*sim, pg);
-        }
     }
     // At 50% per-transaction failure with 4 retries nearly every
     // promotion eventually lands, and some needed a retry.
@@ -359,7 +342,6 @@ TEST(TransactionalMigration, SuccessResetsTheThrottleStreak)
     ASSERT_GE(pages.size(), 2u);
     EXPECT_TRUE(sim->promotePage(
         pages[0], sim::Simulator::ChargeMode::Background));
-    enqueuePromoted(*sim, pages[0]);
     EXPECT_FALSE(sim->promotionThrottled(1));
     EXPECT_EQ(sim->vmstat().global(VmItem::PgpromoteThrottled), 0u);
 }
@@ -383,11 +365,8 @@ TEST(TransactionalMigration, PromotionSuccessMonotoneInFailureRate)
         faults.throttleThreshold = 1u << 30;  // never throttle
         auto sim = makeFaultSim(faults);
         auto pages = isolatedPmPages(*sim, 32);
-        for (Page *pg : pages) {
-            if (sim->promotePage(pg,
-                                 sim::Simulator::ChargeMode::Background))
-                enqueuePromoted(*sim, pg);
-        }
+        for (Page *pg : pages)
+            sim->promotePage(pg, sim::Simulator::ChargeMode::Background);
         successes.push_back(
             sim->vmstat().global(stats::VmItem::PgpromoteSuccess));
     }

@@ -34,18 +34,13 @@ testMachine(bool cache = false)
     return cfg;
 }
 
-/** Isolate + demote + re-enqueue a page on the PM node. */
+/** Isolate + demote a page onto the PM node's inactive list. */
 void
 moveToPmem(sim::Simulator &sim, Page *pg)
 {
-    auto &mem = sim.memory();
-    mem.node(pg->node()).lists().remove(pg);
+    sim.memory().node(pg->node()).lists().remove(pg);
     ASSERT_TRUE(
         sim.demotePage(pg, sim::Simulator::ChargeMode::Background));
-    pg->setActive(false);
-    pg->setReferenced(false);
-    mem.node(pg->node()).lists().add(
-        pg, pfra::NodeLists::inactiveKind(pg->isAnon()));
 }
 
 Page *

@@ -538,19 +538,52 @@ TEST(SimulatorTest, MultiPageAccessTouchesEveryPage)
               3u);
 }
 
+/**
+ * The Fig. 4 arrival rule: @p pg sits at the head of @p kind on
+ * @p node, PG_active matches the list, and PG_referenced and
+ * PagePromote are clear.
+ */
+void
+expectArrivedAtHead(Simulator &sim, const Page *pg, NodeId node,
+                    LruListKind kind)
+{
+    EXPECT_EQ(pg->node(), node);
+    EXPECT_EQ(pg->list(), kind);
+    EXPECT_EQ(sim.memory().node(node).lists().list(kind).front(), pg);
+    EXPECT_EQ(pg->active(), isActiveList(kind));
+    EXPECT_FALSE(pg->referenced());
+    EXPECT_FALSE(pg->promoteFlag());
+}
+
 TEST(SimulatorTest, PromoteAndDemoteHelpers)
 {
     auto sim = makeSim();
-    const Vaddr a = sim->mmap(kPageSize);
+    const Vaddr a = sim->mmap(2 * kPageSize);
     sim->write(a);
-    Page *pg = sim->space().lookup(pageNumOf(a));
-    sim->policy().onPageFreed(pg);  // isolate
-    ASSERT_TRUE(sim->demotePage(pg, Simulator::ChargeMode::Background));
+    sim->write(a + kPageSize);
+    Page *first = sim->space().lookup(pageNumOf(a));
+    Page *pg = sim->space().lookup(pageNumOf(a + kPageSize));
+    // Each move commits with PG_referenced and PagePromote set, and
+    // the later of two arrivals must take the list head.
+    auto move = [&](bool up) {
+        for (Page *p : {first, pg}) {
+            sim->policy().onPageFreed(p);  // isolate
+            p->setReferenced(true);
+            p->setPromoteFlag(true);
+            ASSERT_TRUE(up ? sim->promotePage(
+                                 p, Simulator::ChargeMode::Background)
+                           : sim->demotePage(
+                                 p, Simulator::ChargeMode::Background));
+        }
+    };
+    move(/*up=*/false);
     EXPECT_EQ(sim->pageTier(pg), TierKind::Pmem);
-    EXPECT_EQ(sim->vmstat().global(stats::VmItem::Pgdemote), 1u);
-    ASSERT_TRUE(sim->promotePage(pg, Simulator::ChargeMode::Background));
+    EXPECT_EQ(sim->vmstat().global(stats::VmItem::Pgdemote), 2u);
+    expectArrivedAtHead(*sim, pg, 1, LruListKind::InactiveAnon);
+    move(/*up=*/true);
     EXPECT_EQ(sim->pageTier(pg), TierKind::Dram);
-    EXPECT_EQ(sim->vmstat().global(stats::VmItem::PgpromoteSuccess), 1u);
+    EXPECT_EQ(sim->vmstat().global(stats::VmItem::PgpromoteSuccess), 2u);
+    expectArrivedAtHead(*sim, pg, 0, LruListKind::ActiveAnon);
 }
 
 

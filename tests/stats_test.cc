@@ -478,6 +478,11 @@ TEST(ExchangeAccounting, CrossTierExchangeCountsOnePromotionAndDemotion)
     EXPECT_EQ(sim->vmstat().global(VmItem::Pgdemote), 1u);
     EXPECT_EQ(sim->pageTier(hotPm), TierKind::Dram);
     EXPECT_EQ(sim->pageTier(coldDram), TierKind::Pmem);
+    // Fig. 4 arrival: hot on DRAM's active list, cold on PM's inactive.
+    EXPECT_EQ(hotPm->list(), LruListKind::ActiveAnon);
+    EXPECT_TRUE(hotPm->active());
+    EXPECT_EQ(coldDram->list(), LruListKind::InactiveAnon);
+    EXPECT_FALSE(coldDram->active());
     const auto violations = collectCounterViolations(*sim);
     EXPECT_TRUE(violations.empty()) << violations.front();
 }
@@ -552,11 +557,13 @@ TEST(MigrationAccounting, LockedPageHeadedToItsOwnNodeIsANoOp)
         sim->migratePage(pg, 0, sim::Simulator::ChargeMode::Inline));
     EXPECT_EQ(sim->vmstat().global(VmItem::PgpromoteFail), 0u);
     EXPECT_EQ(sim->vmstat().global(VmItem::PgdemoteFail), 0u);
+    EXPECT_FALSE(pg->onLru());  // a failed move leaves it isolated
 
     // A locked page headed somewhere else is still a real failure.
     EXPECT_FALSE(
         sim->migratePage(pg, 1, sim::Simulator::ChargeMode::Inline));
     EXPECT_EQ(sim->vmstat().global(VmItem::PgdemoteFail), 1u);
+    EXPECT_FALSE(pg->onLru());
     pg->setLocked(false);
 }
 
