@@ -78,12 +78,14 @@ runParts(unsigned parts, const Fn &fn)
 }
 
 /**
- * Run @p fn(range) once for every chunk of [0, @p items) cut into
- * @p chunkItems-item ranges (the last one shorter), on at most
- * @p parts threads (runParts). Threads claim the chunks in order from
- * one counter until none is left, so a slow thread takes fewer of them
- * instead of holding up the rest; which thread runs a chunk is not
- * fixed, so @p fn may depend on the range alone.
+ * Run @p fn(part, range) once for every chunk of [0, @p items) cut
+ * into @p chunkItems-item ranges (the last one shorter), on at most
+ * @p parts threads (runParts), part being the running thread's index.
+ * Threads claim the chunks in order from one counter until none is
+ * left, so a slow thread takes fewer of them instead of holding up the
+ * rest. Which thread runs a chunk is not fixed, so @p fn's results may
+ * depend on the range alone; each thread sees its chunks in ascending
+ * order, so per-part state may carry work from one claim to the next.
  */
 template <typename Fn>
 void
@@ -94,11 +96,11 @@ runChunks(std::size_t items, std::size_t chunkItems, unsigned parts,
     std::atomic<std::size_t> next{0};
     const auto threads = static_cast<unsigned>(
         std::max<std::size_t>(1, std::min<std::size_t>(chunks, parts)));
-    runParts(threads, [&](unsigned) {
+    runParts(threads, [&](unsigned p) {
         for (std::size_t c = next.fetch_add(1); c < chunks;
              c = next.fetch_add(1)) {
             const std::size_t begin = c * chunkItems;
-            fn(PartRange{begin, std::min(items, begin + chunkItems)});
+            fn(p, PartRange{begin, std::min(items, begin + chunkItems)});
         }
     });
 }

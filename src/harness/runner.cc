@@ -72,7 +72,7 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
         specs.size(), 1,
         poolWidth(opts.jobs, std::thread::hardware_concurrency(),
                   specs.size()),
-        [&](base::PartRange range) {
+        [&](unsigned, base::PartRange range) {
             RunRecord &rec = records[range.begin];
             rec = runUnit(unitContext, *specs[range.begin]);
             rec.fingerprint = unitFingerprint(rec);

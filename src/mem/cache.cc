@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 namespace mclock {
@@ -35,12 +36,9 @@ touch(std::uint64_t order, unsigned way)
 }  // namespace
 
 CacheModel::CacheModel(const CacheConfig &cfg)
-    : lineShift_(log2Exact(cfg.lineBytes)),
-      numSets_(cfg.sizeBytes / (static_cast<std::size_t>(cfg.lineBytes) *
-                                cfg.ways)),
-      tagShift_(lineShift_ + log2Exact(numSets_)),
+    : numSets_(cfg.sizeBytes / (kLineBytes * cfg.ways)),
+      tagShift_(kLineShift + log2Exact(numSets_)),
       ways_(cfg.ways),
-      pageMaskable_(lineShift_ + 6 >= kPageShift),
       tags_(numSets_)
 {
     // dirty_ is a 16-bit mask and the recency word has 16 nibbles.
@@ -49,12 +47,8 @@ CacheModel::CacheModel(const CacheConfig &cfg)
 }
 
 CacheResult
-CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
+CacheModel::access(Paddr pa, bool isWrite)
 {
-    if (lineMask && pageMaskable_) {
-        *lineMask |= std::uint64_t{1}
-            << ((pa & (kPageSize - 1)) >> lineShift_);
-    }
     const std::size_t set = setOf(pa);
     const std::uint32_t tag = tagOf(pa);
     TagRow &row = tags_[set];
@@ -103,37 +97,28 @@ CacheModel::access(Paddr pa, bool isWrite, std::uint64_t *lineMask)
 }
 
 void
-CacheModel::invalidateLine(std::size_t set, std::uint32_t tag)
+CacheModel::invalidatePage(Paddr pageBase)
 {
-    const unsigned match = detail::laneMask(tags_[set].lane, tag);
-    if (match) {
-        const unsigned w = static_cast<unsigned>(std::countr_zero(match));
-        tags_[set].lane[w] = kInvalidTag;
-        dirty_[set] = static_cast<std::uint16_t>(dirty_[set] & ~(1u << w));
-    }
-}
-
-void
-CacheModel::invalidatePage(Paddr pageBase, std::uint64_t *lineMask)
-{
+    // The page's lines fall in runs of consecutive sets (one run when
+    // the cache has 64 sets or more), and the lines of a run share a
+    // tag: each run is one row compare per set against a fixed tag.
+    constexpr std::size_t kLines = kPageSize / kLineBytes;
+    const std::size_t run = std::min(kLines, numSets_);
     const Paddr start = pageBase & ~static_cast<Paddr>(kPageSize - 1);
-    const Paddr lineBytes = Paddr{1} << lineShift_;
-    if (lineMask && pageMaskable_) {
-        // Only lines whose mask bit is set can be cached; everything
-        // else never went through access() at this physical address.
-        std::uint64_t mask = *lineMask;
-        *lineMask = 0;
-        while (mask != 0) {
-            const unsigned i = static_cast<unsigned>(
-                std::countr_zero(mask));
-            mask &= mask - 1;
-            const Paddr pa = start + static_cast<Paddr>(i) * lineBytes;
-            invalidateLine(setOf(pa), tagOf(pa));
+    for (Paddr pa = start; pa < start + kPageSize; pa += run * kLineBytes) {
+        const std::uint32_t tag = tagOf(pa);
+        TagRow *row = &tags_[setOf(pa)];
+        std::uint16_t *dirty = &dirty_[setOf(pa)];
+        for (std::size_t i = 0; i < run; ++i) {
+            const unsigned match = detail::laneMask(row[i].lane, tag);
+            if (match) {
+                const unsigned w =
+                    static_cast<unsigned>(std::countr_zero(match));
+                row[i].lane[w] = kInvalidTag;
+                dirty[i] = static_cast<std::uint16_t>(dirty[i] & ~(1u << w));
+            }
         }
-        return;
     }
-    for (Paddr pa = start; pa < start + kPageSize; pa += lineBytes)
-        invalidateLine(setOf(pa), tagOf(pa));
 }
 
 void

@@ -31,6 +31,14 @@
  * An invalidated way keeps its rank, but invalid ways are always chosen
  * before the last rank, so that rank is only read once every way has
  * been refilled (and so re-ranked) since.
+ *
+ * Invalidation: the model keeps no state outside itself. When a page
+ * leaves its frame, invalidatePage() compares one tag with the row of
+ * each set the frame's 64 lines map to (70-120 ns: the sets are
+ * consecutive and share the tag), a cost paid once per migration,
+ * eviction or unmap rather than by a per-page residency store on every
+ * access. It is exact: a line enters the cache only through a miss in
+ * access(), and invalidating a line that is not cached changes nothing.
  */
 
 #ifndef MCLOCK_MEM_CACHE_HH_
@@ -104,27 +112,16 @@ class CacheModel
     /**
      * Access the line containing physical address @p pa.
      * Allocates on miss (write-allocate); marks the line dirty on stores.
-     *
-     * @p lineMask when non-null, the per-page residency filter of the
-     * page containing @p pa (see invalidatePage): the accessed line's
-     * bit is set before the lookup, keeping the filter conservative.
      */
-    CacheResult access(Paddr pa, bool isWrite,
-                       std::uint64_t *lineMask = nullptr);
+    CacheResult access(Paddr pa, bool isWrite);
 
     /**
-     * Invalidate every line belonging to the 4 KiB page at @p pageBase.
-     * Called when a page migrates (its physical address changes) so stale
-     * lines do not keep serving hits for the old location.
-     *
-     * @p lineMask when non-null, a conservative per-page filter: bit i
-     * set means line i of the page MAY be cached (set on every access
-     * to that line), bit clear means it definitely is not, so its set
-     * scan is skipped. The mask is zeroed on return. Exactness: lines
-     * enter the cache only through access(), which sets the bit first.
+     * Invalidate every line belonging to the 4 KiB page at @p pageBase:
+     * one tag-row compare for each of its 64 lines. Called when a page
+     * leaves its frame (migration, eviction, unmap) so stale lines do
+     * not keep serving hits for the old location.
      */
-    void invalidatePage(Paddr pageBase,
-                        std::uint64_t *lineMask = nullptr);
+    void invalidatePage(Paddr pageBase);
 
     void reset();
 
@@ -152,7 +149,7 @@ class CacheModel
     std::size_t
     setOf(Paddr pa) const
     {
-        return (pa >> lineShift_) & (numSets_ - 1);
+        return (pa >> kLineShift) & (numSets_ - 1);
     }
 
     std::uint32_t
@@ -162,19 +159,9 @@ class CacheModel
         return static_cast<std::uint32_t>(pa >> tagShift_);
     }
 
-    /** Invalidate @p tag in @p set if present. */
-    void invalidateLine(std::size_t set, std::uint32_t tag);
-
-    unsigned lineShift_;
     std::size_t numSets_;
-    unsigned tagShift_;  ///< lineShift_ + log2(numSets_)
+    unsigned tagShift_;  ///< kLineShift + log2(numSets_)
     unsigned ways_;
-    /**
-     * Page masks are only usable when a page spans at most 64 lines
-     * (one bit each); for smaller line sizes both access() and
-     * invalidatePage() ignore the mask and stay exact via full scans.
-     */
-    bool pageMaskable_;
     // Per-set state, set-major.
     std::vector<TagRow> tags_;
     std::vector<std::uint64_t> order_;  ///< per-set recency word

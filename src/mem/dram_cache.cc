@@ -1,33 +1,26 @@
 #include "mem/dram_cache.hh"
 
-#include <bit>
-
 #include "base/logging.hh"
 
 namespace mclock {
 
-DramCache::DramCache(std::size_t dramBytes, const MemoryConfig &cfg,
-                     unsigned lineBytes)
-    : cfg_(cfg),
-      lineShift_(static_cast<unsigned>(std::countr_zero(
-          static_cast<std::size_t>(lineBytes)))),
-      numEntries_(dramBytes / lineBytes)
+DramCache::DramCache(std::size_t dramBytes, const MemoryConfig &cfg)
+    : cfg_(cfg), numEntries_(dramBytes / kLineBytes)
 {
-    MCLOCK_ASSERT(lineBytes > 0 && (lineBytes & (lineBytes - 1)) == 0);
     MCLOCK_ASSERT(numEntries_ > 0 && (numEntries_ & (numEntries_ - 1)) == 0);
     entries_.assign(numEntries_, Entry{});
     // The near-memory cache sits in the fastest tier of the table and
     // fronts the slowest (far-memory) tier.
     const TierRank near = 0;
     const TierRank far = static_cast<TierRank>(cfg_.numTiers()) - 1;
-    fillCost_ = cfg_.copyLatency(far, near, lineBytes);
-    writebackCost_ = cfg_.copyLatency(near, far, lineBytes);
+    fillCost_ = cfg_.copyLatency(far, near, kLineBytes);
+    writebackCost_ = cfg_.copyLatency(near, far, kLineBytes);
 }
 
 DramCacheResult
 DramCache::access(Paddr pa, bool isWrite)
 {
-    const std::uint64_t block = pa >> lineShift_;
+    const std::uint64_t block = pa >> kLineShift;
     const std::size_t idx = block & (numEntries_ - 1);
     Entry &e = entries_[idx];
 

@@ -32,12 +32,11 @@ class DramCache
 {
   public:
     /**
-     * @param dramBytes capacity of the DRAM acting as cache
+     * @param dramBytes capacity of the DRAM acting as cache, cut into
+     *                  kLineBytes blocks
      * @param cfg       timing parameters (DRAM and PM tier timings)
-     * @param lineBytes cache-block granularity (64 B on real hardware)
      */
-    DramCache(std::size_t dramBytes, const MemoryConfig &cfg,
-              unsigned lineBytes = 64);
+    DramCache(std::size_t dramBytes, const MemoryConfig &cfg);
 
     /**
      * Access the PM physical address @p pa.
@@ -66,7 +65,6 @@ class DramCache
     static constexpr std::uint64_t kInvalidTag = ~0ull;
 
     const MemoryConfig &cfg_;
-    unsigned lineShift_;
     std::size_t numEntries_;
     std::vector<Entry> entries_;
     SimTime fillCost_;       ///< PM read -> DRAM write of one line

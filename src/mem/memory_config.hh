@@ -22,6 +22,13 @@
 
 namespace mclock {
 
+/**
+ * The line size of every cache the machine models (the LLC and the
+ * Memory-mode DRAM cache) and of the sequential first-touch sweep.
+ */
+constexpr unsigned kLineShift = 6;
+constexpr std::size_t kLineBytes = std::size_t{1} << kLineShift;
+
 /** Per-tier access timing. */
 struct TierTiming
 {
@@ -125,7 +132,6 @@ struct CacheConfig
     bool enabled = true;
     std::size_t sizeBytes = 8_MiB;
     unsigned ways = 16;
-    unsigned lineBytes = 64;
     SimTime hitLatency = 5_ns;
 
     bool operator==(const CacheConfig &) const = default;

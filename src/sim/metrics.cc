@@ -6,26 +6,20 @@ namespace mclock {
 namespace sim {
 
 void
-Metrics::presizeTiers(std::size_t numTiers)
+Metrics::growWindows(std::size_t n)
 {
-    numTiers_ = numTiers;
-    if (tierLatencyTotals_.size() < numTiers)
-        tierLatencyTotals_.resize(numTiers);
+    if (windows_.size() >= n)
+        return;
+    MetricsWindow empty;
+    empty.tierAccesses.resize(numTiers_);
+    windows_.resize(n, empty);
 }
 
 MetricsWindow &
 Metrics::windowSlow(SimTime now)
 {
     const std::size_t idx = static_cast<std::size_t>(now / windowLen_);
-    if (windows_.size() <= idx) {
-        windows_.resize(idx + 1);
-        if (numTiers_ > 0) {
-            for (auto &w : windows_) {
-                if (w.tierAccesses.size() < numTiers_)
-                    w.tierAccesses.resize(numTiers_);
-            }
-        }
-    }
+    growWindows(idx + 1);
     curWinIdx_ = idx;
     curWinStart_ = static_cast<SimTime>(idx) * windowLen_;
     curWinEnd_ = curWinStart_ + windowLen_;
@@ -62,8 +56,7 @@ Metrics::totalTierAccesses(TierRank rank) const
 SimTime
 Metrics::totalTierLatency(TierRank rank) const
 {
-    const auto idx = static_cast<std::size_t>(rank);
-    return idx < tierLatencyTotals_.size() ? tierLatencyTotals_[idx] : 0;
+    return tierLatencyTotals_.at(static_cast<std::size_t>(rank));
 }
 
 void
@@ -88,9 +81,9 @@ void
 Metrics::mergeFrom(const Metrics &other)
 {
     MCLOCK_ASSERT(windowLen_ == other.windowLen_);
-    if (windows_.size() < other.windows_.size())
-        windows_.resize(other.windows_.size());
-    // Resizing may have invalidated the cached current-window bounds.
+    MCLOCK_ASSERT(numTiers_ == other.numTiers_);
+    growWindows(other.windows_.size());
+    // Growing may have invalidated the cached current-window bounds.
     curWinEnd_ = 0;
     for (std::size_t i = 0; i < other.windows_.size(); ++i) {
         auto &dst = windows_[i];
@@ -99,14 +92,10 @@ Metrics::mergeFrom(const Metrics &other)
         dst.promotions += src.promotions;
         dst.demotions += src.demotions;
         dst.promotedReaccessed += src.promotedReaccessed;
-        if (dst.tierAccesses.size() < src.tierAccesses.size())
-            dst.tierAccesses.resize(src.tierAccesses.size());
-        for (std::size_t t = 0; t < src.tierAccesses.size(); ++t)
+        for (std::size_t t = 0; t < numTiers_; ++t)
             dst.tierAccesses[t] += src.tierAccesses[t];
     }
-    if (tierLatencyTotals_.size() < other.tierLatencyTotals_.size())
-        tierLatencyTotals_.resize(other.tierLatencyTotals_.size());
-    for (std::size_t t = 0; t < other.tierLatencyTotals_.size(); ++t)
+    for (std::size_t t = 0; t < numTiers_; ++t)
         tierLatencyTotals_[t] += other.tierLatencyTotals_[t];
     stats_.mergeFrom(other.stats_);
 }

@@ -62,19 +62,17 @@ struct MetricsWindow
 class Metrics
 {
   public:
-    /** @param numNodes NUMA nodes the vmstat counters attribute to. */
-    explicit Metrics(SimTime windowLen = 20_s, std::size_t numNodes = 0)
-        : windowLen_(windowLen), stats_(numNodes)
+    /**
+     * @param numNodes NUMA nodes the vmstat counters attribute to
+     * @param numTiers the machine's tiers: every per-tier vector, each
+     *                 window's tierAccesses included, has this many
+     *                 entries, indexed by rank
+     */
+    Metrics(SimTime windowLen, std::size_t numNodes, std::size_t numTiers)
+        : windowLen_(windowLen), numTiers_(numTiers),
+          tierLatencyTotals_(numTiers), stats_(numNodes)
     {
     }
-
-    /**
-     * Declare the machine's tier count so the per-tier vectors can be
-     * sized once up front instead of growing on first touch.
-     * Purely an allocation hint: counter values are unaffected, and the
-     * accessors treat missing and zero entries identically.
-     */
-    void presizeTiers(std::size_t numTiers);
 
     // Called once per simulated access; defined inline so the call
     // disappears into Simulator::accessOnePage.
@@ -84,14 +82,14 @@ class Metrics
         auto &w = windowAt(now);
         ++w.accesses;
         if (!llcHit)
-            bumpAt(w.tierAccesses, tier, 1);
+            ++w.tierAccesses[static_cast<std::size_t>(tier)];
     }
 
     /** Charge @p lat ns of memory service time to the tier at @p tier. */
     void
     recordMemLatency(TierRank tier, SimTime lat)
     {
-        bumpAt(tierLatencyTotals_, tier, lat);
+        tierLatencyTotals_[static_cast<std::size_t>(tier)] += lat;
     }
 
     /**
@@ -137,7 +135,7 @@ class Metrics
      * per-tier latency adds element-wise, vmstat counters add item- and
      * node-wise. The reduction is commutative, so the sharded runtime's
      * merged view is identical for any worker count. Panics if the
-     * window lengths differ.
+     * window lengths or the tier counts differ.
      */
     void mergeFrom(const Metrics &other);
 
@@ -158,18 +156,11 @@ class Metrics
     /** Out-of-line path: recompute the index, grow windows_. */
     MetricsWindow &windowSlow(SimTime now);
 
-    static void
-    bumpAt(std::vector<std::uint64_t> &counts, TierRank rank,
-           std::uint64_t delta)
-    {
-        const auto idx = static_cast<std::size_t>(rank);
-        if (counts.size() <= idx) [[unlikely]]
-            counts.resize(idx + 1);
-        counts[idx] += delta;
-    }
+    /** Append empty windows, each with numTiers_ tier counts, up to @p n. */
+    void growWindows(std::size_t n);
 
     SimTime windowLen_;
-    std::size_t numTiers_ = 0;  ///< presize hint for tier vectors
+    std::size_t numTiers_;
     // Bounds of the most recently touched window (see windowAt).
     SimTime curWinStart_ = 0;
     SimTime curWinEnd_ = 0;  ///< exclusive; 0 forces a recompute

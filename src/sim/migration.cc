@@ -88,7 +88,7 @@ MigrationEngine::migrate(Page *page, NodeId dst, SimTime &cost)
     const Paddr oldPaddr = page->paddr();
     cost = fullCost;
     if (llc_)
-        llc_->invalidatePage(oldPaddr, page->llcLineMask());
+        llc_->invalidatePage(oldPaddr);
     src.freeFrame(oldPaddr);
     page->placeOn(dst, newPaddr);
     MCLOCK_VM_HOOK(onMigrationCommit(page, src.tier(), dstNode.tier()));
@@ -136,8 +136,8 @@ MigrationEngine::exchange(Page *a, Page *b, SimTime &cost)
     const Paddr pa = a->paddr();
     const Paddr pb = b->paddr();
     if (llc_) {
-        llc_->invalidatePage(pa, a->llcLineMask());
-        llc_->invalidatePage(pb, b->llcLineMask());
+        llc_->invalidatePage(pa);
+        llc_->invalidatePage(pb);
     }
     a->placeOn(nb.id(), pb);
     b->placeOn(na.id(), pa);

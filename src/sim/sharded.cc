@@ -281,12 +281,11 @@ ShardedSimulator::mergedVmstat() const
 Metrics
 ShardedSimulator::mergedMetrics() const
 {
-    Metrics out(sims_.front()->config().metricsWindow);
+    const MachineConfig &cfg = sims_.front()->config();
+    Metrics out(cfg.metricsWindow, 0, cfg.mem.numTiers());
     out.stats().mergeFrom(coordVmstat_);
-    for (const auto &sim : sims_) {
-        out.presizeTiers(sim->config().mem.numTiers());
+    for (const auto &sim : sims_)
         out.mergeFrom(sim->metrics());
-    }
     return out;
 }
 

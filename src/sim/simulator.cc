@@ -16,7 +16,7 @@ Simulator::Simulator(MachineConfig cfg)
                               : nullptr),
       faults_(cfg_.faults, cfg_.seed),
       migration_(mem_, cfg_.mem, llc_.get(), &faults_),
-      metrics_(cfg_.metricsWindow, mem_.numNodes()),
+      metrics_(cfg_.metricsWindow, mem_.numNodes(), cfg_.mem.numTiers()),
       swap_(cfg_.swapPages),
       rng_(cfg_.seed),
       trace_(kTraceCapacity),
@@ -36,7 +36,6 @@ Simulator::Simulator(MachineConfig cfg)
     trace_.bindClock(&now_);
     // Snapshot the immutable topology for the access fast path: node
     // tiers and per-tier latencies never change after construction.
-    metrics_.presizeTiers(cfg_.mem.numTiers());
     nodeTier_.resize(mem_.numNodes());
     mem_.forEachNode([this](Node &node) {
         nodeTier_[static_cast<std::size_t>(node.id())] = node.tier();
@@ -106,7 +105,7 @@ Simulator::unmapRegion(Vaddr start)
         MCLOCK_ASSERT(!pg->onLru());
         if (pg->resident()) {
             if (llc_)
-                llc_->invalidatePage(pg->paddr(), pg->llcLineMask());
+                llc_->invalidatePage(pg->paddr());
             memcg_.uncharge(pg->memcg(),
                             nodeTier_[static_cast<std::size_t>(pg->node())]);
             mem_.node(pg->node()).freeFrame(pg->paddr());
@@ -533,7 +532,7 @@ Simulator::evictPage(Page *page)
         swap_.pageOut(page);
         chargeBackground(cfg_.mem.swapLatency);
         if (llc_)
-            llc_->invalidatePage(page->paddr(), page->llcLineMask());
+            llc_->invalidatePage(page->paddr());
         memcg_.uncharge(page->memcg(),
                         nodeTier_[static_cast<std::size_t>(page->node())]);
         mem_.node(page->node()).freeFrame(page->paddr());
@@ -646,7 +645,7 @@ Simulator::accessOnePage(Vaddr va, bool write, bool supervised)
     bool llcHit = false;
     if (llc_) {
         const Paddr pa = pg->paddr() + (va & (kPageSize - 1));
-        llcHit = llc_->access(pa, write, pg->llcLineMask()).hit;
+        llcHit = llc_->access(pa, write).hit;
     }
     const TierRank tier = nodeTier_[static_cast<std::size_t>(pg->node())];
     metrics_.recordAccess(now_, tier, llcHit);

@@ -16,6 +16,9 @@
  * page/PTE state is packed into one flag word, exactly like the
  * kernel's page->flags. Pages are allocated from the arena in
  * first-touch order, so sequential vpns sit contiguously in memory.
+ * A Page holds no LLC state: the cache model keeps its own line
+ * residency (mem/cache.hh), so a simulated access leaves the Page's
+ * line untouched when the LLC serves it.
  */
 
 #ifndef MCLOCK_VM_PAGE_HH_
@@ -179,15 +182,6 @@ class alignas(64) Page
     /** Intrusive linkage used by pfra::LruLists. */
     ListHook lruHook;
 
-    /**
-     * Conservative LLC line-residency filter for this page's current
-     * frame: bit i set means line i MAY be cached. Maintained by
-     * CacheModel::access and consumed (and zeroed) by
-     * CacheModel::invalidatePage, which skips the set scan for every
-     * clear bit. Purely a host-side accelerator; no simulated state.
-     */
-    std::uint64_t *llcLineMask() { return &llcLines_; }
-
     // --- Policy scratch state --------------------------------------------
     /** AutoTiering-OPM's n-bit access-history vector. */
     std::uint8_t historyBits() const { return history_; }
@@ -256,7 +250,6 @@ class alignas(64) Page
     // fields are checked where they are written; their accessors keep
     // the wide types.
     Paddr paddr_ = 0;
-    std::uint64_t llcLines_ = 0;
     SimTime lastAccess_ = 0;
     std::uint64_t accessCount_ = 0;
     std::uint32_t promotedEpoch_ = 0;

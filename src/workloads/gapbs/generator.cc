@@ -55,11 +55,22 @@ kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
     const std::uint64_t tAB = rawThreshold(a + b);
     const std::uint64_t tABC = rawThreshold(a + b + c);
     // Every edge takes exactly `scale` draws, so the chunk starting at
-    // edge i starts i * scale draws into the serial stream.
-    const Rng start = rng;
-    base::runChunks(m, kEdgesPerChunk, parts, [&](base::PartRange range) {
-        Rng local = start;
-        local.advance(range.begin * scale);
+    // edge i starts i * scale draws into the serial stream. Each thread
+    // keeps its stream where its last chunk ended and jumps only over
+    // the chunks other threads drew in between. One host line per
+    // cursor, so threads never write to a shared line.
+    struct alignas(64) Cursor
+    {
+        Rng rng;
+        std::size_t edge = 0;  ///< first edge not yet drawn from rng
+    };
+    std::vector<Cursor> cursors(parts, Cursor{rng});
+    base::runChunks(m, kEdgesPerChunk, parts,
+                    [&](unsigned p, base::PartRange range) {
+        Cursor &cur = cursors[p];
+        MCLOCK_ASSERT(range.begin >= cur.edge);
+        Rng local = cur.rng;
+        local.advance((range.begin - cur.edge) * scale);
         for (std::size_t i = range.begin; i < range.end; ++i) {
             GNode u = 0, v = 0;
             for (unsigned bit = 0; bit < scale; ++bit) {
@@ -74,6 +85,7 @@ kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
             }
             edges[i] = {u, v};
         }
+        cur = {local, range.end};
         // The last chunk ends where the serial draw ends.
         if (range.end == m)
             rng = local;

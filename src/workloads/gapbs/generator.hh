@@ -46,8 +46,10 @@ inline constexpr std::size_t kEdgesPerChunk = std::size_t{1} << 15;
  * makeKroneckerEdges drawn on exactly @p parts threads (> 0), whatever
  * the host: the seam the part-count identity tests use. The threads
  * claim kEdgesPerChunk-edge chunks in turn (base::runChunks); each
- * chunk jumps a copy of @p rng to its first edge's draw (Rng::advance),
- * and the last chunk leaves @p rng where the serial draw ends.
+ * thread draws from its own copy of @p rng, which continues across
+ * contiguous claims and jumps (Rng::advance) only over the chunks
+ * another thread drew, and the last chunk leaves @p rng where the
+ * serial draw ends.
  */
 EdgeList kroneckerEdgesInParts(unsigned scale, unsigned degree, Rng &rng,
                                unsigned parts);

@@ -18,6 +18,7 @@
 #include "base/default_init_vector.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
+#include "mem/memory_config.hh"
 #include "sim/simulator.hh"
 
 namespace mclock {
@@ -114,7 +115,7 @@ class InstrumentedArray
     }
 
     /**
-     * Sequential first-touch sweep: one simulated store per 64 B line.
+     * Sequential first-touch sweep: one simulated store per cache line.
      * Used after filling host data (poke() or a moved-in vector) to
      * materialise the region's pages in allocation order (the load
      * phase of a benchmark).
@@ -123,7 +124,7 @@ class InstrumentedArray
     streamInit()
     {
         const std::size_t bytes = data_.size() * sizeof(T);
-        for (std::size_t off = 0; off < bytes; off += 64)
+        for (std::size_t off = 0; off < bytes; off += kLineBytes)
             sim_->write(base_ + off, 8);
     }
 

@@ -206,12 +206,19 @@ TEST(ParallelTest, RunChunksRunsEveryChunkOnceAndTilesTheItems)
             SCOPED_TRACE(::testing::Message()
                          << items << " items, " << parts << " threads");
             const std::size_t chunks = (items + kChunk - 1) / kChunk;
-            // Each chunk writes only its own slot, so no lock is needed.
+            // Each chunk writes only its own slot, and each thread only
+            // its own cursor, so no lock is needed.
             std::vector<base::PartRange> seen(chunks, {0, 0});
             std::vector<std::atomic<unsigned>> runs(chunks);
+            std::vector<std::size_t> cursor(parts, 0);
             base::runChunks(items, kChunk, parts,
-                            [&](base::PartRange r) {
+                            [&](unsigned p, base::PartRange r) {
+                                ASSERT_LT(p, std::min<std::size_t>(
+                                                 parts, chunks));
                                 EXPECT_EQ(r.begin % kChunk, 0u);
+                                // Each thread's claims ascend.
+                                EXPECT_GE(r.begin, cursor[p]);
+                                cursor[p] = r.end;
                                 runs[r.begin / kChunk].fetch_add(1);
                                 seen[r.begin / kChunk] = r;
                             });

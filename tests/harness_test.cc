@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <climits>
 #include <cstdio>
@@ -207,19 +208,97 @@ TEST(RunnerDeterminism, JobsJustAboveTheUnitCountMatchOneJob)
     expectIdentical(serial.output, wide.output);
 }
 
+/** The golden scenarios a RunIdentity case runs. */
+enum class Suite { Half1, Half2, Sharded };
+
+/**
+ * The first half of the golden suite, about half its run time; the
+ * second is the rest. Scenarios that expand to a common unit spec (fig08, fig09,
+ * fig10 and the two ablations of the promote list and tracking cost;
+ * shard_bigmem and shard_bigmem_budget) sit in the same half, so each
+ * half still runs its shared records once (GoldenHalvesShareNoUnitSpec).
+ */
+const std::set<std::string> kGoldenHalf1{
+    "fig01", "fig02", "fig05", "fig06", "fig07", "tier3_ycsb_a",
+    "tier3_pagerank"};
+
+std::vector<const Scenario *>
+goldenScenarios(Suite suite)
+{
+    std::vector<const Scenario *> selected;
+    for (const std::string &name : goldenScenarioNames()) {
+        const bool keep =
+            suite == Suite::Sharded
+                ? name.rfind("shard_", 0) == 0 || name.rfind("tenant_", 0) == 0
+                : kGoldenHalf1.contains(name) == (suite == Suite::Half1);
+        if (keep)
+            selected.push_back(findScenario(name));
+    }
+    return selected;
+}
+
+TEST(RunIdentitySplit, GoldenHalvesShareNoUnitSpec)
+{
+    const auto half1 = goldenScenarios(Suite::Half1);
+    const auto half2 = goldenScenarios(Suite::Half2);
+    ASSERT_EQ(half1.size(), kGoldenHalf1.size());
+    ASSERT_EQ(half1.size() + half2.size(), goldenScenarioNames().size());
+    // The reference and both whole-suite configurations of RunIdentity.
+    for (const auto &[shards, stats] :
+         {std::pair{1u, false}, std::pair{8u, false}, std::pair{1u, true}}) {
+        RunContext ctx = goldenContext();
+        ctx.shards = shards;
+        ctx.stats = stats;
+        const auto specsOf = [&ctx](const std::vector<const Scenario *> &in) {
+            std::vector<UnitSpec> specs;
+            for (const Scenario *sc : in) {
+                RunContext c = ctx;
+                c.declared = &sc->params;
+                for (const RunUnit &unit : sc->expand(c))
+                    specs.push_back(unit.spec);
+            }
+            return specs;
+        };
+        const std::vector<UnitSpec> specs1 = specsOf(half1);
+        const std::vector<UnitSpec> specs2 = specsOf(half2);
+        for (const UnitSpec &spec : specs1) {
+            EXPECT_EQ(std::count(specs2.begin(), specs2.end(), spec), 0)
+                << "a unit spec is in both halves at --shards " << shards
+                << (stats ? " --stats" : "");
+        }
+    }
+}
+
 /** One configuration the golden suite must be bit-identical under. */
 struct Variant
 {
     unsigned jobs = 1, shards = 1;
-    bool stats = false, shardedOnly = false;
+    bool stats = false;
+    Suite suite = Suite::Half1;
 };
+
+std::string
+suiteName(Suite suite)
+{
+    switch (suite) {
+      case Suite::Half1:
+        return "half1";
+      case Suite::Half2:
+        return "half2";
+      case Suite::Sharded:
+        return "sharded";
+    }
+    return "";
+}
 
 void
 PrintTo(const Variant &v, std::ostream *os)
 {
     *os << "--jobs " << v.jobs << " --shards " << v.shards
         << (v.stats ? " --stats" : "")
-        << (v.shardedOnly ? " (sharded scenarios)" : "");
+        << (v.suite == Suite::Sharded
+                ? " (sharded scenarios)"
+                : " (golden " + suiteName(v.suite) + ")");
 }
 
 class RunIdentity : public ::testing::TestWithParam<Variant>
@@ -230,19 +309,16 @@ class RunIdentity : public ::testing::TestWithParam<Variant>
  * scenario run at --jobs 1 --shards 1 has the same per-unit
  * fingerprints, summary, text and artifacts at --jobs 4 --shards 8 and
  * with --stats; the sharded ones (shard_*, tenant_*) also at --jobs 4
- * with 3 and 4 shard workers. Each configuration is its own case with
- * its own reference run, so ctest runs them side by side.
+ * with 3 and 4 shard workers. Each configuration, on each half of the
+ * suite, is its own case with its own reference run, so ctest runs
+ * them side by side.
  */
 TEST_P(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
 {
     const Variant v = GetParam();
-    const auto run = [&v](unsigned jobs, unsigned shards, bool stats) {
-        std::vector<const Scenario *> selected;
-        for (const std::string &name : goldenScenarioNames()) {
-            if (!v.shardedOnly || name.rfind("shard_", 0) == 0 ||
-                name.rfind("tenant_", 0) == 0)
-                selected.push_back(findScenario(name));
-        }
+    const std::vector<const Scenario *> selected = goldenScenarios(v.suite);
+    const auto run = [&selected](unsigned jobs, unsigned shards,
+                                 bool stats) {
         RunContext ctx = goldenContext();
         ctx.shards = shards;
         ctx.stats = stats;
@@ -254,13 +330,13 @@ TEST_P(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
     const RunReport wide = run(v.jobs, v.shards, v.stats);
     const RunReport reference = pending.get();
     ASSERT_EQ(reference.results.size(),
-              v.shardedOnly ? 4u : goldenScenarioNames().size());
+              v.suite == Suite::Sharded ? 4u : selected.size());
     std::map<std::string, const ScenarioOutput *> byName;
     for (const auto &r : reference.results) {
         byName[r.name] = &r.output;
         EXPECT_EQ(r.output.fingerprints.size(), r.units) << r.name;
     }
-    if (!v.shardedOnly) {
+    if (v.suite == Suite::Half1) {
         const auto &fig05 = byName.at("fig05")->fingerprints;
         EXPECT_NE(fig05.at("multiclock"), fig05.at("static"));
         // A golden YCSB run overflows the 4096-event trace ring.
@@ -276,13 +352,17 @@ TEST_P(RunIdentity, GoldenSuiteIsIdenticalAcrossJobsShardsAndStats)
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, RunIdentity,
-    ::testing::Values(Variant{4, 8}, Variant{4, 3, false, true},
-                      Variant{4, 4, false, true}, Variant{1, 1, true}),
+    ::testing::Values(Variant{4, 8, false, Suite::Half1},
+                      Variant{4, 8, false, Suite::Half2},
+                      Variant{4, 3, false, Suite::Sharded},
+                      Variant{4, 4, false, Suite::Sharded},
+                      Variant{1, 1, true, Suite::Half1},
+                      Variant{1, 1, true, Suite::Half2}),
     [](const ::testing::TestParamInfo<Variant> &info) {
         const Variant &v = info.param;
         return "jobs" + std::to_string(v.jobs) + "_shards" +
-               std::to_string(v.shards) + (v.stats ? "_stats" : "") +
-               (v.shardedOnly ? "_sharded" : "");
+               std::to_string(v.shards) + (v.stats ? "_stats" : "") + "_" +
+               suiteName(v.suite);
     });
 
 TEST(Tier3Machine, StaticTieringOrdersTierLatencies)
@@ -593,7 +673,6 @@ TEST(UnitSpec, EveryFieldTakesPartInEquality)
         {[](auto &c) { c.enabled = !c.enabled; },
          [](auto &c) { c.sizeBytes *= 2; },
          [](auto &c) { c.ways *= 2; },
-         [](auto &c) { c.lineBytes *= 2; },
          [](auto &c) { c.hitLatency += 1; }});
     expectEveryFieldCompared<sim::NodeSpec>(
         base,

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/units.hh"
+#include "mem/cache.hh"
 #include "policies/static_tiering.hh"
 #include "sim/daemon.hh"
 #include "sim/machine.hh"
@@ -293,7 +295,7 @@ TEST(DaemonSchedulerTest, MultipleDaemonsInWakeOrder)
 
 TEST(MetricsTest, WindowBucketing)
 {
-    Metrics metrics(20_s);
+    Metrics metrics(20_s, 0, 2);
     metrics.recordAccess(1_s, TierKind::Dram, false);
     metrics.recordAccess(25_s, TierKind::Pmem, false);
     metrics.recordAccess(25_s, TierKind::Pmem, true);
@@ -308,7 +310,7 @@ TEST(MetricsTest, WindowBucketing)
 TEST(MetricsTest, ReaccessWithinNextRoundCounts)
 {
     Page pg(0, true);
-    Metrics metrics(20_s);
+    Metrics metrics(20_s, 0, 2);
     metrics.beginPromotionRound();
     metrics.recordPromotion(1_s, &pg);
     metrics.maybeRecordReaccess(2_s, &pg);
@@ -321,7 +323,7 @@ TEST(MetricsTest, ReaccessWithinNextRoundCounts)
 TEST(MetricsTest, ReaccessTooLateDoesNotCount)
 {
     Page pg(0, true);
-    Metrics metrics(20_s);
+    Metrics metrics(20_s, 0, 2);
     metrics.recordPromotion(1_s, &pg);
     metrics.beginPromotionRound();
     metrics.beginPromotionRound();  // two rounds later
@@ -332,7 +334,7 @@ TEST(MetricsTest, ReaccessTooLateDoesNotCount)
 TEST(MetricsTest, ReaccessPercent)
 {
     Page a(0, true), b(1, true);
-    Metrics metrics(20_s);
+    Metrics metrics(20_s, 0, 2);
     metrics.recordPromotion(1_s, &a);
     metrics.recordPromotion(1_s, &b);
     metrics.maybeRecordReaccess(2_s, &a);
@@ -526,6 +528,77 @@ TEST(SimulatorTest, EvictionAndSwapIn)
     EXPECT_TRUE(pg->resident());
     EXPECT_EQ(sim->vmstat().global(stats::VmItem::Pswpin), 1u);
     EXPECT_EQ(sim->swap().usedSlots(), 0u);
+}
+
+/**
+ * A page that leaves its frame takes its lines out of the LLC: page A
+ * writes all 64 of its lines, leaves its DRAM frame, and the page that
+ * next holds that frame misses on every line. A Node hands out frames
+ * last-freed first, so after a demotion, an eviction or an unmap a new
+ * page takes the vacated frame. An exchange swaps A's frame with that
+ * of a PM page that wrote all its lines too, and both pages then miss.
+ */
+TEST(SimulatorTest, PageLeavingItsFrameLeavesNoLinesInTheLlc)
+{
+    enum class Move { Demote, Exchange, Evict, Unmap };
+    constexpr auto kBackground = Simulator::ChargeMode::Background;
+    const auto writeEveryLine = [](Simulator &sim, Vaddr page) {
+        for (Vaddr off = 0; off < kPageSize; off += kLineBytes)
+            sim.write(page + off);
+    };
+    for (Move move : {Move::Demote, Move::Exchange, Move::Evict,
+                      Move::Unmap}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "move " << static_cast<int>(move));
+        auto sim = makeSim();
+        Page *partner = nullptr;  // the PM page A is exchanged with
+        if (move == Move::Exchange) {
+            const Vaddr c = sim->mmap(kPageSize);
+            sim->read(c);
+            partner = sim->space().lookup(pageNumOf(c));
+            sim->policy().onPageFreed(partner);
+            ASSERT_TRUE(sim->demotePage(partner, kBackground));
+            writeEveryLine(*sim, c);
+            sim->policy().onPageFreed(partner);
+        }
+        const Vaddr a = sim->mmap(kPageSize);
+        writeEveryLine(*sim, a);
+        Page *pageA = sim->space().lookup(pageNumOf(a));
+        ASSERT_EQ(pageA->node(), 0);
+        // Mapped now, first touched (and so placed) after the move.
+        const Vaddr fresh = sim->mmap(kPageSize);
+        // Each page to read back, with the frame it must then sit on.
+        std::vector<std::pair<Vaddr, Paddr>> readers;
+        if (move != Move::Unmap)
+            sim->policy().onPageFreed(pageA);
+        switch (move) {
+          case Move::Demote:
+            readers.emplace_back(fresh, pageA->paddr());
+            ASSERT_TRUE(sim->demotePage(pageA, kBackground));
+            break;
+          case Move::Exchange:
+            readers.emplace_back(partner->vaddr(), pageA->paddr());
+            readers.emplace_back(a, partner->paddr());
+            ASSERT_TRUE(sim->exchangePages(partner, pageA, kBackground));
+            break;
+          case Move::Evict:
+            readers.emplace_back(fresh, pageA->paddr());
+            sim->evictPage(pageA);
+            break;
+          case Move::Unmap:
+            readers.emplace_back(fresh, pageA->paddr());
+            sim->unmapRegion(a);
+            break;
+        }
+        for (const auto &[va, frame] : readers) {
+            const std::uint64_t missesBefore = sim->llc()->misses();
+            for (Vaddr off = 0; off < kPageSize; off += kLineBytes)
+                sim->read(va + off);
+            EXPECT_EQ(sim->space().lookup(pageNumOf(va))->paddr(), frame);
+            EXPECT_EQ(sim->llc()->misses() - missesBefore,
+                      kPageSize / kLineBytes);
+        }
+    }
 }
 
 TEST(SimulatorTest, MultiPageAccessTouchesEveryPage)
