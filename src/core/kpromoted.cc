@@ -23,7 +23,7 @@ Kpromoted::run(SimTime now)
 {
     (void)now;
     sim::Node &node = sim_.memory().node(nodeId_);
-    const std::size_t nrScan = policy_.config().nrScan;
+    const std::size_t nrScan = policy_.nrScan_;
 
     sim_.vmstat().add(stats::VmItem::KpromotedWake, nodeId_);
     sim_.trace().record(stats::TraceEventType::KpromotedWake, nodeId_,
@@ -46,8 +46,8 @@ Kpromoted::run(SimTime now)
         const std::size_t budget =
             node.lists().promoteSize(anon);  // all selected pages
         const std::size_t cap =
-            policy_.config().promoteBudget > promotedNow
-                ? policy_.config().promoteBudget - promotedNow
+            MultiClockPolicy::kPromoteBudget > promotedNow
+                ? MultiClockPolicy::kPromoteBudget - promotedNow
                 : 0;
         promotedNow += shrinkPromoteList(node, anon, budget,
                                          /*underPressure=*/false, cap);
@@ -66,7 +66,6 @@ Kpromoted::scanInactive(sim::Node &node, bool anon, std::size_t nrScan)
             if (pg->referenced()) {
                 // Transition (6): inactive referenced -> active.
                 pg->setReferenced(false);
-                pg->setActive(true);
                 lists.moveTo(pg, pfra::NodeLists::activeKind(anon));
                 continue;
             }

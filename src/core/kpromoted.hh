@@ -29,7 +29,6 @@ class Simulator;
 namespace core {
 
 class MultiClockPolicy;
-struct MultiClockConfig;
 
 /** The promotion daemon body for one node. */
 class Kpromoted

@@ -10,7 +10,8 @@
 namespace mclock {
 namespace core {
 
-MultiClockPolicy::MultiClockPolicy(MultiClockConfig cfg) : cfg_(cfg)
+MultiClockPolicy::MultiClockPolicy(const policies::PolicyOptions &opts)
+    : scanInterval_(opts.scanInterval), nrScan_(opts.nrScan)
 {
 }
 
@@ -32,7 +33,7 @@ MultiClockPolicy::attach(sim::Simulator &sim)
         if (mem.higherTier(mem.node(id).tier(), up)) {
             Kpromoted *kp = kpromoted_.back().get();
             sim.daemons().add("kpromoted/" + std::to_string(id),
-                              cfg_.scanInterval,
+                              scanInterval_,
                               [kp](SimTime now) { kp->run(now); });
         }
     }
@@ -52,7 +53,6 @@ MultiClockPolicy::onSupervisedAccess(Page *page)
     if (isInactiveList(page->list())) {
         // Activate: inactive referenced -> active (transition 6).
         page->setReferenced(false);
-        page->setActive(true);
         lists.moveTo(page, pfra::NodeLists::activeKind(page->isAnon()));
         return;
     }
@@ -115,7 +115,7 @@ MultiClockPolicy::demoteFromTier(TierRank tier, std::size_t target)
     // A page is demotion-worthy only if it has been idle for at least
     // two scan windows; pages merely un-referenced within the current
     // window are often streaming data that returns next iteration.
-    const SimTime idleFloor = cfg_.scanInterval * 2;
+    const SimTime idleFloor = scanInterval_ * 2;
     const SimTime now = sim_->now();
     const pfra::PageFilter spare = lowProtectionFilter(tier);
     std::size_t demoted = 0;

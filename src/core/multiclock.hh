@@ -16,6 +16,10 @@
  * Page state machine (paper Fig. 4): see transition numbers referenced
  * in the implementation comments; every transition has a dedicated unit
  * test in tests/core.
+ *
+ * Configuration: the kpromoted period and per-list scan budget come from
+ * PolicyOptions (scanInterval, nrScan); the per-wake promotion cap is
+ * the constant kPromoteBudget (64 pages).
  */
 
 #ifndef MCLOCK_CORE_MULTICLOCK_HH_
@@ -26,7 +30,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "base/units.hh"
 #include "pfra/vmscan.hh"
 #include "policies/policy.hh"
 
@@ -35,27 +38,20 @@ namespace core {
 
 class Kpromoted;
 
-/** Tunables for MULTI-CLOCK (paper defaults). */
-struct MultiClockConfig
-{
-    /** kpromoted wake period; the paper selects 1 s (Fig. 10). */
-    SimTime scanInterval = 1_s;
-    /** Pages scanned per list per kpromoted run (paper: 1024). */
-    std::size_t nrScan = 1024;
-    /**
-     * Max pages migrated up per kpromoted run per node. kpromoted
-     * promotes everything it selects, but selection itself is bounded
-     * by the scan budget; this cap mirrors that bound and prevents
-     * promote/demote churn when the hot set far exceeds DRAM.
-     */
-    std::size_t promoteBudget = 64;
-};
-
 /** The MULTI-CLOCK tiering policy. */
 class MultiClockPolicy : public policies::TieringPolicy
 {
   public:
-    explicit MultiClockPolicy(MultiClockConfig cfg = {});
+    /**
+     * Max pages kpromoted migrates up per wake per node. kpromoted
+     * promotes everything it selects, but selection itself is bounded
+     * by the scan budget; this cap mirrors that bound and prevents
+     * promote/demote churn when the hot set far exceeds DRAM.
+     */
+    static constexpr std::size_t kPromoteBudget = 64;
+
+    /** Reads opts.scanInterval (the kpromoted period) and opts.nrScan. */
+    explicit MultiClockPolicy(const policies::PolicyOptions &opts = {});
     ~MultiClockPolicy() override;
 
     const char *name() const override { return "multiclock"; }
@@ -82,8 +78,6 @@ class MultiClockPolicy : public policies::TieringPolicy
 
     policies::FeatureRow features() const override;
 
-    const MultiClockConfig &config() const { return cfg_; }
-
     /**
      * Demote up to @p target unreferenced inactive-tail pages from the
      * given tier to make room for promotions ("promotions from the
@@ -103,7 +97,10 @@ class MultiClockPolicy : public policies::TieringPolicy
      */
     pfra::PageFilter lowProtectionFilter(TierRank tier) const;
 
-    MultiClockConfig cfg_;
+    /** kpromoted wake period; the paper selects 1 s (Fig. 10). */
+    SimTime scanInterval_;
+    /** Pages scanned per list per kpromoted run (paper: 1024). */
+    std::size_t nrScan_;
     std::vector<std::unique_ptr<Kpromoted>> kpromoted_;
 };
 

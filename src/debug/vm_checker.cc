@@ -86,7 +86,6 @@ VmChecker::formatDump(const Violation &v) const
            << " list=" << lruListName(v.page->list())
            << (v.page->isAnon() ? " anon" : " file")
            << (v.page->resident() ? " resident" : " !resident")
-           << (v.page->active() ? " active" : "")
            << (v.page->promoteFlag() ? " promote" : "")
            << (v.page->unevictable() ? " unevictable" : "")
            << (v.page->locked() ? " locked" : "") << "\n";

@@ -29,7 +29,6 @@ shrinkActiveList(NodeLists &lists, bool anon, std::size_t nrScan)
             lists.rotateToFront(page);
             ++stats.rotated;
         } else {
-            page->setActive(false);
             page->setReferenced(false);
             lists.moveTo(page, NodeLists::inactiveKind(anon));
             ++stats.deactivated;
@@ -81,7 +80,6 @@ collectInactiveCandidates(NodeLists &lists, bool anon, std::size_t nrScan,
             // a second one (seen via PG_referenced) activates it.
             if (page->referenced()) {
                 page->setReferenced(false);
-                page->setActive(true);
                 lists.moveTo(page, NodeLists::activeKind(anon));
                 ++stats.activated;
             } else {

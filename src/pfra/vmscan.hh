@@ -55,9 +55,9 @@ bool testAndClearReferenced(Page *page);
 
 /**
  * shrink_active_list: scan up to @p nrScan pages from the tail of the
- * active list. Referenced pages rotate to the head (retaining PG_active);
+ * active list. Referenced pages rotate to the head of the active list;
  * unreferenced pages are deactivated to the head of the inactive list
- * with flags cleared.
+ * with PG_referenced cleared.
  */
 ScanStats shrinkActiveList(NodeLists &lists, bool anon,
                            std::size_t nrScan);

@@ -12,7 +12,8 @@
 namespace mclock {
 namespace policies {
 
-AmpPolicy::AmpPolicy(AmpMode mode, AmpConfig cfg) : mode_(mode), cfg_(cfg)
+AmpPolicy::AmpPolicy(AmpMode mode, const PolicyOptions &opts)
+    : mode_(mode), scanInterval_(opts.scanInterval)
 {
 }
 
@@ -31,7 +32,7 @@ void
 AmpPolicy::attach(sim::Simulator &sim)
 {
     TieringPolicy::attach(sim);
-    sim.daemons().add("amp_scan", cfg_.scanInterval,
+    sim.daemons().add("amp_scan", scanInterval_,
                       [this](SimTime now) { tick(now); });
 }
 
@@ -95,10 +96,11 @@ AmpPolicy::tick(SimTime now)
         bool ok = sim_->promotePage(
             pg, sim::Simulator::ChargeMode::Background);
         if (!ok) {
-            // Make room in the tier the page would be promoted into.
-            TierRank up;
-            if (!mem.higherTier(mem.node(pg->node()).tier(), up))
-                up = mem.tierOrder().front();
+            // Make room in the tier the page would be promoted into:
+            // every candidate has one, and the failed promotion left
+            // the page on its source node.
+            TierRank up = kInvalidTier;
+            mem.higherTier(mem.node(pg->node()).tier(), up);
             for (NodeId id : mem.tier(up))
                 sim_->maybeReclaim(mem.node(id));
             ok = sim_->promotePage(

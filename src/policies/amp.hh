@@ -18,7 +18,6 @@
 #include <cstddef>
 
 #include "base/types.hh"
-#include "base/units.hh"
 #include "policies/policy.hh"
 
 namespace mclock {
@@ -36,17 +35,12 @@ enum class AmpMode {
     Random,  ///< promote uniformly random lower-tier pages
 };
 
-/** Tunables for the AMP extension baseline. */
-struct AmpConfig
-{
-    SimTime scanInterval = 1_s;
-};
-
 /** Full-profiling LRU/LFU/Random selection (AMP). */
 class AmpPolicy : public TieringPolicy
 {
   public:
-    explicit AmpPolicy(AmpMode mode, AmpConfig cfg = {});
+    /** Reads opts.scanInterval, the full-profiling pass period. */
+    explicit AmpPolicy(AmpMode mode, const PolicyOptions &opts = {});
 
     const char *name() const override;
 
@@ -63,7 +57,7 @@ class AmpPolicy : public TieringPolicy
     void tick(SimTime now);
 
     AmpMode mode_;
-    AmpConfig cfg_;
+    SimTime scanInterval_;
 };
 
 }  // namespace policies

@@ -10,15 +10,10 @@
 namespace mclock {
 namespace policies {
 
-AutoTieringPolicy::AutoTieringPolicy(bool opm, AutoTieringConfig cfg)
-    : AutoTieringPolicy(opm ? AutoTieringMode::Opm : AutoTieringMode::Cpm,
-                        cfg)
-{
-}
-
 AutoTieringPolicy::AutoTieringPolicy(AutoTieringMode mode,
-                                     AutoTieringConfig cfg)
-    : mode_(mode), cfg_(cfg)
+                                     const PolicyOptions &opts)
+    : mode_(mode), scanInterval_(opts.scanInterval),
+      poisonPagesPerSec_(opts.poisonPagesPerSec)
 {
 }
 
@@ -26,7 +21,7 @@ void
 AutoTieringPolicy::attach(sim::Simulator &sim)
 {
     TieringPolicy::attach(sim);
-    sim.daemons().add("at_scan", cfg_.scanInterval,
+    sim.daemons().add("at_scan", scanInterval_,
                       [this](SimTime now) { scanTick(now); });
 }
 
@@ -46,15 +41,19 @@ AutoTieringPolicy::scanTick(SimTime now)
     std::size_t poisoned = 0;
     std::size_t visited = 0;
     std::size_t demoted = 0;
-    // AutoNUMA unmaps a bounded chunk per pass; even at its most
-    // aggressive it covers the footprint over many passes, never all
-    // of it at once.
+    // AutoNUMA unmaps a bounded chunk per pass: the poisoning rate
+    // times the pass period. Even at its most aggressive it covers the
+    // footprint over many passes, never all of it at once.
+    const std::size_t rateChunk = std::max<std::size_t>(
+        16, static_cast<std::size_t>(poisonPagesPerSec_ *
+                                     static_cast<double>(scanInterval_) /
+                                     1e9));
     const std::size_t chunk = std::min<std::size_t>(
-        cfg_.poisonChunk,
+        rateChunk,
         std::max<std::size_t>(64, static_cast<std::size_t>(limit) / 16));
     // A hot page hint-faults about once per full poisoning pass; use
     // that as the recency unit for the victim-coldness horizon.
-    passPeriod_ = cfg_.scanInterval *
+    passPeriod_ = scanInterval_ *
                   std::max<SimTime>(1, (limit + chunk - 1) / chunk);
     // Visit each page at most once per pass (one wrap of the space),
     // so the history vector shifts exactly once per profiling pass.
@@ -157,8 +156,8 @@ SimTime
 AutoTieringPolicy::coldHorizon() const
 {
     // At least one full profiling pass without a fault, and never
-    // shorter than the configured floor.
-    return std::max(cfg_.victimColdThreshold, passPeriod_);
+    // shorter than three profiling intervals.
+    return std::max(scanInterval_ * 3, passPeriod_);
 }
 
 SimTime

@@ -19,6 +19,13 @@
  * Both pay the hint-fault trap cost on the application's critical path,
  * and fault-path migrations carry the faultPathMigrationMultiplier
  * (page-lock stalls on the paper's 32-core machine).
+ *
+ * Configuration comes from PolicyOptions. Each pass poisons
+ * max(16, poisonPagesPerSec x scanInterval) pages (AutoNUMA unmaps
+ * large chunks, default scan size 256 MB, scaled here), capped by the
+ * footprint; CPM's victim must have had no hint fault for at least
+ * 3 x scanInterval (roughly three passes) or one full poisoning pass.
+ * The defaults give a chunk of 8192 pages and a 3 s floor.
  */
 
 #ifndef MCLOCK_POLICIES_AUTOTIERING_HH_
@@ -28,7 +35,6 @@
 #include <unordered_map>
 
 #include "base/types.hh"
-#include "base/units.hh"
 #include "policies/policy.hh"
 #include "sim/daemon.hh"
 
@@ -39,24 +45,6 @@ class Node;
 }
 
 namespace policies {
-
-/** Tunables for the AutoTiering baselines. */
-struct AutoTieringConfig
-{
-    /** Profiling (poisoning) pass period (task_numa_work cadence). */
-    SimTime scanInterval = 1_s;
-    /**
-     * Pages poisoned per pass. AutoNUMA unmaps large chunks (default
-     * scan size 256 MB); scaled to the simulated machine this covers a
-     * sizeable fraction of the footprint each pass.
-     */
-    std::size_t poisonChunk = 8192;
-    /**
-     * CPM: a victim qualifies only if its last hint fault is older than
-     * this (conservative "is it colder than the faulting page" check).
-     */
-    SimTime victimColdThreshold = 3_s;
-};
 
 /** The three hint-fault-based variants. */
 enum class AutoTieringMode {
@@ -69,11 +57,13 @@ enum class AutoTieringMode {
 class AutoTieringPolicy : public TieringPolicy
 {
   public:
-    /** @param opm true for AT-OPM, false for AT-CPM */
-    explicit AutoTieringPolicy(bool opm, AutoTieringConfig cfg = {});
-
+    /**
+     * Reads opts.scanInterval (the profiling-pass period) and
+     * opts.poisonPagesPerSec, from which it derives the poison chunk
+     * and the CPM victim-cold floor.
+     */
     explicit AutoTieringPolicy(AutoTieringMode mode,
-                               AutoTieringConfig cfg = {});
+                               const PolicyOptions &opts = {});
 
     const char *
     name() const override
@@ -96,8 +86,6 @@ class AutoTieringPolicy : public TieringPolicy
     void handlePressure(sim::Node &node) override;
 
     FeatureRow features() const override;
-
-    const AutoTieringConfig &config() const { return cfg_; }
 
   private:
     /** Upper-tier pages sampled when looking for an exchange victim. */
@@ -127,7 +115,10 @@ class AutoTieringPolicy : public TieringPolicy
     }
 
     AutoTieringMode mode_;
-    AutoTieringConfig cfg_;
+    /** Profiling (poisoning) pass period (task_numa_work cadence). */
+    SimTime scanInterval_;
+    /** Pages poisoned per second (AutoNUMA's scan size, scaled). */
+    double poisonPagesPerSec_;
     PageNum cursor_ = 0;  ///< round-robin position of the poison pass
     /** Measured duration of one full poisoning pass over the space. */
     SimTime passPeriod_ = 0;

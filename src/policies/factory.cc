@@ -1,7 +1,5 @@
 #include "policies/factory.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "core/multiclock.hh"
 #include "policies/amp.hh"
@@ -18,34 +16,17 @@ makePolicy(const std::string &name, const PolicyOptions &opts)
 {
     if (name == "static")
         return std::make_unique<StaticTieringPolicy>();
-    if (name == "multiclock") {
-        core::MultiClockConfig cfg;
-        cfg.scanInterval = opts.scanInterval;
-        cfg.nrScan = opts.nrScan;
-        return std::make_unique<core::MultiClockPolicy>(cfg);
-    }
-    if (name == "nimble") {
-        NimbleConfig cfg;
-        cfg.scanInterval = opts.scanInterval;
-        cfg.nrScan = opts.nrScan;
-        return std::make_unique<NimblePolicy>(cfg);
-    }
+    if (name == "multiclock")
+        return std::make_unique<core::MultiClockPolicy>(opts);
+    if (name == "nimble")
+        return std::make_unique<NimblePolicy>(opts);
     if (name == "at-cpm" || name == "at-opm" || name == "autonuma") {
-        AutoTieringConfig cfg;
-        cfg.scanInterval = opts.scanInterval;
-        cfg.poisonChunk = std::max<std::size_t>(
-            16, static_cast<std::size_t>(
-                    opts.poisonPagesPerSec *
-                    static_cast<double>(opts.scanInterval) / 1e9));
-        // The CPM victim-coldness horizon follows the profiling cadence
-        // (roughly three passes).
-        cfg.victimColdThreshold = opts.scanInterval * 3;
         const AutoTieringMode mode =
             name == "at-opm"
                 ? AutoTieringMode::Opm
                 : (name == "at-cpm" ? AutoTieringMode::Cpm
                                     : AutoTieringMode::AutoNuma);
-        return std::make_unique<AutoTieringPolicy>(mode, cfg);
+        return std::make_unique<AutoTieringPolicy>(mode, opts);
     }
     if (name == "memory-mode") {
         if (opts.dramCacheBytes == 0)
@@ -53,13 +34,11 @@ makePolicy(const std::string &name, const PolicyOptions &opts)
         return std::make_unique<MemoryModePolicy>(opts.dramCacheBytes);
     }
     if (name == "amp-lru" || name == "amp-lfu" || name == "amp-random") {
-        AmpConfig cfg;
-        cfg.scanInterval = opts.scanInterval;
         const AmpMode mode = name == "amp-lru"
                                  ? AmpMode::Lru
                                  : (name == "amp-lfu" ? AmpMode::Lfu
                                                       : AmpMode::Random);
-        return std::make_unique<AmpPolicy>(mode, cfg);
+        return std::make_unique<AmpPolicy>(mode, opts);
     }
     MCLOCK_FATAL("unknown policy '%s'", name.c_str());
 }

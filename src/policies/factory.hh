@@ -3,8 +3,14 @@
  * Policy factory: construct any policy by its short name.
  *
  * Recognised names: "static", "multiclock", "nimble", "at-cpm",
- * "at-opm", "memory-mode" (requires dramCacheBytes), "amp-lru",
- * "amp-lfu", "amp-random".
+ * "at-opm", "autonuma", "memory-mode" (requires dramCacheBytes),
+ * "amp-lru", "amp-lfu", "amp-random".
+ *
+ * PolicyOptions (policies/policy.hh) is the whole configuration: the
+ * factory hands it to the policy's constructor unchanged. Per-wake
+ * promotion caps are class constants (MultiClockPolicy::kPromoteBudget,
+ * NimblePolicy::kPromoteBudget, AmpPolicy's batch), and AutoTiering
+ * derives its poison chunk and victim-cold floor from the options.
  */
 
 #ifndef MCLOCK_POLICIES_FACTORY_HH_
@@ -18,26 +24,6 @@
 
 namespace mclock {
 namespace policies {
-
-/** Cross-policy tunables applied by the factory. */
-struct PolicyOptions
-{
-    /** Daemon wake period for every policy's profiling/promotion
-     *  thread. Benches scale this down together with machine capacity
-     *  so the cadence-to-workload-duration ratio matches the paper. */
-    SimTime scanInterval = 1'000'000'000ull;  // 1 s, the paper default
-    /** Pages scanned per list per wake (paper: 1024). */
-    std::size_t nrScan = 1024;
-    /**
-     * AutoTiering PTE-poisoning rate in pages per second (AutoNUMA's
-     * scan_size budget, scaled); the per-pass chunk is rate x interval.
-     */
-    double poisonPagesPerSec = 8192.0;
-    /** DRAM capacity handed to Memory-mode as its memory-side cache. */
-    std::size_t dramCacheBytes = 0;
-
-    bool operator==(const PolicyOptions &) const = default;
-};
 
 /** Construct a policy by name; fatal on unknown names. */
 std::unique_ptr<TieringPolicy> makePolicy(const std::string &name,

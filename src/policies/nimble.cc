@@ -7,7 +7,8 @@
 namespace mclock {
 namespace policies {
 
-NimblePolicy::NimblePolicy(NimbleConfig cfg) : cfg_(cfg)
+NimblePolicy::NimblePolicy(const PolicyOptions &opts)
+    : scanInterval_(opts.scanInterval), nrScan_(opts.nrScan)
 {
 }
 
@@ -22,7 +23,7 @@ NimblePolicy::attach(sim::Simulator &sim)
         if (!mem.higherTier(mem.node(id).tier(), up))
             continue;
         sim.daemons().add("knimble/" + std::to_string(id),
-                          cfg_.scanInterval, [this, id](SimTime now) {
+                          scanInterval_, [this, id](SimTime now) {
                               tick(sim_->memory().node(id), now);
                           });
     }
@@ -41,9 +42,9 @@ NimblePolicy::tick(sim::Node &node, SimTime now)
     std::uint64_t promoted = 0;
     for (bool anon : {true, false}) {
         scanned += scanAndPromote(node, pfra::NodeLists::inactiveKind(anon),
-                                  cfg_.nrScan, promoted);
+                                  nrScan_, promoted);
         scanned += scanAndPromote(node, pfra::NodeLists::activeKind(anon),
-                                  cfg_.nrScan, promoted);
+                                  nrScan_, promoted);
     }
     sim_->chargeScan(scanned);
 }
@@ -64,7 +65,7 @@ NimblePolicy::scanAndPromote(sim::Node &node, LruListKind kind,
     const bool hasHigher = mem.higherTier(node.tier(), up);
 
     for (std::size_t i = 0; i < budget; ++i) {
-        if (promoted >= cfg_.promoteBudget)
+        if (promoted >= kPromoteBudget)
             break;  // the per-wake "top pages" batch is exhausted
         Page *pg = list.back();
         if (!pg->testAndClearPteReferenced()) {

@@ -11,6 +11,10 @@
  * scan suffices for promotion (vs. MULTI-CLOCK's "recently accessed more
  * than once"). When the upper tier is full, Nimble uses its two-sided
  * page exchange with a cold page from the upper tier's inactive tail.
+ *
+ * Configuration: the daemon period and per-list scan budget come from
+ * PolicyOptions (scanInterval, nrScan); the per-wake promotion cap is
+ * the constant kPromoteBudget (128 pages).
  */
 
 #ifndef MCLOCK_POLICIES_NIMBLE_HH_
@@ -20,7 +24,6 @@
 
 #include "base/types.hh"
 #include "vm/page.hh"
-#include "base/units.hh"
 #include "policies/policy.hh"
 
 namespace mclock {
@@ -31,23 +34,18 @@ class Node;
 
 namespace policies {
 
-/** Tunables for the Nimble selection baseline. */
-struct NimbleConfig
-{
-    SimTime scanInterval = 1_s;    ///< promotion daemon period
-    std::size_t nrScan = 1024;     ///< pages scanned per list per run
-    /**
-     * Max pages promoted per wake: Nimble exchanges the *top* recently
-     * accessed pages, a bounded batch per pass.
-     */
-    std::size_t promoteBudget = 128;
-};
-
 /** Recency-only promotion via reference bits; exchange when full. */
 class NimblePolicy : public TieringPolicy
 {
   public:
-    explicit NimblePolicy(NimbleConfig cfg = {});
+    /**
+     * Max pages promoted per wake: Nimble exchanges the *top* recently
+     * accessed pages, a bounded batch per pass.
+     */
+    static constexpr std::size_t kPromoteBudget = 128;
+
+    /** Reads opts.scanInterval (the daemon period) and opts.nrScan. */
+    explicit NimblePolicy(const PolicyOptions &opts = {});
 
     const char *name() const override { return "nimble"; }
 
@@ -57,8 +55,6 @@ class NimblePolicy : public TieringPolicy
     void handlePressure(sim::Node &node) override;
 
     FeatureRow features() const override;
-
-    const NimbleConfig &config() const { return cfg_; }
 
   private:
     /** Upper-tier pages sampled when looking for an exchange victim. */
@@ -74,7 +70,8 @@ class NimblePolicy : public TieringPolicy
     /** Find a cold page in the tier at @p tier to exchange with. */
     Page *pickExchangeVictim(bool anon, TierRank tier);
 
-    NimbleConfig cfg_;
+    SimTime scanInterval_;  ///< promotion daemon period
+    std::size_t nrScan_;    ///< pages scanned per list per run
 };
 
 }  // namespace policies

@@ -49,7 +49,6 @@ TieringPolicy::onPageAllocated(Page *page)
         lists.add(page, LruListKind::Unevictable);
         return;
     }
-    page->setActive(false);
     page->setReferenced(false);
     page->setPromoteFlag(false);
     lists.add(page, pfra::NodeLists::inactiveKind(page->isAnon()));
@@ -82,7 +81,6 @@ TieringPolicy::onSupervisedAccess(Page *page)
     }
     if (isInactiveList(page->list())) {
         page->setReferenced(false);
-        page->setActive(true);
         auto &lists = sim_->memory().node(page->node()).lists();
         lists.moveTo(page, pfra::NodeLists::activeKind(page->isAnon()));
     }

@@ -44,6 +44,30 @@ struct AccessContext
     SimTime latency = 0;
 };
 
+/**
+ * The one configuration every policy takes (makePolicy passes it
+ * through). Everything else a policy needs is a constant of its class
+ * or is derived from these fields.
+ */
+struct PolicyOptions
+{
+    /** Daemon wake period for every policy's profiling/promotion
+     *  thread. Benches scale this down together with machine capacity
+     *  so the cadence-to-workload-duration ratio matches the paper. */
+    SimTime scanInterval = 1'000'000'000ull;  // 1 s, the paper default
+    /** Pages scanned per list per wake (paper: 1024). */
+    std::size_t nrScan = 1024;
+    /**
+     * AutoTiering PTE-poisoning rate in pages per second (AutoNUMA's
+     * scan_size budget, scaled); the per-pass chunk is rate x interval.
+     */
+    double poisonPagesPerSec = 8192.0;
+    /** DRAM capacity handed to Memory-mode as its memory-side cache. */
+    std::size_t dramCacheBytes = 0;
+
+    bool operator==(const PolicyOptions &) const = default;
+};
+
 /** One row of the paper's Table I feature matrix. */
 struct FeatureRow
 {

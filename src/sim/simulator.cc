@@ -305,7 +305,6 @@ Simulator::noteDemoted(const Page *page, NodeId node)
 void
 Simulator::placeArrival(Page *page, bool active)
 {
-    page->setActive(active);
     page->setReferenced(false);
     page->setPromoteFlag(false);
     const bool anon = page->isAnon();
@@ -538,7 +537,6 @@ Simulator::evictPage(Page *page)
         mem_.node(page->node()).freeFrame(page->paddr());
         page->unplace();
         page->setReferenced(false);
-        page->setActive(false);
         page->setPromoteFlag(false);
         page->setPteReferenced(false);
     } else {

@@ -4,8 +4,9 @@
  *
  * A Page describes one resident (or swapped-out) virtual page: which NUMA
  * node holds its frame, its LRU list membership, and its flag bits. The
- * flag set mirrors Linux 5.3 plus the one flag MULTI-CLOCK adds
- * (PagePromote), and the PTE-level state (accessed/dirty/present bits)
+ * flag set mirrors the Linux 5.3 flags the simulation reads plus the one
+ * flag MULTI-CLOCK adds (PagePromote); the kernel's PG_active is the
+ * list the page is on. The PTE-level state (accessed/dirty/present bits)
  * that the hardware maintains in the process page table is folded in as
  * well, since our pages are singly mapped.
  *
@@ -121,9 +122,6 @@ class alignas(64) Page
     bool referenced() const { return flag(kReferenced); }
     void setReferenced(bool v) { setFlag(kReferenced, v); }
 
-    bool active() const { return flag(kActive); }
-    void setActive(bool v) { setFlag(kActive, v); }
-
     /** MULTI-CLOCK's PagePromote flag. */
     bool promoteFlag() const { return flag(kPromote); }
     void setPromoteFlag(bool v) { setFlag(kPromote, v); }
@@ -223,15 +221,14 @@ class alignas(64) Page
     // One bit per boolean page/PTE state, kernel page->flags style.
     static constexpr std::uint16_t kAnon          = 1u << 0;
     static constexpr std::uint16_t kReferenced    = 1u << 1;
-    static constexpr std::uint16_t kActive        = 1u << 2;
-    static constexpr std::uint16_t kPromote       = 1u << 3;
-    static constexpr std::uint16_t kDirty         = 1u << 4;
-    static constexpr std::uint16_t kUnevictable   = 1u << 5;
-    static constexpr std::uint16_t kLocked        = 1u << 6;
-    static constexpr std::uint16_t kPteReferenced = 1u << 7;
-    static constexpr std::uint16_t kPteDirty      = 1u << 8;
-    static constexpr std::uint16_t kHintPoisoned  = 1u << 9;
-    static constexpr std::uint16_t kHintSinceScan = 1u << 10;
+    static constexpr std::uint16_t kPromote       = 1u << 2;
+    static constexpr std::uint16_t kDirty         = 1u << 3;
+    static constexpr std::uint16_t kUnevictable   = 1u << 4;
+    static constexpr std::uint16_t kLocked        = 1u << 5;
+    static constexpr std::uint16_t kPteReferenced = 1u << 6;
+    static constexpr std::uint16_t kPteDirty      = 1u << 7;
+    static constexpr std::uint16_t kHintPoisoned  = 1u << 8;
+    static constexpr std::uint16_t kHintSinceScan = 1u << 9;
 
     bool flag(std::uint16_t bit) const { return (flags_ & bit) != 0; }
 

@@ -93,7 +93,6 @@ TEST_F(MultiClockTest, NewPageStartsInactiveUnreferenced)
     Page *pg = touchNewPage();
     EXPECT_EQ(pg->list(), LruListKind::InactiveAnon);
     EXPECT_FALSE(pg->referenced());
-    EXPECT_FALSE(pg->active());
     // The faulting access set the PTE accessed bit (hardware).
     EXPECT_TRUE(pg->pteReferenced());
 }
@@ -132,7 +131,6 @@ TEST_F(MultiClockTest, Transition6InactiveRefToActive)
     auto kp = kpromotedFor(1);
     kp.scanInactive(pmem(), true, 64);
     EXPECT_EQ(pg->list(), LruListKind::ActiveAnon);
-    EXPECT_TRUE(pg->active());
     EXPECT_FALSE(pg->referenced());
 }
 
@@ -141,7 +139,6 @@ TEST_F(MultiClockTest, Transition7ActiveUnrefToRef)
     Page *pg = touchNewPage();
     moveToPmem(pg);
     pmem().lists().moveTo(pg, pfra::NodeLists::activeKind(true));
-    pg->setActive(true);
     sim_->read(pg->vaddr());
     auto kp = kpromotedFor(1);
     kp.scanActive(pmem(), true, 64);
@@ -154,7 +151,6 @@ TEST_F(MultiClockTest, Transition10ActiveRefToPromote)
     Page *pg = touchNewPage();
     moveToPmem(pg);
     pmem().lists().moveTo(pg, pfra::NodeLists::activeKind(true));
-    pg->setActive(true);
     pg->setReferenced(true);
     sim_->read(pg->vaddr());  // referenced again
     auto kp = kpromotedFor(1);
@@ -233,7 +229,6 @@ TEST_F(MultiClockTest, SupervisedSecondTouchActivates)
     policy_->onSupervisedAccess(pg);
     policy_->onSupervisedAccess(pg);
     EXPECT_EQ(pg->list(), LruListKind::ActiveAnon);
-    EXPECT_TRUE(pg->active());
     EXPECT_FALSE(pg->referenced());
 }
 
@@ -345,22 +340,6 @@ TEST_F(MultiClockTest, LowestTierPressureEvictsToStorage)
     EXPECT_GT(sim_->vmstat().global(stats::VmItem::Pswpout), 0u);
 }
 
-// --- Config ------------------------------------------------------------------------
-
-TEST_F(MultiClockTest, ScanIntervalAdjustable)
-{
-    // The period is set at construction (fig10 sweeps it that way);
-    // the fixture's default-period host is not used.
-    MultiClockConfig mc;
-    mc.scanInterval = 250_ms;
-    sim::Simulator sim(sim::tinyTestMachine());
-    auto policy = std::make_unique<MultiClockPolicy>(mc);
-    EXPECT_EQ(policy->config().scanInterval, 250_ms);
-    sim.setPolicy(std::move(policy));
-    sim.compute(1_s);
-    EXPECT_EQ(sim.vmstat().global(stats::VmItem::KpromotedWake), 4u);
-}
-
 TEST_F(MultiClockTest, FeatureRowMatchesPaper)
 {
     const auto row = policy_->features();
@@ -375,41 +354,23 @@ TEST_F(MultiClockTest, FeatureRowMatchesPaper)
 
 TEST_F(MultiClockTest, PromoteBudgetCapsMigrationsPerWake)
 {
-    // Queue more hot promote-list pages than the per-wake budget.
-    MultiClockConfig cfg;
-    cfg.promoteBudget = 4;
-    sim::MachineConfig mcfg = sim::tinyTestMachine();
-    mcfg.cache.enabled = false;
-    sim::Simulator sim(mcfg);
-    auto policyPtr = std::make_unique<MultiClockPolicy>(cfg);
-    MultiClockPolicy *policy = policyPtr.get();
-    sim.setPolicy(std::move(policyPtr));
-
-    const Vaddr a = sim.mmap(16 * kPageSize);
-    for (int i = 0; i < 16; ++i)
-        sim.write(a + static_cast<Vaddr>(i) * kPageSize);
-    auto &mem = sim.memory();
-    auto &pmem = mem.node(1);
-    sim.space().forEachPage([&](Page *pg) {
-        mem.node(pg->node()).lists().remove(pg);
-        ASSERT_TRUE(sim.demotePage(
-            pg, sim::Simulator::ChargeMode::Background));
+    // Queue more hot promote-list pages than one wake may migrate.
+    const std::size_t queued = MultiClockPolicy::kPromoteBudget + 16;
+    const Vaddr a = sim_->mmap(queued * kPageSize);
+    for (std::size_t i = 0; i < queued; ++i)
+        sim_->write(a + i * kPageSize);
+    sim_->space().forEachPage([&](Page *pg) {
+        moveToPmem(pg);
+        moveToPromote(pg);
         pg->setReferenced(true);
-        pg->setPteReferenced(false);
-        // A demoted page arrives on inactive; walk it up the legal
-        // Fig. 4 path to the promote list.
-        pmem.lists().moveTo(pg, pfra::NodeLists::activeKind(true));
-        pg->setPromoteFlag(true);
-        pmem.lists().moveTo(pg, pfra::NodeLists::promoteKind(true));
     });
-    ASSERT_EQ(pmem.lists().promoteSize(true), 16u);
-    const auto before = sim.vmstat().global(stats::VmItem::PgpromoteSuccess);
-    Kpromoted kp(*policy, sim, 1);
-    kp.run(sim.now());
-    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PgpromoteSuccess) - before,
-              4u);
+    ASSERT_EQ(pmem().lists().promoteSize(true), queued);
+    kpromotedFor(1).run(sim_->now());
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::PgpromoteSuccess),
+              MultiClockPolicy::kPromoteBudget);
     // The remainder stays selected on the promote list.
-    EXPECT_EQ(pmem.lists().promoteSize(true), 12u);
+    EXPECT_EQ(pmem().lists().promoteSize(true),
+              queued - MultiClockPolicy::kPromoteBudget);
 }
 
 TEST_F(MultiClockTest, DemoteForPromoteBackpressureOnWarmDram)

@@ -181,9 +181,9 @@ TEST(IntegrationSensitivity, ShorterIntervalPromotesSooner)
     std::map<SimTime, std::uint64_t> promoted;
     for (SimTime interval : {4_ms, 200_ms}) {
         sim::Simulator sim(smallMachine());
-        core::MultiClockConfig cfg;
-        cfg.scanInterval = interval;
-        sim.setPolicy(std::make_unique<core::MultiClockPolicy>(cfg));
+        policies::PolicyOptions opts;
+        opts.scanInterval = interval;
+        sim.setPolicy(std::make_unique<core::MultiClockPolicy>(opts));
         workloads::YcsbDriver driver(sim, smallYcsb());
         driver.load();
         driver.run(workloads::YcsbWorkload::A);

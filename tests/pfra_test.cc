@@ -153,15 +153,13 @@ TEST_F(VmscanTest, TestAndClearReferencedConsumesBothBits)
 TEST_F(VmscanTest, ShrinkActiveDeactivatesUnreferenced)
 {
     addPages(10, LruListKind::ActiveAnon);
-    for (auto &pg : pages_)
-        pg->setActive(true);
     const ScanStats stats = shrinkActiveList(lists_, true, 10);
     EXPECT_EQ(stats.scanned, 10u);
     EXPECT_EQ(stats.deactivated, 10u);
     EXPECT_EQ(lists_.activeSize(true), 0u);
     EXPECT_EQ(lists_.inactiveSize(true), 10u);
     for (auto &pg : pages_)
-        EXPECT_FALSE(pg->active());
+        EXPECT_EQ(pg->list(), LruListKind::InactiveAnon);
 }
 
 TEST_F(VmscanTest, ShrinkActiveRotatesReferenced)
@@ -225,7 +223,6 @@ TEST_F(VmscanTest, CollectActivatesSecondReference)
     collectInactiveCandidates(lists_, true, 1, victims);
     EXPECT_TRUE(victims.empty());
     EXPECT_EQ(pg->list(), LruListKind::ActiveAnon);
-    EXPECT_TRUE(pg->active());
 }
 
 TEST_F(VmscanTest, CollectSkipsLockedAndUnevictable)

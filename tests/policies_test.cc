@@ -65,7 +65,7 @@ dramPages(sim::Simulator &sim)
 
 /**
  * Fig. 4 arrival for pages that left DRAM: each of @p before now on PM
- * sits on an inactive list with PG_active and PG_referenced clear.
+ * sits on an inactive list with PG_referenced clear.
  * Returns how many did.
  */
 std::size_t
@@ -78,7 +78,6 @@ expectDemotedArrivals(sim::Simulator &sim, const std::vector<Page *> &before)
         ++moved;
         EXPECT_EQ(pg->list(), pfra::NodeLists::inactiveKind(pg->isAnon()))
             << "vpn " << pg->vpn();
-        EXPECT_FALSE(pg->active()) << "vpn " << pg->vpn();
         EXPECT_FALSE(pg->referenced()) << "vpn " << pg->vpn();
     }
     return moved;
@@ -165,16 +164,6 @@ TEST(NimbleTest, ExchangesWhenDramFull)
     EXPECT_GE(expectDemotedArrivals(sim, inDram), 1u);
 }
 
-TEST(NimbleTest, ScanIntervalAdjustable)
-{
-    sim::Simulator sim(testMachine());
-    NimbleConfig cfg;
-    cfg.scanInterval = 100_ms;
-    sim.setPolicy(std::make_unique<NimblePolicy>(cfg));
-    sim.compute(1_s);
-    EXPECT_EQ(sim.vmstat().global(stats::VmItem::KpromotedWake), 10u);
-}
-
 TEST(NimbleTest, FeatureRow)
 {
     NimblePolicy policy;
@@ -187,7 +176,8 @@ TEST(NimbleTest, FeatureRow)
 TEST(AutoTieringTest, ScanPoisonsPages)
 {
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm));
     const Vaddr a = sim.mmap(64 * kPageSize);
     for (int i = 0; i < 64; ++i)
         sim.write(a + static_cast<Vaddr>(i) * kPageSize);
@@ -204,7 +194,8 @@ TEST(AutoTieringTest, ScanPoisonsPages)
 TEST(AutoTieringTest, HintFaultChargedAndCleared)
 {
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm));
     Page *pg = touchPage(sim);
     pg->setHintPoisoned(true);
     const SimTime before = sim.now();
@@ -217,7 +208,8 @@ TEST(AutoTieringTest, HintFaultChargedAndCleared)
 TEST(AutoTieringTest, CpmPromotesOnFaultWhenDramHasSpace)
 {
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm));
     Page *pg = touchPage(sim);
     moveToPmem(sim, pg);
     pg->setHintPoisoned(true);
@@ -230,7 +222,8 @@ TEST(AutoTieringTest, CpmFaultPathChargesMultiplier)
 {
     sim::MachineConfig cfg = testMachine();
     sim::Simulator sim(cfg);
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm));
     Page *pg = touchPage(sim);
     moveToPmem(sim, pg);
     pg->setHintPoisoned(true);
@@ -247,7 +240,8 @@ TEST(AutoTieringTest, CpmFaultPathChargesMultiplier)
 TEST(AutoTieringTest, CpmExchangesWithColdVictimWhenFull)
 {
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm));
     auto &dram = sim.memory().node(0);
     const Vaddr a = sim.mmap(dram.totalFrames() * 2 * kPageSize);
     for (std::size_t i = 0; i < dram.totalFrames() * 2; ++i)
@@ -279,7 +273,8 @@ TEST(AutoTieringTest, CpmExchangesWithColdVictimWhenFull)
 TEST(AutoTieringTest, OpmDemotesZeroHistoryPagesUnderPressure)
 {
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(true));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Opm));
     auto &dram = sim.memory().node(0);
     const Vaddr a = sim.mmap(dram.totalFrames() / 2 * kPageSize);
     for (std::size_t i = 0; i < dram.totalFrames() / 2; ++i)
@@ -295,7 +290,8 @@ TEST(AutoTieringTest, OpmDemotesZeroHistoryPagesUnderPressure)
 TEST(AutoTieringTest, OpmHistoryMaintainedByScan)
 {
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(true));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Opm));
     Page *pg = touchPage(sim);
     pg->setHintFaultedSinceScan(true);
     sim.compute(1100_ms);  // one profiling pass shifts history
@@ -305,10 +301,12 @@ TEST(AutoTieringTest, OpmHistoryMaintainedByScan)
 
 TEST(AutoTieringTest, Names)
 {
-    EXPECT_STREQ(AutoTieringPolicy(false).name(), "at-cpm");
-    EXPECT_STREQ(AutoTieringPolicy(true).name(), "at-opm");
-    EXPECT_EQ(AutoTieringPolicy(false).features().demotion, "N/A");
-    EXPECT_EQ(AutoTieringPolicy(true).features().demotion, "Frequency");
+    const AutoTieringPolicy cpm(AutoTieringMode::Cpm);
+    const AutoTieringPolicy opm(AutoTieringMode::Opm);
+    EXPECT_STREQ(cpm.name(), "at-cpm");
+    EXPECT_STREQ(opm.name(), "at-opm");
+    EXPECT_EQ(cpm.features().demotion, "N/A");
+    EXPECT_EQ(opm.features().demotion, "Frequency");
 }
 
 // --- Memory-mode -----------------------------------------------------------------
@@ -459,29 +457,38 @@ INSTANTIATE_TEST_SUITE_P(PressurePolicies, ReclaimPassTest,
 
 TEST(NimbleTest, PromoteBudgetBoundsMigrationsPerWake)
 {
-    NimbleConfig cfg;
-    cfg.promoteBudget = 2;
-    sim::MachineConfig mcfg = testMachine();
-    sim::Simulator sim(mcfg);
-    sim.setPolicy(std::make_unique<NimblePolicy>(cfg));
-    // Several hot PM pages, all referenced: one wake promotes only 2.
-    const Vaddr a = sim.mmap(8 * kPageSize);
-    for (int i = 0; i < 8; ++i)
-        sim.write(a + static_cast<Vaddr>(i) * kPageSize);
+    sim::Simulator sim(testMachine());
+    sim.setPolicy(std::make_unique<NimblePolicy>());
+    // More hot PM pages than one wake may promote, all referenced.
+    const std::size_t hot = NimblePolicy::kPromoteBudget + 32;
+    const Vaddr a = sim.mmap(hot * kPageSize);
+    for (std::size_t i = 0; i < hot; ++i)
+        sim.write(a + i * kPageSize);
     sim.space().forEachPage([&](Page *pg) { moveToPmem(sim, pg); });
     sim.space().forEachPage([](Page *pg) {
         pg->setPteReferenced(true);
     });
     sim.compute(1100_ms);  // one wake
-    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PgpromoteSuccess), 2u);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::PgpromoteSuccess),
+              NimblePolicy::kPromoteBudget);
+    // The rest stay on PM with their accessed bits for the next wake.
+    std::size_t left = 0;
+    sim.space().forEachPage([&](Page *pg) {
+        if (sim.pageTier(pg) == TierKind::Pmem) {
+            ++left;
+            EXPECT_TRUE(pg->pteReferenced()) << "vpn " << pg->vpn();
+        }
+    });
+    EXPECT_EQ(left, hot - NimblePolicy::kPromoteBudget);
 }
 
 TEST(AutoTieringTest, PoisonChunkCappedByFootprint)
 {
-    AutoTieringConfig cfg;
-    cfg.poisonChunk = 1u << 20;  // absurdly large
+    PolicyOptions opts;
+    opts.poisonPagesPerSec = 1u << 20;  // 2^20 pages per 1 s pass
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false, cfg));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm, opts));
     const Vaddr a = sim.mmap(256 * kPageSize);
     for (int i = 0; i < 256; ++i)
         sim.write(a + static_cast<Vaddr>(i) * kPageSize);
@@ -498,7 +505,8 @@ TEST(AutoTieringTest, WarmVictimsAreProtected)
     // A DRAM page with a recent hint fault must not be picked as an
     // exchange victim (the cold horizon spans full profiling passes).
     sim::Simulator sim(testMachine());
-    sim.setPolicy(std::make_unique<AutoTieringPolicy>(false));
+    sim.setPolicy(
+        std::make_unique<AutoTieringPolicy>(AutoTieringMode::Cpm));
     auto &dram = sim.memory().node(0);
     const Vaddr a = sim.mmap(dram.totalFrames() * 2 * kPageSize);
     for (std::size_t i = 0; i < dram.totalFrames() * 2; ++i)
@@ -586,6 +594,43 @@ TEST(FactoryTest, TieredNamesMatchPaperFigure5)
     EXPECT_EQ(names[0], "static");
     EXPECT_EQ(names[1], "multiclock");
 }
+
+/** The policyNames() entries whose policy registers a daemon. */
+std::vector<std::string>
+daemonPolicyNames()
+{
+    std::vector<std::string> names;
+    for (const std::string &name : policyNames()) {
+        if (name != "static" && name != "memory-mode")
+            names.push_back(name);
+    }
+    return names;
+}
+
+class FactoryTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FactoryTest, ScanIntervalSetsTheDaemonPeriod)
+{
+    PolicyOptions opts;
+    opts.scanInterval = 250_ms;
+    sim::Simulator sim(testMachine());
+    sim.setPolicy(makePolicy(GetParam(), opts));
+    // AutoTiering counts no wake while the address space is empty.
+    sim.read(sim.mmap(kPageSize));
+    sim.compute(1_s);
+    EXPECT_EQ(sim.vmstat().global(stats::VmItem::KpromotedWake), 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DaemonPolicies, FactoryTest,
+                         ::testing::ValuesIn(daemonPolicyNames()),
+                         [](const auto &info) {
+                             std::string name = info.param;
+                             std::replace(name.begin(), name.end(), '-',
+                                          '_');
+                             return name;
+                         });
 
 }  // namespace
 }  // namespace policies

@@ -613,8 +613,7 @@ TEST(SimulatorTest, MultiPageAccessTouchesEveryPage)
 
 /**
  * The Fig. 4 arrival rule: @p pg sits at the head of @p kind on
- * @p node, PG_active matches the list, and PG_referenced and
- * PagePromote are clear.
+ * @p node, and PG_referenced and PagePromote are clear.
  */
 void
 expectArrivedAtHead(Simulator &sim, const Page *pg, NodeId node,
@@ -623,7 +622,6 @@ expectArrivedAtHead(Simulator &sim, const Page *pg, NodeId node,
     EXPECT_EQ(pg->node(), node);
     EXPECT_EQ(pg->list(), kind);
     EXPECT_EQ(sim.memory().node(node).lists().list(kind).front(), pg);
-    EXPECT_EQ(pg->active(), isActiveList(kind));
     EXPECT_FALSE(pg->referenced());
     EXPECT_FALSE(pg->promoteFlag());
 }

@@ -480,9 +480,7 @@ TEST(ExchangeAccounting, CrossTierExchangeCountsOnePromotionAndDemotion)
     EXPECT_EQ(sim->pageTier(coldDram), TierKind::Pmem);
     // Fig. 4 arrival: hot on DRAM's active list, cold on PM's inactive.
     EXPECT_EQ(hotPm->list(), LruListKind::ActiveAnon);
-    EXPECT_TRUE(hotPm->active());
     EXPECT_EQ(coldDram->list(), LruListKind::InactiveAnon);
-    EXPECT_FALSE(coldDram->active());
     const auto violations = collectCounterViolations(*sim);
     EXPECT_TRUE(violations.empty()) << violations.front();
 }

@@ -22,7 +22,6 @@ TEST(PageTest, InitialState)
     EXPECT_TRUE(pg.isAnon());
     EXPECT_FALSE(pg.resident());
     EXPECT_FALSE(pg.referenced());
-    EXPECT_FALSE(pg.active());
     EXPECT_FALSE(pg.promoteFlag());
     EXPECT_FALSE(pg.dirty());
     EXPECT_FALSE(pg.pteReferenced());
